@@ -121,42 +121,13 @@ def check_telescope(sig, tele):
 
 
 def _delta(sig, x, scope):
-    match x:
-        case k.Const(name, args) if name in sig.defs:
-            tele, _, body = sig.defs[name]
-            out = k.instantiate_closed(
-                body, len(tele), tuple(_delta(sig, a, scope) for a in args), scope)
-            return _delta(sig, out, scope)
-        case k.Var():
-            return x
-        case k.Const(name, args):
-            return k.Const(name, tuple(_delta(sig, a, scope) for a in args))
-        case k.BaseT(name, args):
-            return k.BaseT(name, tuple(_delta(sig, a, scope) for a in args))
-        case k.IncCore(t):
-            return k.IncCore(_delta(sig, t, scope))
-        case k.IncOp(t):
-            return k.IncOp(_delta(sig, t, scope))
-        case k.One(t):
-            return k.One(_delta(sig, t, scope))
-        case k.Core(t):
-            return k.Core(_delta(sig, t, scope))
-        case k.Op(t):
-            return k.Op(_delta(sig, t, scope))
-        case k.Hom(c, s, t):
-            return k.Hom(_delta(sig, c, scope), _delta(sig, s, scope),
-                         _delta(sig, t, scope))
-        case k.ElimR(th, dm, b, f, a):
-            return k.ElimR(_delta(sig, th, scope + k.THETA_BINDS),
-                           _delta(sig, dm, scope + k.D_BINDS),
-                           _delta(sig, b, scope + k.BASE_BINDS),
-                           _delta(sig, f, scope), _delta(sig, a, scope))
-        case k.ElimL(th, dm, b, f, a):
-            return k.ElimL(_delta(sig, th, scope + k.THETA_BINDS),
-                           _delta(sig, dm, scope + k.D_BINDS),
-                           _delta(sig, b, scope + k.BASE_BINDS),
-                           _delta(sig, f, scope), _delta(sig, a, scope))
-    raise k.InternalError(f"delta: unexpected node {x!r}")
+    """Expand every defined constant in x, arguments first."""
+    if isinstance(x, k.Const) and x.name in sig.defs:
+        tele, _, body = sig.defs[x.name]
+        args = tuple(_delta(sig, a, scope) for a in x.args)
+        return _delta(sig, k.instantiate_closed(body, len(tele), args, scope),
+                      scope)
+    return k.map_children(x, lambda y, depth: _delta(sig, y, depth), scope)
 
 
 def nf(sig, x, scope=0):
@@ -326,24 +297,9 @@ def _infer_elim(sig, ctx, e, right):
                              f"{ps.print_type(f_nf, env)}, expected a hom type",
                              premise=1)
 
-    ctx_th = ctx + (("s", k.Core(carrier)),)
+    ctx_base, ctx_d = k.elim_contexts(ctx, carrier, th, right)
     th_drv = _premise(2, f"{kw} first motive",
-                      lambda: check_type(sig, ctx_th, th))
-
-    if right:
-        ctx_d = ctx + (
-            ("s", k.Core(carrier)),
-            ("t", k.shift(carrier, n, 1)),
-            ("f", k.Hom(k.shift(carrier, n, 2), k.IncOp(k.Var(n)), k.Var(n + 1))),
-            ("th", k.shift(th, n + 1, 2)),
-        )
-    else:
-        ctx_d = ctx + (
-            ("s", k.Op(carrier)),
-            ("t", k.Core(k.shift(carrier, n, 1))),
-            ("f", k.Hom(k.shift(carrier, n, 2), k.Var(n), k.IncCore(k.Var(n + 1)))),
-            ("th", k.shift(k.shift(th, n, 1), n + 2, 1)),
-        )
+                      lambda: check_type(sig, ctx_base[:-1], th))
     dm_drv = _premise(3, f"{kw} second motive",
                       lambda: check_type(sig, ctx_d, dm))
 
@@ -355,7 +311,6 @@ def _infer_elim(sig, ctx, e, right):
     else:
         expected = k.substitute(dm, n, k.IncOp(k.Var(n)), n + 4)
         expected = k.substitute(expected, n + 1, k.One(k.Var(n)), n + 3)
-    ctx_base = ctx + (("s", k.Core(carrier)), ("th", th))
     base_drv = _premise(4, f"{kw} base case",
                         lambda: check_term(sig, ctx_base, base, expected))
 

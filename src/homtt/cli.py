@@ -9,8 +9,8 @@ transcript of the same records.  Relative input paths resolve against
 $HOMTT_CORPUS when that variable is set.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 unusable input
-(missing file, parse error, invalid program), 3 internal invariant
-breach.
+(missing file, parse error, invalid program or workspace, input nested
+too deeply), 3 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -279,6 +279,9 @@ def run(cfg, stream=None):
     except (OSError, ps.ParseError, ds.PvError, ip.InterpError,
             fc.SizeCapError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return 2
     except (k.InternalError, AssertionError) as err:
         print(f"internal error: {err}", file=sys.stderr)

@@ -149,6 +149,8 @@ def parse_pv(text, path="<input>"):
                 raise PvError(f"{path}:{ln}: cannot read event {tok!r}")
             events.append((m.group(1), m.group(2)))
         procs.append(tuple(events))
+    if not procs:
+        raise PvError(f"{path}: no processes")
     return PVProgram(tuple(procs))
 
 

@@ -778,6 +778,10 @@ def build_catfile(cf):
         except SizeCapError as err:
             ws.diagnostics.append((name, str(err)))
             continue
+        problems = cat.validate()
+        if problems:
+            ws.diagnostics.append((name, problems[0]))
+            continue
         ws.categories[name] = cat
         names[name] = arrows
     for name, block in cf.functors.items():
@@ -808,7 +812,12 @@ def build_catfile(cf):
         for x in src.objects:
             if x in ob:
                 mor.setdefault(src.identity[x], tgt.identity[ob[x]])
-        ws.functors[name] = Functor(src, tgt, ob, mor)
+        F = Functor(src, tgt, ob, mor)
+        problems = F.validate()
+        if problems:
+            ws.diagnostics.append((name, problems[0]))
+            continue
+        ws.functors[name] = F
     for name, block in cf.nats.items():
         F = ws.functors.get(block.source)
         G = ws.functors.get(block.target)

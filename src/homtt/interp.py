@@ -293,29 +293,16 @@ class Interpreter:
                 raise k.InternalError(
                     f"eliminated term has non-hom type {f_ty!r}")
 
-        core_s = ("s", k.Core(car))
-        ctx_b = ctx + (core_s, ("th", e.motive_theta))
+        ctx_b, ctx_d = k.elim_contexts(ctx, car, e.motive_theta, right)
         if right:
-            ctx_d = ctx + (
-                core_s,
-                ("t", k.shift(car, n, 1)),
-                ("f", k.Hom(k.shift(car, n, 2), k.IncOp(k.Var(n)),
-                            k.Var(n + 1))),
-                ("th", k.shift(e.motive_theta, n + 1, 2)))
             e_cat = self.context(ctx_d)
             d_fa = self.type(ctx_d, e.motive_d)
         else:
-            ctx_d = ctx + (
-                ("s", k.Op(car)),
-                ("t", k.Core(k.shift(car, n, 1))),
-                ("f", k.Hom(k.shift(car, n, 2), k.Var(n),
-                            k.IncCore(k.Var(n + 1)))),
-                ("th", k.shift(k.shift(e.motive_theta, n, 1), n + 2, 1)))
             e_cat, swap = _mirror(self.context(ctx_d), n)
             d_fa = fc.reindex(self.type(ctx_d, e.motive_d), swap)
 
         carrier_fa = self.type(ctx, car if right else k.Op(car))
-        theta_fa = self.type(ctx + (core_s,), e.motive_theta)
+        theta_fa = self.type(ctx_b[:-1], e.motive_theta)
         b_cat = self.context(ctx_b)
         d_sec = self.term(ctx_b, e.base)
         unit = _unit_functor(b_cat, e_cat, n, carrier_fa)

@@ -12,12 +12,18 @@ eliminator appearing in a context of length n refers to its bound variable as
 relevant context length explicitly.
 
 Binder arities are fixed: ``Th`` binds 1 variable, ``D`` binds 4 (s, t, f, th),
-``d`` binds 2 (s, th).  There are no other binding constructs.
+``d`` binds 2 (s, th).  There are no other binding constructs.  The table of
+child binder counts per node class is the only place arity is read: every
+traversal either folds over ``children`` or rebuilds through
+``map_children``, overriding it only at the nodes it cares about (``Var``
+for the renumberings, ``Core`` and the redex for ``reduce``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 
 
 class InternalError(Exception):
@@ -140,12 +146,56 @@ class HasType:
     ty: TypeExpr
 
 
-@dataclass(frozen=True)
-class DefEqual:
-    ctx: Telescope
-    lhs: TermExpr
-    rhs: TermExpr
-    ty: TypeExpr
+# Binders each child field of a node opens, per node class, in field order.
+# BaseT and Const (None) carry a name and a tuple of argument children, none
+# under a binder.  This table is the only place binder arity is read.
+_ELIM_BINDERS = (THETA_BINDS, D_BINDS, BASE_BINDS, 0, 0)
+_CHILD_BINDERS = {
+    Var: (),
+    BaseT: None,
+    Const: None,
+    Core: (0,),
+    Op: (0,),
+    IncCore: (0,),
+    IncOp: (0,),
+    One: (0,),
+    Hom: (0, 0, 0),
+    ElimR: _ELIM_BINDERS,
+    ElimL: _ELIM_BINDERS,
+}
+
+
+def _child_binders(x):
+    try:
+        return _CHILD_BINDERS[type(x)]
+    except KeyError:
+        raise InternalError(f"unknown node {x!r}") from None
+
+
+def children(x):
+    """The (child, binders) pairs of x in field order; `binders` is the
+    number of variables x binds around that child."""
+    binders = _child_binders(x)
+    if binders is None:
+        return [(a, 0) for a in x.args]
+    return [(getattr(x, f), b) for f, b in zip(x.__match_args__, binders)]
+
+
+def map_children(x, fn, depth):
+    """Rebuild x with every child c replaced by fn(c, depth + binders).
+
+    `depth` is the context length x sits in, so fn sees the length each
+    child sits in.  A node without children comes back as it is.
+    """
+    binders = _child_binders(x)
+    if binders is None:
+        if not x.args:
+            return x
+        return type(x)(x.name, tuple(map(fn, x.args, repeat(depth))))
+    if not binders:
+        return x
+    return type(x)(*map(fn, map(getattr, repeat(x), x.__match_args__),
+                        map(add, binders, repeat(depth))))
 
 
 def shift(x, cutoff: int, amount: int):
@@ -157,35 +207,12 @@ def shift(x, cutoff: int, amount: int):
     """
     if amount == 0:
         return x
-    match x:
-        case Var(k):
-            return Var(k + amount) if k >= cutoff else x
-        case Const(name, args):
-            return Const(name, tuple(shift(a, cutoff, amount) for a in args))
-        case IncCore(t):
-            return IncCore(shift(t, cutoff, amount))
-        case IncOp(t):
-            return IncOp(shift(t, cutoff, amount))
-        case One(t):
-            return One(shift(t, cutoff, amount))
-        case ElimR(th, dm, b, f, a):
-            return ElimR(shift(th, cutoff, amount), shift(dm, cutoff, amount),
-                         shift(b, cutoff, amount), shift(f, cutoff, amount),
-                         shift(a, cutoff, amount))
-        case ElimL(th, dm, b, f, a):
-            return ElimL(shift(th, cutoff, amount), shift(dm, cutoff, amount),
-                         shift(b, cutoff, amount), shift(f, cutoff, amount),
-                         shift(a, cutoff, amount))
-        case BaseT(name, args):
-            return BaseT(name, tuple(shift(a, cutoff, amount) for a in args))
-        case Core(t):
-            return Core(shift(t, cutoff, amount))
-        case Op(t):
-            return Op(shift(t, cutoff, amount))
-        case Hom(c, s, t):
-            return Hom(shift(c, cutoff, amount), shift(s, cutoff, amount),
-                       shift(t, cutoff, amount))
-    raise InternalError(f"shift: unknown node {x!r}")
+
+    def go(y, _):
+        if isinstance(y, Var):
+            return Var(y.level + amount) if y.level >= cutoff else y
+        return map_children(y, go, 0)
+    return go(x, 0)
 
 
 def substitute(x, depth: int, replacement, scope: int):
@@ -197,46 +224,13 @@ def substitute(x, depth: int, replacement, scope: int):
     including binder levels.  When the replacement is inserted under binders
     of `x`, its own binder levels are shifted clear of them.
     """
-    return _subst(x, depth, replacement, scope - 1, 0)
-
-
-def _subst(x, depth, r, r_scope, binders):
-    match x:
-        case Var(k):
-            if k == depth:
-                return shift(r, r_scope, binders)
-            return Var(k - 1) if k > depth else x
-        case Const(name, args):
-            return Const(name, tuple(_subst(a, depth, r, r_scope, binders) for a in args))
-        case IncCore(t):
-            return IncCore(_subst(t, depth, r, r_scope, binders))
-        case IncOp(t):
-            return IncOp(_subst(t, depth, r, r_scope, binders))
-        case One(t):
-            return One(_subst(t, depth, r, r_scope, binders))
-        case ElimR(th, dm, b, f, a):
-            return ElimR(_subst(th, depth, r, r_scope, binders + THETA_BINDS),
-                         _subst(dm, depth, r, r_scope, binders + D_BINDS),
-                         _subst(b, depth, r, r_scope, binders + BASE_BINDS),
-                         _subst(f, depth, r, r_scope, binders),
-                         _subst(a, depth, r, r_scope, binders))
-        case ElimL(th, dm, b, f, a):
-            return ElimL(_subst(th, depth, r, r_scope, binders + THETA_BINDS),
-                         _subst(dm, depth, r, r_scope, binders + D_BINDS),
-                         _subst(b, depth, r, r_scope, binders + BASE_BINDS),
-                         _subst(f, depth, r, r_scope, binders),
-                         _subst(a, depth, r, r_scope, binders))
-        case BaseT(name, args):
-            return BaseT(name, tuple(_subst(a, depth, r, r_scope, binders) for a in args))
-        case Core(t):
-            return Core(_subst(t, depth, r, r_scope, binders))
-        case Op(t):
-            return Op(_subst(t, depth, r, r_scope, binders))
-        case Hom(c, s, t):
-            return Hom(_subst(c, depth, r, r_scope, binders),
-                       _subst(s, depth, r, r_scope, binders),
-                       _subst(t, depth, r, r_scope, binders))
-    raise InternalError(f"substitute: unknown node {x!r}")
+    def go(y, binders):
+        if isinstance(y, Var):
+            if y.level == depth:
+                return shift(replacement, scope - 1, binders)
+            return Var(y.level - 1) if y.level > depth else y
+        return map_children(y, go, binders)
+    return go(x, 0)
 
 
 def instantiate(body, base: int, values):
@@ -258,46 +252,42 @@ def instantiate_closed(body, arity: int, args, scope: int):
     Levels < arity become the arguments; internal binder levels are
     renumbered past the ambient context.
     """
-    return _inst_closed(body, arity, tuple(args), scope, 0)
+    args = tuple(args)
+
+    def go(y, binders):
+        if isinstance(y, Var):
+            if y.level < arity:
+                return shift(args[y.level], scope, binders)
+            return Var(y.level - arity + scope)
+        return map_children(y, go, binders)
+    return go(body, 0)
 
 
-def _inst_closed(x, arity, args, scope, binders):
-    match x:
-        case Var(k):
-            if k < arity:
-                return shift(args[k], scope, binders)
-            return Var(k - arity + scope)
-        case Const(name, sub):
-            return Const(name, tuple(_inst_closed(a, arity, args, scope, binders) for a in sub))
-        case IncCore(t):
-            return IncCore(_inst_closed(t, arity, args, scope, binders))
-        case IncOp(t):
-            return IncOp(_inst_closed(t, arity, args, scope, binders))
-        case One(t):
-            return One(_inst_closed(t, arity, args, scope, binders))
-        case ElimR(th, dm, b, f, a):
-            return ElimR(_inst_closed(th, arity, args, scope, binders + THETA_BINDS),
-                         _inst_closed(dm, arity, args, scope, binders + D_BINDS),
-                         _inst_closed(b, arity, args, scope, binders + BASE_BINDS),
-                         _inst_closed(f, arity, args, scope, binders),
-                         _inst_closed(a, arity, args, scope, binders))
-        case ElimL(th, dm, b, f, a):
-            return ElimL(_inst_closed(th, arity, args, scope, binders + THETA_BINDS),
-                         _inst_closed(dm, arity, args, scope, binders + D_BINDS),
-                         _inst_closed(b, arity, args, scope, binders + BASE_BINDS),
-                         _inst_closed(f, arity, args, scope, binders),
-                         _inst_closed(a, arity, args, scope, binders))
-        case BaseT(name, sub):
-            return BaseT(name, tuple(_inst_closed(a, arity, args, scope, binders) for a in sub))
-        case Core(t):
-            return Core(_inst_closed(t, arity, args, scope, binders))
-        case Op(t):
-            return Op(_inst_closed(t, arity, args, scope, binders))
-        case Hom(c, s, t):
-            return Hom(_inst_closed(c, arity, args, scope, binders),
-                       _inst_closed(s, arity, args, scope, binders),
-                       _inst_closed(t, arity, args, scope, binders))
-    raise InternalError(f"instantiate_closed: unknown node {x!r}")
+def elim_contexts(ctx, carrier, theta, right: bool):
+    """The contexts of an eliminator's base case and of its motive D.
+
+    The base case binds (s : core T, th); its prefix ctx + (s : core T) is
+    where the motive `theta` lives.  D binds (s, t, f, th): on the right
+    (s : core T, t : T, f : hom T (iop s) t, th[s]), on the left
+    (s : op T, t : core T, f : hom T s (i t), th[t]).
+    """
+    n = len(ctx)
+    ctx_b = ctx + (("s", Core(carrier)), ("th", theta))
+    if right:
+        ctx_d = ctx + (
+            ("s", Core(carrier)),
+            ("t", shift(carrier, n, 1)),
+            ("f", Hom(shift(carrier, n, 2), IncOp(Var(n)), Var(n + 1))),
+            ("th", shift(theta, n + 1, 2)),
+        )
+    else:
+        ctx_d = ctx + (
+            ("s", Op(carrier)),
+            ("t", Core(shift(carrier, n, 1))),
+            ("f", Hom(shift(carrier, n, 2), Var(n), IncCore(Var(n + 1)))),
+            ("th", shift(shift(theta, n, 1), n + 2, 1)),
+        )
+    return ctx_b, ctx_d
 
 
 def eliminator_count(x) -> int:
@@ -306,18 +296,16 @@ def eliminator_count(x) -> int:
     This is the termination measure for `reduce`: every contraction must
     strictly decrease it.
     """
-    match x:
-        case Var():
-            return 0
-        case Const(_, args) | BaseT(_, args):
-            return sum(eliminator_count(a) for a in args)
-        case IncCore(t) | IncOp(t) | One(t) | Core(t) | Op(t):
-            return eliminator_count(t)
-        case Hom(c, s, t):
-            return eliminator_count(c) + eliminator_count(s) + eliminator_count(t)
-        case ElimR(th, dm, b, f, a) | ElimL(th, dm, b, f, a):
-            return 1 + sum(eliminator_count(y) for y in (th, dm, b, f, a))
-    raise InternalError(f"eliminator_count: unknown node {x!r}")
+    own = 1 if isinstance(x, (ElimR, ElimL)) else 0
+    return own + sum(eliminator_count(c) for c, _ in children(x))
+
+
+def _core(inner):
+    """core (op T) and core T are definitionally the same type; the normal
+    form drops the op layers."""
+    while isinstance(inner, Op):
+        inner = inner.inner
+    return Core(inner)
 
 
 def reduce(x, depth: int = 0):
@@ -332,82 +320,27 @@ def reduce(x, depth: int = 0):
     `depth` is the length of the ambient context; binder bodies are reduced
     at the appropriately extended depth.
     """
-    match x:
-        case Var():
-            return x
-        case Const(name, args):
-            return Const(name, tuple(reduce(a, depth) for a in args))
-        case IncCore(t):
-            return IncCore(reduce(t, depth))
-        case IncOp(t):
-            return IncOp(reduce(t, depth))
-        case One(t):
-            return One(reduce(t, depth))
-        case BaseT(name, args):
-            return BaseT(name, tuple(reduce(a, depth) for a in args))
-        case Core(t):
-            inner = reduce(t, depth)
-            # core (op T) and core T are definitionally the same type; the
-            # normal form drops the op layers.
-            while isinstance(inner, Op):
-                inner = inner.inner
-            return Core(inner)
-        case Op(t):
-            return Op(reduce(t, depth))
-        case Hom(c, s, t):
-            return Hom(reduce(c, depth), reduce(s, depth), reduce(t, depth))
-        case ElimR(th, dm, b, f, a) | ElimL(th, dm, b, f, a):
-            cls = type(x)
-            th = reduce(th, depth + THETA_BINDS)
-            dm = reduce(dm, depth + D_BINDS)
-            b = reduce(b, depth + BASE_BINDS)
-            f = reduce(f, depth)
-            a = reduce(a, depth)
-            out = cls(th, dm, b, f, a)
-            if isinstance(f, One):
-                before = eliminator_count(out)
-                contracted = instantiate(b, depth, (f.arg, a))
-                after = eliminator_count(contracted)
-                if after >= before:
-                    raise InternalError(
-                        "reduce: eliminator count did not decrease "
-                        f"({before} -> {after})")
-                # the contractum may expose new redexes (e.g. a unit that was
-                # hidden in the th argument); renormalize.
-                return reduce(contracted, depth)
-            return out
-    raise InternalError(f"reduce: unknown node {x!r}")
+    if isinstance(x, Core):
+        return _core(reduce(x.inner, depth))
+    out = map_children(x, reduce, depth)
+    if not (isinstance(out, (ElimR, ElimL)) and isinstance(out.f, One)):
+        return out
+    before = eliminator_count(out)
+    contracted = instantiate(out.base, depth, (out.f.arg, out.theta))
+    after = eliminator_count(contracted)
+    if after >= before:
+        raise InternalError(
+            f"reduce: eliminator count did not decrease ({before} -> {after})")
+    # the contractum may expose new redexes (e.g. a unit that was hidden in
+    # the th argument); renormalize.
+    return reduce(contracted, depth)
 
 
-def _collapse(x):
+def _collapse(x, _depth=0):
     """Rewrite core (op T) to core T everywhere, without reducing terms."""
-    match x:
-        case Var():
-            return x
-        case Const(name, args):
-            return Const(name, tuple(_collapse(a) for a in args))
-        case IncCore(t):
-            return IncCore(_collapse(t))
-        case IncOp(t):
-            return IncOp(_collapse(t))
-        case One(t):
-            return One(_collapse(t))
-        case ElimR(th, dm, b, f, a):
-            return ElimR(*(_collapse(y) for y in (th, dm, b, f, a)))
-        case ElimL(th, dm, b, f, a):
-            return ElimL(*(_collapse(y) for y in (th, dm, b, f, a)))
-        case BaseT(name, args):
-            return BaseT(name, tuple(_collapse(a) for a in args))
-        case Core(t):
-            inner = _collapse(t)
-            while isinstance(inner, Op):
-                inner = inner.inner
-            return Core(inner)
-        case Op(t):
-            return Op(_collapse(t))
-        case Hom(c, s, t):
-            return Hom(_collapse(c), _collapse(s), _collapse(t))
-    raise InternalError(f"collapse: unknown node {x!r}")
+    if isinstance(x, Core):
+        return _core(_collapse(x.inner))
+    return map_children(x, _collapse, 0)
 
 
 def alpha_equal(a, b) -> bool:
@@ -417,23 +350,3 @@ def alpha_equal(a, b) -> bool:
     core T are identified.
     """
     return _collapse(a) == _collapse(b)
-
-
-def well_scoped(x, n: int) -> bool:
-    """Check every variable level against the context length n (binder bodies
-    against the extended lengths)."""
-    match x:
-        case Var(k):
-            return 0 <= k < n
-        case Const(_, args) | BaseT(_, args):
-            return all(well_scoped(a, n) for a in args)
-        case IncCore(t) | IncOp(t) | One(t) | Core(t) | Op(t):
-            return well_scoped(t, n)
-        case Hom(c, s, t):
-            return well_scoped(c, n) and well_scoped(s, n) and well_scoped(t, n)
-        case ElimR(th, dm, b, f, a) | ElimL(th, dm, b, f, a):
-            return (well_scoped(th, n + THETA_BINDS)
-                    and well_scoped(dm, n + D_BINDS)
-                    and well_scoped(b, n + BASE_BINDS)
-                    and well_scoped(f, n) and well_scoped(a, n))
-    raise InternalError(f"well_scoped: unknown node {x!r}")

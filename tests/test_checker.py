@@ -7,6 +7,7 @@ import wtgen
 from homtt import checker as ch
 from homtt import kernel as k
 from homtt import parser as ps
+from test_kernel import well_scoped
 
 
 def sig_b():
@@ -355,7 +356,7 @@ def test_subject_reduction_random():
         assert ch.def_equal_types(sig, 0, inferred, ty)
         red = k.reduce(tm)
         ch.check_term(sig, (), red, ty)
-        assert k.well_scoped(red, 0)
+        assert well_scoped(red, 0)
 
 
 def test_checker_deterministic():

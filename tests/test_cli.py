@@ -1,5 +1,8 @@
 """End-to-end runs of the command line front-end over the corpus."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,6 +100,37 @@ def test_missing_file_exits_two(capsys):
     assert "error:" in err
 
 
+def _chain(depth):
+    return ("assume A : Type\nassume a : A\nassume f (x : A) : A\n"
+            f"define d : A := {'f(' * depth}a{')' * depth}\n")
+
+
+@pytest.mark.parametrize("text", [
+    "assume B : Type\nassume a : B\n"
+    f"define d : B := {'(' * 2000}a{')' * 2000}\n",
+    _chain(250),
+], ids=["2000-parens", "250-deep-chain"])
+def test_too_deep_input_exits_two(capsys, tmp_path, text):
+    deep = tmp_path / "deep.dtt"
+    deep.write_text(text, encoding="utf-8")
+    rc, _, err = run(capsys, "check", str(deep))
+    assert rc == 2
+    assert err == "error: input nests too deeply\n"
+
+
+def test_deep_chain_within_the_limit_checks(tmp_path):
+    # a fresh interpreter, as from the shell: pytest's own frames would
+    # otherwise eat into the recursion limit
+    deep = tmp_path / "deep.dtt"
+    deep.write_text(_chain(240), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "homtt.cli", "check", str(deep)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.rstrip().endswith("4/4 checks passed")
+
+
 def test_internal_error_exits_three(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise k.InternalError("wedged")
@@ -165,6 +199,23 @@ def test_wfs_runs_on_single_category_files(capsys, name):
     assert f"{name} : alpha-functorial OK" in out
 
 
+@pytest.mark.parametrize("source, drop, problem", [
+    ("cats/chain3.fincat", "  compose c12 c01 = c02\n",
+     "'chain3': composition undefined for (c12, c01)"),
+    ("scenarios/world.fincat", "  arr a -> a\n",
+     "'idtwo': morphism map undefined at a"),
+], ids=["missing-composite", "missing-arr"])
+def test_wfs_invalid_workspace_block_exits_two(capsys, tmp_path, source,
+                                               drop, problem):
+    text = (CORPUS / source).read_text(encoding="utf-8")
+    assert drop in text
+    broken = tmp_path / "broken.fincat"
+    broken.write_text(text.replace(drop, ""), encoding="utf-8")
+    rc, _, err = run(capsys, "wfs", str(broken))
+    assert rc == 2
+    assert err.startswith("error: ") and problem in err
+
+
 # ---------------------------------------------------------------------------
 # pv
 
@@ -207,3 +258,14 @@ def test_pv_invalid_program_exits_two(capsys, tmp_path):
     rc, _, err = run(capsys, "pv", str(prog))
     assert rc == 2
     assert "never released" in err
+
+
+@pytest.mark.parametrize("text", ["", "# nothing here\n\n"],
+                         ids=["empty", "comment-only"])
+def test_pv_program_without_processes_exits_two(capsys, tmp_path, text):
+    prog = tmp_path / "empty.pv"
+    prog.write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, "pv", str(prog))
+    assert rc == 2
+    assert out == ""
+    assert "no processes" in err

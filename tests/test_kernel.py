@@ -6,17 +6,27 @@ import random
 
 import pytest
 
+from homtt import checker as ch
 from homtt import kernel as k
 from homtt.kernel import (BaseT, Const, Core, ElimL, ElimR, Hom, IncCore,
                           IncOp, One, Op, Var)
 
 import oracles
+import wtgen
 
 B = BaseT("B")
 
 
 def names(n):
     return [f"x{i}" for i in range(n)]
+
+
+def well_scoped(x, n):
+    """Check every variable level against the context length n (binder bodies
+    against the extended lengths)."""
+    if isinstance(x, Var):
+        return 0 <= x.level < n
+    return all(well_scoped(c, n + b) for c, b in k.children(x))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +119,7 @@ def test_substitute_matches_named_oracle():
             oracles.to_named(r, env_minus, oracles.fresh_namer("t")))
         assert oracles.named_equal(
             oracles.to_named(got, env_minus, oracles.fresh_namer("u")), want)
-        assert k.well_scoped(got, n - 1)
+        assert well_scoped(got, n - 1)
 
 
 def test_shift_weakens_into_longer_context():
@@ -119,7 +129,7 @@ def test_shift_weakens_into_longer_context():
         x = rand_term(rng, n, rng.randrange(6))
         extra = rng.randrange(1, 3)
         widened = k.shift(x, n, extra)
-        assert k.well_scoped(widened, n + extra)
+        assert well_scoped(widened, n + extra)
         # the named reading is unchanged: new entries are simply unused
         env = names(n)
         assert oracles.named_equal(
@@ -183,7 +193,7 @@ def test_reduce_idempotent():
         n = rng.randrange(0, 4)
         x = k.reduce(rand_term(rng, n, rng.randrange(7)), depth=n)
         assert k.reduce(x, depth=n) == x
-        assert k.well_scoped(x, n)
+        assert well_scoped(x, n)
 
 
 def test_reduce_commutes_with_substitute():
@@ -240,10 +250,10 @@ def test_alpha_equal_equivalence_and_substitution():
 def test_well_scoped_counts_binders():
     th = BaseT("S", (Var(0),))
     tm = ElimR(th, BaseT("S", (Var(3),)), Var(1), One(Const("a")), Const("w"))
-    assert k.well_scoped(tm, 0)
-    assert not k.well_scoped(Var(0), 0)
-    assert not k.well_scoped(ElimR(th, BaseT("S", (Var(4),)), Var(0),
-                                   Const("a"), Const("w")), 0)
+    assert well_scoped(tm, 0)
+    assert not well_scoped(Var(0), 0)
+    assert not well_scoped(ElimR(th, BaseT("S", (Var(4),)), Var(0),
+                                 Const("a"), Const("w")), 0)
 
 
 def test_instantiate_closed_retargets_binders():
@@ -254,5 +264,39 @@ def test_instantiate_closed_retargets_binders():
     th, dm, d = contraction_example()
     body2 = ElimR(th, dm, d, Var(0), Var(1))
     got2 = k.instantiate_closed(body2, 2, (Var(0), Const("q")), 1)
-    assert k.well_scoped(got2, 1)
+    assert well_scoped(got2, 1)
     assert got2.f == Var(0) and got2.theta == Const("q")
+
+
+def test_instantiate_closed_is_weaken_then_instantiate():
+    derived = [derive(side) for derive in (ch.derive_comp, ch.derive_transport)
+               for side in ("right", "left")]
+    closed = [(len(d.telescope), x) for d in derived for x in (d.ty, d.body)]
+    closed += [(0, tm) for tm, _ in wtgen.generate(random.Random(23), 40)]
+    rng = random.Random(29)
+    for arity, body in closed:
+        for n in range(4):
+            pool = [Var(i) for i in range(n)] + [Const("c"), Const("d")]
+            args = tuple(rng.choice(pool) for _ in range(arity))
+            assert (k.instantiate_closed(body, arity, args, n)
+                    == k.instantiate(k.shift(body, 0, n), n, args))
+
+
+class Foreign:
+    """A node no traversal knows."""
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: k.shift(x, 0, 1),
+    lambda x: k.substitute(x, 0, Const("c"), 1),
+    lambda x: k.instantiate(x, 0, (Const("c"),)),
+    lambda x: k.instantiate_closed(x, 1, (Const("c"),), 0),
+    k.eliminator_count,
+    k.reduce,
+    lambda x: k.alpha_equal(x, x),
+    lambda x: ch.nf(ch.Signature(), x),
+], ids=["shift", "substitute", "instantiate", "instantiate_closed",
+        "eliminator_count", "reduce", "alpha_equal", "nf"])
+def test_traversals_reject_a_foreign_node(op):
+    with pytest.raises(k.InternalError, match="unknown node"):
+        op(Hom(B, Var(0), One(Foreign())))
