@@ -30,20 +30,6 @@ class CheckError(Exception):
         self.premise = premise
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    conclusion: object
-    premises: tuple = ()
-
-    def rules(self):
-        """All rule names in the tree, preorder.  Handy for audits."""
-        out = [self.rule]
-        for p in self.premises:
-            out.extend(p.rules())
-        return out
-
-
 class Signature:
     """Base types, assumed constants, and definitions, in declaration order.
 
@@ -90,9 +76,8 @@ class Signature:
         self._fresh(name)
         ctx = check_telescope(self, tele)
         check_type(self, ctx, ty)
-        drv = check_term(self, ctx, body, ty)
+        check_term(self, ctx, body, ty)
         self.add_def(name, tele, ty, body)
-        return drv
 
     def add_base(self, name, tele):
         self.bases[name] = tuple(tele)
@@ -121,12 +106,17 @@ def check_telescope(sig, tele):
 
 
 def _delta(sig, x, scope):
-    """Expand every defined constant in x, arguments first."""
+    """Expand every defined constant in x.
+
+    A definition's body is expanded over its own telescope and then
+    instantiated at the expanded arguments: substitution brings in no
+    defined heads, so the result needs no second walk.
+    """
     if isinstance(x, k.Const) and x.name in sig.defs:
         tele, _, body = sig.defs[x.name]
         args = tuple(_delta(sig, a, scope) for a in x.args)
-        return _delta(sig, k.instantiate_closed(body, len(tele), args, scope),
-                      scope)
+        return k.instantiate_closed(_delta(sig, body, len(tele)), len(tele),
+                                    args, scope)
     return k.map_children(x, lambda y, depth: _delta(sig, y, depth), scope)
 
 
@@ -140,14 +130,7 @@ def nf(sig, x, scope=0):
 
 
 def def_equal_types(sig, scope, a, b):
-    return k.alpha_equal(nf(sig, a, scope), nf(sig, b, scope))
-
-
-def def_equal(sig, ctx, a, b, ty):
-    check_term(sig, ctx, a, ty)
-    check_term(sig, ctx, b, ty)
-    n = len(ctx)
-    return k.alpha_equal(nf(sig, a, n), nf(sig, b, n))
+    return nf(sig, a, scope) == nf(sig, b, scope)
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +143,15 @@ def check_type(sig, ctx, ty):
             tele = sig.bases.get(name)
             if tele is None:
                 raise CheckError(f"unknown base type {name!r}")
-            prems = _check_args(sig, ctx, name, tele, args)
-            return Derivation("Subst", k.IsType(ctx, ty), prems)
-        case k.Core(inner):
-            prem = check_type(sig, ctx, inner)
-            return Derivation("CoreForm", k.IsType(ctx, ty), (prem,))
-        case k.Op(inner):
-            prem = check_type(sig, ctx, inner)
-            return Derivation("OpForm", k.IsType(ctx, ty), (prem,))
+            _check_args(sig, ctx, name, tele, args)
+        case k.Core(inner) | k.Op(inner):
+            check_type(sig, ctx, inner)
         case k.Hom(car, s, t):
-            d1 = check_type(sig, ctx, car)
-            d2 = check_term(sig, ctx, s, k.Op(car))
-            d3 = check_term(sig, ctx, t, car)
-            return Derivation("HomForm", k.IsType(ctx, ty), (d1, d2, d3))
-    raise CheckError(f"not a type: {ty!r}")
+            check_type(sig, ctx, car)
+            check_term(sig, ctx, s, k.Op(car))
+            check_term(sig, ctx, t, car)
+        case _:
+            raise CheckError(f"not a type: {ty!r}")
 
 
 def _check_args(sig, ctx, name, tele, args):
@@ -181,49 +159,31 @@ def _check_args(sig, ctx, name, tele, args):
     if len(args) != len(tele):
         raise CheckError(
             f"{name!r} expects {len(tele)} argument(s), got {len(args)}")
-    prems = []
     for j, arg in enumerate(args):
         expected = k.instantiate_closed(tele[j][1], j, tuple(args[:j]), n)
-        prems.append(check_term(sig, ctx, arg, expected))
-    return tuple(prems)
+        check_term(sig, ctx, arg, expected)
 
 
 # ---------------------------------------------------------------------------
 # terms
 
 
-def infer_term(sig, ctx, tm):
-    return _infer(sig, ctx, tm)[0]
-
-
-def derive_term(sig, ctx, tm):
-    return _infer(sig, ctx, tm)[1]
-
-
 def check_term(sig, ctx, tm, ty):
-    got, drv = _infer(sig, ctx, tm)
-    if k.alpha_equal(got, ty):
-        return drv
-    if def_equal_types(sig, len(ctx), got, ty):
-        return Derivation("ConvEq", k.HasType(ctx, tm, ty), (drv,))
-    env = _names(ctx)
-    raise CheckError(f"expected {ps.print_type(ty, env)}, "
-                     f"inferred {ps.print_type(got, env)}")
+    got = infer_term(sig, ctx, tm)
+    if got != ty and not def_equal_types(sig, len(ctx), got, ty):
+        env = _names(ctx)
+        raise CheckError(f"expected {ps.print_type(ty, env)}, "
+                         f"inferred {ps.print_type(got, env)}")
 
 
-def _infer(sig, ctx, tm):
+def infer_term(sig, ctx, tm):
     n = len(ctx)
     match tm:
         case k.Var(lv):
             if not 0 <= lv < n:
                 raise CheckError(
                     f"variable level {lv} out of scope (context has {n} entries)")
-            ty = k.shift(ctx[lv][1], lv, n - lv)
-            drv = Derivation("Var", k.HasType(ctx[:lv + 1], tm,
-                                              k.shift(ctx[lv][1], lv, 1)))
-            if lv + 1 < n:
-                drv = Derivation("Weaken", k.HasType(ctx, tm, ty), (drv,))
-            return ty, drv
+            return k.shift(ctx[lv][1], lv, n - lv)
         case k.Const(name, args):
             if name in sig.consts:
                 tele, ty = sig.consts[name]
@@ -233,20 +193,15 @@ def _infer(sig, ctx, tm):
                 if name in sig.bases:
                     raise CheckError(f"{name!r} is a type, not a term")
                 raise CheckError(f"unknown constant {name!r}")
-            prems = _check_args(sig, ctx, name, tele, args)
-            out = k.instantiate_closed(ty, len(tele), tuple(args), n)
-            return out, Derivation("Subst", k.HasType(ctx, tm, out), prems)
+            _check_args(sig, ctx, name, tele, args)
+            return k.instantiate_closed(ty, len(tele), tuple(args), n)
         case k.IncCore(t):
-            x, prem = _core_typed(sig, ctx, t, "i")
-            return x, Derivation("IInc", k.HasType(ctx, tm, x), (prem,))
+            return _core_typed(sig, ctx, t, "i")
         case k.IncOp(t):
-            x, prem = _core_typed(sig, ctx, t, "iop")
-            out = k.Op(x)
-            return out, Derivation("IOpInc", k.HasType(ctx, tm, out), (prem,))
+            return k.Op(_core_typed(sig, ctx, t, "iop"))
         case k.One(t):
-            x, prem = _core_typed(sig, ctx, t, "one")
-            out = k.Hom(x, k.IncOp(t), k.IncCore(t))
-            return out, Derivation("HomIntro", k.HasType(ctx, tm, out), (prem,))
+            x = _core_typed(sig, ctx, t, "one")
+            return k.Hom(x, k.IncOp(t), k.IncCore(t))
         case k.ElimR():
             return _infer_elim(sig, ctx, tm, right=True)
         case k.ElimL():
@@ -256,11 +211,10 @@ def _infer(sig, ctx, tm):
 
 def _core_typed(sig, ctx, t, former):
     """Infer t and insist its type is core; returns the underlying type."""
-    ty, drv = _infer(sig, ctx, t)
-    ty_nf = nf(sig, ty, len(ctx))
+    ty_nf = nf(sig, infer_term(sig, ctx, t), len(ctx))
     match ty_nf:
         case k.Core(x):
-            return x, drv
+            return x
     raise CheckError(f"{former} expects a core element, found one of type "
                      f"{ps.print_type(ty_nf, _names(ctx))}")
 
@@ -275,12 +229,11 @@ def _premise(idx, label, thunk):
 def _infer_elim(sig, ctx, e, right):
     n = len(ctx)
     th, dm, base = e.motive_theta, e.motive_d, e.base
-    rule = "ElimR" if right else "ElimL"
     kw = "elimR" if right else "elimL"
     env = _names(ctx)
 
-    f_ty, f_drv = _premise(1, f"{kw} eliminated argument",
-                           lambda: _infer(sig, ctx, e.f))
+    f_ty = _premise(1, f"{kw} eliminated argument",
+                    lambda: infer_term(sig, ctx, e.f))
     f_nf = nf(sig, f_ty, n)
     match f_nf:
         case k.Hom(car, k.IncOp(sv), tv) if right:
@@ -298,10 +251,9 @@ def _infer_elim(sig, ctx, e, right):
                              premise=1)
 
     ctx_base, ctx_d = k.elim_contexts(ctx, carrier, th, right)
-    th_drv = _premise(2, f"{kw} first motive",
-                      lambda: check_type(sig, ctx_base[:-1], th))
-    dm_drv = _premise(3, f"{kw} second motive",
-                      lambda: check_type(sig, ctx_d, dm))
+    _premise(2, f"{kw} first motive",
+             lambda: check_type(sig, ctx_base[:-1], th))
+    _premise(3, f"{kw} second motive", lambda: check_type(sig, ctx_d, dm))
 
     # expected type of the base case: the four-binder motive with the f slot
     # set to a unit and the middle variable to the matching inclusion image
@@ -311,18 +263,15 @@ def _infer_elim(sig, ctx, e, right):
     else:
         expected = k.substitute(dm, n, k.IncOp(k.Var(n)), n + 4)
         expected = k.substitute(expected, n + 1, k.One(k.Var(n)), n + 3)
-    base_drv = _premise(4, f"{kw} base case",
-                        lambda: check_term(sig, ctx_base, base, expected))
+    _premise(4, f"{kw} base case",
+             lambda: check_term(sig, ctx_base, base, expected))
 
     anchor = s_val if right else t_val
     th_arg_ty = k.instantiate(th, n, (anchor,))
-    theta_drv = _premise(None, f"{kw} hom argument",
-                         lambda: check_term(sig, ctx, e.theta, th_arg_ty))
+    _premise(None, f"{kw} hom argument",
+             lambda: check_term(sig, ctx, e.theta, th_arg_ty))
 
-    out = k.instantiate(dm, n, (s_val, t_val, e.f, e.theta))
-    drv = Derivation(rule, k.HasType(ctx, e, out),
-                     (f_drv, th_drv, dm_drv, base_drv, theta_drv))
-    return out, drv
+    return k.instantiate(dm, n, (s_val, t_val, e.f, e.theta))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +350,7 @@ def check_source(source, sig=None):
                     check_term(sig, ctx, lhs, ty)
                     check_term(sig, ctx, rhs, ty)
                     l_nf, r_nf = nf(sig, lhs, n), nf(sig, rhs, n)
-                    if k.alpha_equal(l_nf, r_nf):
+                    if l_nf == r_nf:
                         rec = Record("assert-equal", subject, True,
                                      f"both sides reduce to "
                                      f"{ps.print_term(l_nf, env)}", decl.line)
@@ -435,7 +384,7 @@ def _require_family(sig, name, over):
     if sig is None:
         return
     tele = sig.bases.get(name)
-    if tele is None or len(tele) != 1 or not k.alpha_equal(tele[0][1], over):
+    if tele is None or len(tele) != 1 or tele[0][1] != over:
         raise CheckError(f"signature has no type family {name!r} over "
                          f"{ps.print_type(over)}")
 

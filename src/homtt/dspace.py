@@ -296,20 +296,6 @@ def enumerated_cells(space, forward=True, cap=64):
     return frozenset(seen)
 
 
-def op_space(space):
-    """The same grid run backwards: ticks reversed, rectangles mirrored."""
-    top = [len(t) - 1 for t in space.ticks]
-    rects = tuple(Rect(tuple(top[a] - r.hi[a] for a in range(space.dims)),
-                       tuple(top[a] - r.lo[a] for a in range(space.dims)))
-                  for r in space.forbidden)
-    return DirectedGridSpace(tuple(tuple(reversed(t)) for t in space.ticks),
-                             rects)
-
-
-def mirror_cell(space, c):
-    return tuple(n - 1 - v for n, v in zip(space.shape, c))
-
-
 @dataclass(frozen=True)
 class RegionReport:
     """Reachability analysis of one space, with witness paths."""

@@ -11,9 +11,9 @@ by their component data, and their identities are the component identities.
 
 A Section carries both an object part and a morphism part (a splitting of
 the projection, one fiber morphism per base morphism).  The pointwise kind
-of section, where each base morphism must carry the fiber identity, is the
-strict special case; is_strict tells them apart and hom_functor accepts
-both, conjugating hom sets by the endpoint morphism parts.
+of section, where each base morphism carries the fiber identity, is the
+strict special case built by strict_section; hom_functor accepts both,
+conjugating hom sets by the endpoint morphism parts.
 """
 
 from __future__ import annotations
@@ -147,15 +147,6 @@ def mkdiscrete(objects):
     return FinCat(objects, ids.values(), ids, compose)
 
 
-def serialize(c):
-    lines = ["objects " + " ".join(sorted(_fmt(x) for x in c.objects))]
-    for m in c.morphisms:
-        lines.append(f"mor {_fmt(m.name)} : {_fmt(m.dom)} -> {_fmt(m.cod)}")
-    comp = sorted(f"compose {_fmt(g.name)} {_fmt(f.name)} = {_fmt(h.name)}"
-                  for (g, f), h in c.compose.items())
-    return "\n".join(lines + comp) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # duality and the core
 
@@ -199,11 +190,6 @@ class Functor:
     target: FinCat
     ob: dict
     mor: dict
-
-    def __eq__(self, other):
-        return (isinstance(other, Functor) and self.source == other.source
-                and self.target == other.target and self.ob == other.ob
-                and self.mor == other.mor)
 
     def ap(self, x):
         return self.ob[x]
@@ -260,22 +246,11 @@ def core_inclusion(c):
                    {identity_mor(x): c.identity[x] for x in c.objects})
 
 
-def op_inclusion(c):
-    cop = op(c)
-    return Functor(core(c), cop, {x: x for x in c.objects},
-                   {identity_mor(x): cop.identity[x] for x in c.objects})
-
-
 @dataclass(frozen=True)
 class NatTrans:
     source: Functor
     target: Functor
     components: dict
-
-    def __eq__(self, other):
-        return (isinstance(other, NatTrans) and self.source == other.source
-                and self.target == other.target
-                and self.components == other.components)
 
     def validate(self):
         F, G = self.source, self.target
@@ -307,11 +282,6 @@ class FiberAssignment:
     base: FinCat
     fibers: dict
     transitions: dict
-
-    def __eq__(self, other):
-        return (isinstance(other, FiberAssignment)
-                and self.base == other.base and self.fibers == other.fibers
-                and self.transitions == other.transitions)
 
     def fiber(self, x):
         return self.fibers[x]
@@ -404,14 +374,6 @@ class Section:
     obj: dict
     mor: dict
 
-    def __eq__(self, other):
-        return (isinstance(other, Section) and self.fa == other.fa
-                and self.obj == other.obj and self.mor == other.mor)
-
-    def is_strict(self):
-        return all(self.mor[m] == self.fa.fibers[m.cod].identity[self.obj[m.cod]]
-                   for m in self.fa.base.morphisms)
-
     def validate(self):
         fa, out = self.fa, []
         for x in fa.base.objects:
@@ -452,10 +414,6 @@ def strict_section(fa, obj):
     return Section(fa, dict(obj), mor)
 
 
-def _unop(m):
-    return Mor(m.name, m.cod, m.dom)
-
-
 def hom_functor(fa, s, t):
     """The set-valued assignment γ ↦ hom_{fa(γ)}(s_γ, t_γ) as discrete fibers.
 
@@ -475,7 +433,7 @@ def hom_functor(fa, s, t):
         tr = fa.transitions[m]
         obmap = {}
         for h in fibers[m.dom].objects:
-            carried = fib.comp(t.mor[m], fib.comp(tr.mor[h], _unop(s.mor[m])))
+            carried = fib.comp(t.mor[m], fib.comp(tr.mor[h], op_mor(s.mor[m])))
             obmap[h] = carried
         transitions[m] = _discrete_functor(fibers[m.dom], fibers[m.cod], obmap)
     return FiberAssignment(fa.base, fibers, transitions)
@@ -548,14 +506,6 @@ def groth(base, fa):
             lifts[((x, y), f)] = by_data[
                 ((f, fa.fibers[f.cod].identity[y2]), (x, y))]
     return GrothTotal(base, fa, total, projection, lifts)
-
-
-def section_as_functor(gt, s):
-    """A section of gt.fa as a splitting functor base → total."""
-    ob = {x: (x, s.obj[x]) for x in gt.base.objects}
-    mor = {m: Mor((m, s.mor[m]), ob[m.dom], ob[m.cod])
-           for m in gt.base.morphisms}
-    return Functor(gt.base, gt.total, ob, mor)
 
 
 # ---------------------------------------------------------------------------
@@ -685,44 +635,6 @@ def has_cocartesian_lifts(P, prefer=None):
     return ok, lifts
 
 
-def are_isomorphic(c, d):
-    """Search for an invertible functor; exhaustive, for small inputs only."""
-    if len(c.objects) != len(d.objects) \
-            or len(c.morphisms) != len(d.morphisms):
-        return False
-
-    cm = list(c.morphisms)
-
-    def extend(ob, mor, i):
-        if i == len(cm):
-            F = Functor(c, d, ob, mor)
-            return not F.validate() and len(set(mor.values())) == len(mor)
-        m = cm[i]
-        for v in d.morphisms:
-            if v.dom != ob[m.dom] or v.cod != ob[m.cod] or v in mor.values():
-                continue
-            mor[m] = v
-            if extend(ob, mor, i + 1):
-                return True
-            del mor[m]
-        return False
-
-    def assign(ob, rest):
-        if not rest:
-            return extend(ob, {}, 0)
-        x, *more = rest
-        for y in d.objects:
-            if y in ob.values():
-                continue
-            ob[x] = y
-            if assign(ob, more):
-                return True
-            del ob[x]
-        return False
-
-    return assign({}, list(c.objects))
-
-
 # ---------------------------------------------------------------------------
 # resolving parsed .fincat files
 
@@ -732,7 +644,7 @@ class Workspace:
     categories: dict = field(default_factory=dict)
     functors: dict = field(default_factory=dict)
     nats: dict = field(default_factory=dict)
-    raw: object = None  # the CatFile, for fiber/section/square consumers
+    raw: object = None  # the CatFile, for fiber and section consumers
     diagnostics: list = field(default_factory=list)
 
 
@@ -834,6 +746,34 @@ def build_catfile(cf):
                 bad = True
             else:
                 comps[x] = tgt_n[mn]
-        if not bad:
-            ws.nats[name] = NatTrans(F, G, comps)
+        if bad:
+            continue
+        eta = NatTrans(F, G, comps)
+        problems = eta.validate()
+        if problems:
+            ws.diagnostics.append((name, problems[0]))
+            continue
+        ws.nats[name] = eta
+    for name, block in cf.squares.items():
+        problem = _square_problem(block, ws.functors)
+        if problem:
+            ws.diagnostics.append((name, problem))
     return ws
+
+
+def _square_problem(block, functors):
+    """Why a square block is not a commuting square of known functors:
+    top then right must equal left then bottom."""
+    sides = ("left", "right", "top", "bottom")
+    legs = {side: functors.get(getattr(block, side)) for side in sides}
+    for side in sides:
+        if legs[side] is None:
+            return f"unknown functor {getattr(block, side)!r}"
+    if legs["top"].target != legs["right"].source:
+        return "top and right do not compose"
+    if legs["left"].target != legs["bottom"].source:
+        return "left and bottom do not compose"
+    if functor_compose(legs["right"], legs["top"]) \
+            != functor_compose(legs["bottom"], legs["left"]):
+        return "square does not commute"
+    return None

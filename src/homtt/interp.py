@@ -44,16 +44,6 @@ class SemanticEnv:
     terms: dict = field(default_factory=dict)
 
 
-@dataclass
-class InterpResult:
-    """One judgement's interpretation plus its verification records."""
-
-    ctx_cat: fc.FinCat
-    ty: fc.FiberAssignment
-    term: fc.Section | None
-    records: tuple
-
-
 @dataclass(frozen=True)
 class VerifyRecord:
     subject: str
@@ -92,7 +82,6 @@ class Extension:
     fa: fc.FiberAssignment     # what the base was extended by
     proj: fc.Functor           # cat -> base, dropping the last slot
     last: fc.Section           # the fresh variable, over reindex(fa, proj)
-    groth: fc.GrothTotal       # the unflattened total, kept for lift users
 
 
 def extend(base, fa):
@@ -107,7 +96,7 @@ def extend(base, fa):
     last = fc.Section(fc.reindex(fa, proj),
                       {o: o[-1] for o in flat.objects},
                       {m: m.name[-1] for m in flat.morphisms})
-    return Extension(flat, fa, proj, last, gt)
+    return Extension(flat, fa, proj, last)
 
 
 def collapse_functor(c):
@@ -404,38 +393,6 @@ def _transport_section(e_cat, n, carrier_fa, theta_fa, d_fa, d_sec):
                      m.cod[:n] + (m.cod[n], m.cod[n + 3]))
         mor[m] = d_fa.transitions[mu(m.cod)].mor[d_sec.mor[psi]]
     return fc.Section(d_fa, obj, mor)
-
-
-# ---------------------------------------------------------------------------
-# public one-shot wrappers
-
-
-def interp_context(sig, env, ctx):
-    ctx = ch.check_telescope(sig, tuple(ctx))
-    return Interpreter(sig, env).context(ctx)
-
-
-def interp_type(sig, env, ctx, ty):
-    ctx = ch.check_telescope(sig, tuple(ctx))
-    ch.check_type(sig, ctx, ty)
-    return Interpreter(sig, env).type(ctx, ty)
-
-
-def interp_term(sig, env, ctx, tm, ty=None):
-    ctx = ch.check_telescope(sig, tuple(ctx))
-    if ty is not None:
-        ch.check_term(sig, ctx, tm, ty)
-    return Interpreter(sig, env).term(ctx, tm)
-
-
-def interp_judgement(sig, env, ctx, ty, tm=None):
-    """Interpret one judgement and run its soundness checks."""
-    itp = Interpreter(sig, env)
-    ctx = tuple(ctx)
-    records = tuple(_judgement_records(itp, "judgement", ctx, ty,
-                                       () if tm is None else (tm,)))
-    return InterpResult(itp.context(ctx), itp.type(ctx, ty),
-                        None if tm is None else itp.term(ctx, tm), records)
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,25 @@ Types   B(args) | core T | op T | hom T s t
 Terms   x (variables) | c(args) | i t | iop t | one t
         | elimR[Th; D; d](f, th) | elimL[Th; D; d](f, th)
 
-Variables are de Bruijn levels: ``Var(k)`` refers to entry ``k`` of the
-telescope, counting from the start.  A binder body therefore numbers its bound
-variables from the length of the context it sits in: the motive ``Th`` of an
-eliminator appearing in a context of length n refers to its bound variable as
-``Var(n)``.  Operations that move expressions between contexts take the
-relevant context length explicitly.
+A telescope is a tuple of (name hint, type) entries; the type of entry ``k``
+may mention ``Var(0) .. Var(k-1)`` only.  Variables are de Bruijn levels:
+``Var(k)`` refers to entry ``k`` of the telescope, counting from the start.
+A binder body therefore numbers its bound variables from the length of the
+context it sits in: the motive ``Th`` of an eliminator appearing in a
+context of length n refers to its bound variable as ``Var(n)``.  Operations
+that move expressions between contexts take the relevant context length
+explicitly.
 
 Binder arities are fixed: ``Th`` binds 1 variable, ``D`` binds 4 (s, t, f, th),
 ``d`` binds 2 (s, th).  There are no other binding constructs.  The table of
 child binder counts per node class is the only place arity is read: every
 traversal either folds over ``children`` or rebuilds through
 ``map_children``, overriding it only at the nodes it cares about (``Var``
-for the renumberings, ``Core`` and the redex for ``reduce``).
+for the renumberings, the redex for ``reduce``).
+
+``core (op T)`` is ``core T``: the ``Core`` constructor drops ``Op`` layers,
+and every rebuild goes through the constructor, so a core of an op is never
+represented and plain ``==`` is the equality of expressions.
 """
 
 from __future__ import annotations
@@ -48,7 +54,15 @@ class BaseT(TypeExpr):
 
 @dataclass(frozen=True)
 class Core(TypeExpr):
+    """core T; built without the op layers of T, since core (op T) is core T."""
+
     inner: TypeExpr
+
+    def __post_init__(self):
+        inner = self.inner
+        while isinstance(inner, Op):
+            inner = inner.inner
+        object.__setattr__(self, "inner", inner)
 
 
 @dataclass(frozen=True)
@@ -127,24 +141,6 @@ class ElimL(TermExpr):
 THETA_BINDS = 1
 D_BINDS = 4
 BASE_BINDS = 2
-
-# A telescope entry is (name hint, type); the type of entry k may mention
-# Var(0) .. Var(k-1) only.
-Telescope = tuple
-
-
-@dataclass(frozen=True)
-class IsType:
-    ctx: Telescope
-    ty: TypeExpr
-
-
-@dataclass(frozen=True)
-class HasType:
-    ctx: Telescope
-    term: TermExpr
-    ty: TypeExpr
-
 
 # Binders each child field of a node opens, per node class, in field order.
 # BaseT and Const (None) carry a name and a tuple of argument children, none
@@ -300,14 +296,6 @@ def eliminator_count(x) -> int:
     return own + sum(eliminator_count(c) for c, _ in children(x))
 
 
-def _core(inner):
-    """core (op T) and core T are definitionally the same type; the normal
-    form drops the op layers."""
-    while isinstance(inner, Op):
-        inner = inner.inner
-    return Core(inner)
-
-
 def reduce(x, depth: int = 0):
     """Rewrite to normal form.
 
@@ -320,8 +308,6 @@ def reduce(x, depth: int = 0):
     `depth` is the length of the ambient context; binder bodies are reduced
     at the appropriately extended depth.
     """
-    if isinstance(x, Core):
-        return _core(reduce(x.inner, depth))
     out = map_children(x, reduce, depth)
     if not (isinstance(out, (ElimR, ElimL)) and isinstance(out.f, One)):
         return out
@@ -335,18 +321,3 @@ def reduce(x, depth: int = 0):
     # the th argument); renormalize.
     return reduce(contracted, depth)
 
-
-def _collapse(x, _depth=0):
-    """Rewrite core (op T) to core T everywhere, without reducing terms."""
-    if isinstance(x, Core):
-        return _core(_collapse(x.inner))
-    return map_children(x, _collapse, 0)
-
-
-def alpha_equal(a, b) -> bool:
-    """Structural equality of expressions.
-
-    De Bruijn levels make this plain equality, except that core (op T) and
-    core T are identified.
-    """
-    return _collapse(a) == _collapse(b)

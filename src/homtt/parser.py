@@ -369,22 +369,11 @@ def parse_dtt(text, path="<input>"):
 
 
 def _used_names(x, acc):
-    match x:
-        case k.Var():
-            pass
-        case k.Const(name, args) | k.BaseT(name, args):
-            acc.add(name)
-            for a in args:
-                _used_names(a, acc)
-        case k.IncCore(t) | k.IncOp(t) | k.One(t) | k.Core(t) | k.Op(t):
-            _used_names(t, acc)
-        case k.Hom(c, s, t):
-            _used_names(c, acc)
-            _used_names(s, acc)
-            _used_names(t, acc)
-        case k.ElimR(th, dm, b, f, a) | k.ElimL(th, dm, b, f, a):
-            for y in (th, dm, b, f, a):
-                _used_names(y, acc)
+    """Add the constant and base type names anywhere in x to acc."""
+    if isinstance(x, (k.Const, k.BaseT)):
+        acc.add(x.name)
+    for c, _ in k.children(x):
+        _used_names(c, acc)
     return acc
 
 

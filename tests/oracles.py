@@ -3,13 +3,15 @@
 Everything here deliberately avoids the package's own de Bruijn machinery:
 terms are plain tuples with *named* variables, substitution is the classic
 capture-avoiding one, and the rewriter contracts one redex at a time.  The
-tests convert engine terms into this world and compare up to alpha.
+tests convert engine terms into this world and compare up to alpha.  The
+category isomorphism search at the end enumerates functors outright.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from homtt import fincat as fc
 from homtt import kernel as k
 
 # ---------------------------------------------------------------------------
@@ -245,3 +247,45 @@ def named_normalize(x, limit=10_000):
         if not hit:
             return x
     raise AssertionError("named_normalize: no fixpoint within limit")
+
+
+# ---------------------------------------------------------------------------
+# finite categories
+
+
+def are_isomorphic(c, d):
+    """Search for an invertible functor; exhaustive, for small inputs only."""
+    if len(c.objects) != len(d.objects) \
+            or len(c.morphisms) != len(d.morphisms):
+        return False
+
+    cm = list(c.morphisms)
+
+    def extend(ob, mor, i):
+        if i == len(cm):
+            F = fc.Functor(c, d, ob, mor)
+            return not F.validate() and len(set(mor.values())) == len(mor)
+        m = cm[i]
+        for v in d.morphisms:
+            if v.dom != ob[m.dom] or v.cod != ob[m.cod] or v in mor.values():
+                continue
+            mor[m] = v
+            if extend(ob, mor, i + 1):
+                return True
+            del mor[m]
+        return False
+
+    def assign(ob, rest):
+        if not rest:
+            return extend(ob, {}, 0)
+        x, *more = rest
+        for y in d.objects:
+            if y in ob.values():
+                continue
+            ob[x] = y
+            if assign(ob, more):
+                return True
+            del ob[x]
+        return False
+
+    return assign({}, list(c.objects))

@@ -22,6 +22,7 @@ import homtt.kernel as k
 import homtt.parser as ps
 import homtt.wfs as wfs
 import wtgen
+from test_checker import def_equal
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -110,14 +111,14 @@ def test_criterion_02_strict_unit_laws():
         composed = k.Const("comp_R", (k.Var(0), k.Var(1),
                                       k.IncCore(k.Var(1)), k.Var(2),
                                       k.One(k.Var(1))))
-        assert ch.def_equal(sig, right_ctx, composed, k.Var(2), right_ty)
+        assert def_equal(sig, right_ctx, composed, k.Var(2), right_ty)
 
         left_ty = k.Hom(b, k.IncOp(k.Var(0)), k.Var(1))
         left_ctx = ch.check_telescope(sig, (
             ("s", k.Core(b)), ("t", b), ("g", left_ty)))
         composed = k.Const("comp_L", (k.IncOp(k.Var(0)), k.Var(0), k.Var(1),
                                       k.One(k.Var(0)), k.Var(2)))
-        assert ch.def_equal(sig, left_ctx, composed, k.Var(2), left_ty)
+        assert def_equal(sig, left_ctx, composed, k.Var(2), left_ty)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,8 @@ def test_criterion_03_hom_semantics():
             sig.assume_type("B")
             env = ip.SemanticEnv(
                 bases={"B": fc.constant_fibers(ip.terminal_ctx(), cat)})
-            fa = ip.interp_type(sig, env, ctx, hom_ty)
+            ch.check_type(sig, ch.check_telescope(sig, ctx), hom_ty)
+            fa = ip.Interpreter(sig, env).type(ctx, hom_ty)
             seen = 0
             for x in fa.base.objects:
                 a, t = x

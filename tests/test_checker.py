@@ -23,6 +23,14 @@ def sig_ts():
     return sig
 
 
+def def_equal(sig, ctx, a, b, ty):
+    """Both sides check at ty and have the same normal form."""
+    ch.check_term(sig, ctx, a, ty)
+    ch.check_term(sig, ctx, b, ty)
+    n = len(ctx)
+    return ch.nf(sig, a, n) == ch.nf(sig, b, n)
+
+
 def rich_sig():
     """T, S over T, a core point, an endo-hom on its image, a section point."""
     sig = sig_ts()
@@ -47,15 +55,13 @@ def test_hom_formation_requires_op_source():
 def test_hom_formation_derivable():
     B = k.BaseT("B")
     ctx = (("s", k.Op(B)), ("t", B))
-    drv = ch.check_type(sig_b(), ctx, k.Hom(B, k.Var(0), k.Var(1)))
-    assert drv.rule == "HomForm"
-    assert len(drv.premises) == 3
+    assert ch.check_type(sig_b(), ctx, k.Hom(B, k.Var(0), k.Var(1))) is None
 
 
 def test_core_of_core_is_a_type():
-    drv = ch.check_type(sig_b(), (), k.Core(k.Core(k.BaseT("B"))))
-    assert drv.rule == "CoreForm"
-    assert drv.premises[0].rule == "CoreForm"
+    assert ch.check_type(sig_b(), (), k.Core(k.Core(k.BaseT("B")))) is None
+    with pytest.raises(ch.CheckError, match="unknown base type 'Z'"):
+        ch.check_type(sig_b(), (), k.Core(k.Core(k.BaseT("Z"))))
 
 
 def test_unknown_base_type():
@@ -69,9 +75,8 @@ def test_unknown_base_type():
 def test_infer_one():
     sig = rich_sig()
     c = k.Const("c")
-    ty, drv = ch._infer(sig, (), k.One(c))
+    ty = ch.infer_term(sig, (), k.One(c))
     assert ty == k.Hom(k.BaseT("T"), k.IncOp(c), k.IncCore(c))
-    assert drv.rule == "HomIntro"
 
 
 def test_one_rejects_raw_element():
@@ -88,10 +93,9 @@ def test_infer_var_weakens_entry():
     ctx = (("x", T), ("y", k.BaseT("S", (k.Var(0),))), ("z", T))
     assert ch.infer_term(sig, ctx, k.Var(0)) == T
     assert ch.infer_term(sig, ctx, k.Var(1)) == k.BaseT("S", (k.Var(0),))
-    drv = ch.derive_term(sig, ctx, k.Var(1))
-    assert drv.rule == "Weaken" and drv.premises[0].rule == "Var"
-    drv0 = ch.derive_term(sig, ctx, k.Var(2))
-    assert drv0.rule == "Var"
+    assert ch.infer_term(sig, ctx, k.Var(2)) == T
+    with pytest.raises(ch.CheckError, match="out of scope"):
+        ch.infer_term(sig, ctx, k.Var(3))
 
 
 def test_inclusions_collapse_core_of_op():
@@ -106,8 +110,9 @@ def test_conversion_derivation_node():
     sig.assume_term("a", (), k.BaseT("T"))
     sig.define("idT", (("x", k.BaseT("T")),), k.BaseT("T"), k.Var(0))
     ctx = (("y", k.BaseT("S", (k.Const("idT", (k.Const("a"),)),))),)
-    drv = ch.check_term(sig, ctx, k.Var(0), k.BaseT("S", (k.Const("a"),)))
-    assert drv.rule == "ConvEq"
+    want = k.BaseT("S", (k.Const("a"),))
+    assert ch.infer_term(sig, ctx, k.Var(0)) != want
+    assert ch.check_term(sig, ctx, k.Var(0), want) is None  # by conversion
 
 
 # -- derived terms ---------------------------------------------------------
@@ -116,8 +121,10 @@ def test_transport_right_checks_at_family_of_target():
     sig = sig_ts()
     d = ch.derive_transport("right", sig)
     assert d.ty == k.BaseT("S", (k.Var(1),))
-    drv = sig.define(d.name, d.telescope, d.ty, d.body)
-    assert drv.rule == "ElimR"
+    assert isinstance(d.body, k.ElimR)
+    sig.define(d.name, d.telescope, d.ty, d.body)
+    assert ch.infer_term(sig, ch.check_telescope(sig, d.telescope), d.body) \
+        == d.ty
 
 
 def test_transport_left_checks_under_dual_family():
@@ -125,8 +132,8 @@ def test_transport_left_checks_under_dual_family():
     sig.assume_type("T")
     sig.assume_type("S", (("x", k.Op(k.BaseT("T"))),))
     d = ch.derive_transport("left", sig)
-    drv = sig.define(d.name, d.telescope, d.ty, d.body)
-    assert drv.rule == "ElimL"
+    assert isinstance(d.body, k.ElimL)
+    sig.define(d.name, d.telescope, d.ty, d.body)
     # oracle for the variant: the checker itself on the dual telescope
     assert ch.infer_term(sig, ch.check_telescope(sig, d.telescope), d.body) \
         == k.BaseT("S", (k.Var(1),))
@@ -161,7 +168,7 @@ def test_transport_unit_reduces_to_point():
     lhs = k.Const("transport_R",
                   (k.Var(0), k.IncCore(k.Var(0)), k.One(k.Var(0)), k.Var(1)))
     ty = k.BaseT("S", (k.IncCore(k.Var(0)),))
-    assert ch.def_equal(sig, ctx, lhs, k.Var(1), ty)
+    assert def_equal(sig, ctx, lhs, k.Var(1), ty)
     # confirm with the independent named-variable rewriter
     fresh = oracles.fresh_namer("b")
     named = oracles.to_named(ch._delta(sig, lhs, 2), ["t", "s"], fresh)
@@ -170,12 +177,14 @@ def test_transport_unit_reduces_to_point():
 
 
 def test_comp_both_sides_check():
-    for side, rule in (("right", "ElimR"), ("left", "ElimL")):
+    for side, rule in (("right", k.ElimR), ("left", k.ElimL)):
         sig = ch.Signature()
         sig.assume_type("T")
         d = ch.derive_comp(side, sig)
         assert d.ty == k.Hom(k.BaseT("T"), k.Var(0), k.Var(2))
-        assert sig.define(d.name, d.telescope, d.ty, d.body).rule == rule
+        assert isinstance(d.body, rule)
+        sig.define(d.name, d.telescope, d.ty, d.body)
+        assert d.name in sig.defs
 
 
 def _comp_sig():
@@ -195,7 +204,7 @@ def test_comp_right_unit_strict():
     lhs = k.Const("comp_R", (k.Var(0), k.Var(1), k.IncCore(k.Var(1)),
                              k.Var(2), k.One(k.Var(1))))
     ty = k.Hom(T, k.Var(0), k.IncCore(k.Var(1)))
-    assert ch.def_equal(sig, ctx, lhs, k.Var(2), ty)
+    assert def_equal(sig, ctx, lhs, k.Var(2), ty)
     fresh = oracles.fresh_namer("b")
     named = oracles.to_named(ch._delta(sig, lhs, 3), ["r", "s", "f"], fresh)
     want = oracles.to_named(k.Var(2), ["r", "s", "f"], fresh)
@@ -210,7 +219,7 @@ def test_comp_left_unit_strict():
     lhs = k.Const("comp_L", (k.IncOp(k.Var(0)), k.Var(0), k.Var(1),
                              k.One(k.Var(0)), k.Var(2)))
     ty = k.Hom(T, k.IncOp(k.Var(0)), k.Var(1))
-    assert ch.def_equal(sig, ctx, lhs, k.Var(2), ty)
+    assert def_equal(sig, ctx, lhs, k.Var(2), ty)
 
 
 def test_derive_rejects_bad_side():
@@ -294,15 +303,38 @@ def test_elim_theta_argument_mismatch():
     assert "hom argument" in str(err.value)
 
 
-# -- def_equal -------------------------------------------------------------
+# -- definitional equality -------------------------------------------------
 
 def test_def_equal_reflexive_and_typed():
     sig = rich_sig()
     ctx = (("f", k.Hom(k.BaseT("T"), k.IncOp(k.Const("c")),
                        k.IncCore(k.Const("c")))),)
-    assert ch.def_equal(sig, ctx, k.Var(0), k.Var(0), ctx[0][1])
+    assert def_equal(sig, ctx, k.Var(0), k.Var(0), ctx[0][1])
     with pytest.raises(ch.CheckError):
-        ch.def_equal(sig, ctx, k.Var(0), k.Const("sp"), ctx[0][1])
+        def_equal(sig, ctx, k.Var(0), k.Const("sp"), ctx[0][1])
+
+
+@pytest.mark.parametrize("depth", [10, 20, 40, 80])
+def test_delta_calls_grow_linearly_with_nesting(monkeypatch, depth):
+    A = k.BaseT("A")
+    sig = ch.Signature()
+    sig.assume_type("A")
+    sig.assume_term("a", (), A)
+    sig.assume_term("f", (("x", A),), A)
+    sig.define("g", (("x", A),), A, k.Const("f", (k.Var(0),)))
+    tm = want = k.Const("a")
+    for _ in range(depth):
+        tm, want = k.Const("g", (tm,)), k.Const("f", (want,))
+    calls = 0
+    delta = ch._delta
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return delta(*args)
+    monkeypatch.setattr(ch, "_delta", counted)
+    assert ch.nf(sig, tm) == want
+    assert calls <= 4 * depth + 4
 
 
 # -- whole files -----------------------------------------------------------
@@ -363,7 +395,7 @@ def test_checker_deterministic():
     sig = wtgen.base_signature()
     rng = random.Random(8)
     for tm, _ in wtgen.generate(rng, 25):
-        assert ch.derive_term(sig, (), tm) == ch.derive_term(sig, (), tm)
+        assert ch.infer_term(sig, (), tm) == ch.infer_term(sig, (), tm)
 
 
 def test_inferred_type_unique_up_to_def_equal():

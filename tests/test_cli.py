@@ -216,6 +216,23 @@ def test_wfs_invalid_workspace_block_exits_two(capsys, tmp_path, source,
     assert err.startswith("error: ") and problem in err
 
 
+@pytest.mark.parametrize("block, problem", [
+    ("nat eta : idtwo => idtwo\n  at 0 : a\n  at 1 : id_1\nend\n",
+     "'eta': component at 0 has wrong endpoints"),
+    ("square sq\n  left sa\n  right idtwo\n  top sa\n  bottom nope\nend\n",
+     "'sq': unknown functor 'nope'"),
+], ids=["nat", "square"])
+def test_wfs_bad_nat_or_square_exits_two(capsys, tmp_path, block, problem):
+    text = (CORPUS / "scenarios" / "world.fincat").read_text(encoding="utf-8")
+    broken = tmp_path / "broken.fincat"
+    broken.write_text(text + "\n" + block, encoding="utf-8")
+    rc, out, err = run(capsys, "wfs", str(broken))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and problem in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # pv
 
