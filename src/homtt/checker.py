@@ -36,6 +36,7 @@ class Signature:
     Entries are validated on insertion, so a Signature is well-formed by
     construction unless built through the unchecked add_* methods (used to
     keep going after a bad declaration when checking whole files).
+    A definition is stored as (telescope, type, body, expanded body).
     """
 
     def __init__(self):
@@ -86,7 +87,8 @@ class Signature:
         self.consts[name] = (tuple(tele), ty)
 
     def add_def(self, name, tele, ty, body):
-        self.defs[name] = (tuple(tele), ty, body)
+        tele = tuple(tele)
+        self.defs[name] = (tele, ty, body, _delta(self, body, len(tele)))
 
 
 def _names(ctx):
@@ -108,15 +110,15 @@ def check_telescope(sig, tele):
 def _delta(sig, x, scope):
     """Expand every defined constant in x.
 
-    A definition's body is expanded over its own telescope and then
-    instantiated at the expanded arguments: substitution brings in no
-    defined heads, so the result needs no second walk.
+    A definition keeps its body expanded over its own telescope (the last
+    field of Signature.defs), so a use only instantiates it at the expanded
+    arguments: substitution brings in no defined heads, so the result needs
+    no second walk.
     """
     if isinstance(x, k.Const) and x.name in sig.defs:
-        tele, _, body = sig.defs[x.name]
+        tele, _, _, expanded = sig.defs[x.name]
         args = tuple(_delta(sig, a, scope) for a in x.args)
-        return k.instantiate_closed(_delta(sig, body, len(tele)), len(tele),
-                                    args, scope)
+        return k.instantiate_closed(expanded, len(tele), args, scope)
     return k.map_children(x, lambda y, depth: _delta(sig, y, depth), scope)
 
 
@@ -188,7 +190,7 @@ def infer_term(sig, ctx, tm):
             if name in sig.consts:
                 tele, ty = sig.consts[name]
             elif name in sig.defs:
-                tele, ty, _ = sig.defs[name]
+                tele, ty, _, _ = sig.defs[name]
             else:
                 if name in sig.bases:
                     raise CheckError(f"{name!r} is a type, not a term")
@@ -324,12 +326,14 @@ def check_source(source, sig=None):
                     ctx = check_telescope(sig, tele)
                     check_type(sig, ctx, ty)
                     check_term(sig, ctx, body, ty)
+                    sig.add_def(name, tele, ty, body)
+                    expanded = sig.defs[name][3]
                     detail = (f"{ps.print_type(ty, env)} := "
-                              f"{ps.print_term(nf(sig, body, n), env)}")
+                              f"{ps.print_term(k.reduce(expanded, n), env)}")
                     rec = Record("define", name, True, detail, decl.line)
                 except CheckError as err:
                     rec = Record("define", name, False, str(err), decl.line)
-                sig.add_def(name, tele, ty, body)
+                    sig.add_def(name, tele, ty, body)
             case ps.AssertType(tele, ty):
                 counter += 1
                 subject = f"assert#{counter}"

@@ -1,9 +1,10 @@
 """Finite categories with total composition tables.
 
-Everything here is exhaustive: laws are checked by enumerating triples and
-universal properties by enumerating candidates.  Objects and morphism names
-are arbitrary hashable values; ordering is by repr so reports and chosen
-representatives are deterministic.
+Everything here is exhaustive: laws are checked by enumerating composable
+triples and universal properties by enumerating candidates.  Objects and
+morphism names are arbitrary hashable values; ordering is by repr so
+reports and chosen representatives are deterministic.  A morphism computes
+its hash once and its repr on first use, since names nest other morphisms.
 
 Identity morphisms of parsed and discrete categories are named ("id", x).
 Constructed categories (totals, arrow categories, pullbacks) name morphisms
@@ -42,11 +43,38 @@ def _fmt(x):
     return repr(x)
 
 
-@dataclass(frozen=True)
 class Mor:
-    name: object
-    dom: object
-    cod: object
+    """An immutable morphism value, equal by name, dom and cod."""
+
+    __slots__ = ("name", "dom", "cod", "_hash", "_repr")
+
+    def __init__(self, name, dom, cod):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "dom", dom)
+        init(self, "cod", cod)
+        init(self, "_hash", hash((name, dom, cod)))
+        init(self, "_repr", None)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r} of a Mor")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Mor:
+            return NotImplemented
+        return (self._hash == other._hash and self.name == other.name
+                and self.dom == other.dom and self.cod == other.cod)
+
+    def __repr__(self):
+        if self._repr is None:
+            object.__setattr__(self, "_repr", f"Mor(name={self.name!r}, "
+                               f"dom={self.dom!r}, cod={self.cod!r})")
+        return self._repr
 
 
 def identity_mor(x):
@@ -66,9 +94,13 @@ class FinCat:
         self.morphisms = morphisms
         self.identity = dict(identity)
         self.compose = dict(compose)
+        self.morset = frozenset(morphisms)
+        self._out = {}  # dom -> the morphisms out of it, in sorted order
+        for m in morphisms:
+            self._out.setdefault(m.dom, []).append(m)
 
     def __eq__(self, other):
-        return (isinstance(other, FinCat)
+        return other is self or (isinstance(other, FinCat)
                 and self.objects == other.objects
                 and self.morphisms == other.morphisms
                 and self.identity == other.identity
@@ -78,8 +110,11 @@ class FinCat:
         return (f"FinCat({len(self.objects)} objects, "
                 f"{len(self.morphisms)} morphisms)")
 
+    def out_of(self, x):
+        return self._out.get(x, ())
+
     def hom(self, x, y):
-        return [m for m in self.morphisms if m.dom == x and m.cod == y]
+        return [m for m in self.out_of(x) if m.cod == y]
 
     def comp(self, g, f):
         """g after f."""
@@ -91,7 +126,7 @@ class FinCat:
     def validate(self):
         out = []
         objset = set(self.objects)
-        morset = set(self.morphisms)
+        morset = self.morset
         for x in self.objects:
             i = self.identity.get(x)
             if i is None:
@@ -112,8 +147,8 @@ class FinCat:
                 out.append(f"composite ({_fmt(g.name)}, {_fmt(f.name)}) has "
                            "wrong endpoints")
         for f in self.morphisms:
-            for g in self.morphisms:
-                if g.dom == f.cod and (g, f) not in self.compose:
+            for g in self.out_of(f.cod):
+                if (g, f) not in self.compose:
                     out.append("composition undefined for "
                                f"({_fmt(g.name)}, {_fmt(f.name)})")
         if out:
@@ -126,13 +161,9 @@ class FinCat:
                 if f.cod == x and self.compose[(i, f)] != f:
                     out.append(f"identity law violated at {_fmt(f.name)}")
         for f in self.morphisms:
-            for g in self.morphisms:
-                if g.dom != f.cod:
-                    continue
+            for g in self.out_of(f.cod):
                 gf = self.compose[(g, f)]
-                for h in self.morphisms:
-                    if h.dom != g.cod:
-                        continue
+                for h in self.out_of(g.cod):
                     if self.compose[(h, gf)] != self.compose[(self.compose[(h, g)], f)]:
                         out.append(
                             "associativity violated at "
@@ -204,7 +235,7 @@ class Functor:
                 out.append(f"object map undefined or out of range at {_fmt(x)}")
         for m in self.source.morphisms:
             fm = self.mor.get(m)
-            if fm is None or fm not in set(self.target.morphisms):
+            if fm is None or fm not in self.target.morset:
                 out.append(f"morphism map undefined at {_fmt(m.name)}")
             elif fm.dom != self.ob.get(m.dom) or fm.cod != self.ob.get(m.cod):
                 out.append(f"endpoints not preserved at {_fmt(m.name)}")
@@ -384,7 +415,7 @@ class Section:
         for m in fa.base.morphisms:
             g = self.mor.get(m)
             fib = fa.fibers[m.cod]
-            if g is None or g not in set(fib.morphisms):
+            if g is None or g not in fib.morset:
                 out.append(f"no morphism part along {_fmt(m.name)}")
             elif g.dom != fa.transitions[m].ob[self.obj[m.dom]] \
                     or g.cod != self.obj[m.cod]:
@@ -474,34 +505,25 @@ def groth(base, fa):
     morphisms = []
     for f in base.morphisms:
         tr = fa.transitions[f]
-        for (x, y) in objects:
-            if x != f.dom:
-                continue
-            for g in fa.fibers[f.cod].morphisms:
-                if g.dom == tr.ob[y]:
-                    morphisms.append(Mor((f, g), (x, y), (f.cod, g.cod)))
+        for y in fa.fibers[f.dom].objects:
+            for g in fa.fibers[f.cod].out_of(tr.ob[y]):
+                morphisms.append(Mor((f, g), (f.dom, y), (f.cod, g.cod)))
     identity = {(x, y): Mor((base.identity[x], fa.fibers[x].identity[y]),
                             (x, y), (x, y))
                 for (x, y) in objects}
     by_data = {(m.name, m.dom): m for m in morphisms}
     compose = {}
-    for m2 in morphisms:
-        f2, g2 = m2.name
-        for m1 in morphisms:
-            if m1.cod != m2.dom:
-                continue
-            f1, g1 = m1.name
-            f = base.comp(f2, f1)
-            g = fa.fibers[f2.cod].comp(g2, fa.transitions[f2].mor[g1])
-            compose[(m2, m1)] = by_data[((f, g), m1.dom)]
+    for m2, m1 in _composable(morphisms):
+        (f2, g2), (f1, g1) = m2.name, m1.name
+        f = base.comp(f2, f1)
+        g = fa.fibers[f2.cod].comp(g2, fa.transitions[f2].mor[g1])
+        compose[(m2, m1)] = by_data[((f, g), m1.dom)]
     total = FinCat(objects, morphisms, identity, compose)
     projection = Functor(total, base, {o: o[0] for o in objects},
                          {m: m.name[0] for m in morphisms})
     lifts = {}
     for (x, y) in objects:
-        for f in base.morphisms:
-            if f.dom != x:
-                continue
+        for f in base.out_of(x):
             y2 = fa.transitions[f].ob[y]
             lifts[((x, y), f)] = by_data[
                 ((f, fa.fibers[f.cod].identity[y2]), (x, y))]
@@ -512,30 +534,32 @@ def groth(base, fa):
 # arrow, iso, pullback categories
 
 
+def _composable(morphisms):
+    """Pairs (m2, m1) with m1.cod == m2.dom: m2 in the given order, and
+    for each, m1 in the given order."""
+    into = {}
+    for m1 in morphisms:
+        into.setdefault(m1.cod, []).append(m1)
+    return [(m2, m1) for m2 in morphisms for m1 in into.get(m2.dom, ())]
+
+
 def _square_cat(c, objs):
     """Category whose objects are the given morphisms of c and whose
     morphisms f → g are pairs (u, v) with v∘f = g∘u."""
     morphisms = []
     for f in objs:
         for g in objs:
-            for u in c.morphisms:
-                if u.dom != f.dom or u.cod != g.dom:
-                    continue
-                for v in c.morphisms:
-                    if v.dom != f.cod or v.cod != g.cod:
-                        continue
+            for u in c.hom(f.dom, g.dom):
+                for v in c.hom(f.cod, g.cod):
                     if c.comp(v, f) == c.comp(g, u):
                         morphisms.append(Mor((u, v), f, g))
     identity = {f: Mor((c.identity[f.dom], c.identity[f.cod]), f, f)
                 for f in objs}
     compose = {}
-    for m2 in morphisms:
-        for m1 in morphisms:
-            if m1.cod != m2.dom:
-                continue
-            u = c.comp(m2.name[0], m1.name[0])
-            v = c.comp(m2.name[1], m1.name[1])
-            compose[(m2, m1)] = Mor((u, v), m1.dom, m2.cod)
+    for m2, m1 in _composable(morphisms):
+        u = c.comp(m2.name[0], m1.name[0])
+        v = c.comp(m2.name[1], m1.name[1])
+        compose[(m2, m1)] = Mor((u, v), m1.dom, m2.cod)
     return FinCat(objs, morphisms, identity, compose)
 
 
@@ -566,13 +590,10 @@ def pullback_cat(F, G):
     identity = {(a, b): Mor((A.identity[a], B.identity[b]), (a, b), (a, b))
                 for (a, b) in objects}
     compose = {}
-    for m2 in morphisms:
-        for m1 in morphisms:
-            if m1.cod != m2.dom:
-                continue
-            compose[(m2, m1)] = Mor((A.comp(m2.name[0], m1.name[0]),
-                                     B.comp(m2.name[1], m1.name[1])),
-                                    m1.dom, m2.cod)
+    for m2, m1 in _composable(morphisms):
+        compose[(m2, m1)] = Mor((A.comp(m2.name[0], m1.name[0]),
+                                 B.comp(m2.name[1], m1.name[1])),
+                                m1.dom, m2.cod)
     return FinCat(objects, morphisms, identity, compose)
 
 
@@ -586,21 +607,14 @@ def is_cartesian(P, e):
     for e2 in E.morphisms:
         if e2.cod != e.cod:
             continue
-        for b in B.morphisms:
-            if b.dom != P.ob[e2.dom] or b.cod != P.ob[e.dom]:
-                continue
+        for b in B.hom(P.ob[e2.dom], P.ob[e.dom]):
             if B.comp(P.mor[e], b) != P.mor[e2]:
                 continue
-            fills = [l for l in E.morphisms
-                     if l.dom == e2.dom and l.cod == e.dom
-                     and P.mor[l] == b and E.comp(e, l) == e2]
+            fills = [l for l in E.hom(e2.dom, e.dom)
+                     if P.mor[l] == b and E.comp(e, l) == e2]
             if len(fills) != 1:
                 return False
     return True
-
-
-def is_cocartesian(P, e):
-    return is_cartesian(op_functor(P), op_mor(e))
 
 
 def has_cocartesian_lifts(P, prefer=None):
@@ -612,14 +626,13 @@ def has_cocartesian_lifts(P, prefer=None):
     the dict lacks exactly the unliftable pairs.
     """
     prefer = prefer or {}
+    P_op = op_functor(P)  # e is cocartesian for P iff op e is cartesian
     lifts = {}
     ok = True
     for x in P.source.objects:
-        for f in P.target.morphisms:
-            if f.dom != P.ob[x]:
-                continue
-            cands = [e for e in P.source.morphisms
-                     if e.dom == x and P.mor[e] == f and is_cocartesian(P, e)]
+        for f in P.target.out_of(P.ob[x]):
+            cands = [e for e in P.source.out_of(x)
+                     if P.mor[e] == f and is_cartesian(P_op, op_mor(e))]
             if not cands:
                 ok = False
                 continue

@@ -15,6 +15,7 @@ with the hom slot reversed, so both share one engine.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -227,7 +228,7 @@ class Interpreter:
                 return sec
             case k.Const(name, args):
                 if name in self.sig.defs:
-                    tele, _, body = self.sig.defs[name]
+                    tele, _, body, _ = self.sig.defs[name]
                     return self.term(ctx, k.instantiate_closed(
                         body, len(tele), args, len(ctx)))
                 if name in self.sig.consts:
@@ -578,14 +579,13 @@ def _pullback_square(cat, pi, ext):
     bad = mediating.validate()
     if bad:
         return False, f"mediating functor: {bad[0]}"
+    ob_pre, mor_pre = Counter(ob.values()), Counter(mor.values())
     for y in pb.objects:
-        pre = [x for x in lifted.cat.objects if ob[x] == y]
-        if len(pre) != 1:
-            return False, f"object {_show(y)} has {len(pre)} preimages"
+        if ob_pre[y] != 1:
+            return False, f"object {_show(y)} has {ob_pre[y]} preimages"
     for u in pb.morphisms:
-        pre = [m for m in lifted.cat.morphisms if mor[m] == u]
-        if len(pre) != 1:
-            return False, f"morphism {_show(u.name)} has {len(pre)} preimages"
+        if mor_pre[u] != 1:
+            return False, f"morphism {_show(u.name)} has {mor_pre[u]} preimages"
     return True, f"{len(pb.objects)} objects, {len(pb.morphisms)} morphisms"
 
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own de Bruijn machinery:
 terms are plain tuples with *named* variables, substitution is the classic
 capture-avoiding one, and the rewriter contracts one redex at a time.  The
 tests convert engine terms into this world and compare up to alpha.  The
-category isomorphism search at the end enumerates functors outright.
+category isomorphism search at the end enumerates functors outright, and
+cocartesian morphisms are decided by building the opposite functor afresh.
 """
 
 from __future__ import annotations
@@ -289,3 +290,8 @@ def are_isomorphic(c, d):
         return False
 
     return assign({}, list(c.objects))
+
+
+def is_cocartesian(P, e):
+    """e is cocartesian for P iff op e is cartesian for op P."""
+    return fc.is_cartesian(fc.op_functor(P), fc.op_mor(e))

@@ -155,7 +155,7 @@ def test_transport_matches_surface_file():
     sig, records = ch.check_source(ps.parse_dtt(text))
     assert all(r.ok for r in records), records
     gen = ch.derive_transport("right")
-    tele, ty, body = sig.defs["transport_R"]
+    tele, ty, body, _ = sig.defs["transport_R"]
     assert (tele, ty, body) == (gen.telescope, gen.ty, gen.body)
 
 
@@ -334,7 +334,7 @@ def test_delta_calls_grow_linearly_with_nesting(monkeypatch, depth):
         return delta(*args)
     monkeypatch.setattr(ch, "_delta", counted)
     assert ch.nf(sig, tm) == want
-    assert calls <= 4 * depth + 4
+    assert calls <= depth + 2
 
 
 # -- whole files -----------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import cats
 import oracles
 from homtt import fincat as fc
 from homtt import parser as ps
@@ -38,23 +39,20 @@ def z2():
     return fc.FinCat(("e",), (e, s), {"e": e}, compose)
 
 
-def chain3():
-    """The poset 0 <= 1 <= 2."""
-    objs = ("0", "1", "2")
-    mors = {}
-    for i in range(3):
-        for j in range(i, 3):
-            if i == j:
-                mors[(i, j)] = fc.identity_mor(str(i))
-            else:
-                mors[(i, j)] = fc.Mor(f"c{i}{j}", str(i), str(j))
-    compose = {}
-    for i in range(3):
-        for j in range(i, 3):
-            for l in range(j, 3):
-                compose[(mors[(j, l)], mors[(i, j)])] = mors[(i, l)]
+def chain(n):
+    """The poset 0 <= 1 <= ... <= n-1, with its morphisms by (i, j)."""
+    objs = tuple(str(i) for i in range(n))
+    mors = {(i, j): fc.identity_mor(str(i)) if i == j
+            else fc.Mor(f"c{i}{j}", str(i), str(j))
+            for i in range(n) for j in range(i, n)}
+    compose = {(mors[(j, l)], mors[(i, j)]): mors[(i, l)]
+               for (i, j) in mors for l in range(j, n)}
     return fc.FinCat(objs, mors.values(),
-                     {str(i): mors[(i, i)] for i in range(3)}, compose)
+                     {str(i): mors[(i, i)] for i in range(n)}, compose), mors
+
+
+def chain3():
+    return chain(3)[0]
 
 
 def grid22():
@@ -123,6 +121,87 @@ def test_validate_reports_identity_violation():
     compose = {(e, e): e, (e, f): f, (f, e): e, (f, f): f}
     c = fc.FinCat(("x",), (e, f), {"x": e}, compose)
     assert any("identity law violated at f" in p for p in c.validate())
+
+
+# The full problem lists below pin what validate() reports and in which
+# order, so a faster enumeration of composable pairs and triples must
+# visit them exactly as the plain nested loops over sorted morphisms do.
+
+def test_validate_lists_missing_composites_in_order():
+    c = chain3()
+    m = {x.name: x for x in c.morphisms}
+    compose = dict(c.compose)
+    del compose[(m["c12"], m["c01"])]
+    del compose[(c.identity["2"], m["c02"])]
+    broken = fc.FinCat(c.objects, c.morphisms, c.identity, compose)
+    assert broken.validate() == [
+        "composition undefined for (c12, c01)",
+        "composition undefined for ((id 2), c02)"]
+
+
+def test_validate_lists_associativity_failures_in_order():
+    e = fc.identity_mor("x")
+    f = fc.Mor("f", "x", "x")
+    g = fc.Mor("g", "x", "x")
+    compose = {(e, e): e, (e, f): f, (f, e): f, (e, g): g, (g, e): g,
+               (f, f): g, (f, g): e, (g, f): f, (g, g): g}
+    c = fc.FinCat(("x",), (e, f, g), {"x": e}, compose)
+    assert c.validate() == [
+        "associativity violated at (f, f, f)",
+        "associativity violated at (f, g, f)",
+        "associativity violated at (f, f, g)",
+        "associativity violated at (g, f, g)",
+        "associativity violated at (f, g, g)"]
+
+
+def test_validate_lists_identity_failures_then_associativity():
+    e = fc.identity_mor("x")
+    s, t = fc.Mor("s", "x", "x"), fc.Mor("t", "x", "x")
+    compose = {(a, b): e for a in (e, s, t) for b in (e, s, t)}
+    compose.update({(e, e): e, (s, e): t, (e, s): s, (t, e): t, (e, t): s})
+    c = fc.FinCat(("x",), (e, s, t), {"x": e}, compose)
+    assert c.validate() == [
+        "identity law violated at s",
+        "identity law violated at t",
+        "associativity violated at (s, s, s)",
+        "associativity violated at (t, s, s)",
+        "associativity violated at (s, t, s)",
+        "associativity violated at (t, t, s)",
+        "associativity violated at (s, s, t)",
+        "associativity violated at (t, s, t)",
+        "associativity violated at (s, t, t)",
+        "associativity violated at (t, t, t)",
+        "associativity violated at ((id x), s, (id x))",
+        "associativity violated at ((id x), t, (id x))"]
+
+
+def test_validate_lists_unknown_morphisms_in_order():
+    c = two()
+    a = next(m for m in c.morphisms if m.name == "a")
+    ghost = fc.Mor("ghost", "0", "1")
+    stray = fc.Mor("stray", "0", "2")
+    compose = dict(c.compose)
+    compose[(ghost, c.identity["0"])] = ghost
+    compose[(c.identity["1"], a)] = ghost
+    broken = fc.FinCat(c.objects, c.morphisms + (stray,), c.identity,
+                       compose)
+    assert broken.validate() == [
+        "morphism stray has unknown dom/cod",
+        "composite ((id 1), a) involves unknown morphisms",
+        "composite (ghost, (id 0)) involves unknown morphisms",
+        "composition undefined for (stray, (id 0))"]
+
+
+def test_functor_validate_lists_bad_endpoints_in_order():
+    t, c3 = two(), chain3()
+    a = next(m for m in t.morphisms if m.name == "a")
+    c01 = next(m for m in c3.morphisms if m.name == "c01")
+    F = fc.Functor(t, c3, {"0": "0", "1": "2"},
+                   {t.identity["0"]: c3.identity["1"],
+                    t.identity["1"]: c3.identity["2"], a: c01})
+    assert F.validate() == [
+        "endpoints not preserved at a",
+        "endpoints not preserved at (id 0)"]
 
 
 def test_size_cap():
@@ -253,7 +332,7 @@ def test_groth_projection_has_canonical_cocartesian_lifts():
             assert lift.name[0] == f
             fib = fa.fibers[f.cod]
             assert lift.name[1] == fib.identity[fa.transitions[f].ob[y]]
-            assert fc.is_cocartesian(gt.projection, lift)
+            assert oracles.is_cocartesian(gt.projection, lift)
         ok, chosen = fc.has_cocartesian_lifts(gt.projection, prefer=gt.lifts)
         assert ok
         assert chosen == gt.lifts
@@ -482,12 +561,59 @@ def test_cocartesian_via_op():
     base, fa = inclusion_fibers()
     gt = fc.groth(base, fa)
     for lift in gt.lifts.values():
-        assert fc.is_cocartesian(gt.projection, lift)
+        assert oracles.is_cocartesian(gt.projection, lift)
     # a non-lift morphism over a: (a, g) with g not the chosen identity
     a = next(m for m in base.morphisms if m.name == "a")
     others = [m for m in gt.total.morphisms
               if m.name[0] == a and m not in gt.lifts.values()]
     assert others == []  # only one morphism sits over a in this total
+
+
+def _assert_lifts_agree_with_oracle(P):
+    """has_cocartesian_lifts lifts exactly the (object, base morphism)
+    pairs over which the op-based oracle finds a cocartesian morphism,
+    and each chosen lift is one of those."""
+    oracle = {}
+    for x in P.source.objects:
+        for f in P.target.morphisms:
+            if f.dom == P.ob[x]:
+                oracle[(x, f)] = [e for e in P.source.morphisms
+                                  if e.dom == x and P.mor[e] == f
+                                  and oracles.is_cocartesian(P, e)]
+    ok, lifts = fc.has_cocartesian_lifts(P)
+    assert set(lifts) == {pair for pair, es in oracle.items() if es}
+    assert ok == all(oracle.values())
+    for pair, e in lifts.items():
+        assert e in oracle[pair]
+    return ok
+
+
+def test_cocartesian_lifts_of_corpus_totals_match_the_oracle():
+    for base_mk in cats.ALL.values():
+        for fiber_mk in cats.ALL.values():
+            base = base_mk()
+            fa = fc.constant_fibers(base, fiber_mk())
+            for fibers in (fa, fc.core_fibers(fa)):
+                gt = fc.groth(base, fibers)
+                assert _assert_lifts_agree_with_oracle(gt.projection)
+
+
+def test_cocartesian_lifts_of_monotone_chain_maps_match_the_oracle():
+    # every monotone map chain_n -> chain_m; the surjections are the wfs
+    # collapse opfibrations, the rest leave some base arrows unliftable
+    verdicts = set()
+    for n in range(1, 5):
+        for m in range(1, 5):
+            (src, smor), (tgt, tmor) = chain(n), chain(m)
+            for img in itertools.combinations_with_replacement(range(m), n):
+                ob = {str(i): str(img[i]) for i in range(n)}
+                P = fc.Functor(src, tgt, ob, {f: tmor[(img[i], img[j])]
+                                              for (i, j), f in smor.items()})
+                assert P.validate() == []
+                ok = _assert_lifts_agree_with_oracle(P)
+                assert ok or len(set(img)) < m
+                verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 # -- isomorphism search ----------------------------------------------------
@@ -508,6 +634,52 @@ def test_fincat_order_and_names_are_deterministic():
     assert shuffled.objects == ("0", "1")
     # ordered by repr, names formatted as values
     assert [fc._fmt(m.name) for m in c.morphisms] == ["a", "(id 0)", "(id 1)"]
+
+
+# -- the Mor value contract ------------------------------------------------
+
+def _nested_mors():
+    a = fc.Mor("a", "0", "1")
+    sq = fc.Mor((fc.identity_mor("0"), a), a, a)
+    return a, sq, fc.Mor((a, sq), ("0", "x"), ("1", "y"))
+
+
+def test_mor_repr_is_the_dataclass_repr():
+    # skey sorts by repr, so these strings fix every category's order
+    a, sq, top = _nested_mors()
+    A = "Mor(name='a', dom='0', cod='1')"
+    I0 = "Mor(name=('id', '0'), dom='0', cod='0')"
+    SQ = f"Mor(name=({I0}, {A}), dom={A}, cod={A})"
+    assert repr(a) == A
+    assert repr(fc.identity_mor("0")) == I0
+    assert repr(sq) == SQ
+    assert repr(top) == (f"Mor(name=({A}, {SQ}), "
+                         "dom=('0', 'x'), cod=('1', 'y'))")
+    assert repr((top, 3)) == f"({top!r}, 3)"
+    assert fc.skey(top) == repr(top)
+
+
+def test_equal_distinct_mors_are_equal_and_hash_alike():
+    a, sq, top = _nested_mors()
+    a2, sq2, top2 = _nested_mors()
+    assert top is not top2 and top.name[1] is not top2.name[1]
+    assert top == top2 and hash(top) == hash(top2)
+    assert {top: 1}[top2] == 1
+    assert top != sq and sq != a
+    assert fc.Mor("a", "0", "2") != a
+
+
+def test_mor_is_not_a_tuple():
+    a = fc.Mor("a", "0", "1")
+    assert a != ("a", "0", "1") and ("a", "0", "1") != a
+
+
+def test_mor_is_immutable():
+    a = fc.Mor("a", "0", "1")
+    for attr in ("name", "dom", "cod"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, "b")
+    assert a == fc.Mor("a", "0", "1")
 
 
 def test_build_catfile_round_trip():
