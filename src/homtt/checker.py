@@ -44,23 +44,9 @@ class Signature:
         self.consts = {}
         self.defs = {}
 
-    def copy(self):
-        out = Signature()
-        out.bases = dict(self.bases)
-        out.consts = dict(self.consts)
-        out.defs = dict(self.defs)
-        return out
-
     def _fresh(self, name):
         if name in self.bases or name in self.consts or name in self.defs:
             raise CheckError(f"duplicate name {name!r}")
-
-    def arity(self, name):
-        if name in self.bases:
-            return len(self.bases[name])
-        if name in self.consts:
-            return len(self.consts[name][0])
-        return len(self.defs[name][0])
 
     def assume_type(self, name, tele=()):
         self._fresh(name)
@@ -289,87 +275,74 @@ class Record:
     line: int = 0
 
 
-def check_source(source, sig=None):
+_KINDS = {ps.AssumeType: "assume-type", ps.AssumeTerm: "assume-term",
+          ps.Define: "define", ps.AssertType: "assert-type",
+          ps.AssertEqual: "assert-equal"}
+
+
+def check_source(source):
     """Check every declaration, one report record each.
 
-    A failed assume/define is still entered into the signature so later
-    declarations produce their own diagnostics instead of cascades.
+    A failed assume/define is still entered into the signature, unchecked,
+    so later declarations produce their own diagnostics instead of
+    cascades.
     """
-    sig = sig.copy() if sig is not None else Signature()
+    sig = Signature()
     records = []
-    counter = 0
+    asserts = 0
     for decl in source.decls:
-        env = _names(decl.telescope)
-        n = len(decl.telescope)
-        match decl:
-            case ps.AssumeType(name, tele):
-                try:
-                    sig._fresh(name)
-                    check_telescope(sig, tele)
-                    rec = Record("assume-type", name, True, "Type", decl.line)
-                except CheckError as err:
-                    rec = Record("assume-type", name, False, str(err), decl.line)
-                sig.add_base(name, tele)
-            case ps.AssumeTerm(name, tele, ty):
-                try:
-                    sig._fresh(name)
-                    ctx = check_telescope(sig, tele)
-                    check_type(sig, ctx, ty)
-                    rec = Record("assume-term", name, True,
-                                 ps.print_type(ty, env), decl.line)
-                except CheckError as err:
-                    rec = Record("assume-term", name, False, str(err), decl.line)
-                sig.add_const(name, tele, ty)
-            case ps.Define(name, tele, ty, body):
-                try:
-                    sig._fresh(name)
-                    ctx = check_telescope(sig, tele)
-                    check_type(sig, ctx, ty)
-                    check_term(sig, ctx, body, ty)
+        kind = _KINDS.get(type(decl))
+        if kind is None:
+            raise k.InternalError(f"unknown declaration {decl!r}")
+        if kind.startswith("assert"):
+            asserts += 1
+            subject = f"assert#{asserts}"
+        else:
+            subject = decl.name
+        try:
+            ok, detail = _check_decl(sig, decl)
+        except CheckError as err:
+            ok, detail = False, str(err)
+            match decl:
+                case ps.AssumeType(name, tele):
+                    sig.add_base(name, tele)
+                case ps.AssumeTerm(name, tele, ty):
+                    sig.add_const(name, tele, ty)
+                case ps.Define(name, tele, ty, body):
                     sig.add_def(name, tele, ty, body)
-                    expanded = sig.defs[name][3]
-                    detail = (f"{ps.print_type(ty, env)} := "
-                              f"{ps.print_term(k.reduce(expanded, n), env)}")
-                    rec = Record("define", name, True, detail, decl.line)
-                except CheckError as err:
-                    rec = Record("define", name, False, str(err), decl.line)
-                    sig.add_def(name, tele, ty, body)
-            case ps.AssertType(tele, ty):
-                counter += 1
-                subject = f"assert#{counter}"
-                try:
-                    ctx = check_telescope(sig, tele)
-                    check_type(sig, ctx, ty)
-                    rec = Record("assert-type", subject, True,
-                                 ps.print_type(ty, env), decl.line)
-                except CheckError as err:
-                    rec = Record("assert-type", subject, False, str(err),
-                                 decl.line)
-            case ps.AssertEqual(tele, lhs, rhs, ty):
-                counter += 1
-                subject = f"assert#{counter}"
-                try:
-                    ctx = check_telescope(sig, tele)
-                    check_type(sig, ctx, ty)
-                    check_term(sig, ctx, lhs, ty)
-                    check_term(sig, ctx, rhs, ty)
-                    l_nf, r_nf = nf(sig, lhs, n), nf(sig, rhs, n)
-                    if l_nf == r_nf:
-                        rec = Record("assert-equal", subject, True,
-                                     f"both sides reduce to "
-                                     f"{ps.print_term(l_nf, env)}", decl.line)
-                    else:
-                        rec = Record(
-                            "assert-equal", subject, False,
-                            f"left reduces to {ps.print_term(l_nf, env)}, "
-                            f"right to {ps.print_term(r_nf, env)}", decl.line)
-                except CheckError as err:
-                    rec = Record("assert-equal", subject, False, str(err),
-                                 decl.line)
-            case _:
-                raise k.InternalError(f"unknown declaration {decl!r}")
-        records.append(rec)
+        records.append(Record(kind, subject, ok, detail, decl.line))
     return sig, records
+
+
+def _check_decl(sig, decl):
+    """Check one declaration, entering it into sig: (verdict, detail)."""
+    env = _names(decl.telescope)
+    n = len(env)
+    match decl:
+        case ps.AssumeType(name, tele):
+            sig.assume_type(name, tele)
+            return True, "Type"
+        case ps.AssumeTerm(name, tele, ty):
+            sig.assume_term(name, tele, ty)
+            return True, ps.print_type(ty, env)
+        case ps.Define(name, tele, ty, body):
+            sig.define(name, tele, ty, body)
+            body_nf = k.reduce(sig.defs[name][3], n)
+            return True, (f"{ps.print_type(ty, env)} := "
+                          f"{ps.print_term(body_nf, env)}")
+        case ps.AssertType(tele, ty):
+            check_type(sig, check_telescope(sig, tele), ty)
+            return True, ps.print_type(ty, env)
+        case ps.AssertEqual(tele, lhs, rhs, ty):
+            ctx = check_telescope(sig, tele)
+            check_type(sig, ctx, ty)
+            check_term(sig, ctx, lhs, ty)
+            check_term(sig, ctx, rhs, ty)
+            l_nf, r_nf = nf(sig, lhs, n), nf(sig, rhs, n)
+            if l_nf == r_nf:
+                return True, f"both sides reduce to {ps.print_term(l_nf, env)}"
+            return False, (f"left reduces to {ps.print_term(l_nf, env)}, "
+                           f"right to {ps.print_term(r_nf, env)}")
 
 
 # ---------------------------------------------------------------------------

@@ -113,30 +113,18 @@ def _cmd_interp(cfg):
     for path in cfg.paths:
         out.append(f"== {path}")
         sc = ip.load_scenario(_resolve(path))
-        recs = ip.verify_soundness(None, sc.env, sc.source)
+        recs, witnesses = ip.verify_soundness(sc)
         if cfg.oracle:
-            recs += _lift_oracle(sc, _cap(cfg, BRUTE_CAP))
+            recs += _lift_oracle(witnesses, _cap(cfg, BRUTE_CAP))
         records.extend(recs)
         out.extend(_verdict(r) for r in recs)
     return out, records
 
 
-def _lift_oracle(sc, cap):
-    """Brute-force every eliminator's lifting square in a scenario."""
-    sig, _ = ch.check_source(sc.source)
-    itp = ip.Interpreter(sig, sc.env)
-    for decl in sc.source.decls:
-        try:
-            match decl:
-                case ps.Define(_, tele, _, body):
-                    itp.term(tele, body)
-                case ps.AssertEqual(tele, lhs, rhs, _):
-                    itp.term(tele, lhs)
-                    itp.term(tele, rhs)
-        except (ip.InterpError, ch.CheckError, fc.SizeCapError):
-            continue
+def _lift_oracle(witnesses, cap):
+    """Brute-force the lifting square of each soundness-pass eliminator."""
     recs = []
-    for n, w in enumerate(itp.witnesses, start=1):
+    for n, w in enumerate(witnesses, start=1):
         subject = f"elim#{n}"
         try:
             _, witness = wfs.elimination_square(w)
@@ -220,7 +208,7 @@ def _cmd_pv(cfg):
         text = _resolve(path).read_text(encoding="utf-8")
         space = ds.from_pv(ds.parse_pv(text, str(path)))
         report = ds.analyze(space)
-        dead = ds.deadlocks(space)
+        dead = ds.deadlocks(report)
         for i, ticks in enumerate(space.ticks):
             out.append(f"axis {chr(65 + i)}: {' '.join(ticks)}")
         out.append("")

@@ -107,10 +107,6 @@ class PVProgram:
 
     processes: tuple
 
-    @property
-    def semaphores(self):
-        return tuple(sorted({s for evs in self.processes for _, s in evs}))
-
     def validate(self):
         out = []
         for i, evs in enumerate(self.processes):
@@ -254,11 +250,12 @@ def safe(space):
     return out
 
 
-def deadlocks(space):
+def deadlocks(report):
     """Reachable non-final cells with no legal forward step."""
+    space = report.space
     blocked = forbidden_cells(space)
     dead = []
-    for c in sorted(reachable(space)):
+    for c in sorted(report.reachable):
         if c == space.final:
             continue
         moves = (_step(space, c, a, +1) for a in range(space.dims))

@@ -222,12 +222,6 @@ class Functor:
     ob: dict
     mor: dict
 
-    def ap(self, x):
-        return self.ob[x]
-
-    def ap_mor(self, m):
-        return self.mor[m]
-
     def validate(self):
         out = []
         for x in self.source.objects:
@@ -313,12 +307,6 @@ class FiberAssignment:
     base: FinCat
     fibers: dict
     transitions: dict
-
-    def fiber(self, x):
-        return self.fibers[x]
-
-    def transition(self, m):
-        return self.transitions[m]
 
     def validate(self):
         out = []

@@ -400,22 +400,23 @@ def _transport_section(e_cat, n, carrier_fa, theta_fa, d_fa, d_sec):
 # soundness verification
 
 
-def verify_soundness(sig, env, source):
-    """Check a whole source file's worth of judgements semantically.
+def verify_soundness(sc):
+    """Check a whole scenario's worth of judgements semantically.
 
     The environment is validated first and rejected wholesale when any
     entry is broken, so a bad environment can never produce a passing
     report.  Then, per declaration: typechecking verdict, functoriality
     and naturality of the interpretations, the computation rule for every
     eliminator encountered, agreement of asserted equalities, and the
-    pullback property of each comprehension square.
+    pullback property of each comprehension square.  Returns the records
+    and the witnesses of the eliminators interpreted on the way, in the
+    order they were built (none when the environment is rejected).
     """
-    records = _env_records(env)
+    records = _env_records(sc.env)
     if any(not r.ok for r in records):
-        return records
-    chk_sig, chk_records = ch.check_source(source, sig)
-    itp = Interpreter(chk_sig, env)
-    for decl, rec in zip(source.decls, chk_records):
+        return records, []
+    itp = Interpreter(sc.sig, sc.env)
+    for decl, rec in zip(sc.source.decls, sc.checks):
         records.append(VerifyRecord(rec.subject, "typecheck", rec.ok,
                                     "" if rec.ok else rec.detail))
         if not rec.ok:
@@ -426,7 +427,7 @@ def verify_soundness(sig, env, source):
                 KeyError) as err:
             records.append(VerifyRecord(rec.subject, "interpretation",
                                         False, str(err)))
-    return records
+    return records, itp.witnesses
 
 
 def _env_records(env):
@@ -595,10 +596,12 @@ def _pullback_square(cat, pi, ext):
 
 @dataclass
 class Scenario:
+    """A source file, its check_source verdicts, and its bindings."""
+
     source: ps.SourceFile
+    sig: ch.Signature          # the signature check_source built
+    checks: list               # check_source's records, one per declaration
     env: SemanticEnv
-    workspace: fc.Workspace
-    path: str
 
 
 def load_scenario(path):
@@ -640,9 +643,9 @@ def load_scenario(path):
     if ws.diagnostics:
         name, msg = ws.diagnostics[0]
         raise InterpError(f"workspace block {name!r}: {msg}")
-    sig, _ = ch.check_source(source)
+    sig, checks = ch.check_source(source)
     env = build_env(sig, ws, type_binds, const_binds)
-    return Scenario(source, env, ws, str(path))
+    return Scenario(source, sig, checks, env)
 
 
 def build_env(sig, ws, type_binds, const_binds):

@@ -160,7 +160,6 @@ class _DttParser:
 
     def parse_file(self):
         decls = []
-        counter = 0
         while self.pos < len(self.toks):
             tok = self.next()
             if tok.text == "assume":
@@ -168,7 +167,6 @@ class _DttParser:
             elif tok.text == "define":
                 decls.append(self._define(tok))
             elif tok.text == "assert":
-                counter += 1
                 decls.append(self._assert(tok))
             else:
                 self.fail(f"expected a declaration, found {tok.text!r}", tok)

@@ -63,7 +63,7 @@ def corpus_categories():
 
 def scenario_records(name):
     sc = ip.load_scenario(SCENARIOS / name)
-    return sc, ip.verify_soundness(None, sc.env, sc.source)
+    return sc, ip.verify_soundness(sc)[0]
 
 
 def load_space(name):
@@ -245,9 +245,8 @@ def test_criterion_07_lift_oracle_agreement():
         squares = 0
         for name in ("transport.scn", "comp.scn"):
             sc = ip.load_scenario(SCENARIOS / name)
-            sig, records = ch.check_source(sc.source)
-            assert all(r.ok for r in records)
-            itp = ip.Interpreter(sig, sc.env)
+            assert all(r.ok for r in sc.checks)
+            itp = ip.Interpreter(sc.sig, sc.env)
             for decl in sc.source.decls:
                 match decl:
                     case ps.Define(_, tele, _, body):

@@ -371,6 +371,25 @@ def test_check_source_continues_after_failure():
     assert "core element" in records[2].detail
 
 
+def test_check_source_enters_failed_declarations_unchecked():
+    # y needs the failed h and F, and the last assert the failed bad, in
+    # the signature; without them each would fail as an unknown name
+    text = (
+        "assume T : Type\n"
+        "assume a : T\n"
+        "assume h : hom T a a\n"
+        "assume F (x : hom T a a) : Type\n"
+        "assume y : F(h)\n"
+        "define bad : T := one a\n"
+        "assert bad == bad : T\n"
+    )
+    _, records = ch.check_source(ps.parse_dtt(text))
+    assert [r.ok for r in records] == [True, True, False, False, True,
+                                       False, True]
+    assert records[4].detail == "F(h)"
+    assert records[6].detail == "both sides reduce to one a"
+
+
 def test_signature_rejects_duplicates():
     sig = sig_ts()
     with pytest.raises(ch.CheckError) as err:

@@ -9,6 +9,7 @@ import pytest
 
 import homtt.checker as ch
 import homtt.cli as cli
+import homtt.interp as ip
 import homtt.kernel as k
 
 REPO = Path(__file__).resolve().parent.parent
@@ -159,6 +160,56 @@ def test_interp_comp_scenario_with_oracle(capsys):
     assert rc == 0
     assert "lift-oracle[right] OK" in out
     assert "lift-oracle[left] OK" in out
+
+
+def _scenario_with_bad_define(tmp_path):
+    src = CORPUS / "scenarios"
+    for name in ("transport.scn", "world.fincat"):
+        (tmp_path / name).write_text((src / name).read_text(encoding="utf-8"),
+                                     encoding="utf-8")
+    text = (src / "transport.dtt").read_text(encoding="utf-8")
+    (tmp_path / "transport.dtt").write_text(
+        text + "define bad : S(c') := transport_R(c, c', ff, ff)\n",
+        encoding="utf-8")
+    return tmp_path / "transport.scn"
+
+
+def test_interp_oracle_skips_an_ill_typed_define(capsys, tmp_path):
+    # the ill-typed body is never interpreted; the oracle squares are those
+    # of the three eliminators in declarations that typechecked
+    scn = _scenario_with_bad_define(tmp_path)
+    rc, out, err = run(capsys, "interp", "--oracle", "--format", "records",
+                       str(scn))
+    assert (rc, err) == (1, "")
+    lines = out.splitlines()
+    bad = "typecheck\tbad\tFAIL\texpected S(i c), inferred hom B (iop c) c'"
+    assert [ln for ln in lines if "\tFAIL\t" in ln] == [bad]
+    assert [ln.split("\t")[:3] for ln in lines
+            if ln.startswith("lift-oracle")] == [
+        ["lift-oracle[right]", f"elim#{n}", "ok"] for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("flags", [(), ("--oracle",)])
+def test_interp_checks_and_interprets_each_scenario_once(capsys, monkeypatch,
+                                                         flags):
+    # one check_source per scenario; one interpreter to build the
+    # environment and one for the soundness pass, whose witnesses the
+    # oracle reads
+    calls = {"check": 0, "interp": 0}
+    check_source, init = ch.check_source, ip.Interpreter.__init__
+
+    def counted_check(*args):
+        calls["check"] += 1
+        return check_source(*args)
+
+    def counted_init(self, *args):
+        calls["interp"] += 1
+        init(self, *args)
+    monkeypatch.setattr(ch, "check_source", counted_check)
+    monkeypatch.setattr(ip.Interpreter, "__init__", counted_init)
+    rc, _, _ = run(capsys, "interp", *flags,
+                   str(CORPUS / "scenarios" / "transport.scn"))
+    assert (rc, calls) == (0, {"check": 1, "interp": 2})
 
 
 def test_interp_bad_scenario_exits_two(capsys, tmp_path):

@@ -52,7 +52,7 @@ def test_parse_pv_reads_events_and_skips_comments():
         (("P", "m"), ("P", "n"), ("V", "n"), ("V", "m")),
         (("P", "n"), ("P", "m"), ("V", "m"), ("V", "n")),
     )
-    assert prog.semaphores == ("m", "n")
+    assert sorted({s for evs in prog.processes for _, s in evs}) == ["m", "n"]
     assert prog.validate() == []
 
 
@@ -111,7 +111,7 @@ def test_single_process_is_a_directed_interval():
     assert space.forbidden == ()
     report = ds.analyze(space)
     assert set(report.reachable) == set(report.safe) == {(0,), (1,), (2,)}
-    assert ds.deadlocks(space) == ()
+    assert ds.deadlocks(report) == ()
 
 
 def test_minimal_mutex_forbids_one_cell():
@@ -121,7 +121,7 @@ def test_minimal_mutex_forbids_one_cell():
     report = ds.analyze(space)
     assert report.unreachable == ()
     assert report.unsafe == ()
-    assert ds.deadlocks(space) == ()
+    assert ds.deadlocks(report) == ()
 
 
 def test_repeated_locking_gives_one_rectangle_per_hold_pair():
@@ -130,7 +130,7 @@ def test_repeated_locking_gives_one_rectangle_per_hold_pair():
         ds.Rect((1, 1), (2, 2)),
         ds.Rect((3, 1), (4, 2)),
     )
-    assert ds.deadlocks(space) == ()
+    assert ds.deadlocks(ds.analyze(space)) == ()
 
 
 def test_three_processes_block_the_full_third_axis():
@@ -163,7 +163,7 @@ def test_swiss_complements_match_the_named_squares():
 
 
 def test_swiss_deadlock_is_the_unsafe_corner():
-    assert ds.deadlocks(swiss_space()) == ((1, 1),)
+    assert ds.deadlocks(ds.analyze(swiss_space())) == ((1, 1),)
 
 
 def test_swiss_rendering():
@@ -198,7 +198,7 @@ def test_full_width_wall_strands_the_bottom_rows():
     report = ds.analyze(space)
     assert set(report.reachable) == {(x, 0) for x in range(4)}
     assert set(report.safe) == {(x, y) for x in range(4) for y in (2, 3)}
-    assert ds.deadlocks(space) == ((3, 0),)
+    assert ds.deadlocks(report) == ((3, 0),)
 
 
 def test_empty_forbidden_set_has_no_deadlocks():
@@ -206,7 +206,7 @@ def test_empty_forbidden_set_has_no_deadlocks():
     report = ds.analyze(space)
     assert set(report.reachable) == set(ds.states(space))
     assert set(report.safe) == set(ds.states(space))
-    assert ds.deadlocks(space) == ()
+    assert ds.deadlocks(report) == ()
 
 
 def test_space_validation_flags_bad_rectangles_and_corners():

@@ -489,9 +489,9 @@ def test_transport_moves_the_point_along_the_family():
 
 def test_transport_scenario_passes_verification():
     source = transport_source()
-    sig, _ = ch.check_source(source)
+    sig, checks = ch.check_source(source)
     env = transport_env(sig)
-    records = ip.verify_soundness(None, env, source)
+    records, _ = ip.verify_soundness(ip.Scenario(source, sig, checks, env))
     bad = [r for r in records if not r.ok]
     assert bad == []
     checks = {r.check for r in records}
@@ -503,10 +503,11 @@ def test_transport_scenario_passes_verification():
 
 def test_verification_report_is_deterministic():
     source = transport_source()
-    sig, _ = ch.check_source(source)
+    sig, checks = ch.check_source(source)
     env = transport_env(sig)
-    first = ip.format_records(ip.verify_soundness(None, env, source))
-    second = ip.format_records(ip.verify_soundness(None, env, source))
+    sc = ip.Scenario(source, sig, checks, env)
+    first = ip.format_records(ip.verify_soundness(sc)[0])
+    second = ip.format_records(ip.verify_soundness(sc)[0])
     assert first == second
 
 
@@ -551,7 +552,7 @@ def test_scenario_files_round_trip(tmp_path):
     scn_path = tmp_path / "trans.scn"
     scn_path.write_text(SCENARIO_TEXT, encoding="utf-8")
     scn = ip.load_scenario(scn_path)
-    records = ip.verify_soundness(None, scn.env, scn.source)
+    records, _ = ip.verify_soundness(scn)
     assert records and all(r.ok for r in records)
 
 
@@ -570,7 +571,7 @@ def test_scenario_with_bad_binding_name(tmp_path):
 
 def test_broken_environment_is_rejected_by_name():
     source = transport_source()
-    sig, _ = ch.check_source(source)
+    sig, checks = ch.check_source(source)
     env = transport_env(sig)
     twoc = cats.two()
     bad = fc.FiberAssignment(
@@ -580,7 +581,9 @@ def test_broken_environment_is_rejected_by_name():
          fc.Functor(twoc, twoc, {"0": "0", "1": "0"},
                     {m: twoc.identity["0"] for m in twoc.morphisms})})
     env.bases["B"] = bad
-    records = ip.verify_soundness(None, env, source)
+    records, witnesses = ip.verify_soundness(
+        ip.Scenario(source, sig, checks, env))
+    assert witnesses == []
     first = records[0]
     assert first.subject == "base:B"
     assert not first.ok
@@ -590,10 +593,10 @@ def test_broken_environment_is_rejected_by_name():
 
 def test_unbound_base_fails_at_its_use_site():
     source = transport_source()
-    sig, _ = ch.check_source(source)
+    sig, checks = ch.check_source(source)
     env = transport_env(sig)
     del env.bases["S"]
-    records = ip.verify_soundness(None, env, source)
+    records, _ = ip.verify_soundness(ip.Scenario(source, sig, checks, env))
     fails = [r for r in records if not r.ok]
     assert fails
     assert all(r.check == "interpretation" for r in fails)
@@ -602,12 +605,12 @@ def test_unbound_base_fails_at_its_use_site():
 
 def test_env_value_outside_fiber_is_reported():
     source = transport_source()
-    sig, _ = ch.check_source(source)
+    sig, checks = ch.check_source(source)
     env = transport_env(sig)
     chn = cats.chain3()
     wrong = fc.constant_fibers(ip.terminal_ctx(), fc.core(chn))
     env.terms["c"] = fc.strict_section(wrong, {(): "2"})
-    records = ip.verify_soundness(None, env, source)
+    records, _ = ip.verify_soundness(ip.Scenario(source, sig, checks, env))
     rec = next(r for r in records if r.check == "env-type")
     assert not rec.ok
     assert "outside the fiber" in rec.detail
