@@ -37,15 +37,22 @@ class Signature:
     construction unless built through the unchecked add_* methods (used to
     keep going after a bad declaration when checking whole files).
     A definition is stored as (telescope, type, body, expanded body).
+
+    `memo` keeps what nf, infer_term and check_type returned (never a
+    failure); an add_* that replaces a name clears it.
     """
 
     def __init__(self):
         self.bases = {}
         self.consts = {}
         self.defs = {}
+        self.memo = {}
+
+    def _known(self, name):
+        return name in self.bases or name in self.consts or name in self.defs
 
     def _fresh(self, name):
-        if name in self.bases or name in self.consts or name in self.defs:
+        if self._known(name):
             raise CheckError(f"duplicate name {name!r}")
 
     def assume_type(self, name, tele=()):
@@ -67,14 +74,20 @@ class Signature:
         self.add_def(name, tele, ty, body)
 
     def add_base(self, name, tele):
-        self.bases[name] = tuple(tele)
+        self._add(self.bases, name, tuple(tele))
 
     def add_const(self, name, tele, ty):
-        self.consts[name] = (tuple(tele), ty)
+        self._add(self.consts, name, (tuple(tele), ty))
 
     def add_def(self, name, tele, ty, body):
         tele = tuple(tele)
-        self.defs[name] = (tele, ty, body, _delta(self, body, len(tele)))
+        self._add(self.defs, name,
+                  (tele, ty, body, _delta(self, body, len(tele))))
+
+    def _add(self, table, name, entry):
+        if self._known(name):
+            self.memo.clear()
+        table[name] = entry
 
 
 def _names(ctx):
@@ -94,13 +107,15 @@ def check_telescope(sig, tele):
 
 
 def _delta(sig, x, scope):
-    """Expand every defined constant in x.
+    """Expand every defined constant in x; a subtree without one is kept.
 
     A definition keeps its body expanded over its own telescope (the last
     field of Signature.defs), so a use only instantiates it at the expanded
     arguments: substitution brings in no defined heads, so the result needs
     no second walk.
     """
+    if not any(map(sig.defs.__contains__, x.names)):
+        return x
     if isinstance(x, k.Const) and x.name in sig.defs:
         tele, _, _, expanded = sig.defs[x.name]
         args = tuple(_delta(sig, a, scope) for a in x.args)
@@ -112,9 +127,17 @@ def nf(sig, x, scope=0):
     """Normal form: expand definitions everywhere, then reduce.
 
     Expansion is recursive, so one pass leaves no defined heads, and
-    reduction never reintroduces any; a single round is a fixpoint.
+    reduction never reintroduces any; a single round is a fixpoint.  The
+    memo keeps it only when every name in x is declared: a definition
+    entered later could change it otherwise.
     """
-    return k.reduce(_delta(sig, x, scope), scope)
+    key = ("nf", x, scope)
+    if key in sig.memo:
+        return sig.memo[key]
+    out = k.reduce(_delta(sig, x, scope), scope)
+    if all(map(sig._known, x.names)):
+        sig.memo[key] = out
+    return out
 
 
 def def_equal_types(sig, scope, a, b):
@@ -126,6 +149,9 @@ def def_equal_types(sig, scope, a, b):
 
 
 def check_type(sig, ctx, ty):
+    key = ("type", ctx, ty)
+    if key in sig.memo:
+        return
     match ty:
         case k.BaseT(name, args):
             tele = sig.bases.get(name)
@@ -140,6 +166,7 @@ def check_type(sig, ctx, ty):
             check_term(sig, ctx, t, car)
         case _:
             raise CheckError(f"not a type: {ty!r}")
+    sig.memo[key] = None
 
 
 def _check_args(sig, ctx, name, tele, args):
@@ -165,13 +192,16 @@ def check_term(sig, ctx, tm, ty):
 
 
 def infer_term(sig, ctx, tm):
+    key = ("infer", ctx, tm)
+    if key in sig.memo:
+        return sig.memo[key]
     n = len(ctx)
     match tm:
         case k.Var(lv):
             if not 0 <= lv < n:
                 raise CheckError(
                     f"variable level {lv} out of scope (context has {n} entries)")
-            return k.shift(ctx[lv][1], lv, n - lv)
+            ty = k.shift(ctx[lv][1], lv, n - lv)
         case k.Const(name, args):
             if name in sig.consts:
                 tele, ty = sig.consts[name]
@@ -182,19 +212,22 @@ def infer_term(sig, ctx, tm):
                     raise CheckError(f"{name!r} is a type, not a term")
                 raise CheckError(f"unknown constant {name!r}")
             _check_args(sig, ctx, name, tele, args)
-            return k.instantiate_closed(ty, len(tele), tuple(args), n)
+            ty = k.instantiate_closed(ty, len(tele), tuple(args), n)
         case k.IncCore(t):
-            return _core_typed(sig, ctx, t, "i")
+            ty = _core_typed(sig, ctx, t, "i")
         case k.IncOp(t):
-            return k.Op(_core_typed(sig, ctx, t, "iop"))
+            ty = k.Op(_core_typed(sig, ctx, t, "iop"))
         case k.One(t):
             x = _core_typed(sig, ctx, t, "one")
-            return k.Hom(x, k.IncOp(t), k.IncCore(t))
+            ty = k.Hom(x, k.IncOp(t), k.IncCore(t))
         case k.ElimR():
-            return _infer_elim(sig, ctx, tm, right=True)
+            ty = _infer_elim(sig, ctx, tm, right=True)
         case k.ElimL():
-            return _infer_elim(sig, ctx, tm, right=False)
-    raise CheckError(f"not a term: {tm!r}")
+            ty = _infer_elim(sig, ctx, tm, right=False)
+        case _:
+            raise CheckError(f"not a term: {tm!r}")
+    sig.memo[key] = ty
+    return ty
 
 
 def _core_typed(sig, ctx, t, former):

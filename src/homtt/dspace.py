@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 
@@ -46,9 +47,13 @@ class DirectedGridSpace:
     def dims(self):
         return len(self.ticks)
 
-    @property
+    @cached_property
     def shape(self):
         return tuple(len(t) - 1 for t in self.ticks)
+
+    @cached_property
+    def blocked(self):
+        return forbidden_cells(self)
 
     @property
     def initial(self):
@@ -63,7 +68,7 @@ class DirectedGridSpace:
         for a, t in enumerate(self.ticks):
             if len(t) < 2:
                 out.append(f"axis {a} needs at least two boundary ticks")
-        blocked = forbidden_cells(self)
+        blocked = self.blocked
         for r in self.forbidden:
             if len(r.lo) != self.dims or len(r.hi) != self.dims:
                 out.append(f"rectangle {r} does not span every axis")
@@ -87,10 +92,7 @@ def rect_cells(space, r):
 
 
 def forbidden_cells(space):
-    out = set()
-    for r in space.forbidden:
-        out |= rect_cells(space, r)
-    return frozenset(out)
+    return frozenset().union(*(rect_cells(space, r) for r in space.forbidden))
 
 
 def states(space):
@@ -214,46 +216,38 @@ def _step(space, c, a, d):
     return c[:a] + (v,) + c[a + 1:]
 
 
-def reachable(space):
-    """Forward closure of the initial corner; cell to witness path."""
-    blocked = forbidden_cells(space)
+def _closure(space, start, d):
+    """Closure of start by unit steps of sign d; cell to its forward path."""
+    blocked = space.blocked
     out = {}
-    if space.initial not in blocked:
-        out[space.initial] = (space.initial,)
-        queue = deque([space.initial])
+    if start not in blocked:
+        out[start] = (start,)
+        queue = deque([start])
         while queue:
             c = queue.popleft()
             for a in range(space.dims):
-                n = _step(space, c, a, +1)
+                n = _step(space, c, a, d)
                 if n is None or n in blocked or n in out:
                     continue
-                out[n] = out[c] + (n,)
+                out[n] = out[c] + (n,) if d > 0 else (n,) + out[c]
                 queue.append(n)
     return out
+
+
+def reachable(space):
+    """Forward closure of the initial corner; cell to witness path."""
+    return _closure(space, space.initial, +1)
 
 
 def safe(space):
     """Backward closure of the final corner; cell to path onward to it."""
-    blocked = forbidden_cells(space)
-    out = {}
-    if space.final not in blocked:
-        out[space.final] = (space.final,)
-        queue = deque([space.final])
-        while queue:
-            c = queue.popleft()
-            for a in range(space.dims):
-                n = _step(space, c, a, -1)
-                if n is None or n in blocked or n in out:
-                    continue
-                out[n] = (n,) + out[c]
-                queue.append(n)
-    return out
+    return _closure(space, space.final, -1)
 
 
 def deadlocks(report):
     """Reachable non-final cells with no legal forward step."""
     space = report.space
-    blocked = forbidden_cells(space)
+    blocked = space.blocked
     dead = []
     for c in sorted(report.reachable):
         if c == space.final:
@@ -277,7 +271,7 @@ def enumerated_cells(space, forward=True, cap=64):
     if total > cap:
         raise PvError(f"grid with {total} cells exceeds the "
                       f"enumeration cap {cap}")
-    blocked = forbidden_cells(space)
+    blocked = space.blocked
     start = space.initial if forward else space.final
     step = 1 if forward else -1
     seen = set()
@@ -310,13 +304,13 @@ class RegionReport:
         return self._complement(self.safe)
 
     def _complement(self, got):
-        blocked = forbidden_cells(self.space)
+        blocked = self.space.blocked
         return tuple(c for c in sorted(states(self.space))
                      if c not in blocked and c not in got)
 
     def validate(self):
         out = []
-        blocked = forbidden_cells(self.space)
+        blocked = self.space.blocked
         ends = ((self.reachable, self.space.initial, -1),
                 (self.safe, self.space.final, 0))
         for table, anchor, at in ends:
@@ -348,7 +342,7 @@ def render(report):
     space = report.space
     if space.dims != 2:
         raise ValueError("rendering needs exactly two axes")
-    blocked = forbidden_cells(space)
+    blocked = space.blocked
     lines = []
     for y in reversed(range(space.shape[1])):
         row = []

@@ -310,12 +310,15 @@ class FiberAssignment:
 
     def validate(self):
         out = []
+        checked = {}   # id of a fiber -> its problems, shared fibers once
         for x in self.base.objects:
             c = self.fibers.get(x)
             if c is None:
                 out.append(f"no fiber at {_fmt(x)}")
                 continue
-            bad = c.validate()
+            bad = checked.get(id(c))
+            if bad is None:
+                bad = checked[id(c)] = c.validate()
             if bad:
                 out.append(f"fiber at {_fmt(x)}: {bad[0]}")
         for m in self.base.morphisms:

@@ -23,24 +23,63 @@ for the renumberings, the redex for ``reduce``).
 ``core (op T)`` is ``core T``: the ``Core`` constructor drops ``Op`` layers,
 and every rebuild goes through the constructor, so a core of an op is never
 represented and plain ``==`` is the equality of expressions.
+
+Every node keeps four summaries of its subtree, computed on first use: its
+hash, ``levels`` (one more than its highest variable level, 0 if none),
+``elims`` (its eliminator count) and ``names`` (its constants and base
+types).  Traversals return a subtree they cannot change as it is, and
+``map_children`` returns the node itself when no child changed, so
+unchanged subtrees stay shared.  ``parser.parse_dtt`` interns the nodes of
+a file: its equal subterms are one object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add
+from operator import add, is_
 
 
 class InternalError(Exception):
     """An invariant of the engine itself was violated (not a user error)."""
 
 
-class TypeExpr:
+class Expr:
+    """A node.  __getattr__ runs only for a missing attribute, so it
+    computes a summary (see above) once and leaves it in __dict__."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return self.hash
+
+    def __getattr__(self, name):
+        d = self.__dict__
+        if name == "hash":
+            d[name] = hash((type(self), *map(getattr, repeat(self),
+                                             self.__match_args__)))
+        elif name in ("levels", "elims"):
+            kids = [c for c, _ in children(self)]
+            d["levels"] = (self.level + 1 if isinstance(self, Var) else
+                           max([c.levels for c in kids], default=0))
+            d["elims"] = sum([c.elims for c in kids],
+                             int(isinstance(self, (ElimR, ElimL))))
+        elif name == "names":
+            sets = {c.names for c, _ in children(self)} - {frozenset()}
+            if isinstance(self, (Const, BaseT)):
+                sets.add(frozenset((self.name,)))
+            d[name] = (sets.pop() if len(sets) == 1
+                       else frozenset().union(*sets))
+        else:
+            raise AttributeError(name)
+        return d[name]
+
+
+class TypeExpr(Expr):
     __slots__ = ()
 
 
-class TermExpr:
+class TermExpr(Expr):
     __slots__ = ()
 
 
@@ -159,6 +198,8 @@ _CHILD_BINDERS = {
     ElimR: _ELIM_BINDERS,
     ElimL: _ELIM_BINDERS,
 }
+for _cls in _CHILD_BINDERS:   # the cached hash, not the dataclass's
+    _cls.__hash__ = Expr.__hash__
 
 
 def _child_binders(x):
@@ -169,29 +210,32 @@ def _child_binders(x):
 
 
 def children(x):
-    """The (child, binders) pairs of x in field order; `binders` is the
-    number of variables x binds around that child."""
+    """The (child, binders) pairs of x in field order, each child a node;
+    `binders` is the number of variables x binds around that child."""
     binders = _child_binders(x)
-    if binders is None:
-        return [(a, 0) for a in x.args]
-    return [(getattr(x, f), b) for f, b in zip(x.__match_args__, binders)]
+    pairs = ([(a, 0) for a in x.args] if binders is None else
+             [(getattr(x, f), b) for f, b in zip(x.__match_args__, binders)])
+    for c, _ in pairs:
+        _child_binders(c)   # raises InternalError on a foreign child
+    return pairs
 
 
 def map_children(x, fn, depth):
     """Rebuild x with every child c replaced by fn(c, depth + binders).
 
     `depth` is the context length x sits in, so fn sees the length each
-    child sits in.  A node without children comes back as it is.
+    child sits in.  When no child changes, x itself comes back (shared).
     """
     binders = _child_binders(x)
     if binders is None:
-        if not x.args:
-            return x
-        return type(x)(x.name, tuple(map(fn, x.args, repeat(depth))))
-    if not binders:
+        old = x.args
+        new = tuple(map(fn, old, repeat(depth)))
+    else:
+        old = tuple(map(getattr, repeat(x), x.__match_args__))
+        new = tuple(map(fn, old, map(add, binders, repeat(depth))))
+    if all(map(is_, new, old)):
         return x
-    return type(x)(*map(fn, map(getattr, repeat(x), x.__match_args__),
-                        map(add, binders, repeat(depth))))
+    return type(x)(x.name, new) if binders is None else type(x)(*new)
 
 
 def shift(x, cutoff: int, amount: int):
@@ -205,8 +249,10 @@ def shift(x, cutoff: int, amount: int):
         return x
 
     def go(y, _):
+        if y.levels <= cutoff:
+            return y
         if isinstance(y, Var):
-            return Var(y.level + amount) if y.level >= cutoff else y
+            return Var(y.level + amount)
         return map_children(y, go, 0)
     return go(x, 0)
 
@@ -221,24 +267,36 @@ def substitute(x, depth: int, replacement, scope: int):
     of `x`, its own binder levels are shifted clear of them.
     """
     def go(y, binders):
+        if y.levels <= depth:
+            return y
         if isinstance(y, Var):
             if y.level == depth:
                 return shift(replacement, scope - 1, binders)
-            return Var(y.level - 1) if y.level > depth else y
+            return Var(y.level - 1)
         return map_children(y, go, binders)
     return go(x, 0)
 
 
-def instantiate(body, base: int, values):
-    """Substitute a whole binder region at once.
+def instantiate(body, base: int, values, scope=None):
+    """Substitute a whole binder region at once, in one pass.
 
     `body` lives in a context of length base + len(values); every value in one
-    of length `base`.  Returns the body over the base context.
+    of length `scope` (default `base`), and so does the result: levels below
+    `base` stay, levels above the region are renumbered to follow `scope`.
     """
-    out = body
-    for j in reversed(range(len(values))):
-        out = substitute(out, base + j, shift(values[j], base, j), base + j + 1)
-    return out
+    scope = base if scope is None else scope
+    values = tuple(values)
+    top = base + len(values)
+
+    def go(y, binders):
+        if y.levels <= base:
+            return y
+        if isinstance(y, Var):
+            if y.level < top:
+                return shift(values[y.level - base], scope, binders)
+            return Var(y.level - top + scope)
+        return map_children(y, go, binders)
+    return go(body, 0)
 
 
 def instantiate_closed(body, arity: int, args, scope: int):
@@ -248,15 +306,7 @@ def instantiate_closed(body, arity: int, args, scope: int):
     Levels < arity become the arguments; internal binder levels are
     renumbered past the ambient context.
     """
-    args = tuple(args)
-
-    def go(y, binders):
-        if isinstance(y, Var):
-            if y.level < arity:
-                return shift(args[y.level], scope, binders)
-            return Var(y.level - arity + scope)
-        return map_children(y, go, binders)
-    return go(body, 0)
+    return instantiate(body, 0, args, scope)
 
 
 def elim_contexts(ctx, carrier, theta, right: bool):
@@ -292,8 +342,7 @@ def eliminator_count(x) -> int:
     This is the termination measure for `reduce`: every contraction must
     strictly decrease it.
     """
-    own = 1 if isinstance(x, (ElimR, ElimL)) else 0
-    return own + sum(eliminator_count(c) for c, _ in children(x))
+    return x.elims
 
 
 def reduce(x, depth: int = 0):
@@ -308,6 +357,8 @@ def reduce(x, depth: int = 0):
     `depth` is the length of the ambient context; binder bodies are reduced
     at the appropriately extended depth.
     """
+    if not x.elims:
+        return x
     out = map_children(x, reduce, depth)
     if not (isinstance(out, (ElimR, ElimL)) and isinstance(out.f, One)):
         return out

@@ -91,11 +91,12 @@ class SourceFile:
 KEYWORDS = {"assume", "define", "assert", "type", "Type", "core", "op", "hom",
             "i", "iop", "one", "elimR", "elimL"}
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|:=|==|[()\[\],;.:]|\S")
+# a token is group 1; any other non-blank character is stray
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|:=|==|[()\[\],;.:])|\S")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Tok:
     text: str
     line: int
@@ -107,11 +108,9 @@ def _lex_dtt(text, path):
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         for m in _TOKEN.finditer(line):
-            t = m.group()
-            if not (_NAME.match(t) or t in {":=", "==", "(", ")", "[", "]",
-                                            ",", ";", ".", ":"}):
-                raise ParseError(f"stray character {t!r}", path, ln, m.start() + 1)
-            toks.append(_Tok(t, ln, m.start() + 1))
+            if m.lastindex is None:
+                raise ParseError(f"stray character {m.group()!r}", path, ln, m.start() + 1)
+            toks.append(_Tok(m.group(), ln, m.start() + 1))
     return toks
 
 
@@ -122,6 +121,15 @@ class _DttParser:
         self.path = path
         # name -> ("base" | "term", telescope length)
         self.declared = {}
+        # (class, fields) -> node, so equal subterms are one object
+        self.interned = {}
+
+    def node(self, cls, *fields):
+        key = (cls, *fields)
+        x = self.interned.get(key)
+        if x is None:
+            x = self.interned[key] = cls(*fields)
+        return x
 
     # -- token plumbing ----------------------------------------------------
 
@@ -242,16 +250,16 @@ class _DttParser:
         match self.peek():
             case "core":
                 self.next()
-                return k.Core(self._type(scope))
+                return self.node(k.Core, self._type(scope))
             case "op":
                 self.next()
-                return k.Op(self._type(scope))
+                return self.node(k.Op, self._type(scope))
             case "hom":
                 self.next()
                 carrier = self._type_atom(scope)
                 src = self._term_atom(scope)
                 tgt = self._term_atom(scope)
-                return k.Hom(carrier, src, tgt)
+                return self.node(k.Hom, carrier, src, tgt)
             case _:
                 return self._type_atom(scope)
 
@@ -271,7 +279,7 @@ class _DttParser:
         if kind[0] != "base":
             raise ParseError(f"{tok.text!r} is a term, not a type", self.path,
                              tok.line, tok.col)
-        return k.BaseT(tok.text, self._args(scope, tok, kind[1]))
+        return self.node(k.BaseT, tok.text, self._args(scope, tok, kind[1]))
 
     def _args(self, scope, tok, arity):
         # names of arity 0 never take parens (a following "(" belongs to the
@@ -298,13 +306,13 @@ class _DttParser:
         match self.peek():
             case "i":
                 self.next()
-                return k.IncCore(self._term_atom(scope))
+                return self.node(k.IncCore, self._term_atom(scope))
             case "iop":
                 self.next()
-                return k.IncOp(self._term_atom(scope))
+                return self.node(k.IncOp, self._term_atom(scope))
             case "one":
                 self.next()
-                return k.One(self._term_atom(scope))
+                return self.node(k.One, self._term_atom(scope))
             case "elimR" | "elimL":
                 return self._elim(scope)
             case _:
@@ -325,7 +333,7 @@ class _DttParser:
         self.expect(",")
         theta = self._term(scope)
         self.expect(")")
-        return cls(th, dm, body, f, theta)
+        return self.node(cls, th, dm, body, f, theta)
 
     def _motive(self, scope, arity, sub):
         binders = []
@@ -348,14 +356,14 @@ class _DttParser:
         if tok.text in scope:
             # innermost binding wins
             level = len(scope) - 1 - scope[::-1].index(tok.text)
-            return k.Var(level)
+            return self.node(k.Var, level)
         kind = self.declared.get(tok.text)
         if kind is None:
             raise ParseError(f"unbound name {tok.text!r}", self.path, tok.line, tok.col)
         if kind[0] != "term":
             raise ParseError(f"{tok.text!r} is a type, not a term", self.path,
                              tok.line, tok.col)
-        return k.Const(tok.text, self._args(scope, tok, kind[1]))
+        return self.node(k.Const, tok.text, self._args(scope, tok, kind[1]))
 
 
 def parse_dtt(text, path="<input>"):
@@ -364,15 +372,6 @@ def parse_dtt(text, path="<input>"):
 
 # ---------------------------------------------------------------------------
 # printing (the inverse: levels back to names)
-
-
-def _used_names(x, acc):
-    """Add the constant and base type names anywhere in x to acc."""
-    if isinstance(x, (k.Const, k.BaseT)):
-        acc.add(x.name)
-    for c, _ in k.children(x):
-        _used_names(c, acc)
-    return acc
 
 
 def _fresh(base, taken):
@@ -388,7 +387,7 @@ def _fresh(base, taken):
 
 def print_term(tm, env=(), taken=None):
     if taken is None:
-        taken = _used_names(tm, set()) | set(env)
+        taken = set(tm.names) | set(env)
     match tm:
         case k.Var(i):
             return env[i] if i < len(env) else f"?{i}"
@@ -431,7 +430,7 @@ def _term_atom(tm, env, taken):
 
 def print_type(ty, env=(), taken=None):
     if taken is None:
-        taken = _used_names(ty, set()) | set(env)
+        taken = set(ty.names) | set(env)
     match ty:
         case k.BaseT(name, args):
             return name + _print_args(args, env, taken)

@@ -390,6 +390,118 @@ def test_check_source_enters_failed_declarations_unchecked():
     assert records[6].detail == "both sides reduce to one a"
 
 
+# -- memo and interning ----------------------------------------------------
+
+def test_redeclared_names_are_not_read_from_the_memo():
+    # a parsed file cannot declare a name twice, so three parses are
+    # spliced; the second part replaces c, S and g after they were used,
+    # the third re-checks S at its old arity.  The records were captured
+    # before the checker kept a memo.
+    header = "assume T : Type\nassume a : T\nassume b : T\n"
+    parts = (
+        "assume c : T\nassume S : Type\ndefine g : T := a\n"
+        "assert g == a : T\nassert c == c : T\nassert type S\n",
+        "assume c : core T\nassume S (x : T) : Type\ndefine g : T := b\n"
+        "assert g == b : T\nassert g == a : T\nassert c == c : core T\n"
+        "assert i c == i c : T\nassert type S(a)\n",
+        "assume S : Type\nassert type S\n",
+    )
+    n = len(ps.parse_dtt(header).decls)
+    decls = ps.parse_dtt(header).decls
+    for i, part in enumerate(parts):
+        tail = ps.parse_dtt(header + part).decls[n:]
+        decls += tail[1:] if i == 2 else tail
+    _, records = ch.check_source(ps.SourceFile(decls))
+    assert [(r.kind, r.subject, r.ok, r.detail, r.line)
+            for r in records] == [
+        ('assume-type', 'T', True, 'Type', 1),
+        ('assume-term', 'a', True, 'T', 2),
+        ('assume-term', 'b', True, 'T', 3),
+        ('assume-term', 'c', True, 'T', 4),
+        ('assume-type', 'S', True, 'Type', 5),
+        ('define', 'g', True, 'T := a', 6),
+        ('assert-equal', 'assert#1', True, 'both sides reduce to a', 7),
+        ('assert-equal', 'assert#2', True, 'both sides reduce to c', 8),
+        ('assert-type', 'assert#3', True, 'S', 9),
+        ('assume-term', 'c', False, "duplicate name 'c'", 4),
+        ('assume-type', 'S', False, "duplicate name 'S'", 5),
+        ('define', 'g', False, "duplicate name 'g'", 6),
+        ('assert-equal', 'assert#4', True, 'both sides reduce to b', 7),
+        ('assert-equal', 'assert#5', False, 'left reduces to b, right to a',
+         8),
+        ('assert-equal', 'assert#6', True, 'both sides reduce to c', 9),
+        ('assert-equal', 'assert#7', True, 'both sides reduce to i c', 10),
+        ('assert-type', 'assert#8', True, 'S(a)', 11),
+        ('assert-type', 'assert#9', False,
+         "'S' expects 1 argument(s), got 0", 5),
+    ]
+
+
+def test_a_name_defined_after_its_use_is_not_read_from_the_memo():
+    # c's unchecked type names e before e is defined: the first assert
+    # normalizes S(e) while e is unknown, the second must expand e
+    T, a, e = k.BaseT("T"), k.Const("a"), k.Const("e")
+    decls = (ps.AssumeType("T", ()), ps.AssumeType("S", (("x", T),)),
+             ps.AssumeTerm("a", (), T),
+             ps.AssumeTerm("c", (), k.BaseT("S", (e,))),
+             ps.AssertEqual((), k.Const("c"), k.Const("c"),
+                            k.BaseT("S", (a,))),
+             ps.Define("e", (), T, a),
+             ps.AssertEqual((), k.Const("c"), k.Const("c"),
+                            k.BaseT("S", (a,))))
+    _, records = ch.check_source(ps.SourceFile(decls))
+    assert [r.ok for r in records] == [True, True, True, False, False,
+                                       True, True]
+    assert records[-1].detail == "both sides reduce to c"
+
+
+def test_an_ill_typed_term_fails_each_time_it_is_asserted():
+    text = ("assume T : Type\nassume a : T\n"
+            "assert one a == one a : T\nassert one a == one a : T\n")
+    _, records = ch.check_source(ps.parse_dtt(text))
+    assert [r.ok for r in records] == [True, True, False, False]
+    assert records[2].detail == records[3].detail
+    assert "core element" in records[3].detail
+
+
+def test_parses_and_check_source_calls_share_nothing():
+    text = ("assume T : Type\nassume c : core T\nassume d : core T\n"
+            "assert one c == one c : hom T (iop c) (i c)\n")
+    first, second = ps.parse_dtt(text), ps.parse_dtt(text)
+    # equal subterms of one parse are one object, of two parses are not
+    assert first.decls[1].ty is first.decls[2].ty
+    assert first.decls[3].lhs is first.decls[3].rhs
+    assert first.decls[1].ty == second.decls[1].ty
+    assert first.decls[1].ty is not second.decls[1].ty
+    sig1, _ = ch.check_source(first)
+    sig2, _ = ch.check_source(second)
+    assert sig1.memo and sig2.memo and sig1.memo is not sig2.memo
+
+    def nodes(memo):
+        return {id(x) for key in memo for x in key if isinstance(x, k.Expr)}
+    assert nodes(sig1.memo).isdisjoint(nodes(sig2.memo))
+
+
+@pytest.mark.parametrize("copies", [1, 2, 4, 8])
+def test_repeated_eliminator_is_inferred_a_fixed_number_of_times(
+        monkeypatch, copies):
+    text = ("assume T : Type\nassume S (x : T) : Type\n"
+            "assume c : core T\nassume u : S(i c)\n"
+            + "assert elimR[x. S(i x); x y f w. S(y); x w. w](one c, u) "
+            "== u : S(i c)\n" * copies)
+    calls = 0
+    infer_elim = ch._infer_elim
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return infer_elim(*args, **kwargs)
+    monkeypatch.setattr(ch, "_infer_elim", counted)
+    _, records = ch.check_source(ps.parse_dtt(text))
+    assert all(r.ok for r in records) and len(records) == 4 + copies
+    assert calls == 1
+
+
 def test_signature_rejects_duplicates():
     sig = sig_ts()
     with pytest.raises(ch.CheckError) as err:

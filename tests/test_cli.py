@@ -11,6 +11,7 @@ import homtt.checker as ch
 import homtt.cli as cli
 import homtt.interp as ip
 import homtt.kernel as k
+import homtt.parser as ps
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -139,6 +140,29 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     rc, _, err = run(capsys, "check", str(CORPUS / "transport.dtt"))
     assert rc == 3
     assert "internal error: wedged" in err
+
+
+def test_reducer_guard_breach_exits_three(capsys, monkeypatch, tmp_path):
+    text = ("assume T : Type\nassume S (x : T) : Type\n"
+            "assume c : core T\nassume u : S(i c)\n"
+            "assert elimR[x. S(i x); x y f w. S(y); x w. w](one c, u) "
+            "== u : S(i c)\n")
+    path = tmp_path / "redex.dtt"
+    path.write_text(text, encoding="utf-8")
+    redex = ps.parse_dtt(text).decls[-1].lhs
+    instantiate = k.instantiate
+
+    def stuck(body, base, values, *scope):
+        # asked to contract the redex, hand it back unchanged
+        if (body, tuple(values)) == (redex.base, (redex.f.arg, redex.theta)):
+            return redex
+        return instantiate(body, base, values, *scope)
+    monkeypatch.setattr(k, "instantiate", stuck)
+    rc, out, err = run(capsys, "check", str(path), "--format", "records")
+    assert rc == 3
+    assert err == ("internal error: reduce: eliminator count did not "
+                   "decrease (1 -> 1)\n")
+    assert "Traceback" not in out
 
 
 # ---------------------------------------------------------------------------

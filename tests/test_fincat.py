@@ -139,6 +139,29 @@ def test_validate_lists_missing_composites_in_order():
         "composition undefined for ((id 2), c02)"]
 
 
+def test_fiber_assignment_validates_a_shared_fiber_once(monkeypatch):
+    calls = 0
+    validate = fc.FinCat.validate
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return validate(self)
+    monkeypatch.setattr(fc.FinCat, "validate", counted)
+    assert fc.constant_fibers(chain3(), two()).validate() == []
+    assert calls == 1
+    c = chain3()
+    m = {x.name: x for x in c.morphisms}
+    compose = dict(c.compose)
+    del compose[(m["c12"], m["c01"])]
+    broken = fc.FinCat(c.objects, c.morphisms, c.identity, compose)
+    assert fc.constant_fibers(chain3(), broken).validate() == [
+        "fiber at 0: composition undefined for (c12, c01)",
+        "fiber at 1: composition undefined for (c12, c01)",
+        "fiber at 2: composition undefined for (c12, c01)"]
+    assert calls == 2
+
+
 def test_validate_lists_associativity_failures_in_order():
     e = fc.identity_mor("x")
     f = fc.Mor("f", "x", "x")

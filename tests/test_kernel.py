@@ -216,6 +216,53 @@ def test_eliminator_count_measure():
     assert k.eliminator_count(k.reduce(tm)) == 0
 
 
+def test_reduce_guard_catches_a_contraction_that_does_not_shrink(monkeypatch):
+    th, dm, d = contraction_example()
+    redex = ElimR(th, dm, d, One(Const("a")), Const("w"))
+    monkeypatch.setattr(k, "instantiate", lambda body, base, values: redex)
+    with pytest.raises(k.InternalError, match=r"reduce: eliminator count "
+                       r"did not decrease \(1 -> 1\)"):
+        k.reduce(redex)
+    # the guard also fires below a subtree that holds no eliminator
+    with pytest.raises(k.InternalError, match="did not decrease"):
+        k.reduce(Hom(B, Const("a"), redex))
+
+
+# ---------------------------------------------------------------------------
+# summaries and sharing: a traversal that changes nothing returns its input
+
+
+def test_summaries_bound_levels_and_count_eliminators():
+    th, dm, d = contraction_example()
+    tm = ElimR(th, dm, d, One(Var(2)), Const("w"))
+    assert (tm.levels, tm.elims) == (3, 1)
+    assert (Const("c").levels, Const("c").elims) == (0, 0)
+    assert (Hom(B, tm, Var(5)).levels, Hom(B, tm, tm).elims) == (6, 2)
+    assert hash(tm) == hash(ElimR(th, dm, d, One(Var(2)), Const("w")))
+
+
+def test_traversals_return_their_input_when_nothing_changes():
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randrange(0, 4)
+        x = rand_term(rng, n, rng.randrange(7))
+        top = x.levels
+        assert k.shift(x, top, 2) is x
+        assert k.substitute(x, top, Const("c"), top + 1) is x
+        assert k.map_children(x, lambda c, _: c, n) is x
+        r = k.reduce(x, n)
+        assert k.reduce(r, n) is r
+    closed = Hom(B, IncOp(Const("c")), ElimR(B, B, Const("a"), Const("f"),
+                                             Const("w")))
+    assert k.instantiate_closed(closed, 2, (Var(0), Var(1)), 3) is closed
+    assert k.reduce(closed) is closed
+    # a rebuilt node keeps its unchanged children
+    x = Hom(Core(B), Var(0), IncCore(Var(4)))
+    y = k.shift(x, 3, 1)
+    assert y == Hom(Core(B), Var(0), IncCore(Var(5)))
+    assert y.carrier is x.carrier and y.source is x.source
+
+
 # ---------------------------------------------------------------------------
 # alpha equality: de Bruijn levels make it plain ==, and core (op T) is
 # core T by construction
