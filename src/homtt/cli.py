@@ -125,19 +125,23 @@ def _lift_oracle(witnesses, cap):
     """Brute-force the lifting square of each soundness-pass eliminator."""
     recs = []
     for n, w in enumerate(witnesses, start=1):
-        subject = f"elim#{n}"
+        subject, check = f"elim#{n}", f"lift-oracle[{w.side}]"
         try:
             _, witness = wfs.elimination_square(w)
-            lifts = wfs.brute_force_lifts(witness.problem, cap)
-            found = any(witness.diagonal == lw.diagonal for lw in lifts)
-            recs.append(ip.VerifyRecord(
-                subject, f"lift-oracle[{w.side}]", bool(lifts) and found,
-                f"{len(lifts)} diagonal(s) found" if lifts
-                else "no diagonal found"))
+            recs.append(_diagonal_record(subject, check, witness, cap))
         except (wfs.WfsError, fc.SizeCapError, ValueError) as err:
-            recs.append(ip.VerifyRecord(subject, f"lift-oracle[{w.side}]",
-                                        False, str(err)))
+            recs.append(ip.VerifyRecord(subject, check, False, str(err)))
     return recs
+
+
+def _diagonal_record(subject, check, witness, cap):
+    """Brute-force a certified lifting square; pass when some diagonal
+    exists and the certified one is among them."""
+    lifts = wfs.brute_force_lifts(witness.problem, cap)
+    found = any(witness.diagonal == lw.diagonal for lw in lifts)
+    return ip.VerifyRecord(subject, check, bool(lifts) and found,
+                           f"{len(lifts)} diagonal(s) found" if lifts
+                           else "no diagonal found")
 
 
 def _cmd_wfs(cfg):
@@ -184,13 +188,8 @@ def _wfs_records(ws, cfg):
             continue
         if cfg.oracle:
             try:
-                lifts = wfs.brute_force_lifts(witness.problem,
-                                              _cap(cfg, BRUTE_CAP))
-                found = any(witness.diagonal == lw.diagonal for lw in lifts)
-                recs.append(ip.VerifyRecord(
-                    name, "lift-oracle", bool(lifts) and found,
-                    f"{len(lifts)} diagonal(s) found" if lifts
-                    else "no diagonal found"))
+                recs.append(_diagonal_record(name, "lift-oracle", witness,
+                                             _cap(cfg, BRUTE_CAP)))
             except wfs.WfsError as err:
                 recs.append(ip.VerifyRecord(name, "lift-oracle", False,
                                             str(err)))

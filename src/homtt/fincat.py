@@ -15,6 +15,9 @@ the projection, one fiber morphism per base morphism).  The pointwise kind
 of section, where each base morphism carries the fiber identity, is the
 strict special case built by strict_section; hom_functor accepts both,
 conjugating hom sets by the endpoint morphism parts.
+
+Text names stay at the edge: every lookup by .fincat text, here and in
+interp, compares against token.
 """
 
 from __future__ import annotations
@@ -360,9 +363,19 @@ def _discrete_functor(src, tgt, obmap):
                    {identity_mor(x): identity_mor(y) for x, y in obmap.items()})
 
 
+def _each_fiber(fa, fn):
+    """fn of every fiber, once per distinct fiber (by identity, as
+    FiberAssignment.validate checks them), so shared fibers stay shared."""
+    made = {}
+    for c in fa.fibers.values():
+        if id(c) not in made:
+            made[id(c)] = fn(c)
+    return {x: made[id(c)] for x, c in fa.fibers.items()}
+
+
 def core_fibers(fa):
     """Postcompose with core: each fiber collapsed to its discrete core."""
-    fibers = {x: core(c) for x, c in fa.fibers.items()}
+    fibers = _each_fiber(fa, core)
     transitions = {
         m: _discrete_functor(fibers[m.dom], fibers[m.cod], t.ob)
         for m, t in fa.transitions.items()}
@@ -370,7 +383,7 @@ def core_fibers(fa):
 
 
 def op_fibers(fa):
-    fibers = {x: op(c) for x, c in fa.fibers.items()}
+    fibers = _each_fiber(fa, op)
     transitions = {m: Functor(fibers[m.dom], fibers[m.cod], dict(t.ob),
                               {op_mor(a): op_mor(b) for a, b in t.mor.items()})
                    for m, t in fa.transitions.items()}
@@ -568,16 +581,24 @@ def iso_cat(c):
     return _square_cat(c, tuple(f for f in c.morphisms if _is_iso(c, f)))
 
 
+def _preimages(items, image):
+    """items grouped by their image, each group in the given order."""
+    out = {}
+    for v in items:
+        out.setdefault(image[v], []).append(v)
+    return out
+
+
 def pullback_cat(F, G):
     """Strict pullback of F: A → C ← B : G in Cat."""
     if F.target != G.target:
         raise ValueError("cospan legs have different targets")
     A, B = F.source, G.source
-    objects = [(a, b) for a in A.objects for b in B.objects
-               if F.ob[a] == G.ob[b]]
+    ob_over = _preimages(B.objects, G.ob)
+    mor_over = _preimages(B.morphisms, G.mor)
+    objects = [(a, b) for a in A.objects for b in ob_over.get(F.ob[a], ())]
     morphisms = [Mor((m, n), (m.dom, n.dom), (m.cod, n.cod))
-                 for m in A.morphisms for n in B.morphisms
-                 if F.mor[m] == G.mor[n]]
+                 for m in A.morphisms for n in mor_over.get(F.mor[m], ())]
     identity = {(a, b): Mor((A.identity[a], B.identity[b]), (a, b), (a, b))
                 for (a, b) in objects}
     compose = {}
@@ -643,54 +664,51 @@ def has_cocartesian_lifts(P, prefer=None):
 # resolving parsed .fincat files
 
 
+def token(v):
+    """The .fincat text of an object or morphism: a string is its own, a
+    Mor has its name's, ("id", x) is id_x; constructed names have none."""
+    if isinstance(v, Mor):
+        v = v.name
+    match v:
+        case str():
+            return v
+        case ("id", str(x)):
+            return f"id_{x}"
+    return None
+
+
 @dataclass
 class Workspace:
     categories: dict = field(default_factory=dict)
     functors: dict = field(default_factory=dict)
     nats: dict = field(default_factory=dict)
-    raw: object = None  # the CatFile, for fiber and section consumers
+    fibers: dict = field(default_factory=dict)    # fiber and section blocks,
+    sections: dict = field(default_factory=dict)  # resolved by interp
     diagnostics: list = field(default_factory=list)
 
 
 def _build_category(block):
-    arrows = {}
-    for x in block.objects:
-        arrows[f"id_{x}"] = identity_mor(x)
-    for name, dom, cod in block.arrows:
-        arrows[name] = Mor(name, dom, cod)
-    morphisms = list(arrows.values())
-    identity = {x: arrows[f"id_{x}"] for x in block.objects}
+    identity = {x: identity_mor(x) for x in block.objects}
+    morphisms = [*identity.values(),
+                 *(Mor(name, dom, cod) for name, dom, cod in block.arrows)]
+    arrows = {token(m): m for m in morphisms}
     compose = {}
-    for g in morphisms:
-        for f in morphisms:
-            if f.cod == g.dom:
-                if f == identity[f.dom]:
-                    compose[(g, f)] = g
-                elif g == identity[g.cod]:
-                    compose[(g, f)] = f
+    for g, f in _composable(morphisms):
+        if f == identity[f.dom]:
+            compose[(g, f)] = g
+        elif g == identity[g.cod]:
+            compose[(g, f)] = f
     for gn, fn, hn in block.composites:
         compose[(arrows[gn], arrows[fn])] = arrows[hn]
-    return FinCat(block.objects, morphisms, identity, compose), arrows
-
-
-def mor_by_name(cat):
-    """Text names for a built category's morphisms, identities as id_x."""
-    out = {}
-    for m in cat.morphisms:
-        match m.name:
-            case ("id", x):
-                out[f"id_{x}"] = m
-            case str(s):
-                out[s] = m
-    return out
+    return FinCat(block.objects, morphisms, identity, compose)
 
 
 def build_catfile(cf):
-    ws = Workspace(raw=cf)
-    names = {}
+    ws = Workspace(fibers=cf.fibers, sections=cf.sections)
+    tokens = {}  # category name -> its morphisms by text
     for name, block in cf.categories.items():
         try:
-            cat, arrows = _build_category(block)
+            cat = _build_category(block)
         except SizeCapError as err:
             ws.diagnostics.append((name, str(err)))
             continue
@@ -699,7 +717,7 @@ def build_catfile(cf):
             ws.diagnostics.append((name, problems[0]))
             continue
         ws.categories[name] = cat
-        names[name] = arrows
+        tokens[name] = {token(m): m for m in cat.morphisms}
     for name, block in cf.functors.items():
         src = ws.categories.get(block.source)
         tgt = ws.categories.get(block.target)
@@ -716,7 +734,7 @@ def build_catfile(cf):
             else:
                 ob[x] = y
         mor = {}
-        src_n, tgt_n = names[block.source], names[block.target]
+        src_n, tgt_n = tokens[block.source], tokens[block.target]
         for fn, gn in block.arr:
             if fn not in src_n or gn not in tgt_n:
                 ws.diagnostics.append((name, f"unknown arrow in 'arr {fn} -> {gn}'"))
@@ -741,7 +759,7 @@ def build_catfile(cf):
             missing = block.source if F is None else block.target
             ws.diagnostics.append((name, f"unknown functor {missing!r}"))
             continue
-        tgt_n = mor_by_name(F.target)
+        tgt_n = tokens[cf.functors[block.source].target]
         comps = {}
         bad = False
         for x, mn in block.components:

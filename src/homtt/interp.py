@@ -11,6 +11,9 @@ C.core.T.hom.theta: the seed section is carried along the canonical
 morphism from the unit image (s, s, 1_s) to each point (s, t, f).  The
 left-handed eliminator is routed through the mirror of that extension
 with the hom slot reversed, so both share one engine.
+
+Scenario bindings are .fincat text, matched against interpreted contexts
+through fc.token.
 """
 
 from __future__ import annotations
@@ -662,61 +665,59 @@ def build_env(sig, ws, type_binds, const_binds):
         raise InterpError(f"bind const {name!r}: no such assumed constant")
     env = SemanticEnv()
     itp = Interpreter(sig, env)
-    for name, tele in sig.bases.items():
-        if name in type_binds:
-            base_cat = itp.context(tuple(tele))
-            env.bases[name] = _resolve_fiber(ws, type_binds[name], base_cat)
-    for name, (tele, ty) in sig.consts.items():
-        if name in const_binds:
-            fa = itp.type(tuple(tele), ty)
-            env.terms[name] = _resolve_section(ws, const_binds[name], fa)
+    try:
+        for name, tele in sig.bases.items():
+            if name in type_binds:
+                base_cat = itp.context(tuple(tele))
+                env.bases[name] = _resolve_fiber(ws, type_binds[name],
+                                                 base_cat)
+        for name, (tele, ty) in sig.consts.items():
+            if name in const_binds:
+                fa = itp.type(tuple(tele), ty)
+                env.terms[name] = _resolve_section(ws, const_binds[name], fa)
+    except ValueError as err:  # an earlier binding breaks this telescope
+        raise InterpError(f"cannot interpret the declaration of {name!r}: "
+                          f"{err}") from None
     return env
 
 
 def _resolve_fiber(ws, target, base_cat):
     if target in ws.categories:
         return fc.constant_fibers(base_cat, ws.categories[target])
-    block = ws.raw.fibers.get(target) if ws.raw else None
+    block = ws.fibers.get(target)
     if block is None:
         raise InterpError(f"no category or fiber block named {target!r}")
+    owner = f"fiber {block.name}"
     if block.constant is not None:
-        cat = ws.categories.get(block.constant)
-        if cat is None:
-            raise InterpError(
-                f"fiber {block.name}: unknown category {block.constant!r}")
-        return fc.constant_fibers(base_cat, cat)
-    fibers = {}
-    for addr, cat_name in block.fibers:
-        x = _resolve_object(base_cat, addr, f"fiber {block.name}")
-        cat = ws.categories.get(cat_name)
-        if cat is None:
-            raise InterpError(
-                f"fiber {block.name}: unknown category {cat_name!r}")
-        fibers[x] = cat
+        return fc.constant_fibers(
+            base_cat, _named(ws.categories, block.constant, owner, "category"))
+    fibers = {_resolve_object(base_cat, addr, owner):
+              _named(ws.categories, cat_name, owner, "category")
+              for addr, cat_name in block.fibers}
     for x in base_cat.objects:
         if x not in fibers:
-            raise InterpError(f"fiber {block.name}: no fiber at {_show(x)}")
-    transitions = {}
-    for addr, fn_name in block.transitions:
-        m = _resolve_morphism(base_cat, addr, f"fiber {block.name}")
-        fun = ws.functors.get(fn_name)
-        if fun is None:
-            raise InterpError(
-                f"fiber {block.name}: unknown functor {fn_name!r}")
-        transitions[m] = fun
+            raise InterpError(f"{owner}: no fiber at {_show(x)}")
+    transitions = {_resolve_morphism(base_cat, addr, owner):
+                   _named(ws.functors, fn_name, owner, "functor")
+                   for addr, fn_name in block.transitions}
     for m in base_cat.morphisms:
-        if m in transitions:
-            continue
-        if m == base_cat.identity[m.dom]:
+        if m not in transitions:
+            if m != base_cat.identity[m.dom]:
+                raise InterpError(
+                    f"{owner}: no transition along {_show(m.name)}")
             transitions[m] = fc.identity_functor(fibers[m.dom])
-        else:
-            raise InterpError(
-                f"fiber {block.name}: no transition along {_show(m.name)}")
     return fc.FiberAssignment(base_cat, fibers, transitions)
 
 
+def _named(table, name, owner, kind):
+    got = table.get(name)
+    if got is None:
+        raise InterpError(f"{owner}: unknown {kind} {name!r}")
+    return got
+
+
 def _resolve_section(ws, target, fa):
-    block = ws.raw.sections.get(target) if ws.raw else None
+    block = ws.sections.get(target)
     if block is None:
         obj = {x: _resolve_value(fa.fibers[x], target, f"binding {target!r}")
                for x in fa.base.objects}
@@ -726,7 +727,10 @@ def _resolve_section(ws, target, fa):
     for addr, val in block.components:
         if _is_mor_addr(addr):
             m = _resolve_morphism(fa.base, addr, owner)
-            morp[m] = _resolve_fiber_mor(fa.fibers[m.cod], val, owner)
+            morp[m] = _one([g for g in fa.fibers[m.cod].morphisms
+                            if fc.token(g) == val],
+                           f"{owner}: morphism value {val!r}",
+                           "fiber morphisms")
         else:
             x = _resolve_object(fa.base, addr, owner)
             obj[x] = _resolve_value(fa.fibers[x], val, owner)
@@ -743,71 +747,35 @@ def _is_mor_addr(addr):
             and isinstance(addr[0], tuple) and isinstance(addr[1], tuple))
 
 
-def _matches_name(name, token):
-    match name:
-        case ("id", str(x)):
-            return token == f"id_{x}"
-        case str(s):
-            return s == token
-    return False
-
-
-def _matches_component(value, token):
-    if isinstance(value, str):
-        return value == token
-    if isinstance(value, fc.Mor):
-        return _matches_name(value.name, token)
-    return False
+def _one(cands, what, kind):
+    if len(cands) == 1:
+        return cands[0]
+    raise InterpError(f"{what} matches {len(cands)} {kind}")
 
 
 def _resolve_object(cat, addr, owner):
     if _is_mor_addr(addr):
         raise InterpError(
             f"{owner}: morphism address used where an object is needed")
-    parts = (addr,) if isinstance(addr, str) else tuple(addr)
-    cands = [x for x in cat.objects
-             if isinstance(x, tuple) and len(x) == len(parts)
-             and all(_matches_component(v, t) for v, t in zip(x, parts))]
-    if len(cands) == 1:
-        return cands[0]
-    raise InterpError(f"{owner}: address {parts!r} matches "
-                      f"{len(cands)} objects")
+    parts = (addr,) if isinstance(addr, str) else addr
+    return _one([x for x in cat.objects if tuple(map(fc.token, x)) == parts],
+                f"{owner}: address {parts!r}", "objects")
 
 
 def _resolve_morphism(cat, addr, owner):
-    match addr:
-        case (tuple() as dparts, tuple() as comps):
-            cands = [
-                m for m in cat.morphisms
-                if isinstance(m.dom, tuple) and len(m.dom) == len(dparts)
-                and all(_matches_component(v, t)
-                        for v, t in zip(m.dom, dparts))
-                and len(m.name) == len(comps)
-                and all(_matches_component(v, t)
-                        for v, t in zip(m.name, comps))]
-        case str(s):
-            cands = [m for m in cat.morphisms
-                     if len(m.name) == 1
-                     and _matches_component(m.name[0], s)]
-        case _:
-            raise InterpError(f"{owner}: bad morphism address {addr!r}")
-    if len(cands) == 1:
-        return cands[0]
-    raise InterpError(f"{owner}: address {addr!r} matches "
-                      f"{len(cands)} morphisms")
+    if _is_mor_addr(addr):
+        cands = [m for m in cat.morphisms
+                 if (tuple(map(fc.token, m.dom)),
+                     tuple(map(fc.token, m.name))) == addr]
+    elif isinstance(addr, str):
+        cands = [m for m in cat.morphisms
+                 if tuple(map(fc.token, m.name)) == (addr,)]
+    else:
+        raise InterpError(f"{owner}: bad morphism address {addr!r}")
+    return _one(cands, f"{owner}: address {addr!r}", "morphisms")
 
 
-def _resolve_value(fiber_cat, token, owner):
-    cands = [o for o in fiber_cat.objects if _matches_component(o, token)]
-    if len(cands) == 1:
-        return cands[0]
-    raise InterpError(f"{owner}: value {token!r} matches "
-                      f"{len(cands)} fiber objects")
+def _resolve_value(fiber_cat, text, owner):
+    return _one([o for o in fiber_cat.objects if fc.token(o) == text],
+                f"{owner}: value {text!r}", "fiber objects")
 
-
-def _resolve_fiber_mor(fiber_cat, token, owner):
-    cands = [m for m in fiber_cat.morphisms if _matches_name(m.name, token)]
-    if len(cands) == 1:
-        return cands[0]
-    raise InterpError(f"{owner}: morphism value {token!r} matches "
-                      f"{len(cands)} fiber morphisms")

@@ -244,6 +244,41 @@ def test_interp_bad_scenario_exits_two(capsys, tmp_path):
     assert "source" in err
 
 
+def _scenario_with_bad_fiber(tmp_path, extra_binds):
+    # sfam's transition along a is not a functor from the fiber at 0
+    src = CORPUS / "scenarios"
+    world = (src / "world.fincat").read_text(encoding="utf-8")
+    (tmp_path / "world.fincat").write_text(
+        world.replace("along [0] (a) : sa", "along [0] (a) : bad")
+        + "\nfunctor bad : two -> two\n  ob 0 -> 1\n  ob 1 -> 1\n"
+          "  arr a -> id_1\nend\n", encoding="utf-8")
+    text = (src / "transport.dtt").read_text(encoding="utf-8")
+    (tmp_path / "transport.dtt").write_text(
+        text + "assume k (x : B, s : S(x)) : S(x)\n", encoding="utf-8")
+    scn = tmp_path / "transport.scn"
+    scn.write_text((src / "transport.scn").read_text(encoding="utf-8")
+                   + extra_binds, encoding="utf-8")
+    return scn
+
+
+def test_interp_bad_fiber_under_a_bound_telescope_exits_two(capsys, tmp_path):
+    # k's telescope extends by the bad fiber before any check runs
+    scn = _scenario_with_bad_fiber(tmp_path, "bind const k = *\n")
+    rc, out, err = run(capsys, "interp", str(scn))
+    assert (rc, out) == (2, "")
+    assert err == ("error: cannot interpret the declaration of 'k': fiber "
+                   "assignment: transition along (<a>) has wrong source or "
+                   "target\n")
+
+
+def test_interp_bad_fiber_alone_fails_its_env_check(capsys, tmp_path):
+    scn = _scenario_with_bad_fiber(tmp_path, "")
+    rc, out, err = run(capsys, "interp", "--format", "records", str(scn))
+    assert (rc, err) == (1, "")
+    assert ("env-assignment\tbase:S\tFAIL\ttransition along (<a>) has wrong "
+            "source or target\n") in out
+
+
 def test_reports_are_byte_identical_across_runs(capsys):
     path = str(CORPUS / "scenarios" / "transport.scn")
     rc1, out1, _ = run(capsys, "interp", path, "--format", "records")

@@ -162,6 +162,32 @@ def test_fiber_assignment_validates_a_shared_fiber_once(monkeypatch):
     assert calls == 2
 
 
+@pytest.mark.parametrize("post, per_fiber", [
+    (fc.op_fibers, "op"), (fc.core_fibers, "core")])
+def test_op_and_core_fibers_build_each_distinct_fiber_once(monkeypatch, post,
+                                                          per_fiber):
+    calls = 0
+    build = getattr(fc, per_fiber)
+
+    def counted(c):
+        nonlocal calls
+        calls += 1
+        return build(c)
+    monkeypatch.setattr(fc, per_fiber, counted)
+    base = chain3()
+    shared = post(fc.constant_fibers(base, two()))
+    assert calls == 1
+    assert len({id(c) for c in shared.fibers.values()}) == 1
+    copies = fc.FiberAssignment(
+        base, {x: two() for x in base.objects},
+        {m: fc.identity_functor(two()) for m in base.morphisms})
+    apart = post(copies)
+    assert calls == 1 + len(base.objects)
+    for fa in (shared, apart):
+        assert fa.fibers == {x: build(two()) for x in base.objects}
+        assert fa.validate() == []
+
+
 def test_validate_lists_associativity_failures_in_order():
     e = fc.identity_mor("x")
     f = fc.Mor("f", "x", "x")
@@ -534,6 +560,30 @@ def test_pullback_over_point_is_product():
     assert pb.validate() == []
     assert len(pb.objects) == 4
     assert len(pb.morphisms) == 9
+
+
+def test_pullback_pairs_and_composites_match_the_full_scan():
+    def bang(c):
+        pt = star()
+        return fc.Functor(c, pt, {x: "*" for x in c.objects},
+                          {m: pt.identity["*"] for m in c.morphisms})
+    cospans = [(bang(two()), bang(chain3()))]
+    for c in (two(), chain3(), cats.grid22(), cats.z2()):
+        cospans += [(cod_functor(c), fc.identity_functor(c)),
+                    (cod_functor(c), cod_functor(c))]
+    for F, G in cospans:
+        A, B = F.source, G.source
+        objects = [(a, b) for a in A.objects for b in B.objects
+                   if F.ob[a] == G.ob[b]]
+        morphisms = [fc.Mor((m, n), (m.dom, n.dom), (m.cod, n.cod))
+                     for m in A.morphisms for n in B.morphisms
+                     if F.mor[m] == G.mor[n]]
+        pb = fc.pullback_cat(F, G)
+        assert pb.objects == tuple(sorted(objects, key=fc.skey))
+        assert pb.morphisms == tuple(sorted(morphisms, key=fc.skey))
+        assert list(pb.compose) == [(m2, m1) for m2 in morphisms
+                                    for m1 in morphisms if m1.cod == m2.dom]
+        assert pb.validate() == []
 
 
 # -- cartesian and cocartesian morphisms -----------------------------------
