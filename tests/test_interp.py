@@ -1,8 +1,12 @@
+import io
+from pathlib import Path
+
 import pytest
 
 import cats
 import oracles
 from homtt import checker as ch
+from homtt import cli
 from homtt import fincat as fc
 from homtt import interp as ip
 from homtt import kernel as k
@@ -172,6 +176,49 @@ def test_variable_is_the_slot_projection():
         cat = itp.context(ctx)
         assert sec.obj == {x: x[lv] for x in cat.objects}
         assert sec.mor == {m: m.name[lv] for m in cat.morphisms}
+
+
+def flattened_total(base, fa):
+    """The Grothendieck total of fa over base with its pairs flattened into
+    tuples, its projection to base, and the last slot as a section."""
+    gt = fc.groth(base, fa)
+    flat, mor_map = fc.relabel(gt.total, lambda o: o[0] + (o[1],),
+                               lambda m: m.name[0].name + (m.name[1],))
+    proj = fc.Functor(flat, base, {o: o[:-1] for o in flat.objects},
+                      {mor_map[m]: m.name[0] for m in gt.total.morphisms})
+    last = fc.Section(fc.reindex(fa, proj),
+                      {o: o[-1] for o in flat.objects},
+                      {m: m.name[-1] for m in flat.morphisms})
+    return flat, proj, last
+
+
+def test_extend_is_the_flattened_grothendieck_total(monkeypatch):
+    calls = {"interp": [], "wfs": []}
+    command = []
+    real = ip.extend
+
+    def recording(base, fa):
+        ext = real(base, fa)
+        calls[command[-1]].append((base, fa, ext))
+        return ext
+    monkeypatch.setattr(ip, "extend", recording)
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    runs = [("interp", p) for p in sorted(corpus.glob("scenarios/*.scn"))]
+    runs += [("wfs", p) for p in sorted(corpus.glob("cats/*.fincat"))
+             + [corpus / "scenarios" / "world.fincat"]]
+    for cmd, path in runs:
+        command.append(cmd)
+        cli.run(cli.parse_args([cmd, "--oracle", str(path),
+                                "--format", "records"]), io.StringIO())
+    assert calls["interp"] and calls["wfs"]
+    for base, fa, ext in calls["interp"] + calls["wfs"]:
+        flat, proj, last = flattened_total(base, fa)
+        assert ext.cat == flat
+        assert list(ext.cat.identity.items()) == list(flat.identity.items())
+        assert list(ext.cat.compose.items()) == list(flat.compose.items())
+        assert ext.fa is fa
+        assert ext.proj == proj
+        assert ext.last == last
 
 
 # -- type formers -----------------------------------------------------------
