@@ -7,7 +7,7 @@ reports and chosen representatives are deterministic.  A morphism computes
 its hash once and its repr on first use, since names nest other morphisms.
 
 Identity morphisms of parsed and discrete categories are named ("id", x).
-Constructed categories (totals, arrow categories, pullbacks) name morphisms
+Constructed categories (arrow categories, pullbacks) name morphisms
 by their component data, and their identities are the component identities.
 
 A Section carries both an object part and a morphism part (a splitting of
@@ -489,56 +489,10 @@ def identity_section(fa, t):
 
 
 # ---------------------------------------------------------------------------
-# Grothendieck construction
-
-
-@dataclass(frozen=True)
-class GrothTotal:
-    base: FinCat
-    fa: FiberAssignment
-    total: FinCat
-    projection: Functor
-    lifts: dict  # (object of total, base morphism out of its image) -> chosen
-
-
-def groth(base, fa):
-    bad = fa.validate()
-    if bad:
-        raise ValueError(f"fiber assignment: {bad[0]}")
-    objects = [(x, y) for x in base.objects for y in fa.fibers[x].objects]
-    morphisms = []
-    for f in base.morphisms:
-        tr = fa.transitions[f]
-        for y in fa.fibers[f.dom].objects:
-            for g in fa.fibers[f.cod].out_of(tr.ob[y]):
-                morphisms.append(Mor((f, g), (f.dom, y), (f.cod, g.cod)))
-    identity = {(x, y): Mor((base.identity[x], fa.fibers[x].identity[y]),
-                            (x, y), (x, y))
-                for (x, y) in objects}
-    by_data = {(m.name, m.dom): m for m in morphisms}
-    compose = {}
-    for m2, m1 in _composable(morphisms):
-        (f2, g2), (f1, g1) = m2.name, m1.name
-        f = base.comp(f2, f1)
-        g = fa.fibers[f2.cod].comp(g2, fa.transitions[f2].mor[g1])
-        compose[(m2, m1)] = by_data[((f, g), m1.dom)]
-    total = FinCat(objects, morphisms, identity, compose)
-    projection = Functor(total, base, {o: o[0] for o in objects},
-                         {m: m.name[0] for m in morphisms})
-    lifts = {}
-    for (x, y) in objects:
-        for f in base.out_of(x):
-            y2 = fa.transitions[f].ob[y]
-            lifts[((x, y), f)] = by_data[
-                ((f, fa.fibers[f.cod].identity[y2]), (x, y))]
-    return GrothTotal(base, fa, total, projection, lifts)
-
-
-# ---------------------------------------------------------------------------
 # arrow, iso, pullback categories
 
 
-def _composable(morphisms):
+def composable(morphisms):
     """Pairs (m2, m1) with m1.cod == m2.dom: m2 in the given order, and
     for each, m1 in the given order."""
     into = {}
@@ -560,7 +514,7 @@ def _square_cat(c, objs):
     identity = {f: Mor((c.identity[f.dom], c.identity[f.cod]), f, f)
                 for f in objs}
     compose = {}
-    for m2, m1 in _composable(morphisms):
+    for m2, m1 in composable(morphisms):
         u = c.comp(m2.name[0], m1.name[0])
         v = c.comp(m2.name[1], m1.name[1])
         compose[(m2, m1)] = Mor((u, v), m1.dom, m2.cod)
@@ -602,7 +556,7 @@ def pullback_cat(F, G):
     identity = {(a, b): Mor((A.identity[a], B.identity[b]), (a, b), (a, b))
                 for (a, b) in objects}
     compose = {}
-    for m2, m1 in _composable(morphisms):
+    for m2, m1 in composable(morphisms):
         compose[(m2, m1)] = Mor((A.comp(m2.name[0], m1.name[0]),
                                  B.comp(m2.name[1], m1.name[1])),
                                 m1.dom, m2.cod)
@@ -693,7 +647,7 @@ def _build_category(block):
                  *(Mor(name, dom, cod) for name, dom, cod in block.arrows)]
     arrows = {token(m): m for m in morphisms}
     compose = {}
-    for g, f in _composable(morphisms):
+    for g, f in composable(morphisms):
         if f == identity[f.dom]:
             compose[(g, f)] = g
         elif g == identity[g.cod]:

@@ -2,9 +2,9 @@
 
 A context is interpreted as a finite category whose objects are tuples,
 one component per telescope entry; a type in that context becomes a
-fiber assignment over it, and a term a section.  Each context step is a
-Grothendieck extension flattened so paths through nested totals stay
-single tuples.
+fiber assignment over it, and a term a section.  Each context step is
+the Grothendieck construction built flat: an object of the extension is
+its base object with one more component, never a nested pair.
 
 The eliminators use the transport construction over the extension
 C.core.T.hom.theta: the seed section is carried along the canonical
@@ -89,18 +89,42 @@ class Extension:
 
 
 def extend(base, fa):
-    gt = fc.groth(base, fa)
-    flat, mor_map = fc.relabel(
-        gt.total,
-        lambda o: o[0] + (o[1],),
-        lambda m: m.name[0].name + (m.name[1],))
-    proj = fc.Functor(flat, base,
-                      {o: o[:-1] for o in flat.objects},
-                      {mor_map[m]: m.name[0] for m in gt.total.morphisms})
+    """The comprehension base.fa: the Grothendieck construction of fa,
+    built flat.
+
+    An object is x + (y,) for y in the fiber over x.  A morphism over
+    f: x -> x' is named f.name + (g,) for g out of fa(f)(y) in the fiber
+    over x'; (f2, g2) after (f1, g1) is (f2 f1, g2 fa(f2)(g1)).
+    """
+    bad = fa.validate()
+    if bad:
+        raise ValueError(f"fiber assignment: {bad[0]}")
+    objects = [x + (y,) for x in base.objects for y in fa.fibers[x].objects]
+    over = {}  # morphism -> the base morphism it lies over, in build order
+    for f in base.morphisms:
+        tr = fa.transitions[f]
+        for y in fa.fibers[f.dom].objects:
+            for g in fa.fibers[f.cod].out_of(tr.ob[y]):
+                over[fc.Mor(f.name + (g,), f.dom + (y,),
+                            f.cod + (g.cod,))] = f
+    by_data = {(m.name, m.dom): m for m in over}
+    identity = {x + (y,): by_data[(base.identity[x].name
+                                   + (fa.fibers[x].identity[y],), x + (y,))]
+                for x in base.objects for y in fa.fibers[x].objects}
+    compose = {}
+    for m2, m1 in fc.composable(over):
+        f2 = over[m2]
+        f = base.comp(f2, over[m1])
+        g = fa.fibers[f2.cod].comp(m2.name[-1],
+                                   fa.transitions[f2].mor[m1.name[-1]])
+        compose[(m2, m1)] = by_data[(f.name + (g,), m1.dom)]
+    cat = fc.FinCat(objects, over, identity, compose)
+    proj = fc.Functor(cat, base, {o: o[:-1] for o in cat.objects},
+                      {m: over[m] for m in cat.morphisms})
     last = fc.Section(fc.reindex(fa, proj),
-                      {o: o[-1] for o in flat.objects},
-                      {m: m.name[-1] for m in flat.morphisms})
-    return Extension(flat, fa, proj, last)
+                      {o: o[-1] for o in cat.objects},
+                      {m: m.name[-1] for m in cat.morphisms})
+    return Extension(cat, fa, proj, last)
 
 
 def collapse_functor(c):

@@ -4,13 +4,16 @@ Everything here deliberately avoids the package's own de Bruijn machinery:
 terms are plain tuples with *named* variables, substitution is the classic
 capture-avoiding one, and the rewriter contracts one redex at a time.  The
 tests convert engine terms into this world and compare up to alpha.  The
-category isomorphism search at the end enumerates functors outright, and
+Grothendieck construction is built pair-shaped, as in the textbook, to
+referee the interpreter's flat context extension.  The category
+isomorphism search at the end enumerates functors outright, and
 cocartesian morphisms are decided by building the opposite functor afresh.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from homtt import fincat as fc
 from homtt import kernel as k
@@ -248,6 +251,54 @@ def named_normalize(x, limit=10_000):
         if not hit:
             return x
     raise AssertionError("named_normalize: no fixpoint within limit")
+
+
+# ---------------------------------------------------------------------------
+# the Grothendieck construction, pair-shaped
+
+
+@dataclass(frozen=True)
+class GrothTotal:
+    base: fc.FinCat
+    fa: fc.FiberAssignment
+    total: fc.FinCat
+    projection: fc.Functor
+    lifts: dict  # (object of total, base morphism out of its image) -> chosen
+
+
+def groth(base, fa):
+    """The textbook total: objects (x, y), morphisms named (f, g), with
+    its projection and the canonical (f, id) cocartesian lifts."""
+    bad = fa.validate()
+    if bad:
+        raise ValueError(f"fiber assignment: {bad[0]}")
+    objects = [(x, y) for x in base.objects for y in fa.fibers[x].objects]
+    morphisms = []
+    for f in base.morphisms:
+        tr = fa.transitions[f]
+        for y in fa.fibers[f.dom].objects:
+            for g in fa.fibers[f.cod].out_of(tr.ob[y]):
+                morphisms.append(fc.Mor((f, g), (f.dom, y), (f.cod, g.cod)))
+    identity = {(x, y): fc.Mor((base.identity[x], fa.fibers[x].identity[y]),
+                               (x, y), (x, y))
+                for (x, y) in objects}
+    by_data = {(m.name, m.dom): m for m in morphisms}
+    compose = {}
+    for m2, m1 in fc.composable(morphisms):
+        (f2, g2), (f1, g1) = m2.name, m1.name
+        f = base.comp(f2, f1)
+        g = fa.fibers[f2.cod].comp(g2, fa.transitions[f2].mor[g1])
+        compose[(m2, m1)] = by_data[((f, g), m1.dom)]
+    total = fc.FinCat(objects, morphisms, identity, compose)
+    projection = fc.Functor(total, base, {o: o[0] for o in objects},
+                            {m: m.name[0] for m in morphisms})
+    lifts = {}
+    for (x, y) in objects:
+        for f in base.out_of(x):
+            y2 = fa.transitions[f].ob[y]
+            lifts[((x, y), f)] = by_data[
+                ((f, fa.fibers[f.cod].identity[y2]), (x, y))]
+    return GrothTotal(base, fa, total, projection, lifts)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import homtt.interp as ip
 import homtt.kernel as k
 import homtt.parser as ps
 import homtt.wfs as wfs
+import oracles
 import wtgen
 from test_checker import def_equal
 
@@ -213,10 +214,10 @@ def test_criterion_06_factorization_certificates():
         totals = []
         for _, cat in pairs:
             plain = fc.constant_fibers(cat, two)
-            totals.append(fc.groth(cat, plain))
-            totals.append(fc.groth(cat, fc.core_fibers(plain)))
+            totals.append(oracles.groth(cat, plain))
+            totals.append(oracles.groth(cat, fc.core_fibers(plain)))
         fam = ip.load_scenario(SCENARIOS / "transport.scn").env.bases["S"]
-        totals.append(fc.groth(fam.base, fam))
+        totals.append(oracles.groth(fam.base, fam))
         for gt in totals:
             w = wfs.opfib_lift(gt.projection, prefer=gt.lifts)
             assert fc.functor_compose(w.diagonal, w.problem.i) == w.problem.top

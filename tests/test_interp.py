@@ -181,7 +181,7 @@ def test_variable_is_the_slot_projection():
 def flattened_total(base, fa):
     """The Grothendieck total of fa over base with its pairs flattened into
     tuples, its projection to base, and the last slot as a section."""
-    gt = fc.groth(base, fa)
+    gt = oracles.groth(base, fa)
     flat, mor_map = fc.relabel(gt.total, lambda o: o[0] + (o[1],),
                                lambda m: m.name[0].name + (m.name[1],))
     proj = fc.Functor(flat, base, {o: o[:-1] for o in flat.objects},

@@ -1,6 +1,7 @@
 import pytest
 
 import cats
+import oracles
 from homtt import fincat as fc
 from homtt import kernel as k
 from homtt import wfs
@@ -59,12 +60,12 @@ def mixed_fam():
 
 def corpus_totals():
     return [
-        fc.groth(cats.two(), fc.constant_fibers(cats.two(), cats.two())),
-        fc.groth(cats.chain3(),
-                 fc.constant_fibers(cats.chain3(), cats.para())),
-        fc.groth(cats.two(), mixed_fam()),
-        fc.groth(cats.z2(), fc.constant_fibers(cats.z2(), cats.z2())),
-        fc.groth(cats.grid22(), fc.core_fibers(
+        oracles.groth(cats.two(), fc.constant_fibers(cats.two(), cats.two())),
+        oracles.groth(cats.chain3(),
+                      fc.constant_fibers(cats.chain3(), cats.para())),
+        oracles.groth(cats.two(), mixed_fam()),
+        oracles.groth(cats.z2(), fc.constant_fibers(cats.z2(), cats.z2())),
+        oracles.groth(cats.grid22(), fc.core_fibers(
             fc.constant_fibers(cats.grid22(), cats.two()))),
     ]
 
@@ -140,7 +141,7 @@ def test_opfib_lift_identity_functor():
 
 
 def test_opfib_lift_is_deterministic():
-    gt = fc.groth(cats.two(), mixed_fam())
+    gt = oracles.groth(cats.two(), mixed_fam())
     first = wfs.opfib_lift(gt.projection, prefer=gt.lifts)
     second = wfs.opfib_lift(gt.projection, prefer=gt.lifts)
     assert first.diagonal == second.diagonal
