@@ -313,7 +313,8 @@ class FiberAssignment:
 
     def validate(self):
         out = []
-        checked = {}   # id of a fiber -> its problems, shared fibers once
+        checked = {}   # id of a fiber or transition -> its problems, so
+        #                shared ones are validated once
         for x in self.base.objects:
             c = self.fibers.get(x)
             if c is None:
@@ -334,7 +335,9 @@ class FiberAssignment:
                 out.append(f"transition along {_fmt(m.name)} has wrong "
                            "source or target")
                 continue
-            bad = t.validate()
+            bad = checked.get(id(t))
+            if bad is None:
+                bad = checked[id(t)] = t.validate()
             if bad:
                 out.append(f"transition along {_fmt(m.name)}: {bad[0]}")
         if out:
@@ -353,9 +356,9 @@ class FiberAssignment:
 
 
 def constant_fibers(base, c):
-    return FiberAssignment(
-        base, {x: c for x in base.objects},
-        {m: identity_functor(c) for m in base.morphisms})
+    same = identity_functor(c)
+    return FiberAssignment(base, {x: c for x in base.objects},
+                           {m: same for m in base.morphisms})
 
 
 def _discrete_functor(src, tgt, obmap):
@@ -363,31 +366,35 @@ def _discrete_functor(src, tgt, obmap):
                    {identity_mor(x): identity_mor(y) for x, y in obmap.items()})
 
 
-def _each_fiber(fa, fn):
-    """fn of every fiber, once per distinct fiber (by identity, as
-    FiberAssignment.validate checks them), so shared fibers stay shared."""
+def _postcompose(fa, on_fiber, on_transition):
+    """fa with on_fiber applied to every fiber and on_transition(t, new
+    source, new target) to every transition.  Each is built once per
+    distinct input (by identity, as FiberAssignment.validate checks them),
+    so shared fibers and transitions stay shared.  A transition is keyed
+    with its fibers too: its source may only be equal to the fiber."""
     made = {}
     for c in fa.fibers.values():
         if id(c) not in made:
-            made[id(c)] = fn(c)
-    return {x: made[id(c)] for x, c in fa.fibers.items()}
+            made[id(c)] = on_fiber(c)
+    fibers = {x: made[id(c)] for x, c in fa.fibers.items()}
+    transitions = {}
+    for m, t in fa.transitions.items():
+        key = (id(t), id(fa.fibers[m.dom]), id(fa.fibers[m.cod]))
+        if key not in made:
+            made[key] = on_transition(t, fibers[m.dom], fibers[m.cod])
+        transitions[m] = made[key]
+    return FiberAssignment(fa.base, fibers, transitions)
 
 
 def core_fibers(fa):
     """Postcompose with core: each fiber collapsed to its discrete core."""
-    fibers = _each_fiber(fa, core)
-    transitions = {
-        m: _discrete_functor(fibers[m.dom], fibers[m.cod], t.ob)
-        for m, t in fa.transitions.items()}
-    return FiberAssignment(fa.base, fibers, transitions)
+    return _postcompose(
+        fa, core, lambda t, src, tgt: _discrete_functor(src, tgt, t.ob))
 
 
 def op_fibers(fa):
-    fibers = _each_fiber(fa, op)
-    transitions = {m: Functor(fibers[m.dom], fibers[m.cod], dict(t.ob),
-                              {op_mor(a): op_mor(b) for a, b in t.mor.items()})
-                   for m, t in fa.transitions.items()}
-    return FiberAssignment(fa.base, fibers, transitions)
+    return _postcompose(fa, op, lambda t, src, tgt: Functor(
+        src, tgt, dict(t.ob), {op_mor(a): op_mor(b) for a, b in t.mor.items()}))
 
 
 def reindex(fa, F):

@@ -162,12 +162,10 @@ class ElimWitness:
     side: str                  # "right" or "left"
     e_cat: fc.FinCat           # the transport extension (mirrored when left)
     d_fa: fc.FiberAssignment   # the outer motive over e_cat
-    unit: fc.Functor           # b_cat -> e_cat, (s, th) to (s, s, 1_s, th)
-    b_cat: fc.FinCat           # the seed context C.core.theta
-    d_sec: fc.Section          # the seed section over b_cat
+    unit: fc.Functor           # (s, th) to (s, s, 1_s, th) in e_cat
+    d_sec: fc.Section          # the seed section over C.core.theta
     e_full: fc.Section         # the transported section over all of e_cat
     args: fc.Functor           # the instantiating functor from the context
-    result: fc.Section         # e_full pulled back along args
 
 
 class Interpreter:
@@ -320,9 +318,8 @@ class Interpreter:
 
         carrier_fa = self.type(ctx, car if right else k.Op(car))
         theta_fa = self.type(ctx_b[:-1], e.motive_theta)
-        b_cat = self.context(ctx_b)
         d_sec = self.term(ctx_b, e.base)
-        unit = _unit_functor(b_cat, e_cat, n, carrier_fa)
+        unit = _unit_functor(self.context(ctx_b), e_cat, n, carrier_fa)
         e_full = _transport_section(e_cat, n, carrier_fa, theta_fa,
                                     d_fa, d_sec)
 
@@ -343,11 +340,10 @@ class Interpreter:
             slots = (t_sec, s_sec, f_op, th_sec)
         args = pairing_functor(fc.identity_functor(self.context(ctx)),
                                slots, e_cat)
-        out = fc.reindex_section(e_full, args)
         self.witnesses.append(
             ElimWitness(e, "right" if right else "left", e_cat, d_fa, unit,
-                        b_cat, d_sec, e_full, args, out))
-        return out
+                        d_sec, e_full, args))
+        return fc.reindex_section(e_full, args)
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +694,8 @@ def build_env(sig, ws, type_binds, const_binds):
         for name, (tele, ty) in sig.consts.items():
             if name in const_binds:
                 fa = itp.type(tuple(tele), ty)
-                env.terms[name] = _resolve_section(ws, const_binds[name], fa)
+                env.terms[name] = _resolve_section(ws, name,
+                                                   const_binds[name], fa)
     except ValueError as err:  # an earlier binding breaks this telescope
         raise InterpError(f"cannot interpret the declaration of {name!r}: "
                           f"{err}") from None
@@ -740,10 +737,10 @@ def _named(table, name, owner, kind):
     return got
 
 
-def _resolve_section(ws, target, fa):
+def _resolve_section(ws, name, target, fa):
     block = ws.sections.get(target)
     if block is None:
-        obj = {x: _resolve_value(fa.fibers[x], target, f"binding {target!r}")
+        obj = {x: _resolve_value(fa.fibers[x], target, f"bind const {name!r}")
                for x in fa.base.objects}
         return fc.strict_section(fa, obj)
     obj, morp = {}, {}

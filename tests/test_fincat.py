@@ -162,6 +162,28 @@ def test_fiber_assignment_validates_a_shared_fiber_once(monkeypatch):
     assert calls == 2
 
 
+def test_fiber_assignment_validates_a_shared_transition_once(monkeypatch):
+    calls = 0
+    validate = fc.Functor.validate
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return validate(self)
+    monkeypatch.setattr(fc.Functor, "validate", counted)
+    base = chain3()
+    assert fc.constant_fibers(base, two()).validate() == []
+    assert calls == 1
+    c = two()
+    broken = fc.Functor(c, c, {x: x for x in c.objects}, {})
+    fa = fc.FiberAssignment(base, {x: c for x in base.objects},
+                            {m: broken for m in base.morphisms})
+    assert fa.validate() == [
+        f"transition along {fc._fmt(m.name)}: morphism map undefined at a"
+        for m in base.morphisms]
+    assert calls == 2
+
+
 @pytest.mark.parametrize("post, per_fiber", [
     (fc.op_fibers, "op"), (fc.core_fibers, "core")])
 def test_op_and_core_fibers_build_each_distinct_fiber_once(monkeypatch, post,
@@ -183,6 +205,8 @@ def test_op_and_core_fibers_build_each_distinct_fiber_once(monkeypatch, post,
         {m: fc.identity_functor(two()) for m in base.morphisms})
     apart = post(copies)
     assert calls == 1 + len(base.objects)
+    assert [len({id(t) for t in fa.transitions.values()})
+            for fa in (shared, apart)] == [1, len(base.morphisms)]
     for fa in (shared, apart):
         assert fa.fibers == {x: build(two()) for x in base.objects}
         assert fa.validate() == []

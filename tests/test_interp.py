@@ -361,7 +361,7 @@ def test_computation_rule_holds_on_every_witness():
         assert restricted.mor == w.d_sec.mor
         assert w.unit.validate() == []
         assert w.e_full.validate() == []
-        assert w.result.validate() == []
+        assert fc.reindex_section(w.e_full, w.args).validate() == []
 
 
 def test_generic_eliminator_is_natural_over_the_whole_extension():

@@ -161,10 +161,10 @@ SECTION_FAM = fiber(SFAM, "sfam")
      "0 morphisms"),
     (fiber("  at [0] : star\n  at [1] : two\n  along b : sa\n"),
      {"S": "fam"}, {}, "fiber fam: address 'b' matches 0 morphisms"),
-    ("", {}, {"c": "7"}, "binding '7': value '7' matches 0 fiber objects"),
-    ("", {}, {"c": "a"}, "binding 'a': value 'a' matches 0 fiber objects"),
+    ("", {}, {"c": "7"}, "bind const 'c': value '7' matches 0 fiber objects"),
+    ("", {}, {"c": "a"}, "bind const 'c': value 'a' matches 0 fiber objects"),
     ("", {}, {"c": "0", "c'": "1", "ff": "id_0"},
-     "binding 'id_0': value 'id_0' matches 0 fiber objects"),
+     "bind const 'ff': value 'id_0' matches 0 fiber objects"),
     (SECTION_FAM + "section sec in sfam\n  at [0] : 0\n  at [1] : 1\nend\n",
      {"S": "sfam"}, {"u": "sec"},
      "section sec: value '0' matches 0 fiber objects"),
