@@ -313,8 +313,7 @@ class FiberAssignment:
 
     def validate(self):
         out = []
-        checked = {}   # id of a fiber or transition -> its problems, so
-        #                shared ones are validated once
+        checked = {}   # id of a fiber or transition -> its problems
         for x in self.base.objects:
             c = self.fibers.get(x)
             if c is None:
@@ -371,7 +370,8 @@ def _postcompose(fa, on_fiber, on_transition):
     source, new target) to every transition.  Each is built once per
     distinct input (by identity, as FiberAssignment.validate checks them),
     so shared fibers and transitions stay shared.  A transition is keyed
-    with its fibers too: its source may only be equal to the fiber."""
+    with the fibers at its ends as well, so that each new transition runs
+    between the new fibers of its own base morphism."""
     made = {}
     for c in fa.fibers.values():
         if id(c) not in made:

@@ -96,9 +96,12 @@ def binding(text, carrier, at, hom, point):
     return text, {"T": carrier, "S": "fam"}, consts
 
 
+SPOT = {1: "u", 2: "v", 3: "u"}  # where c_a sits in the codiscrete base
+
+
 def codiscrete_hom(a, b):
-    spot = {1: "u", 2: "v", 3: "u"}
-    x, y = spot[a], spot[b]
+    """The one morphism from SPOT[a] to SPOT[b]."""
+    x, y = SPOT[a], SPOT[b]
     return f"id_{x}" if x == y else ("f" if x == "u" else "g")
 
 
@@ -120,9 +123,8 @@ BINDINGS = {
              HOM_TYPES + SECTION_TYPES),
     # every hom set of a codiscrete category is a singleton, so only the
     # section types can tell terms apart
-    "codiscrete": (binding(CODISCRETE, "cod",
-                           lambda a: {1: "u", 2: "v", 3: "u"}[a],
-                           codiscrete_hom, lambda b: "p"),
+    "codiscrete": (binding(CODISCRETE, "cod", SPOT.get, codiscrete_hom,
+                           lambda b: "p"),
                    SECTION_TYPES),
 }
 
