@@ -262,11 +262,6 @@ def functor_compose(outer, inner):
                    {m: outer.mor[v] for m, v in inner.mor.items()})
 
 
-def op_functor(F):
-    return Functor(op(F.source), op(F.target), dict(F.ob),
-                   {op_mor(m): op_mor(v) for m, v in F.mor.items()})
-
-
 def core_inclusion(c):
     """The identity-on-objects functor from the discrete core into c."""
     cc = core(c)
@@ -574,17 +569,17 @@ def pullback_cat(F, G):
 # (co)cartesian morphisms and lifts
 
 
-def is_cartesian(P, e):
-    """Exhaustive: every competitor with the right image factors uniquely."""
+def _is_cocartesian(P, e):
+    """Every e2 out of e.dom over b . P(e) is l . e for exactly one l
+    over b."""
     E, B = P.source, P.target
-    for e2 in E.morphisms:
-        if e2.cod != e.cod:
-            continue
-        for b in B.hom(P.ob[e2.dom], P.ob[e.dom]):
-            if B.comp(P.mor[e], b) != P.mor[e2]:
+    f = P.mor[e]
+    for e2 in E.out_of(e.dom):
+        for b in B.hom(f.cod, P.ob[e2.cod]):
+            if B.comp(b, f) != P.mor[e2]:
                 continue
-            fills = [l for l in E.hom(e2.dom, e.dom)
-                     if P.mor[l] == b and E.comp(e, l) == e2]
+            fills = [l for l in E.hom(e.cod, e2.cod)
+                     if P.mor[l] == b and E.comp(l, e) == e2]
             if len(fills) != 1:
                 return False
     return True
@@ -599,13 +594,12 @@ def has_cocartesian_lifts(P, prefer=None):
     the dict lacks exactly the unliftable pairs.
     """
     prefer = prefer or {}
-    P_op = op_functor(P)  # e is cocartesian for P iff op e is cartesian
     lifts = {}
     ok = True
     for x in P.source.objects:
         for f in P.target.out_of(P.ob[x]):
             cands = [e for e in P.source.out_of(x)
-                     if P.mor[e] == f and is_cartesian(P_op, op_mor(e))]
+                     if P.mor[e] == f and _is_cocartesian(P, e)]
             if not cands:
                 ok = False
                 continue

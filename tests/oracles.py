@@ -6,8 +6,9 @@ capture-avoiding one, and the rewriter contracts one redex at a time.  The
 tests convert engine terms into this world and compare up to alpha.  The
 Grothendieck construction is built pair-shaped, as in the textbook, to
 referee the interpreter's flat context extension.  The category
-isomorphism search at the end enumerates functors outright, and
-cocartesian morphisms are decided by building the opposite functor afresh.
+isomorphism search enumerates functors outright, cocartesian morphisms
+are decided by building the opposite functor afresh, and grid closures
+are found by walking monotone paths.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from homtt import dspace as ds
 from homtt import fincat as fc
 from homtt import kernel as k
 
@@ -343,6 +345,58 @@ def are_isomorphic(c, d):
     return assign({}, list(c.objects))
 
 
+def op_functor(F):
+    return fc.Functor(fc.op(F.source), fc.op(F.target), dict(F.ob),
+                      {fc.op_mor(m): fc.op_mor(v) for m, v in F.mor.items()})
+
+
+def is_cartesian(P, e):
+    """Exhaustive: every competitor with the right image factors uniquely."""
+    E, B = P.source, P.target
+    for e2 in E.morphisms:
+        if e2.cod != e.cod:
+            continue
+        for b in B.hom(P.ob[e2.dom], P.ob[e.dom]):
+            if B.comp(P.mor[e], b) != P.mor[e2]:
+                continue
+            fills = [l for l in E.hom(e2.dom, e.dom)
+                     if P.mor[l] == b and E.comp(e, l) == e2]
+            if len(fills) != 1:
+                return False
+    return True
+
+
 def is_cocartesian(P, e):
     """e is cocartesian for P iff op e is cartesian for op P."""
-    return fc.is_cartesian(fc.op_functor(P), fc.op_mor(e))
+    return is_cartesian(op_functor(P), fc.op_mor(e))
+
+
+# ---------------------------------------------------------------------------
+# directed grids
+
+
+def closure_cells(space, forward=True):
+    """Cells that some monotone path from the start corner reaches.
+
+    Walks paths depth first by unit steps, forward from the initial
+    corner or backward from the final one, in no fixed cell order and
+    with no link table.  A cell already seen is not walked again, so the
+    walk is linear in the cells and suits every grid from_pv accepts.
+    """
+    blocked = ds.forbidden_cells(space)
+    start = space.initial if forward else space.final
+    delta = 1 if forward else -1
+    seen = set()
+    stack = [] if start in blocked else [start]
+    while stack:
+        cell = stack.pop()
+        if cell in seen:
+            continue
+        seen.add(cell)
+        for axis in range(space.dims):
+            value = cell[axis] + delta
+            if 0 <= value < space.shape[axis]:
+                step = cell[:axis] + (value,) + cell[axis + 1:]
+                if step not in blocked:
+                    stack.append(step)
+    return seen

@@ -9,9 +9,11 @@ import pytest
 
 import homtt.checker as ch
 import homtt.cli as cli
+import homtt.dspace as ds
 import homtt.interp as ip
 import homtt.kernel as k
 import homtt.parser as ps
+import oracles
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -368,15 +370,35 @@ def test_pv_clean_programs_pass_with_oracle(capsys):
     assert all(line.split("\t")[2] == "ok" for line in lines)
 
 
-def test_pv_oracle_cap_refusal_is_a_failure(capsys):
+def test_pv_closure_oracle_ignores_the_size_cap(capsys):
     rc, out, _ = run(capsys, "pv", "--oracle", "--size-cap", "10",
                      "--format", "records", str(CORPUS / "interval.pv"),
                      str(CORPUS / "swissflag.pv"))
     assert rc == 1
-    assert "closure-oracle\t" + str(CORPUS / "interval.pv") + "\tok" in out
-    assert ("closure-oracle\t" + str(CORPUS / "swissflag.pv")
-            + "\tFAIL\tgrid with 25 cells exceeds the enumeration cap 10"
-            in out)
+    for name in ("interval.pv", "swissflag.pv"):
+        assert "closure-oracle\t" + str(CORPUS / name) + "\tok" in out
+    assert "deadlock-free\t" + str(CORPUS / "swissflag.pv") + "\tFAIL" in out
+
+
+# three processes of 14 events over three semaphores: a 15^3 grid
+REALISTIC = """\
+P(a) P(b) V(b) P(c) V(c) V(a) P(b) V(b) P(a) V(a) P(c) P(b) V(b) V(c)
+P(b) V(b) P(c) P(a) V(a) V(c) P(a) P(b) V(b) V(a) P(c) V(c) P(b) V(b)
+P(c) V(c) P(a) V(a) P(b) P(c) V(c) V(b) P(a) P(c) V(c) V(a) P(b) V(b)
+"""
+
+
+def test_pv_closure_oracle_at_realistic_size(capsys, tmp_path):
+    prog = tmp_path / "three.pv"
+    prog.write_text(REALISTIC, encoding="utf-8")
+    space = ds.from_pv(ds.parse_pv(REALISTIC))
+    assert space.shape == (15, 15, 15)
+    assert set(ds.reachable(space)) == oracles.closure_cells(space, True)
+    assert set(ds.safe(space)) == oracles.closure_cells(space, False)
+    rc, out, _ = run(capsys, "pv", "--oracle", "--format", "records",
+                     str(prog))
+    assert rc == 1  # it deadlocks
+    assert "closure-oracle\t" + str(prog) + "\tok\t\n" in out
 
 
 def test_pv_invalid_program_exits_two(capsys, tmp_path):

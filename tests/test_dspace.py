@@ -1,35 +1,11 @@
-"""Grid reachability checked against exhaustive path enumeration."""
+"""Grid reachability checked against a walk of monotone paths."""
+
+import dataclasses
 
 import pytest
 
 import homtt.dspace as ds
-
-# ---------------------------------------------------------------------------
-# oracle: enumerate every monotone path outright, no closure shortcuts
-
-
-def enum_cells(space, forward=True):
-    """Cells visited by some monotone path from the start corner.
-
-    Walks all paths explicitly (forward from the initial corner, or
-    backward from the final one), so it only suits small grids.
-    """
-    blocked = ds.forbidden_cells(space)
-    start = space.initial if forward else space.final
-    step = 1 if forward else -1
-    if start in blocked:
-        return set()
-    seen = set()
-    paths = [(start,)]
-    while paths:
-        path = paths.pop()
-        seen.add(path[-1])
-        for a in range(space.dims):
-            n = ds._step(space, path[-1], a, step)
-            if n is not None and n not in blocked:
-                paths.append(path + (n,))
-    return seen
-
+import oracles
 
 SWISS = """\
 # two processes taking two semaphores in opposite order
@@ -239,8 +215,8 @@ ORACLE_SPACES = [
                                                            ORACLE_SPACES])
 def test_closures_match_path_enumeration(name, build):
     space = build()
-    assert set(ds.reachable(space)) == enum_cells(space, forward=True)
-    assert set(ds.safe(space)) == enum_cells(space, forward=False)
+    assert set(ds.reachable(space)) == oracles.closure_cells(space, True)
+    assert set(ds.safe(space)) == oracles.closure_cells(space, False)
 
 
 @pytest.mark.parametrize("name,build", ORACLE_SPACES, ids=[n for n, _ in
@@ -248,6 +224,53 @@ def test_closures_match_path_enumeration(name, build):
 def test_witness_paths_are_monotone_and_clear(name, build):
     report = ds.analyze(build())
     assert report.validate() == []
+
+
+# Each fault is planted in the swiss flag's tables; (3, 3) is unreachable,
+# (1, 1) unsafe, (2, 2) forbidden, and nothing links to the final corner
+# in the reachable table, so only the step check sees it go missing.
+TAMPERS = [
+    ("reachable-dropped", "reachable",
+     lambda t: {c: p for c, p in t.items() if c != (4, 4)},
+     "reachable: the step from (4, 3) to (4, 4) leaves the table"),
+    ("unreachable-added", "reachable",
+     lambda t: {**t, (3, 3): (2, 3)},
+     "reachable: (3, 3) links to (2, 3), which is not in the table"),
+    ("long-link", "reachable",
+     lambda t: {**t, (4, 4): (4, 2)},
+     "reachable: (4, 4) links to (4, 2), not one unit step back"),
+    ("backward-link", "safe",
+     lambda t: {**t, (0, 1): (0, 0)},
+     "safe: (0, 1) links to (0, 0), not one unit step back"),
+    ("forbidden", "safe",
+     lambda t: {**t, (2, 2): (3, 2)},
+     "safe: (2, 2) is forbidden"),
+    ("anchor-removed", "safe",
+     lambda t: {c: p for c, p in t.items() if c != (4, 4)},
+     "safe: the anchor (4, 4) is missing"),
+]
+
+
+@pytest.mark.parametrize("name,table,tamper,problem", TAMPERS,
+                         ids=[t[0] for t in TAMPERS])
+def test_certificate_names_each_planted_fault(name, table, tamper, problem):
+    report = ds.analyze(swiss_space())
+    bad = dataclasses.replace(
+        report, **{table: tamper(getattr(report, table))})
+    assert problem in bad.validate()
+
+
+def test_link_tables_retrace_witness_paths():
+    report = ds.analyze(swiss_space())
+    for table, anchor in ((report.reachable, (0, 0)),
+                          (report.safe, (4, 4))):
+        for cell in table:
+            path = [cell]
+            while table[path[-1]] is not None:
+                path.append(table[path[-1]])
+            assert path[-1] == anchor
+            assert len(path) == 1 + sum(abs(a - b)
+                                        for a, b in zip(cell, anchor))
 
 
 # ---------------------------------------------------------------------------

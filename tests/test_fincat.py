@@ -313,7 +313,7 @@ def test_inclusions_are_functors():
         assert fc.core_inclusion(c).validate() == []
         # core is self-dual, so the op of the core inclusion is the
         # inclusion of the core into the opposite
-        assert fc.op_functor(fc.core_inclusion(c)).validate() == []
+        assert oracles.op_functor(fc.core_inclusion(c)).validate() == []
         assert fc.core_inclusion(c).ob == {x: x for x in c.objects}
 
 
@@ -622,7 +622,7 @@ def test_identity_always_cartesian():
     P = cod_functor(two())
     assert P.validate() == []
     for f in P.source.objects:
-        assert fc.is_cartesian(P, P.source.identity[f])
+        assert oracles.is_cartesian(P, P.source.identity[f])
 
 
 def test_pullback_square_is_cartesian_over_cod():
@@ -634,7 +634,7 @@ def test_pullback_square_is_cartesian_over_cod():
     v = next(m for m in c.morphisms if m.name == "m0111")
     square = fc.Mor((u, v), f, g)
     assert square in set(P.source.morphisms)
-    assert fc.is_cartesian(P, square)
+    assert oracles.is_cartesian(P, square)
 
 
 def test_non_pullback_square_not_cartesian():
@@ -645,7 +645,7 @@ def test_non_pullback_square_not_cartesian():
     u = next(m for m in c.morphisms if m.name == "c01")
     square = fc.Mor((u, c.identity["2"]), f, g)
     assert square in set(P.source.morphisms)
-    assert not fc.is_cartesian(P, square)
+    assert not oracles.is_cartesian(P, square)
     # oracle: exhibit a competitor with no fill at all
     competitor = fc.Mor((c.identity["1"], c.identity["2"]), g, g)
     fills = [l for l in P.source.morphisms
@@ -711,6 +711,28 @@ def test_cocartesian_lifts_of_monotone_chain_maps_match_the_oracle():
                 assert ok or len(set(img)) < m
                 verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+def test_a_lift_with_two_fills_is_not_cocartesian():
+    # w = p u = q u, so w factors through u in two ways over id_1 and u is
+    # not cocartesian; nor is w, since u does not factor through it.  The
+    # pair (x, a) therefore has no cocartesian lift.
+    u, w = fc.Mor("u", "x", "y"), fc.Mor("w", "x", "z")
+    p, q = fc.Mor("p", "y", "z"), fc.Mor("q", "y", "z")
+    ids = {o: fc.identity_mor(o) for o in "xyz"}
+    compose = {(p, u): w, (q, u): w}
+    for m in (u, w, p, q, *ids.values()):
+        compose[(m, ids[m.dom])] = compose[(ids[m.cod], m)] = m
+    E = fc.FinCat(tuple("xyz"), (*ids.values(), u, w, p, q), ids, compose)
+    base = two()
+    a = base.hom("0", "1")[0]
+    i0, i1 = base.identity["0"], base.identity["1"]
+    P = fc.Functor(E, base, {"x": "0", "y": "1", "z": "1"},
+                   {ids["x"]: i0, ids["y"]: i1, ids["z"]: i1,
+                    u: a, w: a, p: i1, q: i1})
+    assert E.validate() == [] and P.validate() == []
+    assert not _assert_lifts_agree_with_oracle(P)
+    assert ("x", a) not in fc.has_cocartesian_lifts(P)[1]
 
 
 # -- isomorphism search ----------------------------------------------------

@@ -87,7 +87,7 @@ def test_factor_legs_compose_over_the_corpus(flavor):
     c = cats.grid22()
     funs = [fc.identity_functor(c),
             fc.core_inclusion(cats.chain3()),
-            fc.op_functor(fc.core_inclusion(cats.z2())),
+            oracles.op_functor(fc.core_inclusion(cats.z2())),
             fc.Functor(cats.star(), cats.two(), {"*": "0"},
                        {cats.star().identity["*"]:
                         cats.two().identity["0"]})]
