@@ -8,17 +8,21 @@ Grothendieck construction is built pair-shaped, as in the textbook, to
 referee the interpreter's flat context extension.  The category
 isomorphism search enumerates functors outright, cocartesian morphisms
 are decided by building the opposite functor afresh, and grid closures
-are found by walking monotone paths.
+are found by walking monotone paths.  The .dtt lexer is the token-object
+one: one `Tok` with its line and column per token, stray characters
+reported as they are met.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 from homtt import dspace as ds
 from homtt import fincat as fc
 from homtt import kernel as k
+from homtt.parser import ParseError
 
 # ---------------------------------------------------------------------------
 # named representation
@@ -400,3 +404,28 @@ def closure_cells(space, forward=True):
                 if step not in blocked:
                     stack.append(step)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# .dtt tokens
+
+# a token is group 1; any other non-blank character is stray
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|:=|==|[()\[\],;.:])|\S")
+
+
+@dataclass(slots=True)
+class Tok:
+    text: str
+    line: int
+    col: int
+
+
+def lex_dtt(text, path):
+    toks = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        for m in _TOKEN.finditer(line):
+            if m.lastindex is None:
+                raise ParseError(f"stray character {m.group()!r}", path, ln, m.start() + 1)
+            toks.append(Tok(m.group(), ln, m.start() + 1))
+    return toks
