@@ -16,6 +16,7 @@ too deeply), 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -42,7 +43,8 @@ class RunConfig:
     format: str = "human"
 
 
-def parse_args(argv=None):
+@functools.cache
+def _arg_parser():
     ap = argparse.ArgumentParser(
         prog="homtt",
         description="Check directed type theory sources and their "
@@ -64,7 +66,11 @@ def parse_args(argv=None):
                             "(never raises the built-in limit)")
         p.add_argument("--format", choices=("human", "records"),
                        default="human", help="report style")
-    ns = ap.parse_args(argv)
+    return ap
+
+
+def parse_args(argv=None):
+    ns = _arg_parser().parse_args(argv)
     return RunConfig(ns.command, tuple(ns.paths), ns.oracle,
                      ns.size_cap, ns.format)
 

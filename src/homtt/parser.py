@@ -23,6 +23,7 @@ checks shape and referential integrity inside each block.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
 
@@ -90,33 +91,41 @@ class SourceFile:
 
 KEYWORDS = {"assume", "define", "assert", "type", "Type", "core", "op", "hom",
             "i", "iop", "one", "elimR", "elimL"}
+# every token that is not a name
+_RESERVED = KEYWORDS | {"(", ")", "[", "]", ",", ";", ".", ":", ":=", "=="}
 
 # a token is group 1; any other non-blank character is stray
 _TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|:=|==|[()\[\],;.:])|\S")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
 
-@dataclass(slots=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
+def _code(raw):
+    """One line of source without its comment."""
+    return raw.split("#", 1)[0]
 
 
 def _lex_dtt(text, path):
-    toks = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        for m in _TOKEN.finditer(line):
-            if m.lastindex is None:
-                raise ParseError(f"stray character {m.group()!r}", path, ln, m.start() + 1)
-            toks.append(_Tok(m.group(), ln, m.start() + 1))
-    return toks
+    """The token texts of a file, and the running token count at each line end.
+
+    A stray character comes out of findall as an empty group; only then
+    are the lines walked again to find where the first one is.
+    """
+    toks, ends = [], []
+    for raw in text.splitlines():
+        toks += _TOKEN.findall(_code(raw))
+        ends.append(len(toks))
+    if "" in toks:
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            for m in _TOKEN.finditer(_code(raw)):
+                if m.lastindex is None:
+                    raise ParseError(f"stray character {m.group()!r}", path,
+                                     ln, m.start() + 1)
+    return toks, ends
 
 
 class _DttParser:
     def __init__(self, text, path):
-        self.toks = _lex_dtt(text, path)
+        self.text = text
+        self.toks, self.ends = _lex_dtt(text, path)
         self.pos = 0
         self.path = path
         # name -> ("base" | "term", telescope length)
@@ -135,107 +144,113 @@ class _DttParser:
 
     def peek(self, ahead=0):
         i = self.pos + ahead
-        return self.toks[i].text if i < len(self.toks) else None
+        return self.toks[i] if i < len(self.toks) else None
 
     def next(self):
         if self.pos >= len(self.toks):
-            last = self.toks[-1] if self.toks else _Tok("", 1, 1)
-            raise ParseError("unexpected end of input", self.path, last.line, last.col)
-        tok = self.toks[self.pos]
+            self.fail("unexpected end of input")
         self.pos += 1
-        return tok
+        return self.toks[self.pos - 1]
 
     def expect(self, text):
         tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}",
-                             self.path, tok.line, tok.col)
-        return tok
+        if tok != text:
+            self.fail(f"expected {text!r}, found {tok!r}", self.pos - 1)
 
     def name(self, role="name"):
         tok = self.next()
-        if not _NAME.match(tok.text) or tok.text in KEYWORDS:
-            raise ParseError(f"expected {role}, found {tok.text!r}",
-                             self.path, tok.line, tok.col)
+        if tok in _RESERVED:
+            self.fail(f"expected {role}, found {tok!r}", self.pos - 1)
         return tok
 
-    def fail(self, msg, tok=None):
-        tok = tok or (self.toks[self.pos] if self.pos < len(self.toks)
-                      else self.toks[-1] if self.toks else _Tok("", 1, 1))
-        raise ParseError(msg, self.path, tok.line, tok.col)
+    def line(self, at):
+        return bisect.bisect_right(self.ends, at) + 1
+
+    def fail(self, msg, at=None):
+        """Raise at token `at`: by default the next one, or the last at the end."""
+        at = min(self.pos if at is None else at, len(self.toks) - 1)
+        if at < 0:
+            raise ParseError(msg, self.path, 1, 1)
+        ln = self.line(at)
+        first = self.ends[ln - 2] if ln > 1 else 0
+        raw = self.text.splitlines()[ln - 1]
+        col = list(_TOKEN.finditer(_code(raw)))[at - first].start() + 1
+        raise ParseError(msg, self.path, ln, col)
 
     # -- declarations ------------------------------------------------------
 
     def parse_file(self):
         decls = []
         while self.pos < len(self.toks):
-            tok = self.next()
-            if tok.text == "assume":
-                decls.append(self._assume(tok))
-            elif tok.text == "define":
-                decls.append(self._define(tok))
-            elif tok.text == "assert":
-                decls.append(self._assert(tok))
+            line = self.line(self.pos)
+            kw = self.next()
+            if kw == "assume":
+                decls.append(self._assume(line))
+            elif kw == "define":
+                decls.append(self._define(line))
+            elif kw == "assert":
+                decls.append(self._assert(line))
             else:
-                self.fail(f"expected a declaration, found {tok.text!r}", tok)
+                self.fail(f"expected a declaration, found {kw!r}", self.pos - 1)
         return SourceFile(tuple(decls), self.path)
 
-    def _declare(self, tok, kind, arity):
-        if tok.text in self.declared:
-            raise ParseError(f"duplicate name {tok.text!r}", self.path,
-                             tok.line, tok.col)
-        self.declared[tok.text] = (kind, arity)
+    def _declare(self, at, kind, arity):
+        name = self.toks[at]
+        if name in self.declared:
+            self.fail(f"duplicate name {name!r}", at)
+        self.declared[name] = (kind, arity)
 
-    def _assume(self, kw):
-        tok = self.name("declaration name")
+    def _assume(self, line):
+        at = self.pos
+        name = self.name("declaration name")
         tele, scope = self._telescope()
         self.expect(":")
         if self.peek() == "Type":
             self.next()
-            self._declare(tok, "base", len(tele))
-            return AssumeType(tok.text, tele, kw.line)
+            self._declare(at, "base", len(tele))
+            return AssumeType(name, tele, line)
         ty = self._type(scope)
-        self._declare(tok, "term", len(tele))
-        return AssumeTerm(tok.text, tele, ty, kw.line)
+        self._declare(at, "term", len(tele))
+        return AssumeTerm(name, tele, ty, line)
 
-    def _define(self, kw):
-        tok = self.name("declaration name")
+    def _define(self, line):
+        at = self.pos
+        name = self.name("declaration name")
         tele, scope = self._telescope()
         self.expect(":")
         ty = self._type(scope)
         self.expect(":=")
         body = self._term(scope)
-        self._declare(tok, "term", len(tele))
-        return Define(tok.text, tele, ty, body, kw.line)
+        self._declare(at, "term", len(tele))
+        return Define(name, tele, ty, body, line)
 
-    def _assert(self, kw):
+    def _assert(self, line):
         if self.peek() == "type":
             self.next()
             tele, scope = self._telescope()
             ty = self._type(scope)
-            return AssertType(tele, ty, kw.line)
+            return AssertType(tele, ty, line)
         tele, scope = self._telescope()
         lhs = self._term(scope)
         self.expect("==")
         rhs = self._term(scope)
         self.expect(":")
         ty = self._type(scope)
-        return AssertEqual(tele, lhs, rhs, ty, kw.line)
+        return AssertEqual(tele, lhs, rhs, ty, line)
 
     def _telescope(self):
         scope = []
         entries = []
-        if self.peek() == "(" and _NAME.match(self.peek(1) or "") \
-                and self.peek(1) not in KEYWORDS and self.peek(2) == ":":
+        if self.peek() == "(" and self.peek(1) not in _RESERVED \
+                and self.peek(2) == ":":
             self.next()
             while True:
-                tok = self.name("telescope variable")
-                if tok.text in scope:
-                    raise ParseError(f"duplicate name {tok.text!r}", self.path,
-                                     tok.line, tok.col)
+                name = self.name("telescope variable")
+                if name in scope:
+                    self.fail(f"duplicate name {name!r}", self.pos - 1)
                 self.expect(":")
-                entries.append((tok.text, self._type(scope)))
-                scope.append(tok.text)
+                entries.append((name, self._type(scope)))
+                scope.append(name)
                 if self.peek() == ",":
                     self.next()
                     continue
@@ -246,7 +261,6 @@ class _DttParser:
     # -- types -------------------------------------------------------------
 
     def _type(self, scope):
-        tok = self.toks[self.pos] if self.pos < len(self.toks) else None
         match self.peek():
             case "core":
                 self.next()
@@ -269,19 +283,18 @@ class _DttParser:
             ty = self._type(scope)
             self.expect(")")
             return ty
-        tok = self.name("type")
-        kind = self.declared.get(tok.text)
+        at = self.pos
+        name = self.name("type")
+        kind = self.declared.get(name)
         if kind is None:
-            if tok.text in scope:
-                raise ParseError(f"{tok.text!r} is a variable, not a type",
-                                 self.path, tok.line, tok.col)
-            raise ParseError(f"unbound name {tok.text!r}", self.path, tok.line, tok.col)
+            if name in scope:
+                self.fail(f"{name!r} is a variable, not a type", at)
+            self.fail(f"unbound name {name!r}", at)
         if kind[0] != "base":
-            raise ParseError(f"{tok.text!r} is a term, not a type", self.path,
-                             tok.line, tok.col)
-        return self.node(k.BaseT, tok.text, self._args(scope, tok, kind[1]))
+            self.fail(f"{name!r} is a term, not a type", at)
+        return self.node(k.BaseT, name, self._args(scope, at, kind[1]))
 
-    def _args(self, scope, tok, arity):
+    def _args(self, scope, at, arity):
         # names of arity 0 never take parens (a following "(" belongs to the
         # enclosing form, e.g. the source term in `hom B (iop s) t`)
         args = []
@@ -295,9 +308,8 @@ class _DttParser:
                 self.expect(")")
                 break
         if len(args) != arity:
-            raise ParseError(
-                f"{tok.text!r} expects {arity} argument(s), got {len(args)}",
-                self.path, tok.line, tok.col)
+            self.fail(f"{self.toks[at]!r} expects {arity} argument(s), "
+                      f"got {len(args)}", at)
         return tuple(args)
 
     # -- terms -------------------------------------------------------------
@@ -319,8 +331,7 @@ class _DttParser:
                 return self._term_atom(scope)
 
     def _elim(self, scope):
-        kw = self.next()
-        cls = k.ElimR if kw.text == "elimR" else k.ElimL
+        cls = k.ElimR if self.next() == "elimR" else k.ElimL
         self.expect("[")
         th = self._motive(scope, 1, self._type)
         self.expect(";")
@@ -338,11 +349,10 @@ class _DttParser:
     def _motive(self, scope, arity, sub):
         binders = []
         for _ in range(arity):
-            tok = self.name("binder")
-            if tok.text in binders:
-                raise ParseError(f"duplicate name {tok.text!r}", self.path,
-                                 tok.line, tok.col)
-            binders.append(tok.text)
+            name = self.name("binder")
+            if name in binders:
+                self.fail(f"duplicate name {name!r}", self.pos - 1)
+            binders.append(name)
         self.expect(".")
         return sub(scope + binders)
 
@@ -352,18 +362,18 @@ class _DttParser:
             tm = self._term(scope)
             self.expect(")")
             return tm
-        tok = self.name("term")
-        if tok.text in scope:
+        at = self.pos
+        name = self.name("term")
+        if name in scope:
             # innermost binding wins
-            level = len(scope) - 1 - scope[::-1].index(tok.text)
+            level = len(scope) - 1 - scope[::-1].index(name)
             return self.node(k.Var, level)
-        kind = self.declared.get(tok.text)
+        kind = self.declared.get(name)
         if kind is None:
-            raise ParseError(f"unbound name {tok.text!r}", self.path, tok.line, tok.col)
+            self.fail(f"unbound name {name!r}", at)
         if kind[0] != "term":
-            raise ParseError(f"{tok.text!r} is a type, not a term", self.path,
-                             tok.line, tok.col)
-        return self.node(k.Const, tok.text, self._args(scope, tok, kind[1]))
+            self.fail(f"{name!r} is a type, not a term", at)
+        return self.node(k.Const, name, self._args(scope, at, kind[1]))
 
 
 def parse_dtt(text, path="<input>"):
@@ -569,14 +579,15 @@ class CatFile:
 
 
 _FC_TOKEN = re.compile(r"[A-Za-z0-9_']+|->|=>|[\[\]():=*]|\S")
+_FC_WORD = re.compile(r"[A-Za-z0-9_']+\Z")
+_FC_PUNCT = frozenset({"->", "=>", "[", "]", "(", ")", ":", "=", "*"})
 
 
 def _fc_lex(line, path, ln):
     toks = []
     for m in _FC_TOKEN.finditer(line.split("#", 1)[0]):
         t = m.group()
-        if t not in {"->", "=>", "[", "]", "(", ")", ":", "=", "*"} \
-                and not re.match(r"[A-Za-z0-9_']+\Z", t):
+        if t not in _FC_PUNCT and not _FC_WORD.match(t):
             raise ParseError(f"stray character {t!r}", path, ln, m.start() + 1)
         toks.append(t)
     return toks

@@ -38,6 +38,21 @@ def test_parse_args_defaults_and_flags():
     assert cfg.size_cap == 9 and cfg.format == "records"
 
 
+def test_parse_args_calls_are_independent(capsys):
+    first = cli.parse_args(["wfs", "w.fincat", "--oracle", "--size-cap", "3",
+                            "--format", "records"])
+    second = cli.parse_args(["check", "a.dtt"])
+    assert first == cli.RunConfig("wfs", ("w.fincat",), True, 3, "records")
+    assert second == cli.RunConfig("check", ("a.dtt",))
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["check", "a.dtt", "--format", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: homtt check")
+    assert "argument --format: invalid choice: 'bogus'" in err
+    assert cli.parse_args(["pv", "x.pv"]) == cli.RunConfig("pv", ("x.pv",))
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.parse_args([])

@@ -102,7 +102,7 @@ def inputs():
 
 
 def _engine_tokens(text, path):
-    return [t.text for t in ps._lex_dtt(text, path)]
+    return ps._lex_dtt(text, path)[0]
 
 
 def outcome(name, text):

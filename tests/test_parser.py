@@ -298,6 +298,22 @@ def test_fincat_rejects(text, frag):
     assert frag in str(err.value)
 
 
+@pytest.mark.parametrize("line,msg", [
+    ("  arrow f : a -> b @", "3:20: stray character '@'"),
+    ("  arrow f : a - b", "3:15: stray character '-'"),
+    ("  compose f id_a = f ! # !", "3:22: stray character '!'"),
+    ("  arrow f : a -> b  # @ - !", None),
+])
+def test_fincat_stray_characters(line, msg):
+    text = f"category c\n  objects a b\n{line}\nend\n"
+    if msg is None:
+        assert p.parse_fincat(text).categories["c"].arrows == [("f", "a", "b")]
+        return
+    with pytest.raises(p.ParseError) as err:
+        p.parse_fincat(text, "c.fincat")
+    assert str(err.value) == f"c.fincat:{msg}"
+
+
 def test_fincat_merge_detects_duplicates():
     a = p.parse_fincat("category c\n  objects x\nend\n", "a.fincat")
     b = p.parse_fincat("category d\n  objects y\nend\n"
