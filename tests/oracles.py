@@ -10,7 +10,9 @@ isomorphism search enumerates functors outright, cocartesian morphisms
 are decided by building the opposite functor afresh, and grid closures
 are found by walking monotone paths.  The .dtt lexer is the token-object
 one: one `Tok` with its line and column per token, stray characters
-reported as they are met.
+reported as they are met.  The left eliminator is computed through the
+mirror of its transport extension, relabelled into right-handed shape,
+with a private copy of the right-handed transport formula.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
+from homtt import checker as ch
 from homtt import dspace as ds
 from homtt import fincat as fc
 from homtt import kernel as k
@@ -373,6 +376,99 @@ def is_cartesian(P, e):
 def is_cocartesian(P, e):
     """e is cocartesian for P iff op e is cartesian for op P."""
     return is_cartesian(op_functor(P), fc.op_mor(e))
+
+
+def relabel(c, ob_fn, name_fn):
+    """Rename every object with ob_fn and every morphism name with name_fn.
+
+    name_fn receives the whole morphism so renamings can consult endpoints.
+    Both maps must be injective on c.  Returns the renamed category together
+    with the old-to-new morphism table.
+    """
+    mor_map = {m: fc.Mor(name_fn(m), ob_fn(m.dom), ob_fn(m.cod))
+               for m in c.morphisms}
+    cat = fc.FinCat([ob_fn(x) for x in c.objects],
+                    mor_map.values(),
+                    {ob_fn(x): mor_map[i] for x, i in c.identity.items()},
+                    {(mor_map[g], mor_map[f]): mor_map[h]
+                     for (g, f), h in c.compose.items()})
+    return cat, mor_map
+
+
+# ---------------------------------------------------------------------------
+# the left eliminator through the mirror
+
+
+def mirror_left_elim(itp, ctx, e):
+    """The section of one elimL node, computed the right-handed way.
+
+    The left transport extension (gamma, s, t, f, th), with s : op T free
+    and t : core T, is relabelled into its mirror (gamma, t, s, op f, th),
+    which has the right-handed shape over the carrier op T.  The seed is
+    carried there by the right-handed formula, over the motive reindexed
+    along the swap, and pulled back along the slots (t, s, op f, th).
+    Only the interpreter's context, type and term caches are used; none
+    of its transport code.
+    """
+    n = len(ctx)
+    f_ty = ch.nf(itp.sig, ch.infer_term(itp.sig, ctx, e.f), n)
+    match f_ty:
+        case k.Hom(car, sv, k.IncCore(tv)):
+            pass
+        case _:
+            raise AssertionError(f"not a left eliminand: {f_ty!r}")
+    ctx_b, ctx_d = k.elim_contexts(ctx, car, e.motive_theta, False)
+    left = itp.context(ctx_d)
+
+    def ob(y):
+        return y[:n] + (y[n + 1], y[n], fc.op_mor(y[n + 2]), y[n + 3])
+
+    def name_fn(m):
+        return m.name[:n] + (m.name[n + 1], m.name[n],
+                             fc.identity_mor(fc.op_mor(m.cod[n + 2])),
+                             m.name[n + 3])
+
+    mirror, mor_map = relabel(left, ob, name_fn)
+    swap = fc.Functor(mirror, left, {ob(y): y for y in left.objects},
+                      {mor_map[m]: m for m in left.morphisms})
+    d_fa = fc.reindex(itp.type(ctx_d, e.motive_d), swap)
+    carrier_fa = itp.type(ctx, k.Op(car))
+    theta_fa = itp.type(ctx_b[:-1], e.motive_theta)
+    d_sec = itp.term(ctx_b, e.base)
+
+    def mu(x):
+        gamma, s, f, th = x[:n], x[n], x[n + 2], x[n + 3]
+        one = carrier_fa.fibers[gamma].identity[s]
+        return fc.Mor(
+            carrier_fa.base.identity[gamma].name
+            + (fc.identity_mor(s), f, fc.identity_mor(f),
+               theta_fa.fibers[gamma + (s,)].identity[th]),
+            gamma + (s, s, one, th), x)
+
+    obj = {x: d_fa.transitions[mu(x)].ob[d_sec.obj[x[:n] + (x[n], x[n + 3])]]
+           for x in mirror.objects}
+    mor = {}
+    for m in mirror.morphisms:
+        psi = fc.Mor(m.name[:n] + (m.name[n], m.name[n + 3]),
+                     m.dom[:n] + (m.dom[n], m.dom[n + 3]),
+                     m.cod[:n] + (m.cod[n], m.cod[n + 3]))
+        mor[m] = d_fa.transitions[mu(m.cod)].mor[d_sec.mor[psi]]
+    full = fc.Section(d_fa, obj, mor)
+
+    s_sec, t_sec, f_sec, th_sec = (itp.term(ctx, x)
+                                   for x in (sv, tv, e.f, e.theta))
+    cat = itp.context(ctx)
+    args_ob = {x: x + (t_sec.obj[x], s_sec.obj[x], fc.op_mor(f_sec.obj[x]),
+                       th_sec.obj[x])
+               for x in cat.objects}
+    args_mor = {m: fc.Mor(m.name + (t_sec.mor[m], s_sec.mor[m],
+                                    fc.identity_mor(fc.op_mor(
+                                        f_sec.obj[m.cod])),
+                                    th_sec.mor[m]),
+                          args_ob[m.dom], args_ob[m.cod])
+                for m in cat.morphisms}
+    return fc.reindex_section(full,
+                              fc.Functor(cat, mirror, args_ob, args_mor))
 
 
 # ---------------------------------------------------------------------------

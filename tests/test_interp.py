@@ -378,23 +378,47 @@ def test_generic_eliminator_is_natural_over_the_whole_extension():
 
 # -- left/right duality -----------------------------------------------------
 
-@pytest.mark.parametrize("name", ["two", "chain3", "z2"])
-def test_left_elim_agrees_with_the_direct_formula(name):
+def left_elim_outcome(itp, ctx, node, run):
+    """The section of one elimL node as obj/mor dicts, or the refusal."""
+    try:
+        sec = run(itp, ctx, node)
+    except fc.SizeCapError as err:
+        return "refused", str(err)
+    return sec.obj, sec.mor
+
+
+def assert_left_elim_matches_the_mirror_route(sig, env, ctx, node):
+    """Each route runs on an interpreter of its own, so neither reads the
+    other's cached results."""
+    assert isinstance(node, k.ElimL)
+    got = left_elim_outcome(ip.Interpreter(sig, env), ctx, node,
+                            lambda itp, c, e: itp.term(c, e))
+    want = left_elim_outcome(ip.Interpreter(sig, env), ctx, node,
+                             oracles.mirror_left_elim)
+    assert got == want
+    if got[0] != "refused":
+        direct = direct_left_elim(ip.Interpreter(sig, env), ctx, node)
+        assert (direct.obj, direct.mor) == want
+    return got[0] != "refused"
+
+
+@pytest.mark.parametrize("name", sorted(cats.ALL))
+def test_left_elim_agrees_with_the_mirror_route(name):
     c = cats.ALL[name]()
     for f_mor in c.morphisms:
         for g_mor in c.morphisms:
             if g_mor.dom != f_mor.cod:
                 continue
-            sig, _, itp = comp_setup(c, f_mor, g_mor)
-            body = sig.defs["comp_L"][2]
+            sig, env, _ = comp_setup(c, f_mor, g_mor)
+            tele, _, body, _ = sig.defs["comp_L"]
             node = k.instantiate_closed(body, 5, CLOSED_ARGS, 0)
-            assert isinstance(node, k.ElimL)
-            got = itp.term((), node)
-            want = direct_left_elim(itp, (), node)
-            assert_same_values(got, want)
+            assert_left_elim_matches_the_mirror_route(sig, env, (), node)
+    assert_left_elim_matches_the_mirror_route(sig, env, tuple(tele), body)
 
 
-def test_left_transport_moves_backwards():
+def left_transport_setup():
+    """transport_L over the walking arrow along a, with the family on op B
+    that sends 1 to the walking arrow and 0 to the point."""
     c = cats.two()
     sig = base_sig()
     sig.assume_type("S", (("x", k.Op(B)),))
@@ -428,15 +452,44 @@ def test_left_transport_moves_backwards():
         {(): cats.arrow(c, "a")})
     env.terms["u0"] = fc.strict_section(
         itp.type((), k.BaseT("S", (k.IncOp(k.Const("c0")),))), {(): "0"})
+    return sig, env, itp
 
-    tm = k.Const("transport_L", (k.Const("c0"), k.Const("c1"),
-                                 k.Const("ff"), k.Const("u0")))
-    got = itp.term((), tm)
+
+TRANSPORT_ARGS = tuple(k.Const(nm) for nm in ("c0", "c1", "ff", "u0"))
+
+
+def test_left_transport_moves_backwards():
+    _, _, itp = left_transport_setup()
+    got = itp.term((), k.Const("transport_L", TRANSPORT_ARGS))
     assert got.obj[()] == "*"
-    node = k.instantiate_closed(sig.defs["transport_L"][2], 4,
-                                (k.Const("c0"), k.Const("c1"),
-                                 k.Const("ff"), k.Const("u0")), 0)
-    assert_same_values(got, direct_left_elim(itp, (), node))
+
+
+def test_left_transport_agrees_with_the_mirror_route():
+    sig, env, _ = left_transport_setup()
+    tele, _, body, _ = sig.defs["transport_L"]
+    node = k.instantiate_closed(body, 4, TRANSPORT_ARGS, 0)
+    assert assert_left_elim_matches_the_mirror_route(sig, env, (), node)
+    assert assert_left_elim_matches_the_mirror_route(sig, env, tuple(tele),
+                                                     body)
+
+
+def test_scenario_left_witnesses_agree_with_the_mirror_route(monkeypatch):
+    seen = []
+    real = ip.Interpreter._elim
+
+    def recording(self, ctx, e):
+        if isinstance(e, k.ElimL):
+            seen.append((ctx, e))
+        return real(self, ctx, e)
+    monkeypatch.setattr(ip.Interpreter, "_elim", recording)
+    sc = ip.load_scenario(Path(__file__).resolve().parent.parent
+                          / "corpus" / "scenarios" / "comp.scn")
+    _, witnesses = ip.verify_soundness(sc)
+    monkeypatch.undo()
+    assert len(seen) == sum(w.side == "left" for w in witnesses) == 2
+    for ctx, e in seen:
+        assert assert_left_elim_matches_the_mirror_route(sc.sig, sc.env,
+                                                         ctx, e)
 
 
 # -- substitution coherence -------------------------------------------------
