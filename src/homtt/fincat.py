@@ -201,23 +201,6 @@ def core(c):
     return mkdiscrete(c.objects)
 
 
-def relabel(c, ob_fn, name_fn):
-    """Rename every object with ob_fn and every morphism name with name_fn.
-
-    name_fn receives the whole morphism so renamings can consult endpoints.
-    Both maps must be injective on c.  Returns the renamed category together
-    with the old-to-new morphism table.
-    """
-    mor_map = {m: Mor(name_fn(m), ob_fn(m.dom), ob_fn(m.cod))
-               for m in c.morphisms}
-    cat = FinCat([ob_fn(x) for x in c.objects],
-                 mor_map.values(),
-                 {ob_fn(x): mor_map[i] for x, i in c.identity.items()},
-                 {(mor_map[g], mor_map[f]): mor_map[h]
-                  for (g, f), h in c.compose.items()})
-    return cat, mor_map
-
-
 @dataclass(frozen=True)
 class Functor:
     source: FinCat

@@ -6,11 +6,11 @@ fiber assignment over it, and a term a section.  Each context step is
 the Grothendieck construction built flat: an object of the extension is
 its base object with one more component, never a nested pair.
 
-The eliminators use the transport construction over the extension
-C.core.T.hom.theta: the seed section is carried along the canonical
-morphism from the unit image (s, s, 1_s) to each point (s, t, f).  The
-left-handed eliminator is routed through the mirror of that extension
-with the hom slot reversed, so both share one engine.
+Both eliminators use one transport engine over the extension
+(s, t, f, th) of the context: the seed section is carried along the
+canonical morphism from the unit image (p, p, 1_p, th) to each point,
+where p is the core point.  The side only picks which slot holds p: s
+on the right, with t : T free, and t on the left, with s : op T free.
 
 Scenario bindings are .fincat text, matched against interpreted contexts
 through fc.token.
@@ -158,9 +158,8 @@ def pairing_functor(g, sections, target):
 class ElimWitness:
     """Everything needed to replay one eliminator's soundness checks."""
 
-    term: object
     side: str                  # "right" or "left"
-    e_cat: fc.FinCat           # the transport extension (mirrored when left)
+    e_cat: fc.FinCat           # the transport extension
     d_fa: fc.FiberAssignment   # the outer motive over e_cat
     unit: fc.Functor           # (s, th) to (s, s, 1_s, th) in e_cat
     d_sec: fc.Section          # the seed section over C.core.theta
@@ -309,39 +308,19 @@ class Interpreter:
                     f"eliminated term has non-hom type {f_ty!r}")
 
         ctx_b, ctx_d = k.elim_contexts(ctx, car, e.motive_theta, right)
-        if right:
-            e_cat = self.context(ctx_d)
-            d_fa = self.type(ctx_d, e.motive_d)
-        else:
-            e_cat, swap = _mirror(self.context(ctx_d), n)
-            d_fa = fc.reindex(self.type(ctx_d, e.motive_d), swap)
-
-        carrier_fa = self.type(ctx, car if right else k.Op(car))
+        e_cat = self.context(ctx_d)
+        d_fa = self.type(ctx_d, e.motive_d)
+        carrier_fa = self.type(ctx, car)
         theta_fa = self.type(ctx_b[:-1], e.motive_theta)
         d_sec = self.term(ctx_b, e.base)
-        unit = _unit_functor(self.context(ctx_b), e_cat, n, carrier_fa)
-        e_full = _transport_section(e_cat, n, carrier_fa, theta_fa,
+        unit = _unit_functor(self.context(ctx_b), e_cat, n, right, carrier_fa)
+        e_full = _transport_section(e_cat, n, right, carrier_fa, theta_fa,
                                     d_fa, d_sec)
-
-        s_sec = self.term(ctx, sv)
-        t_sec = self.term(ctx, tv)
-        f_sec = self.term(ctx, e.f)
-        th_sec = self.term(ctx, e.theta)
-        if right:
-            slots = (s_sec, t_sec, f_sec, th_sec)
-        else:
-            f_op_fa = fc.hom_functor(carrier_fa,
-                                     self.term(ctx, k.IncOp(tv)), s_sec)
-            f_op = fc.Section(
-                f_op_fa,
-                {x: fc.op_mor(f_sec.obj[x]) for x in f_op_fa.base.objects},
-                {m: fc.identity_mor(fc.op_mor(f_sec.obj[m.cod]))
-                 for m in f_op_fa.base.morphisms})
-            slots = (t_sec, s_sec, f_op, th_sec)
+        slots = [self.term(ctx, x) for x in (sv, tv, e.f, e.theta)]
         args = pairing_functor(fc.identity_functor(self.context(ctx)),
                                slots, e_cat)
         self.witnesses.append(
-            ElimWitness(e, "right" if right else "left", e_cat, d_fa, unit,
+            ElimWitness("right" if right else "left", e_cat, d_fa, unit,
                         d_sec, e_full, args))
         return fc.reindex_section(e_full, args)
 
@@ -350,27 +329,15 @@ class Interpreter:
 # the transport engine shared by both eliminators
 
 
-def _mirror(left_cat, n):
-    """The dual transport extension: slots n and n+1 exchanged, the hom
-    slot reversed.  Returns the mirror and the relabelling functor back."""
-
-    def ob(y):
-        return y[:n] + (y[n + 1], y[n], fc.op_mor(y[n + 2]), y[n + 3])
-
-    def name_fn(m):
-        return m.name[:n] + (m.name[n + 1], m.name[n],
-                             fc.identity_mor(fc.op_mor(m.cod[n + 2])),
-                             m.name[n + 3])
-
-    mirror, mor_map = fc.relabel(left_cat, ob, name_fn)
-    swap = fc.Functor(mirror, left_cat,
-                      {ob(y): y for y in left_cat.objects},
-                      {mor_map[m]: m for m in left_cat.morphisms})
-    return mirror, swap
+def _ends(right, core_part, free_part):
+    """The components of the two endpoint slots, in slot order: the core
+    point sits in slot n on the right and in slot n + 1 on the left."""
+    return (core_part, free_part) if right else (free_part, core_part)
 
 
-def _unit_functor(b_cat, e_cat, n, carrier_fa):
-    """(gamma, s, th) to (gamma, s, s, 1_s, th), morphisms likewise."""
+def _unit_functor(b_cat, e_cat, n, right, carrier_fa):
+    """(gamma, p, th) to (gamma, p, p, 1_p, th), morphisms likewise: the
+    core slot keeps the base's component, the free end gets an identity."""
     ob = {}
     for x in b_cat.objects:
         one = carrier_fa.fibers[x[:n]].identity[x[n]]
@@ -378,43 +345,47 @@ def _unit_functor(b_cat, e_cat, n, carrier_fa):
     mor = {}
     for m in b_cat.morphisms:
         cod = ob[m.cod]
-        t_part = carrier_fa.fibers[m.cod[:n]].identity[m.cod[n]]
+        free = carrier_fa.fibers[m.cod[:n]].identity[m.cod[n]]
         mor[m] = fc.Mor(
-            m.name[:n] + (m.name[n], t_part, fc.identity_mor(cod[n + 2]),
-                          m.name[n + 1]),
+            m.name[:n] + _ends(right, m.name[n], free)
+            + (fc.identity_mor(cod[n + 2]), m.name[n + 1]),
             ob[m.dom], cod)
     return fc.Functor(b_cat, e_cat, ob, mor)
 
 
-def _transport_section(e_cat, n, carrier_fa, theta_fa, d_fa, d_sec):
+def _transport_section(e_cat, n, right, carrier_fa, theta_fa, d_fa, d_sec):
     """Carry the seed section to every point of the transport extension.
 
-    At (gamma, s, t, f, th) the value is the motive's transition along the
-    canonical morphism from (gamma, s, s, 1_s, th) whose t-component is f
-    itself, applied to the seed at (gamma, s, th).  Morphism parts factor
+    Slot n + 2 holds f, running from s to t in the carrier T; the core
+    point p is s on the right and t on the left.  At (gamma, s, t, f, th)
+    the value is the motive's transition along the canonical morphism from
+    (gamma, p, p, 1_p, th) whose core component is the identity and whose
+    free component is f itself (op f on the left, where the free end lies
+    in op T), applied to the seed at (gamma, p, th).  Morphism parts factor
     through the codomain's canonical morphism the same way; the two paths
-    around each square agree because the hom slot forces t-components to
-    match up.
+    around each square agree because the hom slot forces the free
+    components to match up.
     """
+    core = n if right else n + 1
 
     def mu(x):
-        gamma, s, f, th = x[:n], x[n], x[n + 2], x[n + 3]
-        one = carrier_fa.fibers[gamma].identity[s]
+        gamma, p, f, th = x[:n], x[core], x[n + 2], x[n + 3]
+        one = carrier_fa.fibers[gamma].identity[p]
         return fc.Mor(
             carrier_fa.base.identity[gamma].name
-            + (fc.identity_mor(s), f, fc.identity_mor(f),
-               theta_fa.fibers[gamma + (s,)].identity[th]),
-            gamma + (s, s, one, th), x)
+            + _ends(right, fc.identity_mor(p), f if right else fc.op_mor(f))
+            + (fc.identity_mor(f), theta_fa.fibers[gamma + (p,)].identity[th]),
+            gamma + (p, p, one, th), x)
 
     obj = {}
     for x in e_cat.objects:
-        seed = d_sec.obj[x[:n] + (x[n], x[n + 3])]
+        seed = d_sec.obj[x[:n] + (x[core], x[n + 3])]
         obj[x] = d_fa.transitions[mu(x)].ob[seed]
     mor = {}
     for m in e_cat.morphisms:
-        psi = fc.Mor(m.name[:n] + (m.name[n], m.name[n + 3]),
-                     m.dom[:n] + (m.dom[n], m.dom[n + 3]),
-                     m.cod[:n] + (m.cod[n], m.cod[n + 3]))
+        psi = fc.Mor(m.name[:n] + (m.name[core], m.name[n + 3]),
+                     m.dom[:n] + (m.dom[core], m.dom[n + 3]),
+                     m.cod[:n] + (m.cod[core], m.cod[n + 3]))
         mor[m] = d_fa.transitions[mu(m.cod)].mor[d_sec.mor[psi]]
     return fc.Section(d_fa, obj, mor)
 

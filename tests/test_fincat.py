@@ -865,10 +865,10 @@ def test_build_catfile_accepts_a_commuting_square():
 
 def test_relabel_renames_and_maps():
     c = two()
-    renamed, table = fc.relabel(c, lambda x: ("o", x),
-                                lambda m: ("n",) + ((m.name,)
-                                                    if isinstance(m.name, str)
-                                                    else m.name))
+    renamed, table = oracles.relabel(c, lambda x: ("o", x),
+                                     lambda m: ("n",) + (
+                                         (m.name,) if isinstance(m.name, str)
+                                         else m.name))
     assert renamed.validate() == []
     assert set(renamed.objects) == {("o", "0"), ("o", "1")}
     a = next(m for m in c.morphisms if m.name == "a")
