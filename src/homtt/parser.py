@@ -461,41 +461,6 @@ def _type_atom(ty, env, taken):
     return f"({out})"
 
 
-def print_telescope(tele):
-    if not tele:
-        return ""
-    env = []
-    parts = []
-    for name, ty in tele:
-        parts.append(f"{name} : {print_type(ty, env)}")
-        env.append(name)
-    return "(" + ", ".join(parts) + ")"
-
-
-def print_decl(decl):
-    tele = print_telescope(decl.telescope) if decl.telescope else ""
-    tele = f" {tele}" if tele else ""
-    env = [nm for nm, _ in decl.telescope]
-    match decl:
-        case AssumeType(name, _):
-            return f"assume {name}{tele} : Type"
-        case AssumeTerm(name, _, ty):
-            return f"assume {name}{tele} : {print_type(ty, env)}"
-        case Define(name, _, ty, body):
-            return (f"define {name}{tele} : {print_type(ty, env)}"
-                    f" := {print_term(body, env)}")
-        case AssertType(_, ty):
-            return f"assert type{tele} {print_type(ty, env)}"
-        case AssertEqual(_, lhs, rhs, ty):
-            return (f"assert{tele} {print_term(lhs, env)} == "
-                    f"{print_term(rhs, env)} : {print_type(ty, env)}")
-    raise k.InternalError(f"print_decl: {decl!r}")
-
-
-def print_source(source):
-    return "\n".join(print_decl(d) for d in source.decls) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # .fincat files
 

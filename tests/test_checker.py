@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+import surface
 import wtgen
 from homtt import checker as ch
 from homtt import kernel as k
@@ -119,7 +120,7 @@ def test_conversion_derivation_node():
 
 def test_transport_right_checks_at_family_of_target():
     sig = sig_ts()
-    d = ch.derive_transport("right", sig)
+    d = surface.derive_transport("right", sig)
     assert d.ty == k.BaseT("S", (k.Var(1),))
     assert isinstance(d.body, k.ElimR)
     sig.define(d.name, d.telescope, d.ty, d.body)
@@ -131,7 +132,7 @@ def test_transport_left_checks_under_dual_family():
     sig = ch.Signature()
     sig.assume_type("T")
     sig.assume_type("S", (("x", k.Op(k.BaseT("T"))),))
-    d = ch.derive_transport("left", sig)
+    d = surface.derive_transport("left", sig)
     assert isinstance(d.body, k.ElimL)
     sig.define(d.name, d.telescope, d.ty, d.body)
     # oracle for the variant: the checker itself on the dual telescope
@@ -141,7 +142,7 @@ def test_transport_left_checks_under_dual_family():
 
 def test_transport_left_needs_dual_family():
     with pytest.raises(ch.CheckError) as err:
-        ch.derive_transport("left", sig_ts())
+        surface.derive_transport("left", sig_ts())
     assert "no type family 'S' over op T" in str(err.value)
 
 
@@ -154,14 +155,14 @@ def test_transport_matches_surface_file():
     )
     sig, records = ch.check_source(ps.parse_dtt(text))
     assert all(r.ok for r in records), records
-    gen = ch.derive_transport("right")
+    gen = surface.derive_transport("right")
     tele, ty, body, _ = sig.defs["transport_R"]
     assert (tele, ty, body) == (gen.telescope, gen.ty, gen.body)
 
 
 def test_transport_unit_reduces_to_point():
     sig = sig_ts()
-    d = ch.derive_transport("right", sig)
+    d = surface.derive_transport("right", sig)
     sig.define(d.name, d.telescope, d.ty, d.body)
     T = k.BaseT("T")
     ctx = (("t", k.Core(T)), ("s", k.BaseT("S", (k.IncCore(k.Var(0)),))))
@@ -180,7 +181,7 @@ def test_comp_both_sides_check():
     for side, rule in (("right", k.ElimR), ("left", k.ElimL)):
         sig = ch.Signature()
         sig.assume_type("T")
-        d = ch.derive_comp(side, sig)
+        d = surface.derive_comp(side, sig)
         assert d.ty == k.Hom(k.BaseT("T"), k.Var(0), k.Var(2))
         assert isinstance(d.body, rule)
         sig.define(d.name, d.telescope, d.ty, d.body)
@@ -191,7 +192,7 @@ def _comp_sig():
     sig = ch.Signature()
     sig.assume_type("T")
     for side in ("right", "left"):
-        d = ch.derive_comp(side, sig)
+        d = surface.derive_comp(side, sig)
         sig.define(d.name, d.telescope, d.ty, d.body)
     return sig
 
@@ -224,16 +225,16 @@ def test_comp_left_unit_strict():
 
 def test_derive_rejects_bad_side():
     with pytest.raises(ValueError):
-        ch.derive_transport("up")
+        surface.derive_transport("up")
     with pytest.raises(ValueError):
-        ch.derive_comp("down")
+        surface.derive_comp("down")
 
 
 def test_derived_terms_print_and_reparse():
     header = "assume T : Type\nassume S (x : T) : Type\n"
-    for gen in (ch.derive_transport("right"), ch.derive_comp("right"),
-                ch.derive_comp("left")):
-        text = header + ps.print_decl(gen) + "\n"
+    for gen in (surface.derive_transport("right"), surface.derive_comp("right"),
+                surface.derive_comp("left")):
+        text = header + surface.print_decl(gen) + "\n"
         got = ps.parse_dtt(text).decls[-1]
         assert (got.telescope, got.ty, got.body) == \
             (gen.telescope, gen.ty, gen.body)

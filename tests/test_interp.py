@@ -5,6 +5,7 @@ import pytest
 
 import cats
 import oracles
+import surface
 from homtt import checker as ch
 from homtt import cli
 from homtt import fincat as fc
@@ -62,7 +63,7 @@ def comp_setup(c, f_mor, g_mor):
     sig.assume_term("g0", (), k.Hom(B, k.IncOp(k.Const("s0")),
                                     k.Const("t0")))
     for side in ("right", "left"):
-        d = ch.derive_comp(side, sig, carrier="B")
+        d = surface.derive_comp(side, sig, carrier="B")
         sig.define(d.name, d.telescope, d.ty, d.body)
     env = const_env(c)
     itp = ip.Interpreter(sig, env)
@@ -370,7 +371,7 @@ def left_transport_setup():
     c = cats.two()
     sig = base_sig()
     sig.assume_type("S", (("x", k.Op(B)),))
-    d = ch.derive_transport("left", sig, carrier="B", family="S")
+    d = surface.derive_transport("left", sig, carrier="B", family="S")
     sig.define(d.name, d.telescope, d.ty, d.body)
     sig.assume_term("c0", (), k.Core(B))
     sig.assume_term("c1", (), k.Op(B))
@@ -476,7 +477,7 @@ def test_substitution_coherence_for_intro():
 # -- the transport scenario, in code and from files -------------------------
 
 def transport_source():
-    d = ch.derive_transport("right", carrier="B", family="S")
+    d = surface.derive_transport("right", carrier="B", family="S")
     call = k.Const("transport_R", (k.Const("c"), k.Const("c'"),
                                    k.Const("ff"), k.Const("u0")))
     stay = k.Const("transport_R", (k.Const("c"), k.IncCore(k.Const("c")),
@@ -594,7 +595,7 @@ bind const u0 = *
 
 
 def test_scenario_files_round_trip(tmp_path):
-    (tmp_path / "trans.dtt").write_text(ps.print_source(transport_source()),
+    (tmp_path / "trans.dtt").write_text(surface.print_source(transport_source()),
                                         encoding="utf-8")
     (tmp_path / "world.fincat").write_text(FINCAT_TEXT, encoding="utf-8")
     scn_path = tmp_path / "trans.scn"
@@ -605,7 +606,7 @@ def test_scenario_files_round_trip(tmp_path):
 
 
 def test_scenario_with_bad_binding_name(tmp_path):
-    (tmp_path / "trans.dtt").write_text(ps.print_source(transport_source()),
+    (tmp_path / "trans.dtt").write_text(surface.print_source(transport_source()),
                                         encoding="utf-8")
     (tmp_path / "world.fincat").write_text(FINCAT_TEXT, encoding="utf-8")
     scn_path = tmp_path / "trans.scn"

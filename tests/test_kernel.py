@@ -13,6 +13,7 @@ from homtt.kernel import (BaseT, Const, Core, ElimL, ElimR, Hom, IncCore,
                           IncOp, One, Op, Var)
 
 import oracles
+import surface
 import wtgen
 
 B = BaseT("B")
@@ -322,7 +323,7 @@ def test_instantiate_closed_retargets_binders():
 
 
 def test_instantiate_closed_is_weaken_then_instantiate():
-    derived = [derive(side) for derive in (ch.derive_comp, ch.derive_transport)
+    derived = [derive(side) for derive in (surface.derive_comp, surface.derive_transport)
                for side in ("right", "left")]
     closed = [(len(d.telescope), x) for d in derived for x in (d.ty, d.body)]
     closed += [(0, tm) for tm, _ in wtgen.generate(random.Random(23), 40)]

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+import surface
 import wtgen
 from homtt import kernel as k
 from homtt import parser as ps
@@ -43,7 +44,7 @@ def _wtgen_file(seed, count):
               for b in wtgen.POINTS]
     decls += [ps.Define(f"d{n}", (), ty, tm) for n, (tm, ty)
               in enumerate(wtgen.generate(random.Random(seed), count))]
-    return ps.print_source(ps.SourceFile(tuple(decls)))
+    return surface.print_source(ps.SourceFile(tuple(decls)))
 
 
 def _token_ends(text):

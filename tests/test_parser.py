@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import surface
 from homtt import kernel as k
 from homtt import parser as p
 
@@ -130,7 +131,7 @@ def test_print_parse_round_trip_fixed():
         "assert type (u : B) hom (op (core B)) (iop a) (i w)\n"
     )
     src = p.parse_dtt(text)
-    again = p.parse_dtt(p.print_source(src))
+    again = p.parse_dtt(surface.print_source(src))
     assert [strip(d) for d in again.decls] == [strip(d) for d in src.decls]
 
 
@@ -185,9 +186,9 @@ def test_print_parse_round_trip_random():
         tm = _rand_term(rng, n, 3)
         ty = _rand_type(rng, n, 2)
         decl = p.AssertEqual(tele, tm, tm, ty)
-        text = PRELUDE + p.print_decl(decl) + "\n"
+        text = PRELUDE + surface.print_decl(decl) + "\n"
         got = p.parse_dtt(text).decls[-1]
-        assert strip(got) == decl, p.print_decl(decl)
+        assert strip(got) == decl, surface.print_decl(decl)
 
 
 def test_printer_binders_avoid_constant_names():

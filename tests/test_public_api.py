@@ -13,8 +13,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "homtt"
 
-# the console entry point and the derived terms the README documents
-ALLOWED = {"main", "derive_transport", "derive_comp", "print_source"}
+# the console entry point
+ALLOWED = {"main"}
 
 
 def _defined(stmt):
