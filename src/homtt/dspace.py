@@ -257,9 +257,10 @@ def deadlocks(report):
     """Reachable non-final cells with no legal forward step."""
     space = report.space
     blocked = space.blocked
+    final = space.final
     dead = []
     for c in sorted(report.reachable):
-        if c == space.final:
+        if c == final:
             continue
         moves = (_step(space, c, a, +1) for a in range(space.dims))
         if all(n is None or n in blocked for n in moves):
