@@ -161,7 +161,7 @@ class ElimWitness:
     side: str                  # "right" or "left"
     e_cat: fc.FinCat           # the transport extension
     d_fa: fc.FiberAssignment   # the outer motive over e_cat
-    unit: fc.Functor           # (s, th) to (s, s, 1_s, th) in e_cat
+    unit: fc.Functor           # (p, th) to (p, p, 1_p, th) in e_cat
     d_sec: fc.Section          # the seed section over C.core.theta
     e_full: fc.Section         # the transported section over all of e_cat
     args: fc.Functor           # the instantiating functor from the context

@@ -232,8 +232,8 @@ def test_derive_rejects_bad_side():
 
 def test_derived_terms_print_and_reparse():
     header = "assume T : Type\nassume S (x : T) : Type\n"
-    for gen in (surface.derive_transport("right"), surface.derive_comp("right"),
-                surface.derive_comp("left")):
+    for gen in (surface.derive_transport("right"),
+                surface.derive_comp("right"), surface.derive_comp("left")):
         text = header + surface.print_decl(gen) + "\n"
         got = ps.parse_dtt(text).decls[-1]
         assert (got.telescope, got.ty, got.body) == \

@@ -330,25 +330,22 @@ def test_generic_eliminator_is_natural_over_the_whole_extension():
 
 # -- left/right duality -----------------------------------------------------
 
-def left_elim_outcome(itp, ctx, node, run):
-    """The section of one elimL node as obj/mor dicts, or the refusal."""
-    try:
-        sec = run(itp, ctx, node)
-    except fc.SizeCapError as err:
-        return "refused", str(err)
-    return sec.obj, sec.mor
-
-
-def assert_left_elim_matches_the_mirror_route(sig, env, ctx, node):
-    """Each route runs on an interpreter of its own, so neither reads the
-    other's cached results."""
+def left_elim_outcomes(sig, env, ctx, node):
+    """The section of one elimL node from the interpreter and from the
+    mirror route, each as obj/mor dicts or as the size-cap refusal.  Each
+    route runs on an interpreter of its own, so neither reads the other's
+    cached results."""
     assert isinstance(node, k.ElimL)
-    got = left_elim_outcome(ip.Interpreter(sig, env), ctx, node,
-                            lambda itp, c, e: itp.term(c, e))
-    want = left_elim_outcome(ip.Interpreter(sig, env), ctx, node,
-                             oracles.mirror_left_elim)
-    assert got == want
-    return got[0] != "refused"
+    out = []
+    for run in (lambda itp: itp.term(ctx, node),
+                lambda itp: oracles.mirror_left_elim(itp, ctx, node)):
+        try:
+            sec = run(ip.Interpreter(sig, env))
+        except fc.SizeCapError as err:
+            out.append(("refused", str(err)))
+        else:
+            out.append((sec.obj, sec.mor))
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(cats.ALL))
@@ -361,8 +358,12 @@ def test_left_elim_agrees_with_the_mirror_route(name):
             sig, env, _ = comp_setup(c, f_mor, g_mor)
             tele, _, body, _ = sig.defs["comp_L"]
             node = k.instantiate_closed(body, 5, CLOSED_ARGS, 0)
-            assert_left_elim_matches_the_mirror_route(sig, env, (), node)
-    assert_left_elim_matches_the_mirror_route(sig, env, tuple(tele), body)
+            got, want = left_elim_outcomes(sig, env, (), node)
+            assert got == want
+            assert got[0] != "refused"
+    # over the telescope the size cap refuses chain3 and grid22
+    got, want = left_elim_outcomes(sig, env, tuple(tele), body)
+    assert got == want
 
 
 def left_transport_setup():
@@ -417,9 +418,10 @@ def test_left_transport_agrees_with_the_mirror_route():
     sig, env, _ = left_transport_setup()
     tele, _, body, _ = sig.defs["transport_L"]
     node = k.instantiate_closed(body, 4, TRANSPORT_ARGS, 0)
-    assert assert_left_elim_matches_the_mirror_route(sig, env, (), node)
-    assert assert_left_elim_matches_the_mirror_route(sig, env, tuple(tele),
-                                                     body)
+    for ctx, e in (((), node), (tuple(tele), body)):
+        got, want = left_elim_outcomes(sig, env, ctx, e)
+        assert got == want
+        assert got[0] != "refused"
 
 
 def test_scenario_left_witnesses_agree_with_the_mirror_route(monkeypatch):
@@ -437,8 +439,9 @@ def test_scenario_left_witnesses_agree_with_the_mirror_route(monkeypatch):
     monkeypatch.undo()
     assert len(seen) == sum(w.side == "left" for w in witnesses) == 2
     for ctx, e in seen:
-        assert assert_left_elim_matches_the_mirror_route(sc.sig, sc.env,
-                                                         ctx, e)
+        got, want = left_elim_outcomes(sc.sig, sc.env, ctx, e)
+        assert got == want
+        assert got[0] != "refused"
 
 
 # -- substitution coherence -------------------------------------------------

@@ -323,7 +323,8 @@ def test_instantiate_closed_retargets_binders():
 
 
 def test_instantiate_closed_is_weaken_then_instantiate():
-    derived = [derive(side) for derive in (surface.derive_comp, surface.derive_transport)
+    derived = [derive(side)
+               for derive in (surface.derive_comp, surface.derive_transport)
                for side in ("right", "left")]
     closed = [(len(d.telescope), x) for d in derived for x in (d.ty, d.body)]
     closed += [(0, tm) for tm, _ in wtgen.generate(random.Random(23), 40)]
