@@ -598,8 +598,8 @@ bind const u0 = *
 
 
 def test_scenario_files_round_trip(tmp_path):
-    (tmp_path / "trans.dtt").write_text(surface.print_source(transport_source()),
-                                        encoding="utf-8")
+    (tmp_path / "trans.dtt").write_text(
+        surface.print_source(transport_source()), encoding="utf-8")
     (tmp_path / "world.fincat").write_text(FINCAT_TEXT, encoding="utf-8")
     scn_path = tmp_path / "trans.scn"
     scn_path.write_text(SCENARIO_TEXT, encoding="utf-8")
@@ -609,8 +609,8 @@ def test_scenario_files_round_trip(tmp_path):
 
 
 def test_scenario_with_bad_binding_name(tmp_path):
-    (tmp_path / "trans.dtt").write_text(surface.print_source(transport_source()),
-                                        encoding="utf-8")
+    (tmp_path / "trans.dtt").write_text(
+        surface.print_source(transport_source()), encoding="utf-8")
     (tmp_path / "world.fincat").write_text(FINCAT_TEXT, encoding="utf-8")
     scn_path = tmp_path / "trans.scn"
     scn_path.write_text(SCENARIO_TEXT + "bind const zz = 0\n",
