@@ -8,7 +8,8 @@ Grothendieck construction is built pair-shaped, as in the textbook, to
 referee the interpreter's flat context extension.  The category
 isomorphism search enumerates functors outright, cocartesian morphisms
 are decided by building the opposite functor afresh, and grid closures
-are found by walking monotone paths.  The .dtt lexer is the token-object
+are found by walking monotone paths, deadlocks by trying every forward
+step out of every reachable cell.  The .dtt lexer is the token-object
 one: one `Tok` with its line and column per token, stray characters
 reported as they are met.  The left eliminator is computed through the
 mirror of its transport extension, relabelled into right-handed shape,
@@ -500,6 +501,21 @@ def closure_cells(space, forward=True):
                 if step not in blocked:
                     stack.append(step)
     return seen
+
+
+def deadlocks_by_scan(report):
+    """Reachable non-final cells with no legal forward step."""
+    space = report.space
+    blocked = space.blocked
+    final = space.final
+    dead = []
+    for c in sorted(report.reachable):
+        if c == final:
+            continue
+        moves = (ds._step(space, c, a, +1) for a in range(space.dims))
+        if all(n is None or n in blocked for n in moves):
+            dead.append(c)
+    return tuple(dead)
 
 
 # ---------------------------------------------------------------------------

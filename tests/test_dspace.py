@@ -1,6 +1,8 @@
 """Grid reachability checked against a walk of monotone paths."""
 
 import dataclasses
+import random
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +260,74 @@ def test_certificate_names_each_planted_fault(name, table, tamper, problem):
     bad = dataclasses.replace(
         report, **{table: tamper(getattr(report, table))})
     assert problem in bad.validate()
+
+
+# ---------------------------------------------------------------------------
+# generated programs: deadlocks and closures against the referees
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def stress_space():
+    """Criterion 8's grid: two rectangles inside a 8 by 8 square."""
+    ticks = ("0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "1")
+    return ds.DirectedGridSpace(
+        (ticks, ticks), (ds.Rect((2, 2), (6, 5)), ds.Rect((4, 6), (7, 8))))
+
+
+def random_program(rng):
+    """A valid program inside from_pv's caps: 2-3 processes, 2-4
+    semaphores, at most 8 P/V pairs (16 events) per process."""
+    sems = "mnpq"[:rng.randint(2, 4)]
+    procs = []
+    for _ in range(rng.randint(2, 3)):
+        pairs, held, evs = rng.randint(1, 8), [], []
+        while pairs or held:
+            free = [s for s in sems if s not in held]
+            if pairs and free and (not held or rng.random() < 0.5):
+                s = rng.choice(free)
+                held.append(s)
+                pairs -= 1
+                evs.append(("P", s))
+            else:
+                evs.append(("V", held.pop(rng.randrange(len(held)))))
+        procs.append(tuple(evs))
+    return ds.PVProgram(tuple(procs))
+
+
+GENERATED = [ds.from_pv(random_program(random.Random(f"pv/{i}")))
+             for i in range(300)]
+
+
+def referee_spaces():
+    corpus = [ds.from_pv(ds.parse_pv(p.read_text(encoding="utf-8"), str(p)))
+              for p in sorted(CORPUS.glob("*.pv"))]
+    assert len(corpus) == 4
+    return corpus + [build() for _, build in ORACLE_SPACES] \
+        + [stress_space()] + GENERATED
+
+
+def test_deadlocks_match_the_scan():
+    dead = {}
+    for space in referee_spaces():
+        report = ds.analyze(space)
+        got = ds.deadlocks(report)
+        assert got == oracles.deadlocks_by_scan(report), space
+        dead[space] = got
+    # not vacuous: many programs deadlock, and in some three-axis ones a
+    # process has finished while the other two are stuck
+    assert sum(bool(dead[s]) for s in GENERATED) >= 50
+    assert any(v == f for s in GENERATED if s.dims == 3
+               for c in dead[s] for v, f in zip(c, s.final))
+
+
+def test_closures_of_generated_programs():
+    for space in GENERATED:
+        report = ds.analyze(space)
+        assert set(report.reachable) == oracles.closure_cells(space, True)
+        assert set(report.safe) == oracles.closure_cells(space, False)
+        assert report.validate() == []
 
 
 def test_link_tables_retrace_witness_paths():
