@@ -70,7 +70,6 @@ class DirectedGridSpace:
         for a, t in enumerate(self.ticks):
             if len(t) < 2:
                 out.append(f"axis {a} needs at least two boundary ticks")
-        blocked = self.blocked
         for r in self.forbidden:
             if len(r.lo) != self.dims or len(r.hi) != self.dims:
                 out.append(f"rectangle {r} does not span every axis")
@@ -80,6 +79,7 @@ class DirectedGridSpace:
                     out.append(f"rectangle {r} leaves the grid on axis {a}")
                     break
         if not out:
+            blocked = self.blocked
             if self.initial in blocked:
                 out.append("the initial corner is forbidden")
             if self.final in blocked:

@@ -197,6 +197,13 @@ def test_space_validation_flags_bad_rectangles_and_corners():
     assert any("two boundary ticks" in p for p in thin.validate())
 
 
+def test_space_validation_reports_a_rectangle_missing_an_axis():
+    ticks = (("0", "a", "1"), ("0", "b", "1"))
+    short = ds.DirectedGridSpace(ticks, (ds.Rect((0,), (1,)),))
+    assert short.validate() == [
+        "rectangle Rect(lo=(0,), hi=(1,)) does not span every axis"]
+
+
 # ---------------------------------------------------------------------------
 # closures agree with path enumeration
 
