@@ -11,6 +11,11 @@ cells are the forward closure of the all-zeros corner, safe cells the
 backward closure of the all-ones corner.  Each closure is a link table:
 every cell maps to its neighbour one step back toward the corner, which
 maps to None, so following links from any cell retraces a witness path.
+
+Deadlocks come from rectangle corners (Fajstrup, Goubault and Raussen,
+Detecting deadlocks in concurrent systems, CONCUR 1998): a step along
+axis a out of an allowed cell c enters a rectangle R only if R.lo[a] is
+c[a] + 1, so a deadlock has on each axis the last index or an R.lo[a] - 1.
 """
 
 from __future__ import annotations
@@ -225,20 +230,29 @@ def _closure(space, start, d):
     sweep in lexicographic order (reversed for d = -1) meets each cell
     after all of its predecessors.  A cell is in the closure iff it is
     allowed and some predecessor already is; it links to the first such
-    predecessor, and start links to None.
+    predecessor, and start links to None.  Numbered in sweep order, a cell
+    off start's face on axis a has its predecessor there a stride back.
     """
     blocked = space.blocked
     links = {}
     if start in blocked:
         return links
     links[start] = None
-    for c in product(*(range(n)[::d] for n in space.shape)):
+    shape = space.shape
+    cells = list(product(*(range(n)[::d] for n in shape)))
+    axes, stride = [], 1
+    for a in reversed(range(len(shape))):
+        axes.insert(0, (a, stride, start[a]))
+        stride *= shape[a]
+    inside = bytearray(len(cells))
+    inside[0] = 1
+    for i, c in enumerate(cells):
         if c in blocked:
             continue
-        for a in range(space.dims):
-            p = c[:a] + (c[a] - d,) + c[a + 1:]
-            if p in links:
-                links[c] = p
+        for a, stride, edge in axes:
+            if c[a] != edge and inside[i - stride]:
+                links[c] = cells[i - stride]
+                inside[i] = 1
                 break
     return links
 
@@ -254,17 +268,27 @@ def safe(space):
 
 
 def deadlocks(report):
-    """Reachable non-final cells with no legal forward step."""
+    """Reachable non-final cells with no legal forward step, in order.
+
+    Fajstrup, Goubault and Raussen (CONCUR 1998): a step along axis a out
+    of an allowed cell c is blocked only by a rectangle R with R.lo[a] =
+    c[a] + 1, so only cells made of R.lo[a] - 1 and last indices qualify.
+    """
     space = report.space
     blocked = space.blocked
     final = space.final
+    ends = tuple(enumerate(final))
+    axes = [sorted({r.lo[a] - 1 for r in space.forbidden if r.lo[a] > 0}
+                   | {last}) for a, last in ends]
     dead = []
-    for c in sorted(report.reachable):
-        if c == final:
-            continue
-        moves = (_step(space, c, a, +1) for a in range(space.dims))
-        if all(n is None or n in blocked for n in moves):
-            dead.append(c)
+    for c in product(*axes):
+        if c in report.reachable and c != final:
+            for a, last in ends:
+                if c[a] != last and \
+                        c[:a] + (c[a] + 1,) + c[a + 1:] not in blocked:
+                    break
+            else:
+                dead.append(c)
     return tuple(dead)
 
 
@@ -286,7 +310,7 @@ class RegionReport:
 
     def _complement(self, got):
         blocked = self.space.blocked
-        return tuple(c for c in sorted(states(self.space))
+        return tuple(c for c in states(self.space)
                      if c not in blocked and c not in got)
 
     def validate(self):
@@ -300,6 +324,7 @@ class RegionReport:
         out = []
         space = self.space
         blocked = space.blocked
+        axes = range(space.dims)
         ends = (("reachable", self.reachable, space.initial, +1),
                 ("safe", self.safe, space.final, -1))
         for name, table, anchor, d in ends:
@@ -313,10 +338,10 @@ class RegionReport:
                     out.append(f"{name}: {c} links to {p}, "
                                "which is not in the table")
                 elif c != anchor and all(_step(space, p, a, d) != c
-                                         for a in range(space.dims)):
+                                         for a in axes):
                     out.append(f"{name}: {c} links to {p}, "
                                "not one unit step back")
-                for a in range(space.dims):
+                for a in axes:
                     n = _step(space, c, a, d)
                     if n is not None and n not in blocked \
                             and n not in table:
