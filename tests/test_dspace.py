@@ -1,4 +1,5 @@
-"""Grid reachability checked against a walk of monotone paths."""
+"""Grid reachability checked against a walk of monotone paths, and
+deadlocks against a scan of every reachable cell."""
 
 import dataclasses
 import random
@@ -277,7 +278,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def stress_space():
-    """Criterion 8's grid: two rectangles inside a 8 by 8 square."""
+    """Criterion 8's grid: two rectangles inside an 8 by 8 square."""
     ticks = ("0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "1")
     return ds.DirectedGridSpace(
         (ticks, ticks), (ds.Rect((2, 2), (6, 5)), ds.Rect((4, 6), (7, 8))))
