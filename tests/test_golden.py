@@ -1,18 +1,35 @@
-"""The `--format records` stream over the whole corpus, against a checked-in copy.
+"""The report streams over the whole corpus, against checked-in copies.
 
-Regenerate the golden file (only when a behaviour change is intended) with
+`tests/golden/corpus.records` pins the `--format records` stream of every
+corpus invocation; `tests/golden/corpus.human` pins the `--format human`
+stream of the same invocations plus one multi-file run per subcommand.
+Regenerate a golden file (only when a behaviour change is intended) with
 
-    PYTHONPATH=src python tests/test_golden.py > tests/golden/corpus.records
+    PYTHONPATH=src python tests/test_golden.py records > tests/golden/corpus.records
+    PYTHONPATH=src python tests/test_golden.py human > tests/golden/corpus.human
 """
 
 import io
 import os
+import sys
 from pathlib import Path
 
 import homtt.cli as cli
 
 REPO = Path(__file__).resolve().parent.parent
-GOLDEN = Path(__file__).resolve().parent / "golden" / "corpus.records"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# several files in one run: one `== path` block each, one summary line; a
+# file that cannot be used fails the whole run before anything is printed
+MULTI_FILE = [
+    ("check", "corpus/bad-intro.dtt", "corpus/comp.dtt"),
+    ("check", "corpus/comp.dtt", "corpus/interval.pv"),
+    ("interp", "--oracle", "corpus/scenarios/comp.scn",
+     "corpus/scenarios/transport.scn"),
+    ("wfs", "--oracle", "corpus/cats/two.fincat",
+     "corpus/scenarios/world.fincat"),
+    ("pv", "--oracle", "corpus/mutex.pv", "corpus/threeway.pv"),
+]
 
 
 def _invocations():
@@ -30,8 +47,8 @@ def _invocations():
     return runs
 
 
-def records_stream():
-    """One block per invocation: the command line, its records, its exit code.
+def _stream(fmt, invocations):
+    """One block per invocation: the command line, its report, its exit code.
 
     Paths are given relative to the repository root (resolved through
     $HOMTT_CORPUS), so the stream does not depend on where the tree lives.
@@ -40,9 +57,9 @@ def records_stream():
     os.environ[cli.CORPUS_VAR] = str(REPO)
     try:
         out = []
-        for argv in _invocations():
+        for argv in invocations:
             buf = io.StringIO()
-            rc = cli.run(cli.parse_args([*argv, "--format", "records"]), buf)
+            rc = cli.run(cli.parse_args([*argv, "--format", fmt]), buf)
             out.append(f"== {' '.join(argv)}\n{buf.getvalue()}exit {rc}\n")
         return "".join(out)
     finally:
@@ -52,9 +69,24 @@ def records_stream():
             os.environ[cli.CORPUS_VAR] = saved
 
 
+def records_stream():
+    return _stream("records", _invocations())
+
+
+def human_stream():
+    return _stream("human", _invocations() + MULTI_FILE)
+
+
 def test_corpus_records_match_the_golden_stream():
-    assert records_stream() == GOLDEN.read_text(encoding="utf-8")
+    want = (GOLDEN / "corpus.records").read_text(encoding="utf-8")
+    assert records_stream() == want
+
+
+def test_corpus_human_report_matches_the_golden_stream():
+    want = (GOLDEN / "corpus.human").read_text(encoding="utf-8")
+    assert human_stream() == want
 
 
 if __name__ == "__main__":
-    print(records_stream(), end="")
+    streams = {"records": records_stream, "human": human_stream}
+    print(streams[sys.argv[1] if len(sys.argv) > 1 else "records"](), end="")

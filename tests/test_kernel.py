@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ import surface
 import wtgen
 
 B = BaseT("B")
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def names(n):
@@ -335,6 +337,79 @@ def test_instantiate_closed_is_weaken_then_instantiate():
             args = tuple(rng.choice(pool) for _ in range(arity))
             assert (k.instantiate_closed(body, arity, args, n)
                     == k.instantiate(k.shift(body, 0, n), n, args))
+
+
+# ---------------------------------------------------------------------------
+# the base-case type of an eliminator: the four-binder motive D at the unit,
+# (p, i p, one p, th) on the right and (iop p, p, one p, th) on the left,
+# built by one instantiate and refereed by the old chain of two substitutes
+
+
+def unit_instance(dm, n, right):
+    p = Var(n)
+    ends = (p, IncCore(p)) if right else (IncOp(p), p)
+    return k.instantiate(dm, n, (*ends, One(p), Var(n + 1)), n + 2)
+
+
+def unit_substitutes(dm, n, right):
+    if right:
+        out = k.substitute(dm, n + 2, One(Var(n)), n + 4)
+        return k.substitute(out, n + 1, IncCore(Var(n)), n + 3)
+    out = k.substitute(dm, n, IncOp(Var(n)), n + 4)
+    return k.substitute(out, n + 1, One(Var(n)), n + 3)
+
+
+def var_levels(x):
+    if isinstance(x, Var):
+        return {x.level}
+    return set().union(*(var_levels(c) for c, _ in k.children(x)))
+
+
+def eliminators(x, n):
+    """Every eliminator in x (which sits in a context of length n), with
+    the length of the context it sits in."""
+    if isinstance(x, (ElimR, ElimL)):
+        yield x, n
+    for c, b in k.children(x):
+        yield from eliminators(c, n + b)
+
+
+def sample_eliminators():
+    out = []
+    for tm, ty in wtgen.generate(random.Random(37), 60):
+        out += eliminators(tm, 0)
+        out += eliminators(ty, 0)
+    for path in sorted(CORPUS.rglob("*.dtt")):
+        src = ps.parse_dtt(path.read_text(encoding="utf-8"), str(path))
+        for decl in src.decls:
+            tele = decl.telescope
+            for j, (_, ty) in enumerate(tele):
+                out += eliminators(ty, j)
+            for field in ("ty", "body", "lhs", "rhs"):
+                x = getattr(decl, field, None)
+                if x is not None:
+                    out += eliminators(x, len(tele))
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randrange(0, 4)
+        out += eliminators(rand_term(rng, n, rng.randrange(2, 7)), n)
+    return out
+
+
+def test_unit_instance_matches_the_substitute_chain():
+    elims = sample_eliminators()
+    assert len(elims) > 200
+    assert any(isinstance(e, ElimL) for e, _ in elims)
+    for e, n in elims:
+        # levels are absolute, so D mentions s or t wherever they occur
+        ends_used = bool(var_levels(e.motive_d) & {n, n + 1})
+        for right in (True, False):
+            want = unit_substitutes(e.motive_d, n, right)
+            assert unit_instance(e.motive_d, n, right) == want
+            assert well_scoped(want, n + 2)
+            # the other side's ends give another type exactly when D uses them
+            assert (unit_instance(e.motive_d, n, not right) != want) \
+                == ends_used
 
 
 class Foreign:
