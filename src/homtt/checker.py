@@ -276,14 +276,12 @@ def _infer_elim(sig, ctx, e, right):
              lambda: check_type(sig, ctx_base[:-1], th))
     _premise(3, f"{kw} second motive", lambda: check_type(sig, ctx_d, dm))
 
-    # expected type of the base case: the four-binder motive with the f slot
-    # set to a unit and the middle variable to the matching inclusion image
-    if right:
-        expected = k.substitute(dm, n + 2, k.One(k.Var(n)), n + 4)
-        expected = k.substitute(expected, n + 1, k.IncCore(k.Var(n)), n + 3)
-    else:
-        expected = k.substitute(dm, n, k.IncOp(k.Var(n)), n + 4)
-        expected = k.substitute(expected, n + 1, k.One(k.Var(n)), n + 3)
+    # expected type of the base case: the four-binder motive at the unit of
+    # the core point p = s, (p, i p, one p, th) on the right and
+    # (iop p, p, one p, th) on the left
+    p = k.Var(n)
+    ends = (p, k.IncCore(p)) if right else (k.IncOp(p), p)
+    expected = k.instantiate(dm, n, (*ends, k.One(p), k.Var(n + 1)), n + 2)
     _premise(4, f"{kw} base case",
              lambda: check_term(sig, ctx_base, base, expected))
 
@@ -296,21 +294,42 @@ def _infer_elim(sig, ctx, e, right):
 
 
 # ---------------------------------------------------------------------------
-# whole files
+# verdicts, the one report record of every tool
 
 
 @dataclass(frozen=True)
 class Record:
-    kind: str
+    """One verdict of one check on one subject, from any tool; `line` is
+    the source line of a checked declaration (0 when there is none)."""
+
     subject: str
+    check: str
     ok: bool
-    detail: str
+    detail: str = ""
     line: int = 0
 
 
-_KINDS = {ps.AssumeType: "assume-type", ps.AssumeTerm: "assume-term",
-          ps.Define: "define", ps.AssertType: "assert-type",
-          ps.AssertEqual: "assert-equal"}
+def verdict(subject, check, problems):
+    """The record of a check that passes when `problems` is empty and
+    otherwise reports the first one."""
+    return Record(subject, check, not problems, problems[0] if problems else "")
+
+
+def format_records(records):
+    """One tab-separated line per record: check, subject, verdict, detail."""
+    lines = ["\t".join([r.check, r.subject, "ok" if r.ok else "FAIL",
+                        r.detail])
+             for r in records]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# ---------------------------------------------------------------------------
+# whole files
+
+
+_CHECKS = {ps.AssumeType: "assume-type", ps.AssumeTerm: "assume-term",
+           ps.Define: "define", ps.AssertType: "assert-type",
+           ps.AssertEqual: "assert-equal"}
 
 
 def check_source(source):
@@ -324,10 +343,10 @@ def check_source(source):
     records = []
     asserts = 0
     for decl in source.decls:
-        kind = _KINDS.get(type(decl))
-        if kind is None:
+        check = _CHECKS.get(type(decl))
+        if check is None:
             raise k.InternalError(f"unknown declaration {decl!r}")
-        if kind.startswith("assert"):
+        if check.startswith("assert"):
             asserts += 1
             subject = f"assert#{asserts}"
         else:
@@ -343,7 +362,7 @@ def check_source(source):
                     sig.add_const(name, tele, ty)
                 case ps.Define(name, tele, ty, body):
                     sig.add_def(name, tele, ty, body)
-        records.append(Record(kind, subject, ok, detail, decl.line))
+        records.append(Record(subject, check, ok, detail, decl.line))
     return sig, records
 
 

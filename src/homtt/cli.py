@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import checker as ch
@@ -31,7 +32,6 @@ from . import parser as ps
 from . import wfs
 
 CORPUS_VAR = "HOMTT_CORPUS"
-BRUTE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -95,35 +95,26 @@ def _verdict(r):
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (human lines, records)
+# subcommands; each handles one file and returns (human lines, records)
 
 
-def _cmd_check(cfg):
-    out, records = [], []
-    for path in cfg.paths:
-        out.append(f"== {path}")
-        text = _resolve(path).read_text(encoding="utf-8")
-        _, recs = ch.check_source(ps.parse_dtt(text, str(path)))
-        for r in recs:
-            records.append(ip.VerifyRecord(r.subject, r.kind, r.ok, r.detail))
-            shown = r.detail
-            if r.kind == "define" and r.ok:
-                shown = shown.split(" := ", 1)[0]
-            out.append(f"{r.subject} : {shown} {'OK' if r.ok else 'FAIL'}")
+def _cmd_check(cfg, path):
+    text = _resolve(path).read_text(encoding="utf-8")
+    _, records = ch.check_source(ps.parse_dtt(text, str(path)))
+    out = []
+    for r in records:
+        shown = r.detail
+        if r.check == "define" and r.ok:
+            shown = shown.split(" := ", 1)[0]
+        out.append(f"{r.subject} : {shown} {'OK' if r.ok else 'FAIL'}")
     return out, records
 
 
-def _cmd_interp(cfg):
-    out, records = [], []
-    for path in cfg.paths:
-        out.append(f"== {path}")
-        sc = ip.load_scenario(_resolve(path))
-        recs, witnesses = ip.verify_soundness(sc)
-        if cfg.oracle:
-            recs += _lift_oracle(witnesses, _cap(cfg, BRUTE_CAP))
-        records.extend(recs)
-        out.extend(_verdict(r) for r in recs)
-    return out, records
+def _cmd_interp(cfg, path):
+    recs, witnesses = ip.verify_soundness(ip.load_scenario(_resolve(path)))
+    if cfg.oracle:
+        recs += _lift_oracle(witnesses, _cap(cfg, wfs.BRUTE_CAP))
+    return [_verdict(r) for r in recs], recs
 
 
 def _lift_oracle(witnesses, cap):
@@ -135,7 +126,7 @@ def _lift_oracle(witnesses, cap):
             _, witness = wfs.elimination_square(w)
             recs.append(_diagonal_record(subject, check, witness, cap))
         except (wfs.WfsError, fc.SizeCapError, ValueError) as err:
-            recs.append(ip.VerifyRecord(subject, check, False, str(err)))
+            recs.append(ch.Record(subject, check, False, str(err)))
     return recs
 
 
@@ -144,24 +135,19 @@ def _diagonal_record(subject, check, witness, cap):
     exists and the certified one is among them."""
     lifts = wfs.brute_force_lifts(witness.problem, cap)
     found = any(witness.diagonal == lw.diagonal for lw in lifts)
-    return ip.VerifyRecord(subject, check, bool(lifts) and found,
-                           f"{len(lifts)} diagonal(s) found" if lifts
-                           else "no diagonal found")
+    return ch.Record(subject, check, bool(lifts) and found,
+                     f"{len(lifts)} diagonal(s) found" if lifts
+                     else "no diagonal found")
 
 
-def _cmd_wfs(cfg):
-    out, records = [], []
-    for path in cfg.paths:
-        out.append(f"== {path}")
-        text = _resolve(path).read_text(encoding="utf-8")
-        ws = fc.build_catfile(ps.parse_fincat(text, str(path)))
-        if ws.diagnostics:
-            name, msg = ws.diagnostics[0]
-            raise ip.InterpError(f"{path}: workspace block {name!r}: {msg}")
-        recs = _wfs_records(ws, cfg)
-        records.extend(recs)
-        out.extend(_verdict(r) for r in recs)
-    return out, records
+def _cmd_wfs(cfg, path):
+    text = _resolve(path).read_text(encoding="utf-8")
+    ws = fc.build_catfile(ps.parse_fincat(text, str(path)))
+    if ws.diagnostics:
+        name, msg = ws.diagnostics[0]
+        raise ip.InterpError(f"{path}: workspace block {name!r}: {msg}")
+    recs = _wfs_records(ws, cfg)
+    return [_verdict(r) for r in recs], recs
 
 
 def _wfs_records(ws, cfg):
@@ -169,35 +155,36 @@ def _wfs_records(ws, cfg):
     for name, cat in ws.categories.items():
         try:
             _, _, alpha_recs = wfs.alpha_iso(cat)
-            recs.extend(ip.VerifyRecord(name, r.check, r.ok, r.detail)
-                        for r in alpha_recs)
+            recs.extend(replace(r, subject=name) for r in alpha_recs)
         except (wfs.WfsError, fc.SizeCapError) as err:
-            recs.append(ip.VerifyRecord(name, "alpha-iso", False, str(err)))
+            recs.append(ch.Record(name, "alpha-iso", False, str(err)))
     for name, F in ws.functors.items():
+        facts = {}
         for flavor in wfs.FLAVORS:
             try:
-                bad = wfs.factor(F, flavor).validate()
-                recs.append(ip.VerifyRecord(name, f"factor[{flavor}]",
-                                            not bad, bad[0] if bad else ""))
+                facts[flavor] = wfs.factor(F, flavor)
+                bad = facts[flavor].validate()
             except fc.SizeCapError as err:
-                recs.append(ip.VerifyRecord(name, f"factor[{flavor}]",
-                                            False, str(err)))
-        ok, _ = fc.has_cocartesian_lifts(F)
+                facts[flavor], bad = err, [str(err)]
+            recs.append(ch.verdict(name, f"factor[{flavor}]", bad))
+        ok, lifts = fc.has_cocartesian_lifts(F)
         if not ok:
             continue
         try:
-            witness = wfs.opfib_lift(F)
-            recs.append(ip.VerifyRecord(name, "opfib-lift", True, ""))
+            # a refused arrow factorization refuses the lift as well
+            if isinstance(facts["arrow"], fc.SizeCapError):
+                raise facts["arrow"]
+            witness = wfs.opfib_lift(facts["arrow"], lifts)
+            recs.append(ch.Record(name, "opfib-lift", True))
         except (wfs.WfsError, fc.SizeCapError) as err:
-            recs.append(ip.VerifyRecord(name, "opfib-lift", False, str(err)))
+            recs.append(ch.Record(name, "opfib-lift", False, str(err)))
             continue
         if cfg.oracle:
             try:
                 recs.append(_diagonal_record(name, "lift-oracle", witness,
-                                             _cap(cfg, BRUTE_CAP)))
+                                             _cap(cfg, wfs.BRUTE_CAP)))
             except wfs.WfsError as err:
-                recs.append(ip.VerifyRecord(name, "lift-oracle", False,
-                                            str(err)))
+                recs.append(ch.Record(name, "lift-oracle", False, str(err)))
     return recs
 
 
@@ -205,44 +192,35 @@ def _cells(cells):
     return " ".join(",".join(str(v) for v in c) for c in cells) or "none"
 
 
-def _cmd_pv(cfg):
-    out, records = [], []
-    for path in cfg.paths:
-        out.append(f"== {path}")
-        text = _resolve(path).read_text(encoding="utf-8")
-        space = ds.from_pv(ds.parse_pv(text, str(path)))
-        report = ds.analyze(space)
-        dead = ds.deadlocks(report)
-        for i, ticks in enumerate(space.ticks):
-            out.append(f"axis {chr(65 + i)}: {' '.join(ticks)}")
-        out.append("")
-        if space.dims == 2:
-            out.append(ds.render(report).rstrip("\n"))
-            out.append("")
-        total = 1
-        for n in space.shape:
-            total *= n
-        out.append(f"reachable: {len(report.reachable)} of {total} cells")
-        out.append(f"safe: {len(report.safe)} of {total} cells")
-        out.append(f"unreachable: {_cells(report.unreachable)}")
-        out.append(f"unsafe: {_cells(report.unsafe)}")
-        out.append(f"deadlocks: {_cells(dead)}")
-        out.append("")
-        recs = [
-            ip.VerifyRecord(path, "final-reachable",
-                            space.final in report.reachable,
-                            "" if space.final in report.reachable
-                            else "the final corner cannot be reached"),
-            ip.VerifyRecord(path, "deadlock-free", not dead, _cells(dead)
-                            if dead else ""),
-        ]
-        if cfg.oracle:
-            bad = report.validate()
-            recs.append(ip.VerifyRecord(path, "closure-oracle", not bad,
-                                        bad[0] if bad else ""))
-        records.extend(recs)
-        out.extend(_verdict(r) for r in recs)
-    return out, records
+def _cmd_pv(cfg, path):
+    text = _resolve(path).read_text(encoding="utf-8")
+    space = ds.from_pv(ds.parse_pv(text, str(path)))
+    report = ds.analyze(space)
+    dead = ds.deadlocks(report)
+    out = [f"axis {chr(65 + i)}: {' '.join(ticks)}"
+           for i, ticks in enumerate(space.ticks)]
+    out.append("")
+    if space.dims == 2:
+        out += [ds.render(report).rstrip("\n"), ""]
+    total = math.prod(space.shape)
+    out += [
+        f"reachable: {len(report.reachable)} of {total} cells",
+        f"safe: {len(report.safe)} of {total} cells",
+        f"unreachable: {_cells(report.unreachable)}",
+        f"unsafe: {_cells(report.unsafe)}",
+        f"deadlocks: {_cells(dead)}",
+        "",
+    ]
+    reached = space.final in report.reachable
+    recs = [
+        ch.Record(path, "final-reachable", reached,
+                  "" if reached else "the final corner cannot be reached"),
+        ch.Record(path, "deadlock-free", not dead,
+                  _cells(dead) if dead else ""),
+    ]
+    if cfg.oracle:
+        recs.append(ch.verdict(path, "closure-oracle", report.validate()))
+    return out + [_verdict(r) for r in recs], recs
 
 
 _COMMANDS = {
@@ -256,8 +234,12 @@ _COMMANDS = {
 def run(cfg, stream=None):
     """Execute one configuration, write the report, return the exit code."""
     stream = stream if stream is not None else sys.stdout
+    out, records = [], []
     try:
-        out, records = _COMMANDS[cfg.command](cfg)
+        for path in cfg.paths:
+            lines, recs = _COMMANDS[cfg.command](cfg, path)
+            out += [f"== {path}", *lines]
+            records += recs
     except (OSError, ps.ParseError, ds.PvError, ip.InterpError,
             fc.SizeCapError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -270,7 +252,7 @@ def run(cfg, stream=None):
         return 3
     ok = all(r.ok for r in records)
     if cfg.format == "records":
-        stream.write(ip.format_records(records))
+        stream.write(ch.format_records(records))
     else:
         passed = sum(1 for r in records if r.ok)
         out.append(f"{passed}/{len(records)} checks passed")

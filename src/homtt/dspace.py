@@ -24,7 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 
 class PvError(Exception):
@@ -92,14 +92,12 @@ class DirectedGridSpace:
         return out
 
 
-def rect_cells(space, r):
-    """The cells lying wholly inside a closed tick rectangle."""
-    return frozenset(product(*(range(r.lo[a], r.hi[a])
-                               for a in range(space.dims))))
-
-
 def forbidden_cells(space):
-    return frozenset().union(*(rect_cells(space, r) for r in space.forbidden))
+    """The cells lying wholly inside some closed tick rectangle."""
+    axes = range(space.dims)
+    return frozenset(chain.from_iterable(
+        product(*(range(r.lo[a], r.hi[a]) for a in axes))
+        for r in space.forbidden))
 
 
 def states(space):

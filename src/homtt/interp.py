@@ -48,22 +48,6 @@ class SemanticEnv:
     terms: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class VerifyRecord:
-    subject: str
-    check: str
-    ok: bool
-    detail: str = ""
-
-
-def format_records(records):
-    """One tab-separated line per record: check, subject, verdict, detail."""
-    lines = ["\t".join([r.check, r.subject, "ok" if r.ok else "FAIL",
-                        r.detail])
-             for r in records]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 # ---------------------------------------------------------------------------
 # context categories
 
@@ -411,29 +395,27 @@ def verify_soundness(sc):
         return records, []
     itp = Interpreter(sc.sig, sc.env)
     for decl, rec in zip(sc.source.decls, sc.checks):
-        records.append(VerifyRecord(rec.subject, "typecheck", rec.ok,
-                                    "" if rec.ok else rec.detail))
+        records.append(ch.Record(rec.subject, "typecheck", rec.ok,
+                                 "" if rec.ok else rec.detail))
         if not rec.ok:
             continue
         try:
             records.extend(_decl_records(itp, rec.subject, decl))
         except (InterpError, ch.CheckError, fc.SizeCapError, ValueError,
                 KeyError) as err:
-            records.append(VerifyRecord(rec.subject, "interpretation",
-                                        False, str(err)))
+            records.append(ch.Record(rec.subject, "interpretation", False,
+                                     str(err)))
     return records, itp.witnesses
 
 
 def _env_records(env):
     out = []
     for name in sorted(env.bases):
-        bad = env.bases[name].validate()
-        out.append(VerifyRecord(f"base:{name}", "env-assignment",
-                                not bad, bad[0] if bad else ""))
+        out.append(ch.verdict(f"base:{name}", "env-assignment",
+                              env.bases[name].validate()))
     for name in sorted(env.terms):
-        bad = env.terms[name].validate()
-        out.append(VerifyRecord(f"const:{name}", "env-section",
-                                not bad, bad[0] if bad else ""))
+        out.append(ch.verdict(f"const:{name}", "env-section",
+                              env.terms[name].validate()))
     return out
 
 
@@ -443,19 +425,17 @@ def _decl_records(itp, subject, decl):
         case ps.AssumeType(name, tele):
             fa = itp.env.bases.get(name)
             if fa is None:
-                out.append(VerifyRecord(subject, "env-binding", True,
-                                        "unbound"))
+                out.append(ch.Record(subject, "env-binding", True, "unbound"))
             else:
                 ok = fa.base == itp.context(tuple(tele))
-                out.append(VerifyRecord(
+                out.append(ch.Record(
                     subject, "env-base", ok,
                     "" if ok else "assignment base differs from the "
                     "interpreted telescope"))
         case ps.AssumeTerm(name, tele, ty):
             sec = itp.env.terms.get(name)
             if sec is None:
-                out.append(VerifyRecord(subject, "env-binding", True,
-                                        "unbound"))
+                out.append(ch.Record(subject, "env-binding", True, "unbound"))
             else:
                 ctx = tuple(tele)
                 fa = itp.type(ctx, ty)
@@ -470,7 +450,7 @@ def _decl_records(itp, subject, decl):
                             ok = False
                             detail = f"value at {_show(x)} is outside the fiber"
                             break
-                out.append(VerifyRecord(subject, "env-type", ok, detail))
+                out.append(ch.Record(subject, "env-type", ok, detail))
         case ps.Define(_, tele, ty, body):
             out.extend(_judgement_records(itp, subject, tuple(tele), ty,
                                           (body,)))
@@ -481,40 +461,34 @@ def _decl_records(itp, subject, decl):
             out.extend(_judgement_records(itp, subject, ctx, ty, (lhs, rhs)))
             ok, detail = _sections_agree(itp.term(ctx, lhs),
                                          itp.term(ctx, rhs))
-            out.append(VerifyRecord(subject, "equal-interpretation", ok,
-                                    detail))
+            out.append(ch.Record(subject, "equal-interpretation", ok,
+                                 detail))
     return out
 
 
 def _judgement_records(itp, subject, ctx, ty, terms):
     out = []
     fa = itp.type(ctx, ty)
-    bad = fa.validate()
-    out.append(VerifyRecord(subject, "type-functorial", not bad,
-                            bad[0] if bad else ""))
+    out.append(ch.verdict(subject, "type-functorial", fa.validate()))
     for tm in terms:
         before = len(itp.witnesses)
         sec = itp.term(ctx, tm)
-        bad = sec.validate()
-        out.append(VerifyRecord(subject, "section-natural", not bad,
-                                bad[0] if bad else ""))
+        out.append(ch.verdict(subject, "section-natural", sec.validate()))
         stray = next((x for x in fa.base.objects
                       if sec.obj[x] not in fa.fibers[x].objects), None)
-        out.append(VerifyRecord(
+        out.append(ch.Record(
             subject, "section-in-type", stray is None,
             "" if stray is None
             else f"value at {_show(stray)} is outside the declared fiber"))
         for w in itp.witnesses[before:]:
-            bad = w.unit.validate()
-            out.append(VerifyRecord(subject, f"unit-functorial[{w.side}]",
-                                    not bad, bad[0] if bad else ""))
-            bad = w.e_full.validate()
-            out.append(VerifyRecord(subject, f"eliminator-natural[{w.side}]",
-                                    not bad, bad[0] if bad else ""))
+            out.append(ch.verdict(subject, f"unit-functorial[{w.side}]",
+                                  w.unit.validate()))
+            out.append(ch.verdict(subject, f"eliminator-natural[{w.side}]",
+                                  w.e_full.validate()))
             ok, detail = _data_agree(fc.reindex_section(w.e_full, w.unit),
                                      w.d_sec)
-            out.append(VerifyRecord(subject, f"computation-rule[{w.side}]",
-                                    ok, detail))
+            out.append(ch.Record(subject, f"computation-rule[{w.side}]", ok,
+                                 detail))
     out.extend(_pullback_records(itp, subject, ctx + (("x", ty),)))
     return out
 
@@ -553,7 +527,7 @@ def _pullback_records(itp, subject, ctx):
     for j in reversed(range(len(exts))):
         acc = fc.functor_compose(exts[j].proj, acc)
         ok, detail = _pullback_square(cat, acc, exts[j])
-        out.append(VerifyRecord(subject, f"chi-pullback[{j}]", ok, detail))
+        out.append(ch.Record(subject, f"chi-pullback[{j}]", ok, detail))
     return out
 
 

@@ -257,26 +257,6 @@ def shift(x, cutoff: int, amount: int):
     return go(x, 0)
 
 
-def substitute(x, depth: int, replacement, scope: int):
-    """Replace Var(depth) by `replacement` and close the gap.
-
-    `x` lives in a context of length `scope`; `replacement` in that context
-    with entry `depth` removed (so its levels >= depth already refer to the
-    shortened numbering).  Levels above `depth` in `x` are decremented,
-    including binder levels.  When the replacement is inserted under binders
-    of `x`, its own binder levels are shifted clear of them.
-    """
-    def go(y, binders):
-        if y.levels <= depth:
-            return y
-        if isinstance(y, Var):
-            if y.level == depth:
-                return shift(replacement, scope - 1, binders)
-            return Var(y.level - 1)
-        return map_children(y, go, binders)
-    return go(x, 0)
-
-
 def instantiate(body, base: int, values, scope=None):
     """Substitute a whole binder region at once, in one pass.
 

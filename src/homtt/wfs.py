@@ -23,6 +23,8 @@ from . import kernel as k
 _show = fc._fmt
 
 FLAVORS = ("arrow", "iso")
+# the most assignments a brute-force diagonal search will enumerate
+BRUTE_CAP = 1_000_000
 
 
 class WfsError(Exception):
@@ -116,26 +118,19 @@ def factor(F, flavor):
     return Factorization(F, left, right, flavor)
 
 
-def opfib_lift(p, prefer=None):
-    """Lift p's own factorization square using chosen cocartesian data.
+def opfib_lift(fact, lifts):
+    """Lift the square of an arrow factorization using cocartesian data.
 
-    The square has p's left leg on the left, p on the right, the identity
-    on top and the right leg on the bottom.  The diagonal sends (e, f) to
-    the codomain of the chosen cocartesian lift of f at e; its action on
+    `fact` is factor(p, "arrow") and `lifts` the complete table of chosen
+    cocartesian lifts that fc.has_cocartesian_lifts gives for p.  The
+    square has p's left leg on the left, p on the right, the identity on
+    top and the right leg on the bottom.  The diagonal sends (e, f) to the
+    codomain of the chosen cocartesian lift of f at e; its action on
     morphisms is the unique factorization through that lift, found by
     exhaustive search with uniqueness asserted.  Raises WfsError naming
-    the obstruction when p has no lift for some pair or a factorization
-    is missing or ambiguous.
+    the obstruction when a factorization is missing or ambiguous.
     """
-    ok, lifts = fc.has_cocartesian_lifts(p, prefer)
-    if not ok:
-        x, f = next((x, f) for x in p.source.objects
-                    for f in p.target.morphisms
-                    if f.dom == p.ob[x] and (x, f) not in lifts)
-        raise WfsError(
-            f"no cocartesian lift of {_show(f.name)} at {_show(x)}")
-    fact = factor(p, "arrow")
-    mid = fact.middle
+    p, mid = fact.original, fact.middle
     ob = {x: lifts[x].cod for x in mid.objects}
     mor = {}
     for m in mid.morphisms:
@@ -210,25 +205,20 @@ def alpha_iso(c):
                             inv_ob[m.dom], inv_ob[m.cod])
     inverse = fc.Functor(mid, cat, inv_ob, inv_mor)
 
-    records = []
-
-    def record(check, ok, detail=""):
-        records.append(ip.VerifyRecord("alpha", check, ok, detail))
-
-    bad = alpha.validate()
-    record("alpha-functorial", not bad, bad[0] if bad else "")
-    bad = inverse.validate()
-    record("inverse-functorial", not bad, bad[0] if bad else "")
-    record("left-inverse",
-           fc.functor_compose(inverse, alpha) == fc.identity_functor(cat))
-    record("right-inverse",
-           fc.functor_compose(alpha, inverse) == fc.identity_functor(mid))
-    record("unit-left-leg",
-           fc.functor_compose(alpha, unit) == fact.left)
+    records = (
+        ch.verdict("alpha", "alpha-functorial", alpha.validate()),
+        ch.verdict("alpha", "inverse-functorial", inverse.validate()),
+        ch.Record("alpha", "left-inverse", fc.functor_compose(inverse, alpha)
+                  == fc.identity_functor(cat)),
+        ch.Record("alpha", "right-inverse", fc.functor_compose(alpha, inverse)
+                  == fc.identity_functor(mid)),
+        ch.Record("alpha", "unit-left-leg",
+                  fc.functor_compose(alpha, unit) == fact.left),
+    )
     failed = next((r for r in records if not r.ok), None)
     if failed is not None:
         raise WfsError(f"{failed.check}: {failed.detail or 'mismatch'}")
-    return alpha, inverse, tuple(records)
+    return alpha, inverse, records
 
 
 def elimination_square(w):
@@ -248,7 +238,7 @@ def elimination_square(w):
     return prob, LiftWitness(prob, ell)
 
 
-def brute_force_lifts(prob, cap=1_000_000):
+def brute_force_lifts(prob, cap=BRUTE_CAP):
     """Every diagonal of the square, by exhaustive search.
 
     Object images forced by the top leg are fixed first, the rest range

@@ -3,17 +3,20 @@
 Everything here deliberately avoids the package's own de Bruijn machinery:
 terms are plain tuples with *named* variables, substitution is the classic
 capture-avoiding one, and the rewriter contracts one redex at a time.  The
-tests convert engine terms into this world and compare up to alpha.  The
-Grothendieck construction is built pair-shaped, as in the textbook, to
-referee the interpreter's flat context extension.  The category
-isomorphism search enumerates functors outright, cocartesian morphisms
-are decided by building the opposite functor afresh, and grid closures
-are found by walking monotone paths, deadlocks by trying every forward
-step out of every reachable cell.  The .dtt lexer is the token-object
-one: one `Tok` with its line and column per token, stray characters
-reported as they are met.  The left eliminator is computed through the
-mirror of its transport extension, relabelled into right-handed shape,
-with a private copy of the right-handed transport formula.
+tests convert engine terms into this world and compare up to alpha.  One
+de Bruijn operation is kept here, one-variable substitution on engine
+terms, to referee the checker's single instantiate of an eliminator's
+motive at the unit.  The Grothendieck construction is built pair-shaped,
+as in the textbook, to referee the interpreter's flat context extension.
+The category isomorphism search enumerates functors outright, cocartesian
+morphisms are decided by building the opposite functor afresh, and grid
+closures are found by walking monotone paths, forbidden cells rectangle
+by rectangle, deadlocks by trying every forward step out of every
+reachable cell.  The .dtt lexer is the token-object one: one `Tok` with
+its line and column per token, stray characters reported as they are
+met.  The left eliminator is computed through the mirror of its transport
+extension, relabelled into right-handed shape, with a private copy of the
+right-handed transport formula.
 """
 
 from __future__ import annotations
@@ -201,6 +204,30 @@ def alpha_canon(x, env=None, counter=None):
 
 def named_equal(a, b):
     return alpha_canon(a) == alpha_canon(b)
+
+
+# ---------------------------------------------------------------------------
+# one-variable substitution on the engine's own terms
+
+
+def substitute(x, depth: int, replacement, scope: int):
+    """Replace Var(depth) by `replacement` and close the gap.
+
+    `x` lives in a context of length `scope`; `replacement` in that context
+    with entry `depth` removed (so its levels >= depth already refer to the
+    shortened numbering).  Levels above `depth` in `x` are decremented,
+    including binder levels.  When the replacement is inserted under binders
+    of `x`, its own binder levels are shifted clear of them.
+    """
+    def go(y, binders):
+        if y.levels <= depth:
+            return y
+        if isinstance(y, k.Var):
+            if y.level == depth:
+                return k.shift(replacement, scope - 1, binders)
+            return k.Var(y.level - 1)
+        return k.map_children(y, go, binders)
+    return go(x, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +501,12 @@ def mirror_left_elim(itp, ctx, e):
 
 # ---------------------------------------------------------------------------
 # directed grids
+
+
+def rect_cells(space, r):
+    """The cells lying wholly inside a closed tick rectangle."""
+    return frozenset(itertools.product(*(range(r.lo[a], r.hi[a])
+                                         for a in range(space.dims))))
 
 
 def closure_cells(space, forward=True):

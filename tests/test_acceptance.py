@@ -102,7 +102,7 @@ def test_criterion_02_strict_unit_laws():
         text = (CORPUS / "comp.dtt").read_text(encoding="utf-8")
         sig, records = ch.check_source(ps.parse_dtt(text, "comp.dtt"))
         assert all(r.ok for r in records)
-        equal = [r for r in records if r.kind == "assert-equal"]
+        equal = [r for r in records if r.check == "assert-equal"]
         assert len(equal) == 2 and all(r.ok for r in equal)
 
         b = k.BaseT("B")
@@ -219,7 +219,9 @@ def test_criterion_06_factorization_certificates():
         fam = ip.load_scenario(SCENARIOS / "transport.scn").env.bases["S"]
         totals.append(oracles.groth(fam.base, fam))
         for gt in totals:
-            w = wfs.opfib_lift(gt.projection, prefer=gt.lifts)
+            ok, lifts = fc.has_cocartesian_lifts(gt.projection, gt.lifts)
+            assert ok
+            w = wfs.opfib_lift(wfs.factor(gt.projection, "arrow"), lifts)
             assert fc.functor_compose(w.diagonal, w.problem.i) == w.problem.top
             assert fc.functor_compose(w.problem.p, w.diagonal) \
                 == w.problem.bottom
@@ -279,8 +281,8 @@ def test_criterion_08_swiss_flag():
                           (ta.index("U_m^A"), tb.index("U_n^B")))
         unsafe = ds.Rect((ta.index("L_m^A"), tb.index("L_n^B")),
                          (ta.index("L_n^A"), tb.index("L_m^B")))
-        assert set(report.unreachable) == ds.rect_cells(space, unreach)
-        assert set(report.unsafe) == ds.rect_cells(space, unsafe)
+        assert set(report.unreachable) == oracles.rect_cells(space, unreach)
+        assert set(report.unsafe) == oracles.rect_cells(space, unsafe)
 
         ticks = ("0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "1")
         stress = ds.DirectedGridSpace(

