@@ -312,7 +312,8 @@ class Record:
 def verdict(subject, check, problems):
     """The record of a check that passes when `problems` is empty and
     otherwise reports the first one."""
-    return Record(subject, check, not problems, problems[0] if problems else "")
+    return Record(subject, check, not problems,
+                  problems[0] if problems else "")
 
 
 def format_records(records):

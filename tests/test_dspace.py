@@ -136,7 +136,8 @@ def test_swiss_complements_match_the_named_squares():
                       (ta.index("U_m^A"), tb.index("U_n^B")))
     unsafe = ds.Rect((ta.index("L_m^A"), tb.index("L_n^B")),
                      (ta.index("L_n^A"), tb.index("L_m^B")))
-    assert set(report.unreachable) == oracles.rect_cells(space, unreach) == {(3, 3)}
+    assert set(report.unreachable) == oracles.rect_cells(space, unreach) \
+        == {(3, 3)}
     assert set(report.unsafe) == oracles.rect_cells(space, unsafe) == {(1, 1)}
     assert report.validate() == []
 

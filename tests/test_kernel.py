@@ -208,7 +208,8 @@ def test_reduce_commutes_with_substitute():
         d = rng.randrange(n)
         r = rand_simple(rng, n - 1)
         lhs = k.reduce(oracles.substitute(x, d, r, n), depth=n - 1)
-        rhs = k.reduce(oracles.substitute(k.reduce(x, depth=n), d, r, n), depth=n - 1)
+        rhs = k.reduce(oracles.substitute(k.reduce(x, depth=n), d, r, n),
+                       depth=n - 1)
         assert lhs == rhs
 
 
@@ -296,7 +297,8 @@ def test_alpha_equal_equivalence_and_substitution():
         if x == y:
             r = rand_simple(rng, n - 1)
             d = rng.randrange(n)
-            assert oracles.substitute(x, d, r, n) == oracles.substitute(y, d, r, n)
+            assert (oracles.substitute(x, d, r, n)
+                    == oracles.substitute(y, d, r, n))
 
 
 # ---------------------------------------------------------------------------
