@@ -444,6 +444,61 @@ def test_scenario_left_witnesses_agree_with_the_mirror_route(monkeypatch):
         assert got[0] != "refused"
 
 
+# -- the hand-built unit against the interpreted unit instance -------------
+
+def interpreted_unit(itp, ctx, e):
+    """The unit instance (p, i p, one p, th) on the right and
+    (iop p, p, one p, th) on the left, interpreted: the pairing of its four
+    slot sections over the base case's context (ctx, p : core T, th), along
+    the projection to ctx, into the eliminator's extension."""
+    n = len(ctx)
+    right = isinstance(e, k.ElimR)
+    car = ch.nf(itp.sig, ch.infer_term(itp.sig, ctx, e.f), n).carrier
+    ctx_b, ctx_d = k.elim_contexts(ctx, car, e.motive_theta, right)
+    p = k.Var(n)
+    ends = (p, k.IncCore(p)) if right else (k.IncOp(p), p)
+    exts = itp.extensions(ctx_b)
+    proj = fc.functor_compose(exts[n].proj, exts[n + 1].proj)
+    slots = [itp.term(ctx_b, x) for x in (*ends, k.One(p), k.Var(n + 1))]
+    return ip.pairing_functor(proj, slots, itp.context(ctx_d))
+
+
+def test_unit_functor_is_the_interpreted_unit_instance(monkeypatch):
+    seen = []
+    real = ip.Interpreter._elim
+
+    def recording(self, ctx, e):
+        out = real(self, ctx, e)
+        seen.append((self, ctx, e, self.witnesses[-1]))
+        return out
+    monkeypatch.setattr(ip.Interpreter, "_elim", recording)
+    for name in sorted(cats.ALL):
+        c = cats.ALL[name]()
+        for f_mor in c.morphisms:
+            _, _, itp = comp_setup(c, f_mor, c.identity[f_mor.cod])
+            for nm in ("comp_R", "comp_L"):
+                itp.term((), k.Const(nm, CLOSED_ARGS))
+    sig, _, itp = comp_setup(cats.two(), cats.arrow(cats.two(), "a"),
+                             cats.two().identity["1"])
+    for nm in ("comp_R", "comp_L"):
+        tele, _, body, _ = sig.defs[nm]
+        itp.term(tuple(tele), body)
+    sig, _, itp = left_transport_setup()
+    tele, _, body, _ = sig.defs["transport_L"]
+    itp.term((), k.Const("transport_L", TRANSPORT_ARGS))
+    itp.term(tuple(tele), body)
+    for scn in ("comp.scn", "transport.scn"):
+        ip.verify_soundness(ip.load_scenario(
+            Path(__file__).resolve().parent.parent / "corpus" / "scenarios"
+            / scn))
+    monkeypatch.undo()
+    assert len(seen) == 89
+    for itp, ctx, e, w in seen:
+        want = interpreted_unit(itp, ctx, e)
+        assert w.unit.ob == want.ob
+        assert w.unit.mor == want.mor
+
+
 # -- substitution coherence -------------------------------------------------
 
 def test_substitution_coherence_for_the_generic_eliminator():

@@ -1,0 +1,51 @@
+"""Small-scope semantics: checks over every category in smallcats."""
+
+import pytest
+
+import smallcats
+from homtt import checker as ch
+from homtt import fincat as fc
+from homtt import interp as ip
+from homtt import kernel as k
+from homtt import wfs
+
+SMALL = smallcats.all_small()
+B = k.BaseT("B")
+
+
+def test_the_classes_have_their_known_sizes():
+    # posets on 1-4 points (OEIS A000112), monoids of order 1-3 (A058129)
+    assert [len(smallcats.poset_orders(n)) for n in range(1, 5)] \
+        == [1, 2, 5, 16]
+    assert [len(smallcats.monoid_tables(n)) for n in range(1, 4)] \
+        == [1, 2, 7]
+    assert len(SMALL) == 33 + 2
+
+
+def interpreter(c):
+    sig = ch.Signature()
+    sig.assume_type("B")
+    return ip.Interpreter(sig, ip.SemanticEnv(
+        bases={"B": fc.constant_fibers(ip.terminal_ctx(), c)}))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_small_category(name):
+    c = SMALL[name]
+    assert c.validate() == []
+    _, _, records = wfs.alpha_iso(c)
+    assert all(r.ok for r in records)
+    for flavor in wfs.FLAVORS:
+        assert wfs.factor(fc.core_inclusion(c), flavor).validate() == []
+
+    itp = interpreter(c)
+    # hom B (iop s) t over (s : core B, t : B) is the hom-set at (x, y)
+    ctx = (("s", k.Core(B)), ("t", B))
+    hom = itp.type(ctx, k.Hom(B, k.IncOp(k.Var(0)), k.Var(1)))
+    assert hom.validate() == []
+    assert {x: set(fib.objects) for x, fib in hom.fibers.items()} \
+        == {(x, y): set(c.hom(x, y)) for x in c.objects for y in c.objects}
+    # one s over (s : core B) is the identity at every object
+    one = itp.term((("s", k.Core(B)),), k.One(k.Var(0)))
+    assert one.validate() == []
+    assert one.obj == {(x,): c.identity[x] for x in c.objects}
