@@ -568,15 +568,13 @@ def _is_cocartesian(P, e):
     return True
 
 
-def has_cocartesian_lifts(P, prefer=None):
+def has_cocartesian_lifts(P):
     """Chosen cocartesian lift for every (object, outgoing base morphism).
 
-    Choice policy: a supplied preference table first (e.g. the canonical
-    (f, id) lifts of a Grothendieck total), the fiber identity over an
-    identity, then first in sorted order.  Returns (ok, lifts); on failure
-    the dict lacks exactly the unliftable pairs.
+    Choice policy: the fiber identity over an identity, then first in
+    sorted order.  Returns (ok, lifts); on failure the dict lacks exactly
+    the unliftable pairs.
     """
-    prefer = prefer or {}
     lifts = {}
     ok = True
     for x in P.source.objects:
@@ -586,10 +584,7 @@ def has_cocartesian_lifts(P, prefer=None):
             if not cands:
                 ok = False
                 continue
-            want = prefer.get((x, f))
-            if want in cands:
-                chosen = want
-            elif f == P.target.identity[f.dom] \
+            if f == P.target.identity[f.dom] \
                     and P.source.identity[x] in cands:
                 chosen = P.source.identity[x]
             else:

@@ -219,9 +219,10 @@ def test_criterion_06_factorization_certificates():
         fam = ip.load_scenario(SCENARIOS / "transport.scn").env.bases["S"]
         totals.append(oracles.groth(fam.base, fam))
         for gt in totals:
-            ok, lifts = fc.has_cocartesian_lifts(gt.projection, gt.lifts)
-            assert ok
-            w = wfs.opfib_lift(wfs.factor(gt.projection, "arrow"), lifts)
+            assert fc.has_cocartesian_lifts(gt.projection)[0]
+            assert all(oracles.is_cocartesian(gt.projection, lift)
+                       for lift in gt.lifts.values())
+            w = wfs.opfib_lift(wfs.factor(gt.projection, "arrow"), gt.lifts)
             assert fc.functor_compose(w.diagonal, w.problem.i) == w.problem.top
             assert fc.functor_compose(w.problem.p, w.diagonal) \
                 == w.problem.bottom

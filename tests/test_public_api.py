@@ -75,3 +75,57 @@ def test_every_public_method_is_used_inside_the_package():
                         and uses[fn.name] == _attributes(fn)[fn.name]):
                     unused.append(f"{cls.name}.{fn.name}")
     assert not unused, f"public but unused inside the package: {unused}"
+
+
+# defaulted parameters that no call inside the package passes, and why
+# they stay: the entry points take them from their callers outside it
+# (perfbench passes `stream` to run)
+DEFAULTS_ALLOWED = {("run", "stream"), ("main", "argv")}
+
+
+def _defaulted(fn):
+    """The (position, name) of each defaulted parameter of fn; keyword-only
+    parameters have no position."""
+    args = fn.args.posonlyargs + fn.args.args
+    out = [(i, a.arg) for i, a in enumerate(args)
+           if i >= len(args) - len(fn.args.defaults)]
+    out += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs,
+                                          fn.args.kw_defaults) if d]
+    return out
+
+
+def _passes(call, pos, name):
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if pos is not None and len(call.args) > pos:
+        return True
+    return any(kw.arg in (name, None) for kw in call.keywords)
+
+
+def test_every_defaulted_parameter_is_passed_inside_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                match node.func:
+                    case ast.Name(id=name) | ast.Attribute(attr=name):
+                        calls.setdefault(name, []).append(node)
+    unpassed = []
+    for tree in trees:
+        fns = [(s, 0) for s in tree.body if isinstance(s, ast.FunctionDef)]
+        fns += [(f, 1) for c in tree.body if isinstance(c, ast.ClassDef)
+                and not c.name.startswith("_") for f in c.body
+                if isinstance(f, ast.FunctionDef)]
+        for fn, self_arg in fns:
+            if fn.name.startswith("_"):
+                continue
+            for pos, name in _defaulted(fn):
+                pos = None if pos is None else pos - self_arg
+                if (fn.name, name) in DEFAULTS_ALLOWED:
+                    continue
+                if not any(_passes(c, pos, name)
+                           for c in calls.get(fn.name, [])):
+                    unpassed.append(f"{fn.name}({name})")
+    assert not unpassed, f"defaulted but never passed: {unpassed}"

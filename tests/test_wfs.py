@@ -126,16 +126,24 @@ def test_factor_rejects_unknown_flavor():
 
 # -- opfibration lifts ------------------------------------------------------
 
-def own_opfib_lift(p, prefer=None):
+def own_opfib_lift(p):
     """Lift p's own arrow factorization with its chosen cocartesian lifts."""
-    ok, lifts = fc.has_cocartesian_lifts(p, prefer)
+    ok, lifts = fc.has_cocartesian_lifts(p)
     assert ok
     return wfs.opfib_lift(wfs.factor(p, "arrow"), lifts)
 
 
+def groth_opfib_lift(gt):
+    """Lift a total's projection with the total's canonical (f, id) lifts,
+    once the oracle finds each of them cocartesian."""
+    assert all(oracles.is_cocartesian(gt.projection, lift)
+               for lift in gt.lifts.values())
+    return wfs.opfib_lift(wfs.factor(gt.projection, "arrow"), gt.lifts)
+
+
 def test_opfib_lift_matches_the_groth_formula():
     for gt in corpus_totals():
-        w = own_opfib_lift(gt.projection, prefer=gt.lifts)
+        w = groth_opfib_lift(gt)
         want = groth_lift_values(gt)
         assert w.diagonal.ob == want
         assert w.problem.p is gt.projection
@@ -149,8 +157,8 @@ def test_opfib_lift_identity_functor():
 
 def test_opfib_lift_is_deterministic():
     gt = oracles.groth(cats.two(), mixed_fam())
-    first = own_opfib_lift(gt.projection, prefer=gt.lifts)
-    second = own_opfib_lift(gt.projection, prefer=gt.lifts)
+    first = groth_opfib_lift(gt)
+    second = groth_opfib_lift(gt)
     assert first.diagonal == second.diagonal
 
 
