@@ -119,7 +119,7 @@ def _delta(sig, x, scope):
     if isinstance(x, k.Const) and x.name in sig.defs:
         tele, _, _, expanded = sig.defs[x.name]
         args = tuple(_delta(sig, a, scope) for a in x.args)
-        return k.instantiate_closed(expanded, len(tele), args, scope)
+        return k.instantiate(expanded, 0, args, scope)
     return k.map_children(x, lambda y, depth: _delta(sig, y, depth), scope)
 
 
@@ -175,7 +175,7 @@ def _check_args(sig, ctx, name, tele, args):
         raise CheckError(
             f"{name!r} expects {len(tele)} argument(s), got {len(args)}")
     for j, arg in enumerate(args):
-        expected = k.instantiate_closed(tele[j][1], j, tuple(args[:j]), n)
+        expected = k.instantiate(tele[j][1], 0, args[:j], n)
         check_term(sig, ctx, arg, expected)
 
 
@@ -212,7 +212,7 @@ def infer_term(sig, ctx, tm):
                     raise CheckError(f"{name!r} is a type, not a term")
                 raise CheckError(f"unknown constant {name!r}")
             _check_args(sig, ctx, name, tele, args)
-            ty = k.instantiate_closed(ty, len(tele), tuple(args), n)
+            ty = k.instantiate(ty, 0, args, n)
         case k.IncCore(t):
             ty = _core_typed(sig, ctx, t, "i")
         case k.IncOp(t):
@@ -220,10 +220,8 @@ def infer_term(sig, ctx, tm):
         case k.One(t):
             x = _core_typed(sig, ctx, t, "one")
             ty = k.Hom(x, k.IncOp(t), k.IncCore(t))
-        case k.ElimR():
-            ty = _infer_elim(sig, ctx, tm, right=True)
-        case k.ElimL():
-            ty = _infer_elim(sig, ctx, tm, right=False)
+        case k.ElimR() | k.ElimL():
+            ty = _infer_elim(sig, ctx, tm)
         case _:
             raise CheckError(f"not a term: {tm!r}")
     sig.memo[key] = ty
@@ -247,29 +245,34 @@ def _premise(idx, label, thunk):
         raise CheckError(f"{label}: {err.args[0]}", premise=idx) from None
 
 
-def _infer_elim(sig, ctx, e, right):
+def elim_hom(sig, ctx, e):
+    """Premise 1: the eliminated argument's hom type, read as
+    (right, T, s, t).  elimR eats hom T (iop s) t, elimL eats
+    hom T s (i t)."""
+    right = isinstance(e, k.ElimR)
+    kw = "elimR" if right else "elimL"
+    f_nf = nf(sig, _premise(1, f"{kw} eliminated argument",
+                            lambda: infer_term(sig, ctx, e.f)), len(ctx))
+    match f_nf:
+        case k.Hom(car, k.IncOp(s), t) if right:
+            return right, car, s, t
+        case k.Hom(car, s, k.IncCore(t)) if not right:
+            return right, car, s, t
+    shown = ps.print_type(f_nf, _names(ctx))
+    if isinstance(f_nf, k.Hom):
+        side = "source is not an iop image" if right \
+            else "target is not an i image"
+        raise CheckError(f"{kw} eliminated argument: {side} (type {shown})",
+                         premise=1)
+    raise CheckError(f"{kw} eliminated argument has type {shown}, "
+                     "expected a hom type", premise=1)
+
+
+def _infer_elim(sig, ctx, e):
     n = len(ctx)
     th, dm, base = e.motive_theta, e.motive_d, e.base
+    right, carrier, s_val, t_val = elim_hom(sig, ctx, e)
     kw = "elimR" if right else "elimL"
-    env = _names(ctx)
-
-    f_ty = _premise(1, f"{kw} eliminated argument",
-                    lambda: infer_term(sig, ctx, e.f))
-    f_nf = nf(sig, f_ty, n)
-    match f_nf:
-        case k.Hom(car, k.IncOp(sv), tv) if right:
-            carrier, s_val, t_val = car, sv, tv
-        case k.Hom(car, sv, k.IncCore(tv)) if not right:
-            carrier, s_val, t_val = car, sv, tv
-        case k.Hom():
-            side = "source is not an iop image" if right \
-                else "target is not an i image"
-            raise CheckError(f"{kw} eliminated argument: {side} "
-                             f"(type {ps.print_type(f_nf, env)})", premise=1)
-        case _:
-            raise CheckError(f"{kw} eliminated argument has type "
-                             f"{ps.print_type(f_nf, env)}, expected a hom type",
-                             premise=1)
 
     ctx_base, ctx_d = k.elim_contexts(ctx, carrier, th, right)
     _premise(2, f"{kw} first motive",

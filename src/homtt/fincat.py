@@ -459,20 +459,6 @@ def hom_functor(fa, s, t):
     return FiberAssignment(fa.base, fibers, transitions)
 
 
-def identity_section(fa, t):
-    """1_t: picks id at t_γ inside hom_functor(fa, op-t, t).
-
-    t is a section of core_fibers(fa); both composites of t with the
-    inclusions are strict sections, and the chosen identities match up
-    under every transition, which makes the result a strict section too.
-    """
-    s_op = strict_section(op_fibers(fa), t.obj)
-    t_in = strict_section(fa, t.obj)
-    hf = hom_functor(fa, s_op, t_in)
-    obj = {x: fa.fibers[x].identity[t.obj[x]] for x in fa.base.objects}
-    return strict_section(hf, obj)
-
-
 # ---------------------------------------------------------------------------
 # arrow, iso, pullback categories
 

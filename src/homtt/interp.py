@@ -237,8 +237,8 @@ class Interpreter:
             case k.Const(name, args):
                 if name in self.sig.defs:
                     tele, _, body, _ = self.sig.defs[name]
-                    return self.term(ctx, k.instantiate_closed(
-                        body, len(tele), args, len(ctx)))
+                    return self.term(ctx, k.instantiate(body, 0, args,
+                                                        len(ctx)))
                 if name in self.sig.consts:
                     sec = self.env.terms.get(name)
                     if sec is None:
@@ -248,18 +248,15 @@ class Interpreter:
                     return fc.reindex_section(
                         sec, self._subst_functor(ctx, tele, args))
                 raise k.InternalError(f"unknown constant {name!r}")
-            case k.IncCore(t):
-                car = self._inner(ctx, t)
-                return fc.strict_section(self.type(ctx, car),
-                                         self.term(ctx, t).obj)
-            case k.IncOp(t):
-                car = self._inner(ctx, t)
-                return fc.strict_section(self.type(ctx, k.Op(car)),
-                                         self.term(ctx, t).obj)
-            case k.One(t):
-                car = self._inner(ctx, t)
-                return fc.identity_section(self.type(ctx, car),
-                                           self.term(ctx, t))
+            case k.IncCore(t) | k.IncOp(t) | k.One(t):
+                # a strict section of the type the checker gives tm, at the
+                # core point's values; one t takes the identities there
+                ty = self._checked(ch.infer_term, ctx, tm)
+                obj = self.term(ctx, t).obj
+                if isinstance(tm, k.One):
+                    car = self.type(ctx, ty.carrier).fibers
+                    obj = {x: car[x].identity[p] for x, p in obj.items()}
+                return fc.strict_section(self.type(ctx, ty), obj)
             case k.ElimR() | k.ElimL():
                 return self._elim(ctx, tm)
         raise k.InternalError(f"cannot interpret term {tm!r}")
@@ -271,26 +268,17 @@ class Interpreter:
         return pairing_functor(collapse_functor(self.context(ctx)),
                                secs, target)
 
-    def _inner(self, ctx, tm):
-        """The carrier under a core-typed term, read off the inferred type."""
-        ty = ch.nf(self.sig, ch.infer_term(self.sig, ctx, tm), len(ctx))
-        match ty:
-            case k.Core(inner):
-                return inner
-        raise k.InternalError(f"expected a core type, found {ty!r}")
+    def _checked(self, rule, ctx, tm):
+        """What a checker rule reads off tm; interpreted terms are checked,
+        so a failure here is the engine's own."""
+        try:
+            return rule(self.sig, ctx, tm)
+        except ch.CheckError as err:
+            raise k.InternalError(f"cannot interpret {tm!r}: {err}") from None
 
     def _elim(self, ctx, e):
         n = len(ctx)
-        f_ty = ch.nf(self.sig, ch.infer_term(self.sig, ctx, e.f), n)
-        match f_ty:
-            case k.Hom(car, k.IncOp(sv), tv) if isinstance(e, k.ElimR):
-                right = True
-            case k.Hom(car, sv, k.IncCore(tv)) if isinstance(e, k.ElimL):
-                right = False
-            case _:
-                raise k.InternalError(
-                    f"eliminated term has non-hom type {f_ty!r}")
-
+        right, car, sv, tv = self._checked(ch.elim_hom, ctx, e)
         ctx_b, ctx_d = k.elim_contexts(ctx, car, e.motive_theta, right)
         e_cat = self.context(ctx_d)
         d_fa = self.type(ctx_d, e.motive_d)

@@ -18,7 +18,7 @@ Binder arities are fixed: ``Th`` binds 1 variable, ``D`` binds 4 (s, t, f, th),
 child binder counts per node class is the only place arity is read: every
 traversal either folds over ``children`` or rebuilds through
 ``map_children``, overriding it only at the nodes it cares about (``Var``
-for the renumberings, the redex for ``reduce``).
+for the renumbering, the redex for ``reduce``).
 
 ``core (op T)`` is ``core T``: the ``Core`` constructor drops ``Op`` layers,
 and every rebuild goes through the constructor, so a core of an op is never
@@ -238,34 +238,20 @@ def map_children(x, fn, depth):
     return type(x)(x.name, new) if binders is None else type(x)(*new)
 
 
-def shift(x, cutoff: int, amount: int):
-    """Add `amount` to every variable level >= cutoff.
-
-    Weakening a term from a context of length k into one of length n is
-    shift(x, k, n - k): free variables stay put, binder levels move clear of
-    the new entries.
-    """
-    if amount == 0:
-        return x
-
-    def go(y, _):
-        if y.levels <= cutoff:
-            return y
-        if isinstance(y, Var):
-            return Var(y.level + amount)
-        return map_children(y, go, 0)
-    return go(x, 0)
-
-
 def instantiate(body, base: int, values, scope=None):
     """Substitute a whole binder region at once, in one pass.
 
     `body` lives in a context of length base + len(values); every value in one
     of length `scope` (default `base`), and so does the result: levels below
     `base` stay, levels above the region are renumbered to follow `scope`.
+    This is the one renumbering traversal: with base 0 it instantiates a
+    signature-level body (closed over its own telescope) at arguments, and
+    with no values it is `shift`.
     """
     scope = base if scope is None else scope
     values = tuple(values)
+    if not values and scope == base:
+        return body
     top = base + len(values)
 
     def go(y, binders):
@@ -279,14 +265,14 @@ def instantiate(body, base: int, values, scope=None):
     return go(body, 0)
 
 
-def instantiate_closed(body, arity: int, args, scope: int):
-    """Instantiate a signature-level body (closed over its own telescope of
-    length `arity`) at argument terms living in a context of length `scope`.
+def shift(x, cutoff: int, amount: int):
+    """Add `amount` to every variable level >= cutoff.
 
-    Levels < arity become the arguments; internal binder levels are
-    renumbered past the ambient context.
+    Weakening a term from a context of length k into one of length n is
+    shift(x, k, n - k): free variables stay put, binder levels move clear of
+    the new entries.
     """
-    return instantiate(body, 0, args, scope)
+    return instantiate(x, cutoff, (), cutoff + amount)
 
 
 def elim_contexts(ctx, carrier, theta, right: bool):
@@ -311,18 +297,9 @@ def elim_contexts(ctx, carrier, theta, right: bool):
             ("s", Op(carrier)),
             ("t", Core(shift(carrier, n, 1))),
             ("f", Hom(shift(carrier, n, 2), Var(n), IncCore(Var(n + 1)))),
-            ("th", shift(shift(theta, n, 1), n + 2, 1)),
+            ("th", instantiate(theta, n, (Var(n + 1),), n + 3)),
         )
     return ctx_b, ctx_d
-
-
-def eliminator_count(x) -> int:
-    """Number of ElimR/ElimL nodes anywhere in x, annotations included.
-
-    This is the termination measure for `reduce`: every contraction must
-    strictly decrease it.
-    """
-    return x.elims
 
 
 def reduce(x, depth: int = 0):
@@ -335,16 +312,18 @@ def reduce(x, depth: int = 0):
         elimL[Th; D; d](one s, th)  ->  d[s, th]
 
     `depth` is the length of the ambient context; binder bodies are reduced
-    at the appropriately extended depth.
+    at the appropriately extended depth.  The termination measure is
+    `elims`, the number of eliminator nodes: every contraction must
+    strictly decrease it.
     """
     if not x.elims:
         return x
     out = map_children(x, reduce, depth)
     if not (isinstance(out, (ElimR, ElimL)) and isinstance(out.f, One)):
         return out
-    before = eliminator_count(out)
+    before = out.elims
     contracted = instantiate(out.base, depth, (out.f.arg, out.theta))
-    after = eliminator_count(contracted)
+    after = contracted.elims
     if after >= before:
         raise InternalError(
             f"reduce: eliminator count did not decrease ({before} -> {after})")

@@ -7,7 +7,9 @@ tests convert engine terms into this world and compare up to alpha.  One
 de Bruijn operation is kept here, one-variable substitution on engine
 terms, to referee the checker's single instantiate of an eliminator's
 motive at the unit.  The Grothendieck construction is built pair-shaped,
-as in the textbook, to referee the interpreter's flat context extension.
+as in the textbook, to referee the interpreter's flat context extension,
+and the unit `one t` is built from its own op fibers, strict sections and
+hom functor, to referee the interpreter's reading of the checker's type.
 The category isomorphism search enumerates functors outright, cocartesian
 morphisms are decided by building the opposite functor afresh, and grid
 closures are found by walking monotone paths, forbidden cells rectangle
@@ -288,6 +290,24 @@ def named_normalize(x, limit=10_000):
         if not hit:
             return x
     raise AssertionError("named_normalize: no fixpoint within limit")
+
+
+# ---------------------------------------------------------------------------
+# the unit section
+
+
+def identity_section(fa, t):
+    """1_t: picks id at t_γ inside hom_functor(fa, op-t, t).
+
+    t is a section of core_fibers(fa); both composites of t with the
+    inclusions are strict sections, and the chosen identities match up
+    under every transition, which makes the result a strict section too.
+    """
+    s_op = fc.strict_section(fc.op_fibers(fa), t.obj)
+    t_in = fc.strict_section(fa, t.obj)
+    hf = fc.hom_functor(fa, s_op, t_in)
+    obj = {x: fa.fibers[x].identity[t.obj[x]] for x in fa.base.objects}
+    return fc.strict_section(hf, obj)
 
 
 # ---------------------------------------------------------------------------

