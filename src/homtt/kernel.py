@@ -284,21 +284,15 @@ def elim_contexts(ctx, carrier, theta, right: bool):
     (s : op T, t : core T, f : hom T s (i t), th[t]).
     """
     n = len(ctx)
+    s, t, t_ty = Var(n), Var(n + 1), shift(carrier, n, 1)
+    ends = (IncOp(s), t) if right else (s, IncCore(t))
     ctx_b = ctx + (("s", Core(carrier)), ("th", theta))
-    if right:
-        ctx_d = ctx + (
-            ("s", Core(carrier)),
-            ("t", shift(carrier, n, 1)),
-            ("f", Hom(shift(carrier, n, 2), IncOp(Var(n)), Var(n + 1))),
-            ("th", shift(theta, n + 1, 2)),
-        )
-    else:
-        ctx_d = ctx + (
-            ("s", Op(carrier)),
-            ("t", Core(shift(carrier, n, 1))),
-            ("f", Hom(shift(carrier, n, 2), Var(n), IncCore(Var(n + 1)))),
-            ("th", instantiate(theta, n, (Var(n + 1),), n + 3)),
-        )
+    ctx_d = ctx + (
+        ("s", Core(carrier) if right else Op(carrier)),
+        ("t", t_ty if right else Core(t_ty)),
+        ("f", Hom(shift(carrier, n, 2), *ends)),
+        ("th", instantiate(theta, n, (s if right else t,), n + 3)),
+    )
     return ctx_b, ctx_d
 
 

@@ -341,19 +341,21 @@ def test_instantiating_a_signature_body_is_weaken_then_instantiate():
                     == k.instantiate(k.shift(body, 0, n), n, args))
 
 
-def test_empty_region_returns_its_input_and_left_th_is_one_instantiate():
+def test_empty_region_returns_its_input_and_th_is_one_instantiate():
     rng = random.Random(31)
     for _ in range(200):
         n = rng.randrange(0, 4)
         x = rand_term(rng, n, rng.randrange(6))
         assert k.shift(x, n, 0) is x
         assert k.instantiate(x, n, ()) is x
-        # the left eliminator's th entry, th[t]: one instantiate in place
-        # of two nested shifts
+        # D's th entry, th[s] on the right and th[t] on the left: one
+        # instantiate in place of the shifts that move th into place
         ctx = (("x", B),) * n
         theta = rand_term(rng, n + 1, rng.randrange(6))
-        _, ctx_d = k.elim_contexts(ctx, B, theta, right=False)
-        assert ctx_d[-1][1] == k.shift(k.shift(theta, n, 1), n + 2, 1)
+        _, right_d = k.elim_contexts(ctx, B, theta, right=True)
+        assert right_d[-1][1] == k.shift(theta, n + 1, 2)
+        _, left_d = k.elim_contexts(ctx, B, theta, right=False)
+        assert left_d[-1][1] == k.shift(k.shift(theta, n, 1), n + 2, 1)
 
 
 # ---------------------------------------------------------------------------
