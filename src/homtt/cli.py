@@ -99,7 +99,7 @@ def _verdict(r):
 
 
 def _cmd_check(cfg, path):
-    text = _resolve(path).read_text(encoding="utf-8")
+    text = ps.read_source(_resolve(path))
     _, records = ch.check_source(ps.parse_dtt(text, str(path)))
     out = []
     for r in records:
@@ -141,12 +141,7 @@ def _diagonal_record(subject, check, witness, cap):
 
 
 def _cmd_wfs(cfg, path):
-    text = _resolve(path).read_text(encoding="utf-8")
-    ws = fc.build_catfile(ps.parse_fincat(text, str(path)))
-    if ws.diagnostics:
-        name, msg = ws.diagnostics[0]
-        raise ip.InterpError(f"{path}: workspace block {name!r}: {msg}")
-    recs = _wfs_records(ws, cfg)
+    recs = _wfs_records(ip.load_workspace([_resolve(path)], path), cfg)
     return [_verdict(r) for r in recs], recs
 
 
@@ -193,7 +188,7 @@ def _cells(cells):
 
 
 def _cmd_pv(cfg, path):
-    text = _resolve(path).read_text(encoding="utf-8")
+    text = ps.read_source(_resolve(path))
     space = ds.from_pv(ds.parse_pv(text, str(path)))
     report = ds.analyze(space)
     dead = ds.deadlocks(report)

@@ -573,8 +573,7 @@ def load_scenario(path):
     cat_paths = []
     type_binds = {}
     const_binds = {}
-    for ln, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                             start=1):
+    for ln, raw in enumerate(ps.read_source(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -591,17 +590,24 @@ def load_scenario(path):
                 raise InterpError(f"{path}:{ln}: cannot read {line!r}")
     if src_path is None:
         raise InterpError(f"{path}: no 'source' line")
-    source = ps.parse_dtt(src_path.read_text(encoding="utf-8"), str(src_path))
-    cf = ps.CatFile()
-    for p in cat_paths:
-        cf.merge(ps.parse_fincat(p.read_text(encoding="utf-8"), str(p)))
-    ws = fc.build_catfile(cf)
-    if ws.diagnostics:
-        name, msg = ws.diagnostics[0]
-        raise InterpError(f"workspace block {name!r}: {msg}")
+    source = ps.parse_dtt(ps.read_source(src_path), str(src_path))
+    ws = load_workspace(cat_paths, path)
     sig, checks = ch.check_source(source)
     env = build_env(sig, ws, type_binds, const_binds)
     return Scenario(source, sig, checks, env)
+
+
+def load_workspace(paths, owner):
+    """Parse, merge and build .fincat files; the first problem the build
+    reports is an InterpError naming `owner`, the file that asked for it."""
+    cf = ps.CatFile()
+    for p in paths:
+        cf.merge(ps.parse_fincat(ps.read_source(p), str(p)))
+    ws = fc.build_catfile(cf)
+    if ws.diagnostics:
+        name, msg = ws.diagnostics[0]
+        raise InterpError(f"{owner}: workspace block {name!r}: {msg}")
+    return ws
 
 
 def build_env(sig, ws, type_binds, const_binds):

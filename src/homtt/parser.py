@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import kernel as k
 
@@ -37,6 +38,18 @@ class ParseError(Exception):
         self.path = path
         self.line = line
         self.col = col
+
+
+def read_source(path):
+    """The text of an input file; bytes that are not UTF-8 make it unusable
+    input, a ParseError at the first bad byte's line and byte column."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        bad = err.start
+        raise ParseError(f"not UTF-8 text ({err.reason})", path,
+                         err.object.count(b"\n", 0, bad) + 1,
+                         bad - err.object.rfind(b"\n", 0, bad)) from None
 
 
 # ---------------------------------------------------------------------------

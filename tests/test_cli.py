@@ -263,6 +263,22 @@ def test_interp_bad_scenario_exits_two(capsys, tmp_path):
     assert "source" in err
 
 
+def test_interp_workspace_error_names_the_scenario_file(capsys, tmp_path):
+    src = CORPUS / "scenarios"
+    for name in ("transport.dtt", "transport.scn"):
+        (tmp_path / name).write_text(
+            (src / name).read_text(encoding="utf-8"), encoding="utf-8")
+    world = (src / "world.fincat").read_text(encoding="utf-8")
+    assert "  arr a -> a\n" in world
+    (tmp_path / "world.fincat").write_text(
+        world.replace("  arr a -> a\n", ""), encoding="utf-8")
+    scn = tmp_path / "transport.scn"
+    rc, out, err = run(capsys, "interp", str(scn))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {scn}: workspace block 'idtwo': morphism map "
+                   "undefined at a\n")
+
+
 def _scenario_with_bad_fiber(tmp_path, extra_binds):
     # sfam's transition along a is not a functor from the fiber at 0
     src = CORPUS / "scenarios"
@@ -453,3 +469,36 @@ def test_pv_program_without_processes_exits_two(capsys, tmp_path, text):
     assert rc == 2
     assert out == ""
     assert "no processes" in err
+
+
+# ---------------------------------------------------------------------------
+# input that is not UTF-8 text is unusable input
+
+
+def _not_utf8(path, text):
+    """Write text with one Latin-1 byte spliced in after the first line."""
+    head, tail = text.split("\n", 1)
+    path.write_bytes(head.encode() + b"\n  \xe9" + tail.encode())
+    return path
+
+
+@pytest.mark.parametrize("command, name, bad", [
+    ("check", "transport.dtt", "transport.dtt"),
+    ("pv", "mutex.pv", "mutex.pv"),
+    ("wfs", "cats/two.fincat", "two.fincat"),
+    ("interp", "scenarios/transport.scn", "transport.scn"),
+    ("interp", "scenarios/transport.scn", "transport.dtt"),
+    ("interp", "scenarios/transport.scn", "world.fincat"),
+], ids=["check", "pv", "wfs", "interp-scn", "interp-dtt", "interp-fincat"])
+def test_non_utf8_input_exits_two_naming_the_file(capsys, tmp_path, command,
+                                                  name, bad):
+    given = CORPUS / name
+    for p in {given, *given.parent.glob("*")}:
+        if p.is_file():
+            (tmp_path / p.name).write_bytes(p.read_bytes())
+    target = _not_utf8(tmp_path / bad,
+                       (tmp_path / bad).read_text(encoding="utf-8"))
+    rc, out, err = run(capsys, command, str(tmp_path / given.name))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {target}:2:3: not UTF-8 text (invalid "
+                   "continuation byte)\n")
