@@ -9,8 +9,8 @@ transcript of the same records.  Relative input paths resolve against
 $HOMTT_CORPUS when that variable is set.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 unusable input
-(missing file, parse error, invalid program or workspace, input nested
-too deeply), 3 internal invariant breach.
+(missing or non-UTF-8 file, parse error, invalid program or workspace,
+input nested too deeply), 3 internal invariant breach.
 """
 
 from __future__ import annotations

@@ -23,9 +23,10 @@ from homtt import fincat as fc
 def _canonical(items, n, fixed=0):
     """The least image of a set of index tuples under the permutations of
     range(n) that fix the first `fixed` indices."""
+    perms = (tuple(range(fixed)) + rest
+             for rest in permutations(range(fixed, n)))
     return min(tuple(sorted(tuple(perm[v] for v in item) for item in items))
-               for rest in permutations(range(fixed, n))
-               for perm in [tuple(range(fixed)) + rest])
+               for perm in perms)
 
 
 def poset_orders(n):
