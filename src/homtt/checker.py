@@ -340,7 +340,7 @@ def check_source(source):
     """Check every declaration, one report record each.
 
     A failed assume/define is still entered into the signature, unchecked,
-    so later declarations produce their own diagnostics instead of
+    so later declarations produce their own records instead of
     cascades.
     """
     sig = Signature()

@@ -596,6 +596,11 @@ def token(v):
     return None
 
 
+class BlockError(Exception):
+    """The first problem of a workspace build; its args are the block's
+    name and the message."""
+
+
 @dataclass
 class Workspace:
     categories: dict = field(default_factory=dict)
@@ -603,10 +608,10 @@ class Workspace:
     nats: dict = field(default_factory=dict)
     fibers: dict = field(default_factory=dict)    # fiber and section blocks,
     sections: dict = field(default_factory=dict)  # resolved by interp
-    diagnostics: list = field(default_factory=list)
 
 
 def _build_category(block):
+    """The category of a block, and its morphisms by text."""
     identity = {x: identity_mor(x) for x in block.objects}
     morphisms = [*identity.values(),
                  *(Mor(name, dom, cod) for name, dom, cod in block.arrows)]
@@ -619,86 +624,66 @@ def _build_category(block):
             compose[(g, f)] = f
     for gn, fn, hn in block.composites:
         compose[(arrows[gn], arrows[fn])] = arrows[hn]
-    return FinCat(block.objects, morphisms, identity, compose)
+    return FinCat(block.objects, morphisms, identity, compose), arrows
+
+
+def _valid(name, x):
+    """x, which validates, or its first problem as block name's error."""
+    problems = x.validate()
+    if problems:
+        raise BlockError(name, problems[0])
+    return x
 
 
 def build_catfile(cf):
+    """Build and validate every block of a CatFile: categories, functors,
+    nats, then squares, each kind in file order.  The first problem is a
+    BlockError."""
     ws = Workspace(fibers=cf.fibers, sections=cf.sections)
     tokens = {}  # category name -> its morphisms by text
     for name, block in cf.categories.items():
         try:
-            cat = _build_category(block)
+            cat, tokens[name] = _build_category(block)
         except SizeCapError as err:
-            ws.diagnostics.append((name, str(err)))
-            continue
-        problems = cat.validate()
-        if problems:
-            ws.diagnostics.append((name, problems[0]))
-            continue
-        ws.categories[name] = cat
-        tokens[name] = {token(m): m for m in cat.morphisms}
+            raise BlockError(name, str(err)) from None
+        ws.categories[name] = _valid(name, cat)
     for name, block in cf.functors.items():
-        src = ws.categories.get(block.source)
-        tgt = ws.categories.get(block.target)
-        if src is None or tgt is None:
-            missing = block.source if src is None else block.target
-            ws.diagnostics.append((name, f"unknown category {missing!r}"))
-            continue
+        for cat in (block.source, block.target):
+            if cat not in ws.categories:
+                raise BlockError(name, f"unknown category {cat!r}")
+        src = ws.categories[block.source]
+        tgt = ws.categories[block.target]
         ob = {}
-        bad = False
         for x, y in block.ob:
             if x not in src.objects or y not in tgt.objects:
-                ws.diagnostics.append((name, f"unknown object in 'ob {x} -> {y}'"))
-                bad = True
-            else:
-                ob[x] = y
+                raise BlockError(name, f"unknown object in 'ob {x} -> {y}'")
+            ob[x] = y
         mor = {}
         src_n, tgt_n = tokens[block.source], tokens[block.target]
         for fn, gn in block.arr:
             if fn not in src_n or gn not in tgt_n:
-                ws.diagnostics.append((name, f"unknown arrow in 'arr {fn} -> {gn}'"))
-                bad = True
-            else:
-                mor[src_n[fn]] = tgt_n[gn]
-        if bad:
-            continue
+                raise BlockError(name, f"unknown arrow in 'arr {fn} -> {gn}'")
+            mor[src_n[fn]] = tgt_n[gn]
         for x in src.objects:
             if x in ob:
                 mor.setdefault(src.identity[x], tgt.identity[ob[x]])
-        F = Functor(src, tgt, ob, mor)
-        problems = F.validate()
-        if problems:
-            ws.diagnostics.append((name, problems[0]))
-            continue
-        ws.functors[name] = F
+        ws.functors[name] = _valid(name, Functor(src, tgt, ob, mor))
     for name, block in cf.nats.items():
-        F = ws.functors.get(block.source)
-        G = ws.functors.get(block.target)
-        if F is None or G is None:
-            missing = block.source if F is None else block.target
-            ws.diagnostics.append((name, f"unknown functor {missing!r}"))
-            continue
+        for fn in (block.source, block.target):
+            if fn not in ws.functors:
+                raise BlockError(name, f"unknown functor {fn!r}")
+        F, G = ws.functors[block.source], ws.functors[block.target]
         tgt_n = tokens[cf.functors[block.source].target]
         comps = {}
-        bad = False
         for x, mn in block.components:
             if x not in F.source.objects or mn not in tgt_n:
-                ws.diagnostics.append((name, f"bad component 'at {x} : {mn}'"))
-                bad = True
-            else:
-                comps[x] = tgt_n[mn]
-        if bad:
-            continue
-        eta = NatTrans(F, G, comps)
-        problems = eta.validate()
-        if problems:
-            ws.diagnostics.append((name, problems[0]))
-            continue
-        ws.nats[name] = eta
+                raise BlockError(name, f"bad component 'at {x} : {mn}'")
+            comps[x] = tgt_n[mn]
+        ws.nats[name] = _valid(name, NatTrans(F, G, comps))
     for name, block in cf.squares.items():
         problem = _square_problem(block, ws.functors)
         if problem:
-            ws.diagnostics.append((name, problem))
+            raise BlockError(name, problem)
     return ws
 
 

@@ -148,7 +148,6 @@ class ElimWitness:
     unit: fc.Functor           # (p, th) to (p, p, 1_p, th) in e_cat
     d_sec: fc.Section          # the seed section over C.core.theta
     e_full: fc.Section         # the transported section over all of e_cat
-    args: fc.Functor           # the instantiating functor from the context
 
 
 class Interpreter:
@@ -157,11 +156,14 @@ class Interpreter:
     Results are cached per context shape (the tuple of entry types), so
     shared prefixes and repeated subterms are built once.  Eliminator
     interpretations leave an ElimWitness behind for soundness replay.
+    A constant whose record in `checks` (check_source's) failed cannot
+    be interpreted: using it is an InterpError.
     """
 
-    def __init__(self, sig, env):
+    def __init__(self, sig, env, checks=()):
         self.sig = sig
         self.env = env
+        self.failed = {r.subject for r in checks if not r.ok}
         self.witnesses = []
         self._ctxs = {}
         self._types = {}
@@ -235,6 +237,9 @@ class Interpreter:
                     sec = fc.reindex_section(sec, ext.proj)
                 return sec
             case k.Const(name, args):
+                if name in self.failed:
+                    raise InterpError(f"the declaration of {name!r} does "
+                                      "not typecheck")
                 if name in self.sig.defs:
                     tele, _, body, _ = self.sig.defs[name]
                     return self.term(ctx, k.instantiate(body, 0, args,
@@ -293,7 +298,7 @@ class Interpreter:
                                slots, e_cat)
         self.witnesses.append(
             ElimWitness("right" if right else "left", e_cat, d_fa, unit,
-                        d_sec, e_full, args))
+                        d_sec, e_full))
         return fc.reindex_section(e_full, args)
 
 
@@ -381,7 +386,7 @@ def verify_soundness(sc):
     records = _env_records(sc.env)
     if any(not r.ok for r in records):
         return records, []
-    itp = Interpreter(sc.sig, sc.env)
+    itp = Interpreter(sc.sig, sc.env, sc.checks)
     for decl, rec in zip(sc.source.decls, sc.checks):
         records.append(ch.Record(rec.subject, "typecheck", rec.ok,
                                  "" if rec.ok else rec.detail))
@@ -563,29 +568,31 @@ class Scenario:
 def load_scenario(path):
     """Read a scenario file.
 
-    Line-oriented: `source FILE` names the judgements, `fincat FILE...`
-    the category workspace (merged in order), `bind type N = W` and
-    `bind const N = W` tie signature names to workspace blocks.  Paths
+    Line-oriented: `source FILE` names the judgements (once), `fincat
+    FILE...` the category workspace, `bind type N = W` and `bind const
+    N = W` tie signature names (each once) to workspace blocks.  Paths
     are relative to the scenario file; `#` starts a comment.
     """
     path = Path(path)
     src_path = None
     cat_paths = []
-    type_binds = {}
-    const_binds = {}
+    binds = {}
     for ln, raw in enumerate(ps.read_source(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         match line.split():
             case ["source", rel]:
+                if src_path is not None:
+                    raise InterpError(f"{path}:{ln}: repeated 'source' line")
                 src_path = path.parent / rel
             case ["fincat", *rels] if rels:
                 cat_paths.extend(path.parent / rel for rel in rels)
-            case ["bind", "type", name, "=", target]:
-                type_binds[name] = target
-            case ["bind", "const", name, "=", target]:
-                const_binds[name] = target
+            case ["bind", ("type" | "const") as kind, name, "=", target]:
+                if name in binds:
+                    raise InterpError(
+                        f"{path}:{ln}: repeated binding of {name!r}")
+                binds[name] = (kind, target)
             case _:
                 raise InterpError(f"{path}:{ln}: cannot read {line!r}")
     if src_path is None:
@@ -593,51 +600,60 @@ def load_scenario(path):
     source = ps.parse_dtt(ps.read_source(src_path), str(src_path))
     ws = load_workspace(cat_paths, path)
     sig, checks = ch.check_source(source)
-    env = build_env(sig, ws, type_binds, const_binds)
+    env = build_env(sig, checks, ws, binds)
     return Scenario(source, sig, checks, env)
 
 
 def load_workspace(paths, owner):
-    """Parse, merge and build .fincat files; the first problem the build
-    reports is an InterpError naming `owner`, the file that asked for it."""
+    """Parse .fincat files into one CatFile and build it; the first
+    problem of the build is an InterpError naming `owner`, the file that
+    asked for it."""
     cf = ps.CatFile()
     for p in paths:
-        cf.merge(ps.parse_fincat(ps.read_source(p), str(p)))
-    ws = fc.build_catfile(cf)
-    if ws.diagnostics:
-        name, msg = ws.diagnostics[0]
-        raise InterpError(f"{owner}: workspace block {name!r}: {msg}")
-    return ws
+        ps.parse_fincat(ps.read_source(p), str(p), cf)
+    try:
+        return fc.build_catfile(cf)
+    except fc.BlockError as err:
+        name, msg = err.args
+        raise InterpError(
+            f"{owner}: workspace block {name!r}: {msg}") from None
 
 
-def build_env(sig, ws, type_binds, const_binds):
+def build_env(sig, checks, ws, binds):
     """Resolve name bindings against a workspace into a SemanticEnv.
 
-    Base types bind to a category (constant fibers) or a fiber block;
-    constants bind to an object or morphism name (constant section) or a
-    section block.  Bindings resolve in declaration order, so later
-    telescopes may mention earlier bound names.
+    `binds` maps a name to ("type" | "const", workspace text) in
+    scenario order.  Base types bind to a category (constant fibers) or
+    a fiber block; constants bind to an object or morphism name
+    (constant section) or a section block.  Each binding resolves at
+    its declaration's record in `checks`, so a telescope may mention any
+    name bound above it; a failed declaration cannot be bound.
     """
-    for name in set(type_binds) - set(sig.bases):
-        raise InterpError(f"bind type {name!r}: no such base type")
-    for name in set(const_binds) - set(sig.consts):
-        raise InterpError(f"bind const {name!r}: no such assumed constant")
+    for name, (kind, _) in binds.items():
+        if name not in (sig.bases if kind == "type" else sig.consts):
+            what = "base type" if kind == "type" else "assumed constant"
+            raise InterpError(f"bind {kind} {name!r}: no such {what}")
     env = SemanticEnv()
-    itp = Interpreter(sig, env)
-    try:
-        for name, tele in sig.bases.items():
-            if name in type_binds:
-                base_cat = itp.context(tuple(tele))
-                env.bases[name] = _resolve_fiber(ws, type_binds[name],
-                                                 base_cat)
-        for name, (tele, ty) in sig.consts.items():
-            if name in const_binds:
-                fa = itp.type(tuple(tele), ty)
-                env.terms[name] = _resolve_section(ws, name,
-                                                   const_binds[name], fa)
-    except ValueError as err:  # an earlier binding breaks this telescope
-        raise InterpError(f"cannot interpret the declaration of {name!r}: "
-                          f"{err}") from None
+    itp = Interpreter(sig, env, checks)
+    for rec in checks:
+        name = rec.subject
+        if name not in binds:
+            continue
+        kind, target = binds[name]
+        if not rec.ok:
+            raise InterpError(
+                f"bind {kind} {name!r}: the declaration does not typecheck")
+        try:
+            if kind == "type":
+                env.bases[name] = _resolve_fiber(
+                    ws, target, itp.context(sig.bases[name]))
+            else:
+                tele, ty = sig.consts[name]
+                env.terms[name] = _resolve_section(ws, name, target,
+                                                   itp.type(tele, ty))
+        except ValueError as err:  # an earlier binding breaks this telescope
+            raise InterpError(f"cannot interpret the declaration of "
+                              f"{name!r}: {err}") from None
     return env
 
 
@@ -651,15 +667,18 @@ def _resolve_fiber(ws, target, base_cat):
     if block.constant is not None:
         return fc.constant_fibers(
             base_cat, _named(ws.categories, block.constant, owner, "category"))
-    fibers = {_resolve_object(base_cat, addr, owner):
-              _named(ws.categories, cat_name, owner, "category")
-              for addr, cat_name in block.fibers}
+    fibers, transitions = {}, {}
+    for addr, cat_name in block.fibers:
+        _put(fibers, _resolve_object(base_cat, addr, owner),
+             _named(ws.categories, cat_name, owner, "category"),
+             owner, "fiber at")
     for x in base_cat.objects:
         if x not in fibers:
             raise InterpError(f"{owner}: no fiber at {_show(x)}")
-    transitions = {_resolve_morphism(base_cat, addr, owner):
-                   _named(ws.functors, fn_name, owner, "functor")
-                   for addr, fn_name in block.transitions}
+    for addr, fn_name in block.transitions:
+        _put(transitions, _resolve_morphism(base_cat, addr, owner),
+             _named(ws.functors, fn_name, owner, "functor"),
+             owner, "transition along")
     for m in base_cat.morphisms:
         if m not in transitions:
             if m != base_cat.identity[m.dom]:
@@ -667,6 +686,14 @@ def _resolve_fiber(ws, target, base_cat):
                     f"{owner}: no transition along {_show(m.name)}")
             transitions[m] = fc.identity_functor(fibers[m.dom])
     return fc.FiberAssignment(base_cat, fibers, transitions)
+
+
+def _put(table, key, value, owner, what):
+    """Enter a resolved entry; a key given before is a repeat."""
+    if key in table:
+        shown = _show(key.name if isinstance(key, fc.Mor) else key)
+        raise InterpError(f"{owner}: repeated {what} {shown}")
+    table[key] = value
 
 
 def _named(table, name, owner, kind):
@@ -687,13 +714,15 @@ def _resolve_section(ws, name, target, fa):
     for addr, val in block.components:
         if _is_mor_addr(addr):
             m = _resolve_morphism(fa.base, addr, owner)
-            morp[m] = _one([g for g in fa.fibers[m.cod].morphisms
-                            if fc.token(g) == val],
-                           f"{owner}: morphism value {val!r}",
-                           "fiber morphisms")
+            _put(morp, m, _one([g for g in fa.fibers[m.cod].morphisms
+                                if fc.token(g) == val],
+                               f"{owner}: morphism value {val!r}",
+                               "fiber morphisms"),
+                 owner, "morphism part along")
         else:
             x = _resolve_object(fa.base, addr, owner)
-            obj[x] = _resolve_value(fa.fibers[x], val, owner)
+            _put(obj, x, _resolve_value(fa.fibers[x], val, owner),
+                 owner, "value at")
     for x in fa.base.objects:
         if x not in obj:
             raise InterpError(f"{owner}: no value at {_show(x)}")

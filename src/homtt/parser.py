@@ -509,7 +509,6 @@ class NatBlock:
 @dataclass
 class FiberBlock:
     name: str
-    over: str | None = None
     constant: str | None = None
     fibers: list = field(default_factory=list)       # (addr, category name)
     transitions: list = field(default_factory=list)  # (addr, functor name)
@@ -519,7 +518,6 @@ class FiberBlock:
 @dataclass
 class SectionBlock:
     name: str
-    fiber: str = ""
     components: list = field(default_factory=list)   # (addr, value name)
     line: int = 0
 
@@ -542,18 +540,6 @@ class CatFile:
     fibers: dict = field(default_factory=dict)
     sections: dict = field(default_factory=dict)
     squares: dict = field(default_factory=dict)
-    path: str = "<input>"
-
-    def merge(self, other):
-        for attr in ("categories", "functors", "nats", "fibers", "sections",
-                     "squares"):
-            mine, theirs = getattr(self, attr), getattr(other, attr)
-            for name, block in theirs.items():
-                if name in mine:
-                    raise ParseError(f"duplicate name {name!r}", other.path,
-                                     block.line, 1)
-                mine[name] = block
-        return self
 
 
 _FC_TOKEN = re.compile(r"[A-Za-z0-9_']+|->|=>|[\[\]():=*]|\S")
@@ -572,19 +558,20 @@ def _fc_lex(line, path, ln):
 
 
 class _FincatParser:
-    def __init__(self, text, path):
+    def __init__(self, text, path, out):
         self.lines = text.splitlines()
         self.path = path
-        self.out = CatFile(path=path)
-        self.names = set()
+        self.out = out
 
     def err(self, msg, ln):
         raise ParseError(msg, self.path, ln, 1)
 
-    def register(self, name, ln):
-        if name in self.names:
-            self.err(f"duplicate name {name!r}", ln)
-        self.names.add(name)
+    def register(self, table, block):
+        """Enter a block under its name, which no block of any kind may
+        hold already."""
+        if any(block.name in t for t in vars(self.out).values()):
+            self.err(f"duplicate name {block.name!r}", block.line)
+        table[block.name] = block
 
     def parse(self):
         i = 0
@@ -611,7 +598,6 @@ class _FincatParser:
                     self._square(toks, body, ln)
                 case _:
                     self.err(f"expected a block header, found {head!r}", ln)
-        return self.out
 
     def _block_lines(self, i):
         body = []
@@ -630,7 +616,7 @@ class _FincatParser:
         if len(header) != 2:
             self.err("usage: category NAME", ln)
         block = CatBlock(header[1], line=ln)
-        self.register(block.name, ln)
+        self.register(self.out.categories, block)
         seen_objects = False
         arrow_names = set()
         for toks, bln in body:
@@ -660,7 +646,6 @@ class _FincatParser:
                     self.err(f"bad category line: {' '.join(toks)}", bln)
         if not seen_objects:
             self.err("category block needs an objects line", ln)
-        self.out.categories[block.name] = block
 
     @staticmethod
     def _is_identity(name, block):
@@ -672,7 +657,7 @@ class _FincatParser:
                 block = FunctorBlock(name, src, tgt, line=ln)
             case _:
                 self.err("usage: functor NAME : C -> D", ln)
-        self.register(block.name, ln)
+        self.register(self.out.functors, block)
         for toks, bln in body:
             match toks:
                 case ["ob", x, "->", y]:
@@ -681,7 +666,6 @@ class _FincatParser:
                     block.arr.append((f, g))
                 case _:
                     self.err(f"bad functor line: {' '.join(toks)}", bln)
-        self.out.functors[block.name] = block
 
     def _nat(self, header, body, ln):
         match header:
@@ -689,83 +673,74 @@ class _FincatParser:
                 block = NatBlock(name, src, tgt, line=ln)
             case _:
                 self.err("usage: nat NAME : F => G", ln)
-        self.register(block.name, ln)
+        self.register(self.out.nats, block)
         for toks, bln in body:
             match toks:
                 case ["at", x, ":", m]:
                     block.components.append((x, m))
                 case _:
                     self.err(f"bad nat line: {' '.join(toks)}", bln)
-        self.out.nats[block.name] = block
 
-    def _addr(self, toks, bln):
-        """An address: NAME, [a b c], or [a b] (f g) for morphisms."""
-        if not toks:
+    def _addr_line(self, toks, bln, kind):
+        """The (address, name) of a `KEYWORD ADDRESS : NAME` line.  An
+        address is NAME, [a b c], or [a b] (f g) for a morphism."""
+        rest = toks[1:]
+        if not rest:
             self.err("missing address", bln)
-        if toks[0] != "[":
-            return toks[0], toks[1:]
-        if "]" not in toks:
-            self.err("unterminated '['", bln)
-        stop = toks.index("]")
-        dom = tuple(toks[1:stop])
-        rest = toks[stop + 1:]
-        if rest and rest[0] == "(":
-            if ")" not in rest:
-                self.err("unterminated '('", bln)
-            stop2 = rest.index(")")
-            return (dom, tuple(rest[1:stop2])), rest[stop2 + 1:]
-        return dom, rest
+        if rest[0] != "[":
+            addr, rest = rest[0], rest[1:]
+        else:
+            if "]" not in rest:
+                self.err("unterminated '['", bln)
+            stop = rest.index("]")
+            addr, rest = tuple(rest[1:stop]), rest[stop + 1:]
+            if rest and rest[0] == "(":
+                if ")" not in rest:
+                    self.err("unterminated '('", bln)
+                stop = rest.index(")")
+                addr, rest = (addr, tuple(rest[1:stop])), rest[stop + 1:]
+        if len(rest) != 2 or rest[0] != ":":
+            self.err(f"bad {kind} line: {' '.join(toks)}", bln)
+        return addr, rest[1]
 
     def _fiber(self, header, body, ln):
+        # the base after `over` is not checked: the binding gives the base
         match header:
-            case ["fiber", name]:
+            case ["fiber", name] | ["fiber", name, "over", _]:
                 block = FiberBlock(name, line=ln)
-            case ["fiber", name, "over", base]:
-                block = FiberBlock(name, over=base, line=ln)
             case _:
                 self.err("usage: fiber NAME [over C]", ln)
-        self.register(block.name, ln)
+        self.register(self.out.fibers, block)
         for toks, bln in body:
-            if toks[0] == "constant" and len(toks) == 2:
-                block.constant = toks[1]
-                continue
-            if toks[0] == "at":
-                addr, rest = self._addr(toks[1:], bln)
-                if len(rest) != 2 or rest[0] != ":":
+            match toks:
+                case ["constant", cat]:
+                    block.constant = cat
+                case ["at", *_]:
+                    block.fibers.append(self._addr_line(toks, bln, "fiber"))
+                case ["along", *_]:
+                    block.transitions.append(
+                        self._addr_line(toks, bln, "fiber"))
+                case _:
                     self.err(f"bad fiber line: {' '.join(toks)}", bln)
-                block.fibers.append((addr, rest[1]))
-                continue
-            if toks[0] == "along":
-                addr, rest = self._addr(toks[1:], bln)
-                if len(rest) != 2 or rest[0] != ":":
-                    self.err(f"bad fiber line: {' '.join(toks)}", bln)
-                block.transitions.append((addr, rest[1]))
-                continue
-            self.err(f"bad fiber line: {' '.join(toks)}", bln)
-        self.out.fibers[block.name] = block
 
     def _section(self, header, body, ln):
+        # likewise the fiber after `in`: the bound constant's type gives it
         match header:
-            case ["section", name, "in", fib]:
-                block = SectionBlock(name, fib, line=ln)
+            case ["section", name, "in", _]:
+                block = SectionBlock(name, line=ln)
             case _:
                 self.err("usage: section NAME in FIBER", ln)
-        self.register(block.name, ln)
+        self.register(self.out.sections, block)
         for toks, bln in body:
-            if toks and toks[0] == "at":
-                addr, rest = self._addr(toks[1:], bln)
-                if len(rest) != 2 or rest[0] != ":":
-                    self.err(f"bad section line: {' '.join(toks)}", bln)
-                block.components.append((addr, rest[1]))
-                continue
-            self.err(f"bad section line: {' '.join(toks)}", bln)
-        self.out.sections[block.name] = block
+            if toks[0] != "at":
+                self.err(f"bad section line: {' '.join(toks)}", bln)
+            block.components.append(self._addr_line(toks, bln, "section"))
 
     def _square(self, header, body, ln):
         if len(header) != 2:
             self.err("usage: square NAME", ln)
         block = SquareBlock(header[1], line=ln)
-        self.register(block.name, ln)
+        self.register(self.out.squares, block)
         for toks, bln in body:
             match toks:
                 case [("left" | "right" | "top" | "bottom") as side, name]:
@@ -777,8 +752,11 @@ class _FincatParser:
         for side in ("left", "right", "top", "bottom"):
             if getattr(block, side) is None:
                 self.err(f"square {block.name!r} is missing {side}", ln)
-        self.out.squares[block.name] = block
 
 
-def parse_fincat(text, path="<input>"):
-    return _FincatParser(text, path).parse()
+def parse_fincat(text, path="<input>", cf=None):
+    """Parse .fincat text into cf, a new CatFile by default.  A block name
+    that cf already holds is a duplicate, as one repeated in the text is."""
+    cf = CatFile() if cf is None else cf
+    _FincatParser(text, path, cf).parse()
+    return cf

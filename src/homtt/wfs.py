@@ -38,7 +38,6 @@ class Factorization:
     original: fc.Functor
     left: fc.Functor
     right: fc.Functor
-    flavor: str
 
     @property
     def middle(self):
@@ -115,7 +114,7 @@ def factor(F, flavor):
     right = fc.Functor(mid, F.target,
                        {x: x[1].cod for x in mid.objects},
                        {m: m.name[1].name[1] for m in mid.morphisms})
-    return Factorization(F, left, right, flavor)
+    return Factorization(F, left, right)
 
 
 def opfib_lift(fact, lifts):

@@ -314,6 +314,118 @@ def test_interp_bad_fiber_alone_fails_its_env_check(capsys, tmp_path):
             "source or target\n") in out
 
 
+WORLD = (CORPUS / "scenarios" / "world.fincat").read_text(encoding="utf-8")
+
+
+def _scenario(tmp_path, dtt, binds, fincats=(("world.fincat", WORLD),),
+              head=""):
+    """A scenario over the given .dtt text, .fincat files and bind lines."""
+    (tmp_path / "s.dtt").write_text(dtt, encoding="utf-8")
+    for name, text in fincats:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    scn = tmp_path / "s.scn"
+    scn.write_text(f"{head}source s.dtt\n"
+                   f"fincat {' '.join(name for name, _ in fincats)}\n"
+                   + binds, encoding="utf-8")
+    return scn
+
+
+@pytest.mark.parametrize("binds", [
+    "bind type B = two\nbind const c = 0\nbind type T = star\n",
+    "bind type T = star\nbind const c = 0\nbind type B = two\n",
+], ids=["scn-in-declaration-order", "scn-in-another-order"])
+def test_interp_binds_in_declaration_order(capsys, tmp_path, binds):
+    # T's telescope mentions c, so T resolves only once c is bound
+    scn = _scenario(
+        tmp_path, "assume B : Type\nassume c : core B\n"
+        "assume T (y : hom B (iop c) (i c)) : Type\n", binds)
+    rc, out, err = run(capsys, "interp", "--format", "records", str(scn))
+    assert (rc, err) == (0, "")
+    assert "\tFAIL\t" not in out
+    assert "env-base\tT\tok\t\n" in out
+
+
+def test_interp_binding_an_ill_typed_declaration_exits_two(capsys, tmp_path):
+    scn = _scenario(
+        tmp_path, "assume B : Type\nassume x : B\n"
+        "assume c0 : hom B (iop x) (i x)\n",
+        "bind type B = two\nbind const x = 0\nbind const c0 = id_0\n")
+    rc, out, err = run(capsys, "interp", str(scn))
+    assert (rc, out) == (2, "")
+    assert err == ("error: bind const 'c0': the declaration does not "
+                   "typecheck\n")
+
+
+def test_interp_use_of_an_ill_typed_define_fails_its_check(capsys, tmp_path):
+    # bad's declared type lets uses typecheck; its body is never expanded
+    scn = _scenario(
+        tmp_path, "assume B : Type\nassume x : core B\nassume y : B\n"
+        "define bad : hom B (iop x) (i x) := elimR[z. B; z w h v. B; "
+        "z v. v](y, y)\ndefine use : hom B (iop x) (i x) := bad\n",
+        "bind type B = two\nbind const x = 0\n")
+    rc, out, err = run(capsys, "interp", "--format", "records", str(scn))
+    assert (rc, err) == (1, "")
+    assert [ln.split("\t")[:2] for ln in out.splitlines()
+            if "\tFAIL\t" in ln] == [["typecheck", "bad"],
+                                      ["interpretation", "use"]]
+    assert ("interpretation\tuse\tFAIL\tthe declaration of 'bad' does not "
+            "typecheck\n") in out
+
+
+def test_interp_unknown_bindings_name_the_first_in_file_order(tmp_path):
+    # the same error whatever the hash seed of the process
+    scn = _scenario(tmp_path, "assume B : Type\n",
+                    "bind type Zq = two\nbind type Zr = two\n")
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "homtt.cli", "interp", str(scn)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src"),
+             "PYTHONHASHSEED": seed}) for seed in "1234"]
+    outcomes = {(p.communicate()[1], p.returncode) for p in procs}
+    assert outcomes == {("error: bind type 'Zq': no such base type\n", 2)}
+
+
+def test_interp_one_namespace_across_fincat_files(capsys, tmp_path):
+    scn = _scenario(
+        tmp_path, "assume B : Type\nassume S (x : B) : Type\n",
+        "bind type B = two\nbind type S = two\n",
+        (("world.fincat", WORLD),
+         ("more.fincat", "category one\n  objects *\nend\n"
+                         "fiber two\n  constant one\nend\n")))
+    rc, out, err = run(capsys, "interp", str(scn))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {tmp_path / 'more.fincat'}:4:1: duplicate name " \
+                  "'two'\n"
+
+
+@pytest.mark.parametrize("head, binds, message", [
+    ("source s.dtt\n", "bind type B = two\n", "2: repeated 'source' line"),
+    ("", "bind type B = two\nbind type B = star\n",
+     "4: repeated binding of 'B'"),
+    ("", "bind type B = two\nbind const B = 0\n",
+     "4: repeated binding of 'B'"),
+], ids=["source", "bind", "bind-across-kinds"])
+def test_interp_repeated_scenario_lines_exit_two(capsys, tmp_path, head,
+                                                 binds, message):
+    scn = _scenario(tmp_path, "assume B : Type\n", binds, head=head)
+    rc, out, err = run(capsys, "interp", str(scn))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {scn}:{message}\n"
+
+
+def test_interp_repeated_fiber_address_exits_two(capsys, tmp_path):
+    line = "  at [1] : two\n"
+    assert line in WORLD
+    scn = _scenario(
+        tmp_path, (CORPUS / "scenarios" / "transport.dtt").read_text(
+            encoding="utf-8"),
+        "bind type B = two\nbind type S = sfam\n",
+        (("world.fincat", WORLD.replace(line, line + "  at [1] : star\n")),))
+    rc, out, err = run(capsys, "interp", str(scn))
+    assert (rc, out) == (2, "")
+    assert err == "error: fiber sfam: repeated fiber at (1)\n"
+
+
 def test_reports_are_byte_identical_across_runs(capsys):
     path = str(CORPUS / "scenarios" / "transport.scn")
     rc1, out1, _ = run(capsys, "interp", path, "--format", "records")

@@ -817,7 +817,6 @@ def test_build_catfile_round_trip():
         "  at 1 : id_1\n"
         "end\n")
     ws = fc.build_catfile(cf)
-    assert ws.diagnostics == []
     assert ws.categories["two"] == two()
     assert ws.functors["keep"].validate() == []
     assert ws.nats["same"].validate() == []
@@ -827,8 +826,9 @@ def test_build_catfile_reports_unknowns():
     cf = ps.parse_fincat(
         "category c\n  objects x\nend\n"
         "functor F : c -> d\nend\n")
-    ws = fc.build_catfile(cf)
-    assert ("F", "unknown category 'd'") in ws.diagnostics
+    with pytest.raises(fc.BlockError) as err:
+        fc.build_catfile(cf)
+    assert err.value.args == ("F", "unknown category 'd'")
 
 
 SQUARE_WORLD = (
@@ -853,14 +853,15 @@ def _square(left, right, top, bottom):
     (_square("at0", "keep", "at1", "keep"), ("sq", "square does not commute")),
 ], ids=["nat-endpoints", "square-unknown", "square-legs", "square-commutes"])
 def test_build_catfile_validates_nats_and_squares(block, problem):
-    ws = fc.build_catfile(ps.parse_fincat(SQUARE_WORLD + block))
-    assert ws.diagnostics == [problem]
+    with pytest.raises(fc.BlockError) as err:
+        fc.build_catfile(ps.parse_fincat(SQUARE_WORLD + block))
+    assert err.value.args == problem
 
 
 def test_build_catfile_accepts_a_commuting_square():
     ws = fc.build_catfile(ps.parse_fincat(
         SQUARE_WORLD + _square("at1", "keep", "at1", "keep")))
-    assert ws.diagnostics == []
+    assert set(ws.functors) == {"at0", "at1", "keep"}
 
 
 def test_relabel_renames_and_maps():

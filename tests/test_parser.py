@@ -273,11 +273,9 @@ def test_fincat_fiber_section_square():
         "end\n"
     )
     fib = cf.fibers["S"]
-    assert fib.over == "two"
     assert fib.fibers == [("a", "Fa"), (("a", "b"), "Fab")]
     assert fib.transitions == [("f", "Tf"), ((("a", "b"), ("f", "g")), "Tfg")]
     assert cf.fibers["K"].constant == "two"
-    assert cf.sections["s"].fiber == "S"
     assert cf.sections["s"].components == [("a", "pa"), (("a", "b"), "pab")]
     sq = cf.squares["sq"]
     assert (sq.left, sq.right, sq.top, sq.bottom) == ("L", "R", "T", "B")
@@ -315,10 +313,9 @@ def test_fincat_stray_characters(line, msg):
     assert str(err.value) == f"c.fincat:{msg}"
 
 
-def test_fincat_merge_detects_duplicates():
-    a = p.parse_fincat("category c\n  objects x\nend\n", "a.fincat")
-    b = p.parse_fincat("category d\n  objects y\nend\n"
-                       "category c\n  objects z\nend\n", "b.fincat")
+def test_fincat_duplicates_across_files():
+    cf = p.parse_fincat("category c\n  objects x\nend\n", "a.fincat")
     with pytest.raises(p.ParseError) as err:
-        a.merge(b)
-    assert "duplicate name 'c'" in str(err.value)
+        p.parse_fincat("category d\n  objects y\nend\n"
+                       "fiber c\n  constant d\nend\n", "b.fincat", cf)
+    assert str(err.value) == "b.fincat:4:1: duplicate name 'c'"

@@ -4,7 +4,8 @@ Every public top-level name of a package module must be referenced by
 some other top-level statement of the package, or be on the allowlist
 of entry points and documented API below.  Every public method or
 property of a public class must be read by attribute name somewhere in
-the package outside its own body.
+the package outside its own body, and every field of a public dataclass
+by attribute name or through a class pattern.
 """
 
 import ast
@@ -75,6 +76,41 @@ def test_every_public_method_is_used_inside_the_package():
                         and uses[fn.name] == _attributes(fn)[fn.name]):
                     unused.append(f"{cls.name}.{fn.name}")
     assert not unused, f"public but unused inside the package: {unused}"
+
+
+def _is_dataclass(cls):
+    for d in cls.decorator_list:
+        match d:
+            case ast.Name(id="dataclass") | ast.Call(
+                    func=ast.Name(id="dataclass")):
+                return True
+    return False
+
+
+def test_every_dataclass_field_is_read_inside_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))]
+    fields = {cls.name: [s.target.id for s in cls.body
+                         if isinstance(s, ast.AnnAssign)]
+              for tree in trees for cls in tree.body
+              if isinstance(cls, ast.ClassDef)
+              and not cls.name.startswith("_") and _is_dataclass(cls)}
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            match node:
+                case ast.Attribute(attr=name, ctx=ast.Load()):
+                    read.add(name)
+                case ast.MatchClass(cls=ast.Name(id=cls) | ast.Attribute(
+                        attr=cls), patterns=pos, kwd_attrs=kwd):
+                    # positional patterns bind fields in __match_args__,
+                    # which for a dataclass is its field order
+                    read.update(fields.get(cls, ())[:len(pos)])
+                    read.update(kwd)
+    unread = [f"{cls}.{name}" for cls, names in fields.items()
+              for name in names if name not in read]
+    assert not unread, f"dataclass fields never read inside the package: " \
+        f"{unread}"
 
 
 # defaulted parameters that no call inside the package passes, and why

@@ -39,8 +39,11 @@ def env(blocks="", types=None, consts=None):
     sig, checks = ch.check_source(ps.parse_dtt(SOURCE))
     assert all(r.ok for r in checks)
     ws = fc.build_catfile(ps.parse_fincat(WORLD + blocks))
-    assert ws.diagnostics == []
-    return ip.build_env(sig, ws, {"B": "two", **(types or {})}, consts or {})
+    binds = {name: ("type", target)
+             for name, target in {"B": "two", **(types or {})}.items()}
+    binds.update((name, ("const", target))
+                 for name, target in (consts or {}).items())
+    return ip.build_env(sig, checks, ws, binds)
 
 
 def fiber(body, name="fam"):
@@ -193,6 +196,16 @@ SECTION_FAM = fiber(SFAM, "sfam")
      "fiber fam: no fiber at (1)"),
     (fiber("  at [0] : star\n  at [1] : two\n"), {"S": "fam"}, {},
      "fiber fam: no transition along (<a>)"),
+    (fiber("  at [0] : star\n  at [1] : two\n  at 1 : star\n"),
+     {"S": "fam"}, {}, "fiber fam: repeated fiber at (1)"),
+    (fiber(SFAM + "  along a : sa\n"), {"S": "fam"}, {},
+     "fiber fam: repeated transition along (<a>)"),
+    (SECTION_FAM + "section sec in sfam\n  at [0] : *\n  at [1] : 1\n"
+     "  at 1 : 0\nend\n", {"S": "sfam"}, {"u": "sec"},
+     "section sec: repeated value at (1)"),
+    (SECTION_FAM + "section sec in sfam\n  at [0] : *\n  at [1] : 1\n"
+     "  at [0] (a) : a\n  at [0] (a) : id_1\nend\n", {"S": "sfam"},
+     {"u": "sec"}, "section sec: repeated morphism part along (<a>)"),
 ], ids=[
     "object-address-is-a-morphism", "bad-morphism-address",
     "object-address-unmatched", "object-address-too-long",
@@ -203,7 +216,8 @@ SECTION_FAM = fiber(SFAM, "sfam")
     "section-morphism-value-is-an-object", "section-object-address",
     "section-morphism-address", "section-no-value",
     "no-such-block", "constant-unknown-category", "at-unknown-category",
-    "unknown-functor", "no-fiber", "no-transition",
+    "unknown-functor", "no-fiber", "no-transition", "repeated-fiber",
+    "repeated-transition", "repeated-value", "repeated-morphism-part",
 ])
 def test_resolution_errors(blocks, types, consts, message):
     with pytest.raises(ip.InterpError) as err:

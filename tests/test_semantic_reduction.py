@@ -16,6 +16,7 @@ import random
 import pytest
 
 import wtgen
+from homtt import checker as ch
 from homtt import fincat as fc
 from homtt import interp as ip
 from homtt import kernel as k
@@ -138,8 +139,13 @@ def test_terms_and_their_reducts_have_equal_sections(name):
     (text, types, consts), varied = BINDINGS[name]
     sig = wtgen.base_signature()
     ws = fc.build_catfile(ps.parse_fincat(text))
-    assert ws.diagnostics == []
-    env = ip.build_env(sig, ws, types, consts)
+    # the signature is built by hand: one passing record per declaration,
+    # in its declaration order (the base types come first)
+    checks = [ch.Record(decl, "assume", True)
+              for decl in (*sig.bases, *sig.consts)]
+    binds = {**{n: ("type", target) for n, target in types.items()},
+             **{n: ("const", target) for n, target in consts.items()}}
+    env = ip.build_env(sig, checks, ws, binds)
     itp = ip.Interpreter(sig, env)
     mismatches, meanings = [], {}
     for i, (tm, ty) in enumerate(wtgen.generate(random.Random(SEED), COUNT)):

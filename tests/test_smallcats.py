@@ -2,6 +2,8 @@
 
 import pytest
 
+import cats
+import oracles
 import smallcats
 from homtt import checker as ch
 from homtt import fincat as fc
@@ -49,3 +51,39 @@ def test_small_category(name):
     one = itp.term((("s", k.Core(B)),), k.One(k.Var(0)))
     assert one.validate() == []
     assert one.obj == {(x,): c.identity[x] for x in c.objects}
+
+
+HOM_CTX = (("s", k.Core(B)), ("t", B),
+           ("f", k.Hom(B, k.IncOp(k.Var(0)), k.Var(1))))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_small_comprehension_pullbacks(name):
+    # criterion 5 on the hom context: every comprehension square is a
+    # pullback
+    records = ip._pullback_records(interpreter(SMALL[name]), name, HOM_CTX)
+    assert [r.check for r in records] == [f"chi-pullback[{j}]"
+                                          for j in (2, 1, 0)]
+    assert all(r.ok for r in records), [r.detail for r in records]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_small_opfibration_lifts(name):
+    # criterion 6's lifts on the totals of constant two-fibers and of
+    # their cores
+    c = SMALL[name]
+    plain = fc.constant_fibers(c, cats.two())
+    for fa in (plain, fc.core_fibers(plain)):
+        P = oracles.groth(c, fa).projection
+        ok, lifts = fc.has_cocartesian_lifts(P)
+        assert ok
+        assert set(lifts) == {(x, f) for x in P.source.objects
+                              for f in c.out_of(P.ob[x])}
+        # oracles.is_cocartesian on each lift, with op P built once
+        op_P = oracles.op_functor(P)
+        assert all(oracles.is_cartesian(op_P, fc.op_mor(e))
+                   for e in lifts.values())
+        w = wfs.opfib_lift(wfs.factor(P, "arrow"), lifts)
+        assert fc.functor_compose(w.diagonal, w.problem.i) == w.problem.top
+        assert fc.functor_compose(w.problem.p, w.diagonal) \
+            == w.problem.bottom

@@ -94,7 +94,6 @@ def test_factor_legs_compose_over_the_corpus(flavor):
     for F in funs:
         fact = wfs.factor(F, flavor)
         assert fact.validate() == []
-        assert fact.flavor == flavor
         want_obs, want_mors = middle_census(F, flavor)
         assert len(fact.middle.objects) == want_obs
         assert len(fact.middle.morphisms) == want_mors
