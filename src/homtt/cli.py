@@ -242,7 +242,9 @@ def run(cfg, stream=None):
     except RecursionError:
         print("error: input nests too deeply", file=sys.stderr)
         return 2
-    except (k.InternalError, AssertionError) as err:
+    except Exception as err:
+        if not isinstance(err, k.InternalError):
+            err = f"{type(err).__name__}: {err}"
         print(f"internal error: {err}", file=sys.stderr)
         return 3
     ok = all(r.ok for r in records)

@@ -2,9 +2,10 @@
 
 Everything here is exhaustive: laws are checked by enumerating composable
 triples and universal properties by enumerating candidates.  Objects and
-morphism names are arbitrary hashable values; ordering is by repr so
-reports and chosen representatives are deterministic.  A morphism computes
-its hash once and its repr on first use, since names nest other morphisms.
+morphism names are arbitrary hashable values.  A category keeps its cells
+in the order it is built, so reports and chosen representatives are
+deterministic by construction; equality ignores that order.  A morphism
+computes its hash once, since names nest other morphisms.
 
 Identity morphisms of parsed and discrete categories are named ("id", x).
 Constructed categories (arrow categories, pullbacks) name morphisms
@@ -32,10 +33,6 @@ class SizeCapError(Exception):
     pass
 
 
-def skey(x):
-    return repr(x)
-
-
 def _fmt(x):
     if isinstance(x, str):
         return x
@@ -47,9 +44,10 @@ def _fmt(x):
 
 
 class Mor:
-    """An immutable morphism value, equal by name, dom and cod."""
+    """An immutable morphism value, equal by name, dom and cod.  Its repr
+    is built on demand, for error texts only."""
 
-    __slots__ = ("name", "dom", "cod", "_hash", "_repr")
+    __slots__ = ("name", "dom", "cod", "_hash")
 
     def __init__(self, name, dom, cod):
         init = object.__setattr__
@@ -57,7 +55,6 @@ class Mor:
         init(self, "dom", dom)
         init(self, "cod", cod)
         init(self, "_hash", hash((name, dom, cod)))
-        init(self, "_repr", None)
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"cannot assign to field {attr!r} of a Mor")
@@ -74,10 +71,7 @@ class Mor:
                 and self.dom == other.dom and self.cod == other.cod)
 
     def __repr__(self):
-        if self._repr is None:
-            object.__setattr__(self, "_repr", f"Mor(name={self.name!r}, "
-                               f"dom={self.dom!r}, cod={self.cod!r})")
-        return self._repr
+        return f"Mor(name={self.name!r}, dom={self.dom!r}, cod={self.cod!r})"
 
 
 def identity_mor(x):
@@ -86,8 +80,8 @@ def identity_mor(x):
 
 class FinCat:
     def __init__(self, objects, morphisms, identity, compose):
-        objects = tuple(sorted(objects, key=skey))
-        morphisms = tuple(sorted(morphisms, key=skey))
+        objects = tuple(objects)
+        morphisms = tuple(morphisms)
         if len(objects) > MAX_OBJECTS:
             raise SizeCapError(f"{len(objects)} objects exceeds {MAX_OBJECTS}")
         if len(morphisms) > MAX_MORPHISMS:
@@ -98,14 +92,14 @@ class FinCat:
         self.identity = dict(identity)
         self.compose = dict(compose)
         self.morset = frozenset(morphisms)
-        self._out = {}  # dom -> the morphisms out of it, in sorted order
+        self._out = {}  # dom -> the morphisms out of it, in the given order
         for m in morphisms:
             self._out.setdefault(m.dom, []).append(m)
 
     def __eq__(self, other):
         return other is self or (isinstance(other, FinCat)
-                and self.objects == other.objects
-                and self.morphisms == other.morphisms
+                and set(self.objects) == set(other.objects)
+                and self.morset == other.morset
                 and self.identity == other.identity
                 and self.compose == other.compose)
 
@@ -557,9 +551,9 @@ def _is_cocartesian(P, e):
 def has_cocartesian_lifts(P):
     """Chosen cocartesian lift for every (object, outgoing base morphism).
 
-    Choice policy: the fiber identity over an identity, then first in
-    sorted order.  Returns (ok, lifts); on failure the dict lacks exactly
-    the unliftable pairs.
+    Choice policy: the fiber identity over an identity, then the first
+    candidate out of the object.  Returns (ok, lifts); on failure the dict
+    lacks exactly the unliftable pairs.
     """
     lifts = {}
     ok = True
@@ -570,12 +564,9 @@ def has_cocartesian_lifts(P):
             if not cands:
                 ok = False
                 continue
-            if f == P.target.identity[f.dom] \
-                    and P.source.identity[x] in cands:
-                chosen = P.source.identity[x]
-            else:
-                chosen = min(cands, key=skey)
-            lifts[(x, f)] = chosen
+            i = P.source.identity[x]
+            over_identity = f == P.target.identity[f.dom]
+            lifts[(x, f)] = i if over_identity and i in cands else cands[0]
     return ok, lifts
 
 

@@ -156,14 +156,15 @@ class Interpreter:
     Results are cached per context shape (the tuple of entry types), so
     shared prefixes and repeated subterms are built once.  Eliminator
     interpretations leave an ElimWitness behind for soundness replay.
-    A constant whose record in `checks` (check_source's) failed cannot
-    be interpreted: using it is an InterpError.
+    A declaration in `failed` (its typecheck, env-base or env-type record
+    failed) cannot be interpreted: using it is an InterpError.
     """
 
     def __init__(self, sig, env, checks=()):
         self.sig = sig
         self.env = env
-        self.failed = {r.subject for r in checks if not r.ok}
+        self.failed = {r.subject: "does not typecheck"
+                       for r in checks if not r.ok}
         self.witnesses = []
         self._ctxs = {}
         self._types = {}
@@ -212,6 +213,7 @@ class Interpreter:
     def _type(self, ctx, ty):
         match ty:
             case k.BaseT(name, args):
+                self._usable(name)
                 fa = self.env.bases.get(name)
                 if fa is None:
                     raise InterpError(
@@ -237,9 +239,7 @@ class Interpreter:
                     sec = fc.reindex_section(sec, ext.proj)
                 return sec
             case k.Const(name, args):
-                if name in self.failed:
-                    raise InterpError(f"the declaration of {name!r} does "
-                                      "not typecheck")
+                self._usable(name)
                 if name in self.sig.defs:
                     tele, _, body, _ = self.sig.defs[name]
                     return self.term(ctx, k.instantiate(body, 0, args,
@@ -265,6 +265,11 @@ class Interpreter:
             case k.ElimR() | k.ElimL():
                 return self._elim(ctx, tm)
         raise k.InternalError(f"cannot interpret term {tm!r}")
+
+    def _usable(self, name):
+        if name in self.failed:
+            raise InterpError(
+                f"the declaration of {name!r} {self.failed[name]}")
 
     def _subst_functor(self, ctx, tele, args):
         """The functor between interpreted contexts induced by arguments."""
@@ -393,11 +398,14 @@ def verify_soundness(sc):
         if not rec.ok:
             continue
         try:
-            records.extend(_decl_records(itp, rec.subject, decl))
-        except (InterpError, ch.CheckError, fc.SizeCapError, ValueError,
-                KeyError) as err:
-            records.append(ch.Record(rec.subject, "interpretation", False,
-                                     str(err)))
+            recs = _decl_records(itp, rec.subject, decl)
+        except (InterpError, ch.CheckError, fc.SizeCapError,
+                ValueError) as err:
+            recs = [ch.Record(rec.subject, "interpretation", False, str(err))]
+        for r in recs:
+            if not r.ok and r.check in ("env-base", "env-type"):
+                itp.failed[rec.subject] = f"fails its {r.check} check"
+        records.extend(recs)
     return records, itp.witnesses
 
 
@@ -493,11 +501,11 @@ def _sections_agree(a, b):
 
 
 def _data_agree(a, b):
-    for x in sorted(a.obj, key=fc.skey):
+    for x in a.obj:
         if a.obj[x] != b.obj.get(x):
             return False, (f"values differ at {_show(x)}: "
                            f"{_show(a.obj[x])} vs {_show(b.obj.get(x))}")
-    for m in sorted(a.mor, key=fc.skey):
+    for m in a.mor:
         if a.mor[m] != b.mor.get(m):
             return False, f"morphism parts differ along {_show(m.name)}"
     if set(b.obj) - set(a.obj) or set(b.mor) - set(a.mor):

@@ -181,10 +181,11 @@ def alpha_iso(c):
     """The isomorphism (x, y, f) -> (x, f) onto the factored inclusion.
 
     Returns (alpha, inverse, records): alpha from the triples category to
-    the middle of factor(core_inclusion(c), "arrow"), its two-sided
-    inverse, and the verification records for functoriality, the inverse
-    identities, and alpha after the unit being exactly the left leg.  Any
-    failed record raises WfsError, since all of them hold by construction.
+    the middle of factor(core_inclusion(c), "arrow"), its inverse (alpha's
+    maps reversed), and the verification records for functoriality, the
+    inverse identities, and alpha after the unit being exactly the left
+    leg.  Any failed record raises WfsError, since all of them hold by
+    construction.
     """
     cat, unit = hom_context(c)
     fact = factor(fc.core_inclusion(c), "arrow")
@@ -196,13 +197,8 @@ def alpha_iso(c):
         mor[m] = fc.Mor((fc.identity_mor(m.dom[0]), sq),
                         ob[m.dom], ob[m.cod])
     alpha = fc.Functor(cat, mid, ob, mor)
-    inv_ob = {x: (x[0], x[1].cod, x[1]) for x in mid.objects}
-    inv_mor = {}
-    for m in mid.morphisms:
-        inv_mor[m] = fc.Mor((m.name[0], m.name[1].name[1],
-                             fc.identity_mor(m.cod[1])),
-                            inv_ob[m.dom], inv_ob[m.cod])
-    inverse = fc.Functor(mid, cat, inv_ob, inv_mor)
+    inverse = fc.Functor(mid, cat, {y: x for x, y in ob.items()},
+                         {v: m for m, v in mor.items()})
 
     records = (
         ch.verdict("alpha", "alpha-functorial", alpha.validate()),

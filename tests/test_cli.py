@@ -161,6 +161,18 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert "internal error: wedged" in err
 
 
+def test_unexpected_exception_exits_three(capsys, monkeypatch):
+    # a KeyError inside a declaration's soundness records is the engine's
+    # own fault, not a failed check
+    def planted(*args):
+        raise KeyError("planted")
+    monkeypatch.setattr(ip, "_pullback_records", planted)
+    rc, out, err = run(capsys, "interp",
+                       str(CORPUS / "scenarios" / "comp.scn"))
+    assert (rc, out) == (3, "")
+    assert err == "internal error: KeyError: 'planted'\n"
+
+
 def test_reducer_guard_breach_exits_three(capsys, monkeypatch, tmp_path):
     text = ("assume T : Type\nassume S (x : T) : Type\n"
             "assume c : core T\nassume u : S(i c)\n"

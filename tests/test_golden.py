@@ -11,8 +11,11 @@ Regenerate a golden file (only when a behaviour change is intended) with
 
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import homtt.cli as cli
 
@@ -85,6 +88,21 @@ def test_corpus_records_match_the_golden_stream():
 def test_corpus_human_report_matches_the_golden_stream():
     want = (GOLDEN / "corpus.human").read_text(encoding="utf-8")
     assert human_stream() == want
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_corpus_records_do_not_depend_on_the_hash_seed(seed):
+    # categories keep their cells in the order they are built, so no
+    # set or dict order that moves with string hashing may reach a report
+    path = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, __file__, "records"], capture_output=True,
+        text=True, cwd=REPO,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / "corpus.records").read_text(
+        encoding="utf-8")
 
 
 if __name__ == "__main__":

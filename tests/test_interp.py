@@ -722,6 +722,28 @@ def test_env_value_outside_fiber_is_reported():
     rec = next(r for r in records if r.check == "env-type")
     assert not rec.ok
     assert "outside the fiber" in rec.detail
+    # every later use of c is refused by name, never a bare KeyError
+    later = records[records.index(rec) + 1:]
+    assert {r.subject for r in later if not r.ok} == {
+        "ff", "u0", "moved", "stay", "assert#1"}
+    assert all((r.check, r.detail) == (
+        "interpretation", "the declaration of 'c' fails its env-type check")
+        for r in later if not r.ok)
+
+
+def test_env_base_mismatch_makes_the_base_unusable():
+    source = transport_source()
+    sig, checks = ch.check_source(source)
+    env = transport_env(sig)
+    env.bases["S"] = fc.constant_fibers(ip.terminal_ctx(), cats.two())
+    records, _ = ip.verify_soundness(ip.Scenario(source, sig, checks, env))
+    rec = next(r for r in records if r.check == "env-base" and not r.ok)
+    assert rec.subject == "S"
+    fails = [r for r in records[records.index(rec) + 1:] if not r.ok]
+    assert fails
+    assert all((r.check, r.detail) == (
+        "interpretation", "the declaration of 'S' fails its env-base check")
+        for r in fails)
 
 
 def test_interp_term_rejects_ill_typed_input():
