@@ -33,13 +33,15 @@ class CheckError(Exception):
 class Signature:
     """Base types, assumed constants, and definitions, in declaration order.
 
-    Entries are validated on insertion, so a Signature is well-formed by
-    construction unless built through the unchecked add_* methods (used to
-    keep going after a bad declaration when checking whole files).
-    A definition is stored as (telescope, type, body, expanded body).
+    assume_type, assume_term and define check a declaration and then enter
+    it, also when the check raises (the error still propagates), so that
+    whole-file checking goes on past a bad declaration without cascades.
+    A failed check leaves the declaration entered unchecked; a Signature
+    is well-formed when every declaration passed.  A definition is stored
+    as (telescope, type, body, expanded body).
 
     `memo` keeps what nf, infer_term and check_type returned (never a
-    failure); an add_* that replaces a name clears it.
+    failure); entering a name that is already known clears it.
     """
 
     def __init__(self):
@@ -56,35 +58,33 @@ class Signature:
             raise CheckError(f"duplicate name {name!r}")
 
     def assume_type(self, name, tele=()):
-        self._fresh(name)
-        check_telescope(self, tele)
-        self.add_base(name, tele)
+        tele = tuple(tele)
+        try:
+            self._fresh(name)
+            check_telescope(self, tele)
+        finally:
+            self._enter(self.bases, name, tele)
 
     def assume_term(self, name, tele, ty):
-        self._fresh(name)
-        ctx = check_telescope(self, tele)
-        check_type(self, ctx, ty)
-        self.add_const(name, tele, ty)
+        tele = tuple(tele)
+        try:
+            self._fresh(name)
+            check_type(self, check_telescope(self, tele), ty)
+        finally:
+            self._enter(self.consts, name, (tele, ty))
 
     def define(self, name, tele, ty, body):
-        self._fresh(name)
-        ctx = check_telescope(self, tele)
-        check_type(self, ctx, ty)
-        check_term(self, ctx, body, ty)
-        self.add_def(name, tele, ty, body)
-
-    def add_base(self, name, tele):
-        self._add(self.bases, name, tuple(tele))
-
-    def add_const(self, name, tele, ty):
-        self._add(self.consts, name, (tuple(tele), ty))
-
-    def add_def(self, name, tele, ty, body):
         tele = tuple(tele)
-        self._add(self.defs, name,
-                  (tele, ty, body, _delta(self, body, len(tele))))
+        try:
+            self._fresh(name)
+            ctx = check_telescope(self, tele)
+            check_type(self, ctx, ty)
+            check_term(self, ctx, body, ty)
+        finally:
+            self._enter(self.defs, name,
+                        (tele, ty, body, _delta(self, body, len(tele))))
 
-    def _add(self, table, name, entry):
+    def _enter(self, table, name, entry):
         if self._known(name):
             self.memo.clear()
         table[name] = entry
@@ -339,9 +339,9 @@ _CHECKS = {ps.AssumeType: "assume-type", ps.AssumeTerm: "assume-term",
 def check_source(source):
     """Check every declaration, one report record each.
 
-    A failed assume/define is still entered into the signature, unchecked,
-    so later declarations produce their own records instead of
-    cascades.
+    A failed assume/define is still entered into the signature (see
+    Signature), so later declarations produce their own records instead
+    of cascades.
     """
     sig = Signature()
     records = []
@@ -359,13 +359,6 @@ def check_source(source):
             ok, detail = _check_decl(sig, decl)
         except CheckError as err:
             ok, detail = False, str(err)
-            match decl:
-                case ps.AssumeType(name, tele):
-                    sig.add_base(name, tele)
-                case ps.AssumeTerm(name, tele, ty):
-                    sig.add_const(name, tele, ty)
-                case ps.Define(name, tele, ty, body):
-                    sig.add_def(name, tele, ty, body)
         records.append(Record(subject, check, ok, detail, decl.line))
     return sig, records
 

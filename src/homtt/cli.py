@@ -151,7 +151,7 @@ def _wfs_records(ws, cfg):
         try:
             _, _, alpha_recs = wfs.alpha_iso(cat)
             recs.extend(replace(r, subject=name) for r in alpha_recs)
-        except (wfs.WfsError, fc.SizeCapError) as err:
+        except fc.SizeCapError as err:
             recs.append(ch.Record(name, "alpha-iso", False, str(err)))
     for name, F in ws.functors.items():
         facts = {}

@@ -596,7 +596,6 @@ class BlockError(Exception):
 class Workspace:
     categories: dict = field(default_factory=dict)
     functors: dict = field(default_factory=dict)
-    nats: dict = field(default_factory=dict)
     fibers: dict = field(default_factory=dict)    # fiber and section blocks,
     sections: dict = field(default_factory=dict)  # resolved by interp
 
@@ -628,8 +627,8 @@ def _valid(name, x):
 
 def build_catfile(cf):
     """Build and validate every block of a CatFile: categories, functors,
-    nats, then squares, each kind in file order.  The first problem is a
-    BlockError."""
+    nats, then squares, each kind in file order; a nat or square is only
+    validated, not kept.  The first problem is a BlockError."""
     ws = Workspace(fibers=cf.fibers, sections=cf.sections)
     tokens = {}  # category name -> its morphisms by text
     for name, block in cf.categories.items():
@@ -670,7 +669,7 @@ def build_catfile(cf):
             if x not in F.source.objects or mn not in tgt_n:
                 raise BlockError(name, f"bad component 'at {x} : {mn}'")
             comps[x] = tgt_n[mn]
-        ws.nats[name] = _valid(name, NatTrans(F, G, comps))
+        _valid(name, NatTrans(F, G, comps))
     for name, block in cf.squares.items():
         problem = _square_problem(block, ws.functors)
         if problem:

@@ -154,10 +154,12 @@ class Interpreter:
     """Interprets checked syntax against a semantic environment.
 
     Results are cached per context shape (the tuple of entry types), so
-    shared prefixes and repeated subterms are built once.  Eliminator
-    interpretations leave an ElimWitness behind for soundness replay.
-    A declaration in `failed` (its typecheck, env-base or env-type record
-    failed) cannot be interpreted: using it is an InterpError.
+    shared prefixes and repeated subterms are built once; a context is
+    cached as its extensions, and its category is the last one's.
+    Eliminator interpretations leave an ElimWitness behind for soundness
+    replay.  A declaration in `failed` (its typecheck, env-base or
+    env-type record failed) cannot be interpreted: using it is an
+    InterpError.
     """
 
     def __init__(self, sig, env, checks=()):
@@ -166,7 +168,8 @@ class Interpreter:
         self.failed = {r.subject: "does not typecheck"
                        for r in checks if not r.ok}
         self.witnesses = []
-        self._ctxs = {}
+        self._terminal = terminal_ctx()
+        self._exts = {}
         self._types = {}
         self._terms = {}
 
@@ -174,25 +177,21 @@ class Interpreter:
     def _key(ctx):
         return tuple(ty for _, ty in ctx)
 
-    def _data(self, ctx):
+    def extensions(self, ctx):
+        """The comprehension steps that build ctx from the empty context."""
+        if not ctx:
+            return ()
         key = self._key(ctx)
-        got = self._ctxs.get(key)
+        got = self._exts.get(key)
         if got is None:
-            if not ctx:
-                got = (terminal_ctx(), ())
-            else:
-                _, exts = self._data(ctx[:-1])
-                ext = extend(self.context(ctx[:-1]),
-                             self.type(ctx[:-1], ctx[-1][1]))
-                got = (ext.cat, exts + (ext,))
-            self._ctxs[key] = got
+            ext = extend(self.context(ctx[:-1]),
+                         self.type(ctx[:-1], ctx[-1][1]))
+            got = self._exts[key] = self.extensions(ctx[:-1]) + (ext,)
         return got
 
     def context(self, ctx):
-        return self._data(ctx)[0]
-
-    def extensions(self, ctx):
-        return self._data(ctx)[1]
+        exts = self.extensions(ctx)
+        return exts[-1].cat if exts else self._terminal
 
     def type(self, ctx, ty):
         key = (self._key(ctx), ty)
@@ -399,8 +398,7 @@ def verify_soundness(sc):
             continue
         try:
             recs = _decl_records(itp, rec.subject, decl)
-        except (InterpError, ch.CheckError, fc.SizeCapError,
-                ValueError) as err:
+        except (InterpError, ch.CheckError, fc.SizeCapError) as err:
             recs = [ch.Record(rec.subject, "interpretation", False, str(err))]
         for r in recs:
             if not r.ok and r.check in ("env-base", "env-type"):

@@ -99,11 +99,16 @@ class AssertEqual:
 @dataclass(frozen=True)
 class SourceFile:
     decls: tuple
-    path: str = "<input>"
 
 
-KEYWORDS = {"assume", "define", "assert", "type", "Type", "core", "op", "hom",
-            "i", "iop", "one", "elimR", "elimL"}
+# the one-argument formers, each keyword with its node class: the type
+# formers take a type, the term formers a term atom
+_FORMERS = {"core": k.Core, "op": k.Op,
+            "i": k.IncCore, "iop": k.IncOp, "one": k.One}
+_KEYWORD = {cls: kw for kw, cls in _FORMERS.items()}
+
+KEYWORDS = {"assume", "define", "assert", "type", "Type", "hom", "elimR",
+            "elimL", *_FORMERS}
 # every token that is not a name
 _RESERVED = KEYWORDS | {"(", ")", "[", "]", ",", ";", ".", ":", ":=", "=="}
 
@@ -205,7 +210,7 @@ class _DttParser:
                 decls.append(self._assert(line))
             else:
                 self.fail(f"expected a declaration, found {kw!r}", self.pos - 1)
-        return SourceFile(tuple(decls), self.path)
+        return SourceFile(tuple(decls))
 
     def _declare(self, at, kind, arity):
         name = self.toks[at]
@@ -274,21 +279,18 @@ class _DttParser:
     # -- types -------------------------------------------------------------
 
     def _type(self, scope):
-        match self.peek():
-            case "core":
-                self.next()
-                return self.node(k.Core, self._type(scope))
-            case "op":
-                self.next()
-                return self.node(k.Op, self._type(scope))
-            case "hom":
-                self.next()
-                carrier = self._type_atom(scope)
-                src = self._term_atom(scope)
-                tgt = self._term_atom(scope)
-                return self.node(k.Hom, carrier, src, tgt)
-            case _:
-                return self._type_atom(scope)
+        tok = self.peek()
+        cls = _FORMERS.get(tok)
+        if cls is not None and issubclass(cls, k.TypeExpr):
+            self.next()
+            return self.node(cls, self._type(scope))
+        if tok == "hom":
+            self.next()
+            carrier = self._type_atom(scope)
+            src = self._term_atom(scope)
+            tgt = self._term_atom(scope)
+            return self.node(k.Hom, carrier, src, tgt)
+        return self._type_atom(scope)
 
     def _type_atom(self, scope):
         if self.peek() == "(":
@@ -328,20 +330,14 @@ class _DttParser:
     # -- terms -------------------------------------------------------------
 
     def _term(self, scope):
-        match self.peek():
-            case "i":
-                self.next()
-                return self.node(k.IncCore, self._term_atom(scope))
-            case "iop":
-                self.next()
-                return self.node(k.IncOp, self._term_atom(scope))
-            case "one":
-                self.next()
-                return self.node(k.One, self._term_atom(scope))
-            case "elimR" | "elimL":
-                return self._elim(scope)
-            case _:
-                return self._term_atom(scope)
+        tok = self.peek()
+        cls = _FORMERS.get(tok)
+        if cls is not None and issubclass(cls, k.TermExpr):
+            self.next()
+            return self.node(cls, self._term_atom(scope))
+        if tok in ("elimR", "elimL"):
+            return self._elim(scope)
+        return self._term_atom(scope)
 
     def _elim(self, scope):
         cls = k.ElimR if self.next() == "elimR" else k.ElimL
@@ -411,17 +407,13 @@ def _fresh(base, taken):
 def print_term(tm, env=(), taken=None):
     if taken is None:
         taken = set(tm.names) | set(env)
+    if type(tm) in _KEYWORD and isinstance(tm, k.TermExpr):
+        return f"{_KEYWORD[type(tm)]} {_term_atom(tm.arg, env, taken)}"
     match tm:
         case k.Var(i):
             return env[i] if i < len(env) else f"?{i}"
         case k.Const(name, args):
             return name + _print_args(args, env, taken)
-        case k.IncCore(t):
-            return "i " + _term_atom(t, env, taken)
-        case k.IncOp(t):
-            return "iop " + _term_atom(t, env, taken)
-        case k.One(t):
-            return "one " + _term_atom(t, env, taken)
         case k.ElimR(th, dm, b, f, a) | k.ElimL(th, dm, b, f, a):
             kw = "elimR" if isinstance(tm, k.ElimR) else "elimL"
             v1 = [_fresh("x", taken)]
@@ -454,13 +446,11 @@ def _term_atom(tm, env, taken):
 def print_type(ty, env=(), taken=None):
     if taken is None:
         taken = set(ty.names) | set(env)
+    if type(ty) in _KEYWORD and isinstance(ty, k.TypeExpr):
+        return f"{_KEYWORD[type(ty)]} {_type_atom(ty.inner, env, taken)}"
     match ty:
         case k.BaseT(name, args):
             return name + _print_args(args, env, taken)
-        case k.Core(t):
-            return "core " + _type_atom(t, env, taken)
-        case k.Op(t):
-            return "op " + _type_atom(t, env, taken)
         case k.Hom(c, s, t):
             return (f"hom {_type_atom(c, env, taken)} "
                     f"{_term_atom(s, env, taken)} {_term_atom(t, env, taken)}")

@@ -161,16 +161,21 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert "internal error: wedged" in err
 
 
-def test_unexpected_exception_exits_three(capsys, monkeypatch):
-    # a KeyError inside a declaration's soundness records is the engine's
-    # own fault, not a failed check
+@pytest.mark.parametrize("exc, shown", [
+    (KeyError("planted"), "KeyError: 'planted'"),
+    (ValueError("planted"), "ValueError: planted"),
+])
+def test_unexpected_exception_exits_three(capsys, monkeypatch, exc, shown):
+    # a KeyError or ValueError inside a declaration's soundness records is
+    # the engine's own fault (the environment was validated first), not a
+    # failed check
     def planted(*args):
-        raise KeyError("planted")
+        raise exc
     monkeypatch.setattr(ip, "_pullback_records", planted)
     rc, out, err = run(capsys, "interp",
                        str(CORPUS / "scenarios" / "comp.scn"))
     assert (rc, out) == (3, "")
-    assert err == "internal error: KeyError: 'planted'\n"
+    assert err == f"internal error: {shown}\n"
 
 
 def test_reducer_guard_breach_exits_three(capsys, monkeypatch, tmp_path):
@@ -484,6 +489,82 @@ def test_wfs_runs_on_single_category_files(capsys, name):
     rc, out, _ = run(capsys, "wfs", str(CORPUS / "cats" / f"{name}.fincat"))
     assert rc == 0
     assert f"{name} : alpha-functorial OK" in out
+
+
+# Planted defects in the triples category of the walking arrow two
+# (objects (0, 0, 1_0), (0, 1, a), (1, 1, 1_1)) and in its unit; each
+# returns the (category, unit) that wfs.hom_context would.
+_hom_context = wfs.hom_context
+
+
+def _with(unit, objects, morphisms, identity, compose):
+    """The category of the given cells, and unit into it where it can."""
+    bad = fc.FinCat(objects, morphisms, identity, compose)
+    ob = {x: y for x, y in unit.ob.items() if y in objects}
+    return bad, fc.Functor(unit.source, bad, ob,
+                           {m: bad.identity[ob[m.dom]]
+                            for m in unit.source.morphisms if m.dom in ob})
+
+
+def _wrong_unit(c):
+    # the unit sends 0 to the arrow (0, 1, a) in place of (0, 0, 1_0)
+    cat, unit = _hom_context(c)
+    ob = {**unit.ob, "0": cat.objects[1]}
+    return cat, fc.Functor(unit.source, cat, ob,
+                           {m: cat.identity[ob[m.dom]]
+                            for m in unit.source.morphisms})
+
+
+def _wrong_composite(c):
+    # the arrow after the identity of its domain composes to that identity
+    cat, unit = _hom_context(c)
+    compose = dict(cat.compose)
+    g, f = next(pair for pair, h in compose.items()
+                if h != cat.identity[h.dom])
+    compose[(g, f)] = f
+    return _with(unit, cat.objects, cat.morphisms, cat.identity, compose)
+
+
+def _dropped_object(c):
+    # (1, 1, 1_1) and its identity are missing
+    cat, unit = _hom_context(c)
+    gone = cat.objects[2]
+    return _with(unit, cat.objects[:2],
+                 [m for m in cat.morphisms if gone not in (m.dom, m.cod)],
+                 {x: m for x, m in cat.identity.items() if x != gone},
+                 {gf: h for gf, h in cat.compose.items()
+                  if gone not in (h.dom, h.cod)})
+
+
+def _doubled_object(c):
+    # a copy z of (0, 0, 1_0) with its own identity, which alpha sends
+    # where it sends (0, 0, 1_0)
+    cat, unit = _hom_context(c)
+    x = cat.objects[0]
+    z = (x[0], "z", x[2])
+    idz = fc.Mor(cat.identity[x].name, z, z)
+    return _with(unit, (*cat.objects, z), (*cat.morphisms, idz),
+                 {**cat.identity, z: idz}, {**cat.compose, (idz, idz): idz})
+
+
+@pytest.mark.parametrize("plant, failed", [
+    (_wrong_unit, ["unit-left-leg"]),
+    (_wrong_composite, ["alpha-functorial", "inverse-functorial"]),
+    (_dropped_object, ["inverse-functorial", "right-inverse",
+                       "unit-left-leg"]),
+    (_doubled_object, ["inverse-functorial", "left-inverse"]),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_wfs_planted_alpha_defect_fails_its_own_check(capsys, monkeypatch,
+                                                      plant, failed):
+    monkeypatch.setattr(wfs, "hom_context", plant)
+    rc, out, err = run(capsys, "wfs", "--format", "records",
+                       str(CORPUS / "cats" / "two.fincat"))
+    assert (rc, err) == (1, "")
+    records = [line.split("\t") for line in out.splitlines()]
+    assert [r[0] for r in records] == [
+        "alpha-functorial", "inverse-functorial", "left-inverse",
+        "right-inverse", "unit-left-leg"]
+    assert [r[0] for r in records if r[2] == "FAIL"] == failed
 
 
 @pytest.mark.parametrize("source, drop, problem", [

@@ -818,7 +818,6 @@ def test_build_catfile_round_trip():
     ws = fc.build_catfile(cf)
     assert ws.categories["two"] == two()
     assert ws.functors["keep"].validate() == []
-    assert ws.nats["same"].validate() == []
 
 
 def test_build_catfile_reports_unknowns():
