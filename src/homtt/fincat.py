@@ -4,8 +4,8 @@ Everything here is exhaustive: laws are checked by enumerating composable
 triples and universal properties by enumerating candidates.  Objects and
 morphism names are arbitrary hashable values.  A category keeps its cells
 in the order it is built, so reports and chosen representatives are
-deterministic by construction; equality ignores that order.  A morphism
-computes its hash once, since names nest other morphisms.
+deterministic by construction; equality ignores that order.  Equal
+morphisms are one object, kept in a weak table, so compare by identity.
 
 Identity morphisms of parsed and discrete categories are named ("id", x).
 Constructed categories (arrow categories, pullbacks) name morphisms
@@ -23,6 +23,7 @@ interp, compares against token.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 MAX_OBJECTS = 64
@@ -44,34 +45,29 @@ def _fmt(x):
 
 
 class Mor:
-    """An immutable morphism value, equal by name, dom and cod.  Its repr
-    is built on demand, for error texts only."""
+    """An immutable morphism.  Equal live morphisms are one object, through
+    a weak table that building one looks up.  Its repr is for errors."""
 
-    __slots__ = ("name", "dom", "cod", "_hash")
+    __slots__ = ("name", "dom", "cod", "__weakref__")
 
-    def __init__(self, name, dom, cod):
-        init = object.__setattr__
-        init(self, "name", name)
-        init(self, "dom", dom)
-        init(self, "cod", cod)
-        init(self, "_hash", hash((name, dom, cod)))
+    def __new__(cls, name, dom, cod):
+        key = (name, dom, cod)
+        m = _live.get(key)
+        if m is None:
+            m = _live[key] = object.__new__(cls)
+            object.__setattr__(m, "name", name)
+            object.__setattr__(m, "dom", dom)
+            object.__setattr__(m, "cod", cod)
+        return m
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"cannot assign to field {attr!r} of a Mor")
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Mor:
-            return NotImplemented
-        return (self._hash == other._hash and self.name == other.name
-                and self.dom == other.dom and self.cod == other.cod)
-
     def __repr__(self):
         return f"Mor(name={self.name!r}, dom={self.dom!r}, cod={self.cod!r})"
+
+
+_live = weakref.WeakValueDictionary()  # (name, dom, cod) -> its one Mor
 
 
 def identity_mor(x):

@@ -202,14 +202,26 @@ def alpha_iso(c):
     records = (
         ch.verdict("alpha", "alpha-functorial", alpha.validate()),
         ch.verdict("alpha", "inverse-functorial", inverse.validate()),
-        ch.Record("alpha", "left-inverse", fc.functor_compose(inverse, alpha)
-                  == fc.identity_functor(cat)),
-        ch.Record("alpha", "right-inverse", fc.functor_compose(alpha, inverse)
-                  == fc.identity_functor(mid)),
-        ch.Record("alpha", "unit-left-leg",
-                  fc.functor_compose(alpha, unit) == fact.left),
+        ch.verdict("alpha", "left-inverse", _differences(
+            fc.functor_compose(inverse, alpha), fc.identity_functor(cat))),
+        ch.verdict("alpha", "right-inverse", _differences(
+            fc.functor_compose(alpha, inverse), fc.identity_functor(mid))),
+        ch.verdict("alpha", "unit-left-leg", _differences(
+            fc.functor_compose(alpha, unit), fact.left)),
     )
     return alpha, inverse, records
+
+
+def _differences(F, G):
+    """Why F != G: their ends, else each cell they map apart."""
+    if F.source != G.source or F.target != G.target:
+        return ["functors differ in source or target"]
+    return [*(f"functors differ at object {_show(x)}"
+              for x in dict.fromkeys([*F.ob, *G.ob])
+              if F.ob.get(x) != G.ob.get(x)),
+            *(f"functors differ at morphism {_show(m.name)}"
+              for m in dict.fromkeys([*F.mor, *G.mor])
+              if F.mor.get(m) != G.mor.get(m))]
 
 
 def elimination_square(w):

@@ -222,6 +222,39 @@ def test_interp_comp_scenario_with_oracle(capsys):
     assert "lift-oracle[left] OK" in out
 
 
+def _gained_object(pb):
+    z = ("planted",)
+    idz = fc.identity_mor(z)
+    return fc.FinCat((*pb.objects, z), (*pb.morphisms, idz),
+                     {**pb.identity, z: idz}, {**pb.compose, (idz, idz): idz})
+
+
+def _lost_morphism(pb):
+    gone = pb.morphisms[-1]
+    return fc.FinCat(pb.objects, pb.morphisms[:-1], pb.identity,
+                     {gf: h for gf, h in pb.compose.items()
+                      if gone not in (*gf, h)})
+
+
+@pytest.mark.parametrize("plant, detail", [
+    (_gained_object, "object (planted) has 0 preimages"),
+    (_lost_morphism, "mediating functor: morphism map undefined at ("),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_interp_planted_pullback_defect_fails_chi_pullback(
+        capsys, monkeypatch, plant, detail):
+    pullback_cat = fc.pullback_cat
+    monkeypatch.setattr(fc, "pullback_cat",
+                        lambda F, G: plant(pullback_cat(F, G)))
+    rc, out, err = run(capsys, "interp", "--format", "records",
+                       str(CORPUS / "scenarios" / "comp.scn"))
+    assert (rc, err) == (1, "")
+    records = [line.split("\t") for line in out.splitlines()]
+    chi = [r for r in records if r[0].startswith("chi-pullback[")]
+    assert len(chi) == 14
+    assert all(r[2] == "FAIL" and detail in r[3] for r in chi)
+    assert all(r[2] == "ok" for r in records if r not in chi)
+
+
 def _scenario_with_bad_define(tmp_path):
     src = CORPUS / "scenarios"
     for name in ("transport.scn", "world.fincat"):
@@ -565,6 +598,7 @@ def test_wfs_planted_alpha_defect_fails_its_own_check(capsys, monkeypatch,
         "alpha-functorial", "inverse-functorial", "left-inverse",
         "right-inverse", "unit-left-leg"]
     assert [r[0] for r in records if r[2] == "FAIL"] == failed
+    assert all(r[3] for r in records if r[2] == "FAIL")
 
 
 @pytest.mark.parametrize("source, drop, problem", [

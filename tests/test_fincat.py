@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -6,6 +8,7 @@ import cats
 import oracles
 from homtt import fincat as fc
 from homtt import parser as ps
+from homtt import wfs
 
 
 # -- small example categories ----------------------------------------------
@@ -777,14 +780,43 @@ def test_mor_repr_is_the_dataclass_repr():
     assert repr((top, 3)) == f"({top!r}, 3)"
 
 
-def test_equal_distinct_mors_are_equal_and_hash_alike():
+def test_equal_mors_are_one_object():
     a, sq, top = _nested_mors()
     a2, sq2, top2 = _nested_mors()
-    assert top is not top2 and top.name[1] is not top2.name[1]
+    assert top is top2 and top.name[1] is top2.name[1]
     assert top == top2 and hash(top) == hash(top2)
     assert {top: 1}[top2] == 1
     assert top != sq and sq != a
     assert fc.Mor("a", "0", "2") != a
+
+
+def test_op_of_op_is_the_same_mor():
+    _, sq, top = _nested_mors()
+    for m in (sq, top, fc.identity_mor("0")):
+        assert fc.op_mor(fc.op_mor(m)) is m
+
+
+def test_parsed_identities_are_the_interned_ones():
+    cf = ps.parse_fincat("category two\n"
+                         "  objects 0 1\n"
+                         "  arrow a : 0 -> 1\n"
+                         "end\n")
+    c = fc.build_catfile(cf).categories["two"]
+    for x in c.objects:
+        assert fc.identity_mor(x) is c.identity[x]
+
+
+def test_dead_mors_leave_the_table():
+    def hom_context_mor():
+        cat, _ = wfs.hom_context(chain(6)[0])
+        return weakref.ref(cat.morphisms[-1])
+
+    gc.collect()
+    before = len(fc._live)
+    ref = hom_context_mor()
+    gc.collect()
+    assert ref() is None
+    assert len(fc._live) == before
 
 
 def test_mor_is_not_a_tuple():

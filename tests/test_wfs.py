@@ -190,6 +190,24 @@ def test_alpha_on_the_walking_arrow_is_a_bijection():
         == fc.identity_functor(alpha.target)
 
 
+def test_functor_differences_name_the_first_cell():
+    two, para = cats.two(), cats.para()
+    p, q = cats.arrow(para, "p"), cats.arrow(para, "q")
+    a = cats.arrow(two, "a")
+
+    def onto(m):
+        ids = {two.identity[x]: para.identity[x] for x in two.objects}
+        return fc.Functor(two, para, {"0": "0", "1": "1"}, {**ids, a: m})
+
+    F = onto(p)
+    assert wfs._differences(F, onto(p)) == []
+    assert wfs._differences(F, onto(q)) == ["functors differ at morphism a"]
+    G = fc.Functor(two, para, {**F.ob, "1": "0"}, F.mor)
+    assert wfs._differences(F, G) == ["functors differ at object 1"]
+    assert wfs._differences(F, fc.identity_functor(two)) == [
+        "functors differ in source or target"]
+
+
 @pytest.mark.parametrize("name", sorted(cats.ALL))
 def test_alpha_unit_is_the_left_leg_everywhere(name):
     c = cats.ALL[name]()
