@@ -235,6 +235,20 @@ def functor_compose(outer, inner):
                    {m: outer.mor[v] for m, v in inner.mor.items()})
 
 
+def differences(F, G):
+    """Why F != G: their ends, else each cell they map apart, in order."""
+    if F == G:
+        return []
+    if F.source != G.source or F.target != G.target:
+        return ["functors differ in source or target"]
+    return [*(f"functors differ at object {_fmt(x)}"
+              for x in dict.fromkeys([*F.ob, *G.ob])
+              if F.ob.get(x) != G.ob.get(x)),
+            *(f"functors differ at morphism {_fmt(m.name)}"
+              for m in dict.fromkeys([*F.mor, *G.mor])
+              if F.mor.get(m) != G.mor.get(m))]
+
+
 def core_inclusion(c):
     """The identity-on-objects functor from the discrete core into c."""
     cc = core(c)
@@ -685,7 +699,6 @@ def _square_problem(block, functors):
         return "top and right do not compose"
     if legs["left"].target != legs["bottom"].source:
         return "left and bottom do not compose"
-    if functor_compose(legs["right"], legs["top"]) \
-            != functor_compose(legs["bottom"], legs["left"]):
-        return "square does not commute"
-    return None
+    diff = differences(functor_compose(legs["right"], legs["top"]),
+                       functor_compose(legs["bottom"], legs["left"]))
+    return f"square does not commute: {diff[0]}" if diff else None

@@ -20,21 +20,24 @@ traversal either folds over ``children`` or rebuilds through
 ``map_children``, overriding it only at the nodes it cares about (``Var``
 for the renumbering, the redex for ``reduce``).
 
-``core (op T)`` is ``core T``: the ``Core`` constructor drops ``Op`` layers,
-and every rebuild goes through the constructor, so a core of an op is never
-represented and plain ``==`` is the equality of expressions.
+Every node is interned: building one looks its class and fields up in one
+weak table, ``_live``, and returns the live node there, so two live nodes
+with equal fields are one object and ``==`` and ``hash`` are identity.  An
+entry goes with its last node, so nothing outlives the terms in use.
+``core (op T)`` is ``core T``: the ``Core`` constructor drops ``Op`` layers
+before the lookup, and every rebuild goes through the constructor, so a
+core of an op is never represented.
 
-Every node keeps four summaries of its subtree, computed on first use: its
-hash, ``levels`` (one more than its highest variable level, 0 if none),
+Every node keeps three summaries of its subtree, computed once on first
+use: ``levels`` (one more than its highest variable level, 0 if none),
 ``elims`` (its eliminator count) and ``names`` (its constants and base
 types).  Traversals return a subtree they cannot change as it is, and
-``map_children`` returns the node itself when no child changed, so
-unchanged subtrees stay shared.  ``parser.parse_dtt`` interns the nodes of
-a file: its equal subterms are one object.
+``map_children`` returns the node itself when no child changed.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, is_
@@ -45,20 +48,24 @@ class InternalError(Exception):
 
 
 class Expr:
-    """A node.  __getattr__ runs only for a missing attribute, so it
+    """A node; __new__ returns the live node with the same class and fields
+    if there is one.  __getattr__ runs only for a missing attribute, so it
     computes a summary (see above) once and leaves it in __dict__."""
 
     __slots__ = ()
 
-    def __hash__(self):
-        return self.hash
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        x = _live.get(key)
+        if x is None:
+            x = object.__new__(cls)
+            x.__dict__.update(zip(cls.__match_args__, fields, strict=True))
+            _live[key] = x
+        return x
 
     def __getattr__(self, name):
         d = self.__dict__
-        if name == "hash":
-            d[name] = hash((type(self), *map(getattr, repeat(self),
-                                             self.__match_args__)))
-        elif name in ("levels", "elims"):
+        if name in ("levels", "elims"):
             kids = [c for c, _ in children(self)]
             d["levels"] = (self.level + 1 if isinstance(self, Var) else
                            max([c.levels for c in kids], default=0))
@@ -75,6 +82,9 @@ class Expr:
         return d[name]
 
 
+_live = weakref.WeakValueDictionary()  # (class, *fields) -> its one node
+
+
 class TypeExpr(Expr):
     __slots__ = ()
 
@@ -83,33 +93,35 @@ class TermExpr(Expr):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class BaseT(TypeExpr):
     """An assumed base type, instantiated at the arguments of its telescope."""
 
     name: str
     args: tuple = ()
 
+    def __new__(cls, name, args=()):
+        return super().__new__(cls, name, args)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False, eq=False)
 class Core(TypeExpr):
     """core T; built without the op layers of T, since core (op T) is core T."""
 
     inner: TypeExpr
 
-    def __post_init__(self):
-        inner = self.inner
+    def __new__(cls, inner):
         while isinstance(inner, Op):
             inner = inner.inner
-        object.__setattr__(self, "inner", inner)
+        return super().__new__(cls, inner)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Op(TypeExpr):
     inner: TypeExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Hom(TypeExpr):
     """hom T s t: directed maps of T from s (an op point) to t."""
 
@@ -118,41 +130,44 @@ class Hom(TypeExpr):
     target: TermExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Var(TermExpr):
     level: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Const(TermExpr):
     """An assumed or defined constant, instantiated at its telescope."""
 
     name: str
     args: tuple = ()
 
+    def __new__(cls, name, args=()):
+        return super().__new__(cls, name, args)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False, eq=False)
 class IncCore(TermExpr):
     """i t: inclusion of a core point into the carrier."""
 
     arg: TermExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class IncOp(TermExpr):
     """iop t: inclusion of a core point into the opposite."""
 
     arg: TermExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class One(TermExpr):
     """one t: the unit directed map at a core point."""
 
     arg: TermExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ElimR(TermExpr):
     """Right eliminator, fully annotated.
 
@@ -166,7 +181,7 @@ class ElimR(TermExpr):
     theta: TermExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ElimL(TermExpr):
     """Left eliminator; same shape as ElimR with the left-variant typing."""
 
@@ -198,8 +213,6 @@ _CHILD_BINDERS = {
     ElimR: _ELIM_BINDERS,
     ElimL: _ELIM_BINDERS,
 }
-for _cls in _CHILD_BINDERS:   # the cached hash, not the dataclass's
-    _cls.__hash__ = Expr.__hash__
 
 
 def _child_binders(x):

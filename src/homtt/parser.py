@@ -1,7 +1,8 @@
 """Surface syntax: .dtt declaration files and .fincat category files.
 
 The .dtt language uses named variables; parsing resolves them to de Bruijn
-levels (position in the telescope).  Keywords:
+levels (position in the telescope).  Nodes are built by the kernel's
+interning constructors, so equal subterms are one object.  Keywords:
 
     assume NAME (x : T, ...) : Type          -- base type
     assume NAME (x : T, ...) : T             -- term constant
@@ -148,15 +149,6 @@ class _DttParser:
         self.path = path
         # name -> ("base" | "term", telescope length)
         self.declared = {}
-        # (class, fields) -> node, so equal subterms are one object
-        self.interned = {}
-
-    def node(self, cls, *fields):
-        key = (cls, *fields)
-        x = self.interned.get(key)
-        if x is None:
-            x = self.interned[key] = cls(*fields)
-        return x
 
     # -- token plumbing ----------------------------------------------------
 
@@ -283,13 +275,13 @@ class _DttParser:
         cls = _FORMERS.get(tok)
         if cls is not None and issubclass(cls, k.TypeExpr):
             self.next()
-            return self.node(cls, self._type(scope))
+            return cls(self._type(scope))
         if tok == "hom":
             self.next()
             carrier = self._type_atom(scope)
             src = self._term_atom(scope)
             tgt = self._term_atom(scope)
-            return self.node(k.Hom, carrier, src, tgt)
+            return k.Hom(carrier, src, tgt)
         return self._type_atom(scope)
 
     def _type_atom(self, scope):
@@ -307,7 +299,7 @@ class _DttParser:
             self.fail(f"unbound name {name!r}", at)
         if kind[0] != "base":
             self.fail(f"{name!r} is a term, not a type", at)
-        return self.node(k.BaseT, name, self._args(scope, at, kind[1]))
+        return k.BaseT(name, self._args(scope, at, kind[1]))
 
     def _args(self, scope, at, arity):
         # names of arity 0 never take parens (a following "(" belongs to the
@@ -334,7 +326,7 @@ class _DttParser:
         cls = _FORMERS.get(tok)
         if cls is not None and issubclass(cls, k.TermExpr):
             self.next()
-            return self.node(cls, self._term_atom(scope))
+            return cls(self._term_atom(scope))
         if tok in ("elimR", "elimL"):
             return self._elim(scope)
         return self._term_atom(scope)
@@ -353,7 +345,7 @@ class _DttParser:
         self.expect(",")
         theta = self._term(scope)
         self.expect(")")
-        return self.node(cls, th, dm, body, f, theta)
+        return cls(th, dm, body, f, theta)
 
     def _motive(self, scope, arity, sub):
         binders = []
@@ -376,13 +368,13 @@ class _DttParser:
         if name in scope:
             # innermost binding wins
             level = len(scope) - 1 - scope[::-1].index(name)
-            return self.node(k.Var, level)
+            return k.Var(level)
         kind = self.declared.get(name)
         if kind is None:
             self.fail(f"unbound name {name!r}", at)
         if kind[0] != "term":
             self.fail(f"{name!r} is a type, not a term", at)
-        return self.node(k.Const, name, self._args(scope, at, kind[1]))
+        return k.Const(name, self._args(scope, at, kind[1]))
 
 
 def parse_dtt(text, path="<input>"):
@@ -394,14 +386,11 @@ def parse_dtt(text, path="<input>"):
 
 
 def _fresh(base, taken):
-    if base not in taken and base not in KEYWORDS:
-        taken.add(base)
-        return base
-    n = 0
-    while f"{base}{n}" in taken or f"{base}{n}" in KEYWORDS:
-        n += 1
-    taken.add(f"{base}{n}")
-    return f"{base}{n}"
+    name, n = base, 0
+    while name in taken or name in KEYWORDS:
+        name, n = f"{base}{n}", n + 1
+    taken.add(name)
+    return name
 
 
 def print_term(tm, env=(), taken=None):
@@ -431,16 +420,13 @@ def print_term(tm, env=(), taken=None):
 
 
 def _print_args(args, env, taken):
-    if not args:
-        return ""
-    return "(" + ", ".join(print_term(a, env, taken) for a in args) + ")"
+    inner = ", ".join(print_term(a, env, taken) for a in args)
+    return f"({inner})" if args else ""
 
 
 def _term_atom(tm, env, taken):
     out = print_term(tm, env, taken)
-    if isinstance(tm, (k.Var, k.Const)):
-        return out
-    return f"({out})"
+    return out if isinstance(tm, (k.Var, k.Const)) else f"({out})"
 
 
 def print_type(ty, env=(), taken=None):
@@ -459,9 +445,7 @@ def print_type(ty, env=(), taken=None):
 
 def _type_atom(ty, env, taken):
     out = print_type(ty, env, taken)
-    if isinstance(ty, k.BaseT):
-        return out
-    return f"({out})"
+    return out if isinstance(ty, k.BaseT) else f"({out})"
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,9 @@ class Factorization:
     def validate(self):
         out = [f"left leg: {p}" for p in self.left.validate()]
         out += [f"right leg: {p}" for p in self.right.validate()]
-        if fc.functor_compose(self.right, self.left) != self.original:
-            out.append("legs do not compose to the original functor")
+        composite = fc.functor_compose(self.right, self.left)
+        out += [f"legs do not compose to the original functor: {d}"
+                for d in fc.differences(composite, self.original)[:1]]
         return out
 
 
@@ -66,9 +67,9 @@ class LiftingProblem:
                 or self.top.target != self.p.source
                 or self.bottom.target != self.p.target):
             raise ValueError("square legs do not share endpoints")
-        if fc.functor_compose(self.p, self.top) \
-                != fc.functor_compose(self.bottom, self.i):
-            raise ValueError("square does not commute")
+        if diff := fc.differences(fc.functor_compose(self.p, self.top),
+                                  fc.functor_compose(self.bottom, self.i)):
+            raise ValueError(f"square does not commute: {diff[0]}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,13 @@ class LiftWitness:
     diagonal: fc.Functor
 
     def __post_init__(self):
-        if fc.functor_compose(self.diagonal, self.problem.i) \
-                != self.problem.top:
-            raise ValueError("diagonal does not restrict to the top leg")
-        if fc.functor_compose(self.problem.p, self.diagonal) \
-                != self.problem.bottom:
-            raise ValueError("diagonal does not project to the bottom leg")
+        d, prob = self.diagonal, self.problem
+        if diff := fc.differences(fc.functor_compose(d, prob.i), prob.top):
+            raise ValueError(
+                f"diagonal does not restrict to the top leg: {diff[0]}")
+        if diff := fc.differences(fc.functor_compose(prob.p, d), prob.bottom):
+            raise ValueError(
+                f"diagonal does not project to the bottom leg: {diff[0]}")
 
 
 def factor(F, flavor):
@@ -202,26 +204,14 @@ def alpha_iso(c):
     records = (
         ch.verdict("alpha", "alpha-functorial", alpha.validate()),
         ch.verdict("alpha", "inverse-functorial", inverse.validate()),
-        ch.verdict("alpha", "left-inverse", _differences(
+        ch.verdict("alpha", "left-inverse", fc.differences(
             fc.functor_compose(inverse, alpha), fc.identity_functor(cat))),
-        ch.verdict("alpha", "right-inverse", _differences(
+        ch.verdict("alpha", "right-inverse", fc.differences(
             fc.functor_compose(alpha, inverse), fc.identity_functor(mid))),
-        ch.verdict("alpha", "unit-left-leg", _differences(
+        ch.verdict("alpha", "unit-left-leg", fc.differences(
             fc.functor_compose(alpha, unit), fact.left)),
     )
     return alpha, inverse, records
-
-
-def _differences(F, G):
-    """Why F != G: their ends, else each cell they map apart."""
-    if F.source != G.source or F.target != G.target:
-        return ["functors differ in source or target"]
-    return [*(f"functors differ at object {_show(x)}"
-              for x in dict.fromkeys([*F.ob, *G.ob])
-              if F.ob.get(x) != G.ob.get(x)),
-            *(f"functors differ at morphism {_show(m.name)}"
-              for m in dict.fromkeys([*F.mor, *G.mor])
-              if F.mor.get(m) != G.mor.get(m))]
 
 
 def elimination_square(w):

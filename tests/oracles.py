@@ -18,7 +18,8 @@ reachable cell.  The .dtt lexer is the token-object one: one `Tok` with
 its line and column per token, stray characters reported as they are
 met.  The left eliminator is computed through the mirror of its transport
 extension, relabelled into right-handed shape, with a private copy of the
-right-handed transport formula.
+right-handed transport formula.  Interning is refereed by structural keys
+that never compare or hash a node.
 """
 
 from __future__ import annotations
@@ -230,6 +231,35 @@ def substitute(x, depth: int, replacement, scope: int):
             return k.Var(y.level - 1)
         return k.map_children(y, go, binders)
     return go(x, 0)
+
+
+# ---------------------------------------------------------------------------
+# interning: equal live nodes must be one object
+
+
+def interning_breaches(nodes):
+    """Pairs (first, other) of distinct nodes among `nodes` with the same
+    structure.  The structural key of a node is its class name and fields,
+    each child by its own key; it is built without == or hash on a node, so
+    it does not trust the identity that interning is meant to provide."""
+    keys = {}   # id(node) -> structural key
+
+    def key(x):
+        if isinstance(x, tuple):
+            return tuple(map(key, x))
+        if not isinstance(x, k.Expr):
+            return x
+        if id(x) not in keys:
+            keys[id(x)] = (type(x).__name__,
+                           *(key(getattr(x, f)) for f in x.__match_args__))
+        return keys[id(x)]
+
+    seen, out = {}, []
+    for x in nodes:
+        first = seen.setdefault(key(x), x)
+        if first is not x:
+            out.append((first, x))
+    return out
 
 
 # ---------------------------------------------------------------------------

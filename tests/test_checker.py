@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -465,22 +466,27 @@ def test_an_ill_typed_term_fails_each_time_it_is_asserted():
     assert "core element" in records[3].detail
 
 
-def test_parses_and_check_source_calls_share_nothing():
+def test_check_source_calls_share_no_memo_and_keep_no_nodes():
     text = ("assume T : Type\nassume c : core T\nassume d : core T\n"
             "assert one c == one c : hom T (iop c) (i c)\n")
-    first, second = ps.parse_dtt(text), ps.parse_dtt(text)
-    # equal subterms of one parse are one object, of two parses are not
-    assert first.decls[1].ty is first.decls[2].ty
-    assert first.decls[3].lhs is first.decls[3].rhs
-    assert first.decls[1].ty == second.decls[1].ty
-    assert first.decls[1].ty is not second.decls[1].ty
-    sig1, _ = ch.check_source(first)
-    sig2, _ = ch.check_source(second)
-    assert sig1.memo and sig2.memo and sig1.memo is not sig2.memo
+    gc.collect()
+    before = len(k._live)
 
-    def nodes(memo):
-        return {id(x) for key in memo for x in key if isinstance(x, k.Expr)}
-    assert nodes(sig1.memo).isdisjoint(nodes(sig2.memo))
+    def check_twice():
+        first, second = ps.parse_dtt(text), ps.parse_dtt(text)
+        # equal subterms are one object, within a parse and across parses
+        assert first.decls[1].ty is first.decls[2].ty
+        assert first.decls[3].lhs is first.decls[3].rhs
+        assert first.decls[1].ty is second.decls[1].ty
+        assert first.decls[3].lhs is second.decls[3].lhs
+        sig1, _ = ch.check_source(first)
+        sig2, _ = ch.check_source(second)
+        assert sig1.memo and sig2.memo and sig1.memo is not sig2.memo
+        assert len(k._live) > before
+    check_twice()
+    # once the parses and signatures are gone, so are their nodes
+    gc.collect()
+    assert len(k._live) == before
 
 
 @pytest.mark.parametrize("copies", [1, 2, 4, 8])

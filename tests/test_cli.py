@@ -255,6 +255,35 @@ def test_interp_planted_pullback_defect_fails_chi_pullback(
     assert all(r[2] == "ok" for r in records if r not in chi)
 
 
+def test_interp_planted_transport_defect_fails_equal_interpretation(
+        capsys, monkeypatch):
+    # the transport moves the value at the first point of its extension out
+    # of the fiber; there sits the unit along which `stay` transports u0
+    transport = ip._transport_section
+
+    def moved(*args):
+        sec = transport(*args)
+        first = next(iter(sec.obj))
+        return fc.Section(sec.fa, {**sec.obj, first: "planted"}, sec.mor)
+    monkeypatch.setattr(ip, "_transport_section", moved)
+    rc, out, err = run(capsys, "interp", "--format", "records",
+                       str(CORPUS / "scenarios" / "transport.scn"))
+    assert (rc, err) == (1, "")
+    fails = [line.split("\t") for line in out.splitlines()
+             if "\tFAIL\t" in line]
+    # every section built on the moved value fails, each naming a cell
+    assert {(check, subject) for check, subject, _, _ in fails} == {
+        *((check, name) for name in ("transport_R", "stay", "assert#1")
+          for check in ("section-natural", "section-in-type")),
+        *((check, name) for name in ("transport_R", "moved", "stay")
+          for check in ("eliminator-natural[right]",
+                        "computation-rule[right]")),
+        ("equal-interpretation", "assert#1")}
+    assert all(" at (" in detail for *_, detail in fails)
+    assert fails[-1] == ["equal-interpretation", "assert#1", "FAIL",
+                         "values differ at (): planted vs *"]
+
+
 def _scenario_with_bad_define(tmp_path):
     src = CORPUS / "scenarios"
     for name in ("transport.scn", "world.fincat"):

@@ -880,7 +880,8 @@ def _square(left, right, top, bottom):
     (_square("at0", "keep", "at0", "nope"), ("sq", "unknown functor 'nope'")),
     (_square("at0", "at0", "keep", "keep"),
      ("sq", "top and right do not compose")),
-    (_square("at0", "keep", "at1", "keep"), ("sq", "square does not commute")),
+    (_square("at0", "keep", "at1", "keep"),
+     ("sq", "square does not commute: functors differ at object *")),
 ], ids=["nat-endpoints", "square-unknown", "square-legs", "square-commutes"])
 def test_build_catfile_validates_nats_and_squares(block, problem):
     with pytest.raises(fc.BlockError) as err:

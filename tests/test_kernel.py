@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import io
 import random
+import weakref
 from pathlib import Path
 
 import pytest
 
 from homtt import checker as ch
+from homtt import cli
 from homtt import kernel as k
 from homtt import parser as ps
 from homtt.kernel import (BaseT, Const, Core, ElimL, ElimR, Hom, IncCore,
@@ -449,3 +454,63 @@ class Foreign:
 def test_traversals_reject_a_foreign_node(op):
     with pytest.raises(k.InternalError, match="unknown node"):
         op(Hom(B, Var(0), One(Foreign())))
+
+
+# ---------------------------------------------------------------------------
+# interning: two live nodes with equal fields are one object
+
+
+def test_nodes_are_interned_and_compare_by_identity():
+    s, t = Const("s"), Const("t")
+    assert Hom(B, s, t) is Hom(B, s, t)
+    assert Core(Op(Op(B))) is Core(B)
+    assert BaseT("B") is BaseT("B", ()) and Const("c") is Const("c", ())
+    assert isinstance(k._live, weakref.WeakValueDictionary)
+    for cls in k._CHILD_BINDERS:
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Var(0).level = 1
+    assert Var(0).level == 0
+
+
+def test_shift_and_instantiate_give_the_parsed_nodes():
+    src = ps.parse_dtt(
+        "assume T : Type\nassume P (x : T) : Type\nassume c : core T\n"
+        "assume a (x : T) : P(x)\nassume b (y : T, x : T) : P(x)\n"
+        "assume u : P(i c)\n")
+    a, b, u = (d.ty for d in src.decls[3:])
+    assert k.shift(a, 0, 1) is b
+    assert k.instantiate(a, 0, (IncCore(Const("c")),)) is u
+    assert k.instantiate(b, 0, (Var(0), IncCore(Const("c")))) is u
+
+
+def test_a_check_run_leaves_the_table_as_it_found_it():
+    gc.collect()
+    before = len(k._live)
+    assert cli.run(cli.parse_args(["check", str(CORPUS / "comp.dtt")]),
+                   io.StringIO()) == 0
+    gc.collect()
+    assert len(k._live) == before
+
+
+def test_no_two_live_nodes_share_a_structure():
+    keep = []
+    for path in sorted(CORPUS.rglob("*.dtt")):
+        src = ps.parse_dtt(path.read_text(encoding="utf-8"), str(path))
+        keep.append((src, ch.check_source(src)))
+    sig = wtgen.base_signature()
+    for tm, _ in wtgen.generate(random.Random(43), 200):
+        keep.append((tm, ch.nf(sig, tm), ch.infer_term(sig, (), tm)))
+    rng = random.Random(47)
+    for _ in range(200):
+        n = rng.randrange(1, 4)
+        x = rand_term(rng, n, rng.randrange(7))
+        keep.append((x, k.reduce(x, n), k.shift(x, 1, 2)))
+    v0 = Var(0)
+    nodes = list(k._live.values())
+    assert len(nodes) > 1000
+    assert oracles.interning_breaches(nodes) == []
+    # a node made behind the constructor's back is caught
+    planted = object.__new__(Var)
+    planted.__dict__.update(level=0)
+    assert oracles.interning_breaches(nodes + [planted]) == [(v0, planted)]

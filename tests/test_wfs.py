@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import cats
@@ -200,11 +202,11 @@ def test_functor_differences_name_the_first_cell():
         return fc.Functor(two, para, {"0": "0", "1": "1"}, {**ids, a: m})
 
     F = onto(p)
-    assert wfs._differences(F, onto(p)) == []
-    assert wfs._differences(F, onto(q)) == ["functors differ at morphism a"]
+    assert fc.differences(F, onto(p)) == []
+    assert fc.differences(F, onto(q)) == ["functors differ at morphism a"]
     G = fc.Functor(two, para, {**F.ob, "1": "0"}, F.mor)
-    assert wfs._differences(F, G) == ["functors differ at object 1"]
-    assert wfs._differences(F, fc.identity_functor(two)) == [
+    assert fc.differences(F, G) == ["functors differ at object 1"]
+    assert fc.differences(F, fc.identity_functor(two)) == [
         "functors differ in source or target"]
 
 
@@ -239,6 +241,51 @@ def test_witness_triangles_are_checked():
     prob = wfs.LiftingProblem(ident, ident, ident, ident)
     with pytest.raises(ValueError, match="top leg"):
         wfs.LiftWitness(prob, flip)
+
+
+def _point(c, x):
+    stc = cats.star()
+    return fc.Functor(stc, c, {"*": x}, {stc.identity["*"]: c.identity[x]})
+
+
+def test_planted_square_and_witness_defects_name_the_cell():
+    c = cats.two()
+    ident = fc.identity_functor(c)
+    flip = fc.Functor(c, c, {"0": "0", "1": "0"},
+                      {m: c.identity["0"] for m in c.morphisms})
+    with pytest.raises(ValueError) as err:
+        wfs.LiftingProblem(_point(c, "0"), ident, _point(c, "1"), ident)
+    assert err.value.args == (
+        "square does not commute: functors differ at object *",)
+    with pytest.raises(ValueError) as err:
+        wfs.LiftWitness(wfs.LiftingProblem(ident, ident, ident, ident), flip)
+    assert err.value.args == ("diagonal does not restrict to the top leg: "
+                              "functors differ at object 1",)
+    # flip restricts to the top leg along the point 0, but does not
+    # project to the bottom leg
+    prob = wfs.LiftingProblem(_point(c, "0"), ident, _point(c, "0"), ident)
+    with pytest.raises(ValueError) as err:
+        wfs.LiftWitness(prob, flip)
+    assert err.value.args == ("diagonal does not project to the bottom leg: "
+                              "functors differ at object 1",)
+    assert [w.diagonal for w in wfs.brute_force_lifts(prob)] == [ident]
+
+
+def test_planted_factorization_defects_name_the_cell():
+    c = cats.para()
+    p, q = cats.arrow(c, "p"), cats.arrow(c, "q")
+    fact = wfs.factor(fc.identity_functor(c), "arrow")
+    assert fact.validate() == []
+    swap = fc.Functor(c, c, {x: x for x in c.objects},
+                      {**{m: m for m in c.morphisms}, p: q, q: p})
+    assert dataclasses.replace(fact, original=swap).validate() == [
+        "legs do not compose to the original functor: "
+        "functors differ at morphism p"]
+    squash = fc.Functor(c, c, {"0": "0", "1": "0"},
+                        {m: c.identity["0"] for m in c.morphisms})
+    assert dataclasses.replace(fact, original=squash).validate() == [
+        "legs do not compose to the original functor: "
+        "functors differ at object 1"]
 
 
 def test_identity_square_has_exactly_one_lift():
