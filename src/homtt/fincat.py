@@ -8,8 +8,8 @@ deterministic by construction; equality ignores that order.  Equal
 morphisms are one object, kept in a weak table, so compare by identity.
 
 Identity morphisms of parsed and discrete categories are named ("id", x).
-Constructed categories (arrow categories, pullbacks) name morphisms
-by their component data, and their identities are the component identities.
+Constructed categories (pullbacks, comma categories) name morphisms by
+their component data, and their identities are the component identities.
 
 A Section carries both an object part and a morphism part (a splitting of
 the projection, one fiber morphism per base morphism).  The pointwise kind
@@ -62,6 +62,10 @@ class Mor:
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"cannot assign to field {attr!r} of a Mor")
+
+    def __reduce__(self):
+        """Copies and pickles are rebuilt from the fields: the live Mor."""
+        return Mor, (self.name, self.dom, self.cod)
 
     def __repr__(self):
         return f"Mor(name={self.name!r}, dom={self.dom!r}, cod={self.cod!r})"
@@ -464,7 +468,7 @@ def hom_functor(fa, s, t):
 
 
 # ---------------------------------------------------------------------------
-# arrow, iso, pullback categories
+# pullback and comma categories
 
 
 def composable(morphisms):
@@ -476,38 +480,25 @@ def composable(morphisms):
     return [(m2, m1) for m2 in morphisms for m1 in into.get(m2.dom, ())]
 
 
-def _square_cat(c, objs):
-    """Category whose objects are the given morphisms of c and whose
-    morphisms f → g are pairs (u, v) with v∘f = g∘u."""
-    morphisms = []
-    for f in objs:
-        for g in objs:
-            for u in c.hom(f.dom, g.dom):
-                for v in c.hom(f.cod, g.cod):
-                    if c.comp(v, f) == c.comp(g, u):
-                        morphisms.append(Mor((u, v), f, g))
-    identity = {f: Mor((c.identity[f.dom], c.identity[f.cod]), f, f)
-                for f in objs}
+def _pair_cat(A, B, objects, morphisms, over=lambda b: b):
+    """The category of the given pairs (a, b) and morphisms named (m, n),
+    m in A and n in B, with identities and composites taken componentwise;
+    b lies over the object over(b) of B."""
+    identity = {(a, b): Mor((A.identity[a], B.identity[over(b)]),
+                            (a, b), (a, b))
+                for (a, b) in objects}
     compose = {}
     for m2, m1 in composable(morphisms):
-        u = c.comp(m2.name[0], m1.name[0])
-        v = c.comp(m2.name[1], m1.name[1])
-        compose[(m2, m1)] = Mor((u, v), m1.dom, m2.cod)
-    return FinCat(objs, morphisms, identity, compose)
-
-
-def arrow_cat(c):
-    return _square_cat(c, c.morphisms)
+        compose[(m2, m1)] = Mor((A.comp(m2.name[0], m1.name[0]),
+                                 B.comp(m2.name[1], m1.name[1])),
+                                m1.dom, m2.cod)
+    return FinCat(objects, morphisms, identity, compose)
 
 
 def _is_iso(c, f):
     return any(c.comp(g, f) == c.identity[f.dom]
                and c.comp(f, g) == c.identity[f.cod]
                for g in c.hom(f.cod, f.dom))
-
-
-def iso_cat(c):
-    return _square_cat(c, tuple(f for f in c.morphisms if _is_iso(c, f)))
 
 
 def _preimages(items, image):
@@ -528,14 +519,23 @@ def pullback_cat(F, G):
     objects = [(a, b) for a in A.objects for b in ob_over.get(F.ob[a], ())]
     morphisms = [Mor((m, n), (m.dom, n.dom), (m.cod, n.cod))
                  for m in A.morphisms for n in mor_over.get(F.mor[m], ())]
-    identity = {(a, b): Mor((A.identity[a], B.identity[b]), (a, b), (a, b))
-                for (a, b) in objects}
-    compose = {}
-    for m2, m1 in composable(morphisms):
-        compose[(m2, m1)] = Mor((A.comp(m2.name[0], m1.name[0]),
-                                 B.comp(m2.name[1], m1.name[1])),
-                                m1.dom, m2.cod)
-    return FinCat(objects, morphisms, identity, compose)
+    return _pair_cat(A, B, objects, morphisms)
+
+
+def comma(F, arrows):
+    """The comma category F ↓ D of F: C → D, restricted to the given
+    morphisms of D.  Its objects are the pairs (c, f) of an object c of C
+    and an admitted f out of F c; its morphisms (c, f) → (c', f') are the
+    pairs (u, v) of u: c → c' and v: cod f → cod f' with v f = f' F(u)."""
+    C, D = F.source, F.target
+    out = {x: [f for f in D.out_of(x) if f in arrows] for x in D.objects}
+    objects = [(c, f) for c in C.objects for f in out[F.ob[c]]]
+    morphisms = [Mor((u, v), (u.dom, f), (u.cod, g))
+                 for u in C.morphisms
+                 for f in out[F.ob[u.dom]] for g in out[F.ob[u.cod]]
+                 for v in D.hom(f.cod, g.cod)
+                 if D.comp(v, f) == D.comp(g, F.mor[u])]
+    return _pair_cat(C, D, objects, morphisms, lambda f: f.cod)
 
 
 # ---------------------------------------------------------------------------

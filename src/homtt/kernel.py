@@ -22,8 +22,10 @@ for the renumbering, the redex for ``reduce``).
 
 Every node is interned: building one looks its class and fields up in one
 weak table, ``_live``, and returns the live node there, so two live nodes
-with equal fields are one object and ``==`` and ``hash`` are identity.  An
-entry goes with its last node, so nothing outlives the terms in use.
+with equal fields are one object and ``==`` and ``hash`` are identity; a
+copy or pickle of a node is rebuilt through the constructor, so it is the
+live node too.  An entry goes with its last node, so nothing outlives the
+terms in use.
 ``core (op T)`` is ``core T``: the ``Core`` constructor drops ``Op`` layers
 before the lookup, and every rebuild goes through the constructor, so a
 core of an op is never represented.
@@ -62,6 +64,10 @@ class Expr:
             x.__dict__.update(zip(cls.__match_args__, fields, strict=True))
             _live[key] = x
         return x
+
+    def __reduce__(self):
+        """Copies and pickles are rebuilt from the fields: the live node."""
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __getattr__(self, name):
         d = self.__dict__

@@ -93,29 +93,23 @@ def factor(F, flavor):
     """Split F: C -> D through pairs (c, morphism out of F c).
 
     flavor "arrow" admits every morphism of D in the second component,
-    "iso" only the invertible ones.  The middle is the strict pullback of
-    F against domain evaluation on the square category; the left leg
-    sends c to (c, id), the right leg takes the codomain.
+    "iso" only the invertible ones.  The middle is the comma category
+    F ↓ D on the admitted morphisms; the left leg sends c to (c, id), the
+    right leg takes the codomain.  Only a middle over the size caps is
+    refused.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    sq_cat = fc.arrow_cat(F.target) if flavor == "arrow" \
-        else fc.iso_cat(F.target)
-    dom_eval = fc.Functor(sq_cat, F.target,
-                          {f: f.dom for f in sq_cat.objects},
-                          {m: m.name[0] for m in sq_cat.morphisms})
-    mid = fc.pullback_cat(F, dom_eval)
-    l_ob = {x: (x, F.target.identity[F.ob[x]]) for x in F.source.objects}
-    l_mor = {}
-    for u in F.source.morphisms:
-        fu = F.mor[u]
-        sq = fc.Mor((fu, fu), F.target.identity[fu.dom],
-                    F.target.identity[fu.cod])
-        l_mor[u] = fc.Mor((u, sq), l_ob[u.dom], l_ob[u.cod])
+    D = F.target
+    arrows = D.morset if flavor == "arrow" \
+        else {f for f in D.morphisms if fc._is_iso(D, f)}
+    mid = fc.comma(F, arrows)
+    l_ob = {x: (x, D.identity[F.ob[x]]) for x in F.source.objects}
+    l_mor = {u: fc.Mor((u, F.mor[u]), l_ob[u.dom], l_ob[u.cod])
+             for u in F.source.morphisms}
     left = fc.Functor(F.source, mid, l_ob, l_mor)
-    right = fc.Functor(mid, F.target,
-                       {x: x[1].cod for x in mid.objects},
-                       {m: m.name[1].name[1] for m in mid.morphisms})
+    right = fc.Functor(mid, D, {x: x[1].cod for x in mid.objects},
+                       {m: m.name[1] for m in mid.morphisms})
     return Factorization(F, left, right)
 
 
@@ -135,8 +129,7 @@ def opfib_lift(fact, lifts):
     ob = {x: lifts[x].cod for x in mid.objects}
     mor = {}
     for m in mid.morphisms:
-        u = m.name[0]
-        v = m.name[1].name[1]
+        u, v = m.name
         lam, lam2 = lifts[m.dom], lifts[m.cod]
         want = p.source.comp(lam2, u)
         cands = [w for w in p.source.hom(lam.cod, lam2.cod)
@@ -192,11 +185,9 @@ def alpha_iso(c):
     fact = factor(fc.core_inclusion(c), "arrow")
     mid = fact.middle
     ob = {x: (x[0], x[2]) for x in cat.objects}
-    mor = {}
-    for m in cat.morphisms:
-        sq = fc.Mor((c.identity[m.dom[0]], m.name[1]), m.dom[2], m.cod[2])
-        mor[m] = fc.Mor((fc.identity_mor(m.dom[0]), sq),
-                        ob[m.dom], ob[m.cod])
+    mor = {m: fc.Mor((fc.identity_mor(m.dom[0]), m.name[1]),
+                     ob[m.dom], ob[m.cod])
+           for m in cat.morphisms}
     alpha = fc.Functor(cat, mid, ob, mor)
     inverse = fc.Functor(mid, cat, {y: x for x, y in ob.items()},
                          {v: m for m, v in mor.items()})

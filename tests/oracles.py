@@ -11,7 +11,9 @@ as in the textbook, to referee the interpreter's flat context extension,
 and the unit `one t` is built from its own op fibers, strict sections and
 hom functor, to referee the interpreter's reading of the checker's type.
 The category isomorphism search enumerates functors outright, cocartesian
-morphisms are decided by building the opposite functor afresh, and grid
+morphisms are decided by building the opposite functor afresh, the
+factorization's middle is the strict pullback of the functor against
+domain evaluation on the whole square category of its target, and grid
 closures are found by walking monotone paths, forbidden cells rectangle
 by rectangle, deadlocks by trying every forward step out of every
 reachable cell.  The .dtt lexer is the token-object one: one `Tok` with
@@ -471,6 +473,55 @@ def relabel(c, ob_fn, name_fn):
                     {(mor_map[g], mor_map[f]): mor_map[h]
                      for (g, f), h in c.compose.items()})
     return cat, mor_map
+
+
+# ---------------------------------------------------------------------------
+# the factorization's middle through the square category
+
+
+def square_cat(c, objs):
+    """Category whose objects are the given morphisms of c and whose
+    morphisms f -> g are the squares (u, v) with v f = g u."""
+    morphisms = []
+    for f in objs:
+        for g in objs:
+            for u in c.hom(f.dom, g.dom):
+                for v in c.hom(f.cod, g.cod):
+                    if c.comp(v, f) == c.comp(g, u):
+                        morphisms.append(fc.Mor((u, v), f, g))
+    identity = {f: fc.Mor((c.identity[f.dom], c.identity[f.cod]), f, f)
+                for f in objs}
+    compose = {}
+    for m2, m1 in fc.composable(morphisms):
+        u = c.comp(m2.name[0], m1.name[0])
+        v = c.comp(m2.name[1], m1.name[1])
+        compose[(m2, m1)] = fc.Mor((u, v), m1.dom, m2.cod)
+    return fc.FinCat(objs, morphisms, identity, compose)
+
+
+def arrow_cat(c):
+    return square_cat(c, c.morphisms)
+
+
+def invertible(c, f):
+    return any(c.comp(g, f) == c.identity[f.dom]
+               and c.comp(f, g) == c.identity[f.cod]
+               for g in c.hom(f.cod, f.dom))
+
+
+def iso_cat(c):
+    return square_cat(c, tuple(f for f in c.morphisms if invertible(c, f)))
+
+
+def square_middle(F, flavor):
+    """The middle of factor(F, flavor) as the strict pullback of F against
+    domain evaluation on the arrow or iso category of its target; a
+    morphism is named (u, square)."""
+    sq_cat = arrow_cat(F.target) if flavor == "arrow" else iso_cat(F.target)
+    dom_eval = fc.Functor(sq_cat, F.target,
+                          {f: f.dom for f in sq_cat.objects},
+                          {m: m.name[0] for m in sq_cat.morphisms})
+    return fc.pullback_cat(F, dom_eval)
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,73 @@ def test_interp_planted_transport_defect_fails_equal_interpretation(
                          "values differ at (): planted vs *"]
 
 
+def test_interp_planted_unit_defect_fails_unit_functorial(capsys,
+                                                         monkeypatch):
+    # each unit sends its first non-identity morphism to an identity
+    unit_functor = ip._unit_functor
+
+    def moved(*args):
+        F = unit_functor(*args)
+        m = next((m for m in F.source.morphisms
+                  if m != F.source.identity[m.dom]), None)
+        if m is None:
+            return F
+        return fc.Functor(F.source, F.target, F.ob,
+                          {**F.mor, m: F.target.identity[F.ob[m.dom]]})
+    monkeypatch.setattr(ip, "_unit_functor", moved)
+    rc, out, err = run(capsys, "interp", "--format", "records",
+                       str(CORPUS / "scenarios" / "transport.scn"))
+    assert (rc, err) == (1, "")
+    fails = [line.split("\t") for line in out.splitlines()
+             if line.startswith("unit-functorial[right]\t")]
+    assert [r[1] for r in fails] == ["transport_R", "moved", "stay"]
+    assert all(r[2] == "FAIL" and r[3].startswith(
+        "endpoints not preserved at (") for r in fails)
+
+
+@pytest.mark.parametrize("argv, subjects", [
+    (("interp", str(CORPUS / "scenarios" / "comp.scn")),
+     ["elim#1", "elim#2", "elim#3", "elim#4"]),
+    (("wfs", str(CORPUS / "scenarios" / "world.fincat")), ["idtwo"]),
+], ids=["interp", "wfs"])
+def test_planted_lift_search_defect_fails_lift_oracle(capsys, monkeypatch,
+                                                      argv, subjects):
+    monkeypatch.setattr(wfs, "brute_force_lifts", lambda *args: ())
+    rc, out, err = run(capsys, argv[0], "--oracle", "--format", "records",
+                       argv[1])
+    assert (rc, err) == (1, "")
+    fails = [line.split("\t") for line in out.splitlines()
+             if "\tFAIL\t" in line]
+    assert [r[1] for r in fails] == subjects
+    assert all(r[0].startswith("lift-oracle") and r[3] == "no diagonal found"
+               for r in fails)
+
+
+def test_planted_hom_functor_defect_stops_before_type_functorial(
+        capsys, monkeypatch):
+    # type-functorial validates the assignment a hom type is read as, but
+    # extend validates it first and refuses it as an internal error; so a
+    # broken hom functor never reaches the record
+    hom_functor = fc.hom_functor
+
+    def dropped(*args):
+        fa = hom_functor(*args)
+        m = next((m for m in fa.base.morphisms
+                  if m != fa.base.identity[m.dom]), None)
+        if m is None:
+            return fa
+        t = fa.transitions[m]
+        return fc.FiberAssignment(fa.base, fa.fibers, {
+            **fa.transitions, m: fc.Functor(t.source, t.target, t.ob, {})})
+    monkeypatch.setattr(fc, "hom_functor", dropped)
+    rc, out, err = run(capsys, "interp", "--format", "records",
+                       str(CORPUS / "scenarios" / "transport.scn"))
+    assert (rc, out) == (3, "")
+    assert err == ("internal error: ValueError: fiber assignment: transition "
+                   "along (<(id 0)> <a>): morphism map undefined at "
+                   "(id <(id 0)>)\n")
+
+
 def _scenario_with_bad_define(tmp_path):
     src = CORPUS / "scenarios"
     for name in ("transport.scn", "world.fincat"):
@@ -407,6 +474,22 @@ def _scenario(tmp_path, dtt, binds, fincats=(("world.fincat", WORLD),),
                    f"fincat {' '.join(name for name, _ in fincats)}\n"
                    + binds, encoding="utf-8")
     return scn
+
+
+def test_interp_section_with_a_misplaced_morphism_part_fails_env_section(
+        capsys, tmp_path):
+    # along a, sfam carries * at 0 to 0 of two; the part must run 0 -> 1
+    section = ("section gs in sfam\n  at [0] : *\n  at [1] : 1\n"
+               "  at [0] (a) : id_1\nend\n")
+    scn = _scenario(tmp_path, "assume B : Type\nassume S (x : B) : Type\n"
+                    "assume g (x : B) : S(x)\n",
+                    "bind type B = two\nbind type S = sfam\n"
+                    "bind const g = gs\n",
+                    fincats=(("world.fincat", WORLD + "\n" + section),))
+    rc, out, err = run(capsys, "interp", "--format", "records", str(scn))
+    assert (rc, err) == (1, "")
+    assert out.endswith("env-section\tconst:g\tFAIL\tmorphism part along "
+                        "(<a>) has wrong endpoints\n")
 
 
 @pytest.mark.parametrize("binds", [
@@ -664,6 +747,45 @@ def test_wfs_bad_nat_or_square_exits_two(capsys, tmp_path, block, problem):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, error", [
+    ("category\n  objects a\nend\n", "1:1: usage: category NAME"),
+    ("category c\n  objects a\n  objects b\nend\n",
+     "3:1: repeated objects line"),
+    ("functor f\nend\n", "1:1: usage: functor NAME : C -> D"),
+    ("nat n\nend\n", "1:1: usage: nat NAME : F => G"),
+    ("nat n : F => G\n  at x\nend\n", "2:1: bad nat line: at x"),
+    ("fiber p\n  at\nend\n", "2:1: missing address"),
+    ("fiber p\n  at [ 0 : star\nend\n", "2:1: unterminated '['"),
+    ("fiber p\n  along [ 0 ] ( a : sa\nend\n", "2:1: unterminated '('"),
+    ("fiber p\n  at 0 star\nend\n", "2:1: bad fiber line: at 0 star"),
+    ("fiber\nend\n", "1:1: usage: fiber NAME [over C]"),
+    ("section s\nend\n", "1:1: usage: section NAME in FIBER"),
+    ("section s in p\n  point x : y\nend\n",
+     "2:1: bad section line: point x : y"),
+    ("square\nend\n", "1:1: usage: square NAME"),
+    ("square q\n  left a\n  left b\nend\n", "3:1: repeated left"),
+    ("square q\n  up a\nend\n", "2:1: bad square line: up a"),
+    (WORLD + "functor f : two -> two\n  ob 0 -> 0\n  ob 1 -> 1\n"
+     "  arr b -> a\nend\n",
+     " workspace block 'f': unknown arrow in 'arr b -> a'"),
+    (WORLD + "nat eta : idtwo => idtwo\n  at 0 : nope\nend\n",
+     " workspace block 'eta': bad component 'at 0 : nope'"),
+    (WORLD + "functor ist : star -> star\n  ob * -> *\nend\n"
+     "square q\n  left sa\n  right idtwo\n  top sa\n  bottom ist\nend\n",
+     " workspace block 'q': left and bottom do not compose"),
+], ids=["category-usage", "repeated-objects", "functor-usage", "nat-usage",
+        "bad-nat-line", "missing-address", "unterminated-bracket",
+        "unterminated-paren", "bad-fiber-line", "fiber-usage",
+        "section-usage", "bad-section-line", "square-usage",
+        "repeated-left", "bad-square-line", "unknown-arrow",
+        "bad-component", "left-bottom"])
+def test_wfs_fincat_error_texts(capsys, tmp_path, text, error):
+    path = tmp_path / "bad.fincat"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, "wfs", str(path))
+    assert (rc, out, err) == (2, "", f"error: {path}:{error}\n")
+
+
 # ---------------------------------------------------------------------------
 # pv
 
@@ -677,6 +799,27 @@ def test_pv_swissflag_report(capsys):
     assert "unsafe: 1,1" in out
     assert "deadlocks: 1,1" in out
     assert "deadlock-free FAIL" in out
+
+
+def test_pv_planted_closure_defect_fails_closure_oracle(capsys, monkeypatch):
+    # the forward closure loses a cell that no other cell links to
+    closure = ds._closure
+
+    def dropped(space, start, d):
+        links = closure(space, start, d)
+        if d == 1:
+            del links[next(c for c in reversed(links) if c != space.final
+                           and c not in links.values())]
+        return links
+    path = str(CORPUS / "swissflag.pv")
+    rc, out, _ = run(capsys, "pv", "--oracle", "--format", "records", path)
+    assert (rc, out.splitlines()[-1]) == (1, f"closure-oracle\t{path}\tok\t")
+    monkeypatch.setattr(ds, "_closure", dropped)
+    rc, out, err = run(capsys, "pv", "--oracle", "--format", "records", path)
+    assert (rc, err) == (1, "")
+    assert out.splitlines()[-1] == (
+        f"closure-oracle\t{path}\tFAIL\treachable: the step from (4, 2) "
+        "to (4, 3) leaves the table")
 
 
 def test_pv_clean_programs_pass_with_oracle(capsys):

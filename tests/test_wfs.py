@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 
 import pytest
 
 import cats
 import oracles
+import smallcats
 from homtt import fincat as fc
 from homtt import kernel as k
 from homtt import wfs
@@ -16,19 +18,13 @@ from test_interp import CLOSED_ARGS, comp_setup
 # written without the factorization machinery.
 
 
-def invertible(c, f):
-    return any(c.comp(g, f) == c.identity[f.dom]
-               and c.comp(f, g) == c.identity[f.cod]
-               for g in c.hom(f.cod, f.dom))
-
-
 def middle_census(F, flavor):
     """Objects are pairs (x, f out of F x); morphisms are the commuting
     squares, counted straight from the definition."""
     D = F.target
     objs = [(x, f) for x in F.source.objects for f in D.morphisms
             if f.dom == F.ob[x]
-            and (flavor == "arrow" or invertible(D, f))]
+            and (flavor == "arrow" or oracles.invertible(D, f))]
     mors = 0
     for (x, f) in objs:
         for (y, g) in objs:
@@ -84,16 +80,31 @@ def test_factor_identity_walking_arrow():
     assert len(fact.middle.morphisms) == want_mors
 
 
-@pytest.mark.parametrize("flavor", ["arrow", "iso"])
-def test_factor_legs_compose_over_the_corpus(flavor):
-    c = cats.grid22()
-    funs = [fc.identity_functor(c),
+def corpus_functors():
+    return [fc.identity_functor(cats.grid22()),
             fc.core_inclusion(cats.chain3()),
             oracles.op_functor(fc.core_inclusion(cats.z2())),
             fc.Functor(cats.star(), cats.two(), {"*": "0"},
                        {cats.star().identity["*"]:
                         cats.two().identity["0"]})]
-    for F in funs:
+
+
+def codiscrete(n):
+    """n objects and exactly one morphism between any two of them."""
+    def mor(i, j):
+        return fc.identity_mor(str(i)) if i == j \
+            else fc.Mor(f"{i}{j}", str(i), str(j))
+    pairs = list(itertools.product(range(n), repeat=2))
+    return fc.FinCat([str(i) for i in range(n)],
+                     [mor(i, j) for i, j in pairs],
+                     {str(i): mor(i, i) for i in range(n)},
+                     {(mor(j, k), mor(i, j)): mor(i, k)
+                      for i, j in pairs for k in range(n)})
+
+
+@pytest.mark.parametrize("flavor", ["arrow", "iso"])
+def test_factor_legs_compose_over_the_corpus(flavor):
+    for F in corpus_functors():
         fact = wfs.factor(F, flavor)
         assert fact.validate() == []
         want_obs, want_mors = middle_census(F, flavor)
@@ -118,6 +129,44 @@ def test_iso_flavor_shrinks_posets_but_not_groups():
     group = wfs.factor(fc.identity_functor(cats.z2()), "iso")
     assert len(group.middle.objects) == 2
     assert poset.validate() == [] and group.validate() == []
+
+
+@pytest.mark.parametrize("flavor", ["arrow", "iso"])
+def test_factor_middle_is_the_square_route_cell_for_cell(flavor):
+    """The comma category equals the strict pullback against domain
+    evaluation on the square category, once each square (F u, v) is
+    renamed to its v: objects, morphisms, identities and composites, all
+    in the same order."""
+    def renamed(m):
+        return fc.Mor((m.name[0], m.name[1].name[1]), m.dom, m.cod)
+
+    funs = [G(c) for c in smallcats.all_small().values()
+            for G in (fc.identity_functor, fc.core_inclusion)]
+    for F in funs + corpus_functors():
+        mid = wfs.factor(F, flavor).middle
+        ref = oracles.square_middle(F, flavor)
+        assert mid.objects == ref.objects
+        assert mid.morphisms == tuple(map(renamed, ref.morphisms))
+        assert list(mid.identity.items()) \
+            == [(x, renamed(i)) for x, i in ref.identity.items()]
+        assert list(mid.compose.items()) \
+            == [((renamed(g), renamed(f)), renamed(h))
+                for (g, f), h in ref.compose.items()]
+
+
+@pytest.mark.parametrize("flavor", ["arrow", "iso"])
+def test_factor_refuses_only_a_middle_over_the_caps(flavor):
+    # the arrow category of a codiscrete category on 9 objects has one
+    # object per morphism, over the cap, but the middle of a point picking
+    # one object has 9 objects and 81 morphisms
+    D, pt = codiscrete(9), cats.star()
+    assert len(D.morphisms) > fc.MAX_OBJECTS
+    F = fc.Functor(pt, D, {"*": "0"}, {pt.identity["*"]: D.identity["0"]})
+    fact = wfs.factor(F, flavor)
+    assert (len(fact.middle.objects), len(fact.middle.morphisms)) == (9, 81)
+    assert fact.middle.validate() == [] and fact.validate() == []
+    with pytest.raises(fc.SizeCapError, match="81 objects exceeds 64"):
+        wfs.factor(fc.core_inclusion(D), flavor)
 
 
 def test_factor_rejects_unknown_flavor():
