@@ -5,7 +5,13 @@ triples and universal properties by enumerating candidates.  Objects and
 morphism names are arbitrary hashable values.  A category keeps its cells
 in the order it is built, so reports and chosen representatives are
 deterministic by construction; equality ignores that order.  Equal
-morphisms are one object, kept in a weak table, so compare by identity.
+morphisms are one object, kept in a dict of weak references, so compare
+by identity.
+
+A fiber assignment's laws are read off its transitions' own maps, cell by
+cell, with no identity or composite functor built; the functoriality law
+is checked once per distinct triple of transitions, so base composites
+that share their transitions share the verdict.
 
 Identity morphisms of parsed and discrete categories are named ("id", x).
 Constructed categories (pullbacks, comma categories) name morphisms by
@@ -25,6 +31,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+
+from .kernel import dropper
 
 MAX_OBJECTS = 64
 MAX_MORPHISMS = 4096
@@ -46,18 +54,21 @@ def _fmt(x):
 
 class Mor:
     """An immutable morphism.  Equal live morphisms are one object, through
-    a weak table that building one looks up.  Its repr is for errors."""
+    a dict of weak references that building one looks up.  Its repr is
+    for errors."""
 
     __slots__ = ("name", "dom", "cod", "__weakref__")
 
     def __new__(cls, name, dom, cod):
         key = (name, dom, cod)
-        m = _live.get(key)
+        ref = _live.get(key)
+        m = ref and ref()
         if m is None:
-            m = _live[key] = object.__new__(cls)
+            m = object.__new__(cls)
             object.__setattr__(m, "name", name)
             object.__setattr__(m, "dom", dom)
             object.__setattr__(m, "cod", cod)
+            _live[key] = weakref.KeyedRef(m, _drop, key)
         return m
 
     def __setattr__(self, attr, value):
@@ -71,7 +82,8 @@ class Mor:
         return f"Mor(name={self.name!r}, dom={self.dom!r}, cod={self.cod!r})"
 
 
-_live = weakref.WeakValueDictionary()  # (name, dom, cod) -> its one Mor
+_live = {}  # (name, dom, cod) -> a weak reference to its one Mor
+_drop = dropper(_live)
 
 
 def identity_mor(x):
@@ -327,17 +339,44 @@ class FiberAssignment:
                 out.append(f"transition along {_fmt(m.name)}: {bad[0]}")
         if out:
             return out
+        trs = self.transitions
         for x in self.base.objects:
-            if self.transitions[self.base.identity[x]] != \
-                    identity_functor(self.fibers[x]):
+            if not _is_identity(trs[self.base.identity[x]], self.fibers[x]):
                 out.append(f"transition at identity of {_fmt(x)} is not "
                            "the identity functor")
+        functorial = {}  # ids of three transitions -> whether they compose
         for (g, f), h in self.base.compose.items():
-            comp = functor_compose(self.transitions[g], self.transitions[f])
-            if comp != self.transitions[h]:
+            tg, tf, th = trs[g], trs[f], trs[h]
+            ok = functorial.get(key := (id(tg), id(tf), id(th)))
+            if ok is None:
+                ok = functorial[key] = _composes_to(tg, tf, th)
+            if not ok:
                 out.append("transitions not functorial at "
                            f"({_fmt(g.name)}, {_fmt(f.name)})")
         return out
+
+
+def _is_identity(t, c):
+    """t == identity_functor(c), read off t's own maps cell by cell."""
+    ob, mor = t.ob, t.mor
+    return (t.source == c and t.target == c
+            and ob.keys() == set(c.objects)
+            and all(ob[y] == y for y in c.objects)
+            and mor.keys() == c.morset
+            and all(mor[m] is m for m in c.morphisms))
+
+
+def _composes_to(outer, inner, h):
+    """functor_compose(outer, inner) == h, read off the three functors'
+    own maps cell by cell."""
+    if inner.target != outer.source:
+        raise ValueError("functors not composable")
+    ob, mor, hob, hmor = outer.ob, outer.mor, h.ob, h.mor
+    return (inner.source == h.source and outer.target == h.target
+            and inner.ob.keys() == hob.keys()
+            and all(ob[y] == hob[x] for x, y in inner.ob.items())
+            and inner.mor.keys() == hmor.keys()
+            and all(mor[v] is hmor[m] for m, v in inner.mor.items()))
 
 
 def constant_fibers(base, c):

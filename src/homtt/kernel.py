@@ -21,11 +21,12 @@ traversal either folds over ``children`` or rebuilds through
 for the renumbering, the redex for ``reduce``).
 
 Every node is interned: building one looks its class and fields up in one
-weak table, ``_live``, and returns the live node there, so two live nodes
-with equal fields are one object and ``==`` and ``hash`` are identity; a
-copy or pickle of a node is rebuilt through the constructor, so it is the
-live node too.  An entry goes with its last node, so nothing outlives the
-terms in use.
+dict of weak references, ``_live``, and returns the live node there, so
+two live nodes with equal fields are one object and ``==`` and ``hash``
+are identity; a copy or pickle of a node is rebuilt through the
+constructor, so it is the live node too.  An entry goes with its last
+node, so nothing outlives the terms in use; its removal is ``dropper``,
+which ``fincat``'s table of morphisms uses too.
 ``core (op T)`` is ``core T``: the ``Core`` constructor drops ``Op`` layers
 before the lookup, and every rebuild goes through the constructor, so a
 core of an op is never represented.
@@ -58,11 +59,12 @@ class Expr:
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        x = _live.get(key)
+        ref = _live.get(key)
+        x = ref and ref()
         if x is None:
             x = object.__new__(cls)
             x.__dict__.update(zip(cls.__match_args__, fields, strict=True))
-            _live[key] = x
+            _live[key] = weakref.KeyedRef(x, _drop, key)
         return x
 
     def __reduce__(self):
@@ -88,7 +90,18 @@ class Expr:
         return d[name]
 
 
-_live = weakref.WeakValueDictionary()  # (class, *fields) -> its one node
+def dropper(table):
+    """The callback of the weak references in an intern table (this
+    module's and ``fincat``'s): it removes the entry of an object that
+    died, unless a new object has taken the key since."""
+    def drop(ref):
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+    return drop
+
+
+_live = {}  # (class, *fields) -> a weak reference to its one node
+_drop = dropper(_live)
 
 
 class TypeExpr(Expr):

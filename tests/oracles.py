@@ -10,6 +10,8 @@ motive at the unit.  The Grothendieck construction is built pair-shaped,
 as in the textbook, to referee the interpreter's flat context extension,
 and the unit `one t` is built from its own op fibers, strict sections and
 hom functor, to referee the interpreter's reading of the checker's type.
+The laws of a fiber assignment are checked by building the identity and
+composite functors they speak of and comparing them as values.
 The category isomorphism search enumerates functors outright, cocartesian
 morphisms are decided by building the opposite functor afresh, the
 factorization's middle is the strict pullback of the functor against
@@ -340,6 +342,48 @@ def identity_section(fa, t):
     hf = fc.hom_functor(fa, s_op, t_in)
     obj = {x: fa.fibers[x].identity[t.obj[x]] for x in fa.base.objects}
     return fc.strict_section(hf, obj)
+
+
+# ---------------------------------------------------------------------------
+# the laws of a fiber assignment, by building functors
+
+
+def fiber_assignment_problems(fa):
+    """What fa.validate() reports, found the long way: every fiber and
+    transition validated wherever it occurs, then each law checked by
+    building the identity functor at every base object and the composite
+    of the transitions at every composable pair of the base, and
+    comparing them with the assigned transition as values."""
+    out = []
+    for x in fa.base.objects:
+        c = fa.fibers.get(x)
+        if c is None:
+            out.append(f"no fiber at {fc._fmt(x)}")
+        elif bad := c.validate():
+            out.append(f"fiber at {fc._fmt(x)}: {bad[0]}")
+    for m in fa.base.morphisms:
+        t = fa.transitions.get(m)
+        if t is None:
+            out.append(f"no transition along {fc._fmt(m.name)}")
+        elif t.source != fa.fibers.get(m.dom) \
+                or t.target != fa.fibers.get(m.cod):
+            out.append(f"transition along {fc._fmt(m.name)} has wrong "
+                       "source or target")
+        elif bad := t.validate():
+            out.append(f"transition along {fc._fmt(m.name)}: {bad[0]}")
+    if out:
+        return out
+    for x in fa.base.objects:
+        if fa.transitions[fa.base.identity[x]] != \
+                fc.identity_functor(fa.fibers[x]):
+            out.append(f"transition at identity of {fc._fmt(x)} is not "
+                       "the identity functor")
+    for (g, f), h in fa.base.compose.items():
+        comp = fc.functor_compose(fa.transitions[g], fa.transitions[f])
+        if comp != fa.transitions[h]:
+            out.append("transitions not functorial at "
+                       f"({fc._fmt(g.name)}, {fc._fmt(f.name)})")
+    return out
 
 
 # ---------------------------------------------------------------------------

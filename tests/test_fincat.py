@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import itertools
 import pickle
@@ -187,6 +188,114 @@ def test_fiber_assignment_validates_a_shared_transition_once(monkeypatch):
         f"transition along {fc._fmt(m.name)}: morphism map undefined at (id 0)"
         for m in base.morphisms]
     assert calls == 2
+
+
+def test_fiber_assignment_laws_build_no_functor(monkeypatch):
+    counts = {}
+
+    def counted(name):
+        real = getattr(fc, name)
+
+        def run(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(fc, name, run)
+    for name in ("identity_functor", "functor_compose", "_is_identity",
+                 "_composes_to"):
+        counted(name)
+    base = chain3()
+    # one fiber and one transition: an identity check per base object,
+    # one composite check for the one distinct triple of transitions
+    fa = fc.constant_fibers(base, two())
+    counts.clear()
+    assert fa.validate() == []
+    assert counts == {"_is_identity": len(base.objects), "_composes_to": 1}
+    # a fiber and a transition of their own at every cell: one check each
+    copies = fc.FiberAssignment(
+        base, {x: two() for x in base.objects},
+        {m: fc.identity_functor(two()) for m in base.morphisms})
+    counts.clear()
+    assert copies.validate() == []
+    assert counts == {"_is_identity": len(base.objects),
+                      "_composes_to": len(base.compose)}
+
+
+def planted_fiber_assignments():
+    """Fiber assignments over chain3 that break one law in one cell, or
+    keep every law with fibers that are equal but not the same object."""
+    base = chain3()
+    out = {}
+    # a transition at identity 1 that differs from the identity only in
+    # its object map, by an entry beyond its source, or only in its
+    # morphism map, by swapping two parallel arrows
+    c = two()
+    ident = fc.identity_functor(c)
+    ghost = dataclasses.replace(ident, ob={**ident.ob, "ghost": "0"})
+    c2 = para()
+    p, q = (f for f in c2.morphisms if f.name in ("p", "q"))
+    swap = fc.Functor(c2, c2, {x: x for x in c2.objects},
+                      {**fc.identity_functor(c2).mor, p: q, q: p})
+    for part, fiber, bad in (("ob", c, ghost), ("mor", c2, swap)):
+        assert bad.validate() == []
+        out[f"identity-{part}"] = fc.FiberAssignment(
+            base, {x: fiber for x in base.objects},
+            {f: bad if f is base.identity["1"]
+             else fc.identity_functor(fiber) for f in base.morphisms})
+    # the swap of two points along c12 and the identity everywhere else:
+    # c02 is not c12 after c01, though c12 is c12 after identity 1 and
+    # both pairs carry the same two transitions
+    d = fc.mkdiscrete(("0", "1"))
+    swap = fc._discrete_functor(d, d, {"0": "1", "1": "0"})
+    assert swap.validate() == []
+    still = fc.identity_functor(d)
+    out["non-functorial"] = fc.FiberAssignment(
+        base, {x: d for x in base.objects},
+        {f: swap if f.name == "c12" else still for f in base.morphisms})
+    # equal fibers and transitions that are all distinct objects
+    out["equal-copies"] = fc.FiberAssignment(
+        base, {x: two() for x in base.objects},
+        {f: fc.identity_functor(two()) for f in base.morphisms})
+    return out
+
+
+def test_planted_fiber_assignment_defects_match_the_referee():
+    # the extra entry survives composing c12 after identity 1 too
+    want = {"identity-ob": [
+                "transition at identity of 1 is not the identity functor",
+                "transitions not functorial at (c12, (id 1))"],
+            # the swap fails every composite through identity 1
+            "identity-mor": [
+                "transition at identity of 1 is not the identity functor",
+                "transitions not functorial at ((id 1), c01)",
+                "transitions not functorial at ((id 1), (id 1))",
+                "transitions not functorial at (c12, (id 1))"],
+            "non-functorial": ["transitions not functorial at (c12, c01)"],
+            "equal-copies": []}
+    planted = planted_fiber_assignments()
+    assert {name: fa.validate() for name, fa in planted.items()} == want
+    assert {name: oracles.fiber_assignment_problems(fa)
+            for name, fa in planted.items()} == want
+
+
+def test_fiber_assignment_over_an_invalid_base_fails_like_the_referee():
+    # a base composite at a pair that does not compose, between fibers
+    # that differ: both refuse to compose the transitions
+    base = chain3()
+    m = {x.name: x for x in base.morphisms}
+    broken = fc.FinCat(base.objects, base.morphisms, base.identity,
+                       {**base.compose, (m["c01"], m["c12"]): m["c02"]})
+    c, pt = two(), star()
+    collapse = fc.Functor(c, pt, {x: "*" for x in c.objects},
+                          {f: pt.identity["*"] for f in c.morphisms})
+    fa = fc.FiberAssignment(
+        broken, {"0": c, "1": pt, "2": pt},
+        {f: collapse if f.dom == "0" and f.cod != "0"
+         else fc.identity_functor(c if f.dom == "0" else pt)
+         for f in broken.morphisms})
+    for check in (fc.FiberAssignment.validate,
+                  oracles.fiber_assignment_problems):
+        with pytest.raises(ValueError, match="functors not composable"):
+            check(fa)
 
 
 @pytest.mark.parametrize("post, per_fiber", [
@@ -828,6 +937,25 @@ def test_dead_mors_leave_the_table():
     gc.collect()
     assert ref() is None
     assert len(fc._live) == before
+
+
+def test_a_stale_drop_leaves_a_fresh_mor_alone():
+    key = ("stale", "0", "1")
+    old = fc._live.get(key)
+    assert old is None
+    m = fc.Mor(*key)
+    stale = fc._live[key]
+    del m
+    gc.collect()
+    assert key not in fc._live and stale() is None
+    fresh = fc.Mor(*key)
+    entry = fc._live[key]
+    # the callback of the first Mor's reference, run again late
+    fc._drop(stale)
+    assert fc._live[key] is entry and entry() is fresh
+    assert fc.Mor(*key) is fresh
+    fc._drop(entry)
+    assert key not in fc._live
 
 
 def test_mor_is_not_a_tuple():

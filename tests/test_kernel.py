@@ -467,7 +467,9 @@ def test_nodes_are_interned_and_compare_by_identity():
     assert Hom(B, s, t) is Hom(B, s, t)
     assert Core(Op(Op(B))) is Core(B)
     assert BaseT("B") is BaseT("B", ()) and Const("c") is Const("c", ())
-    assert isinstance(k._live, weakref.WeakValueDictionary)
+    # the table holds its nodes weakly: every entry is a weak reference
+    assert k._live and all(isinstance(ref, weakref.ref)
+                           for ref in k._live.values())
     for cls in k._CHILD_BINDERS:
         assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -505,6 +507,24 @@ def test_a_check_run_leaves_the_table_as_it_found_it():
     assert len(k._live) == before
 
 
+def test_a_stale_drop_leaves_a_fresh_node_alone():
+    key = (Const, "stale", ())
+    assert key not in k._live
+    x = Const("stale")
+    stale = k._live[key]
+    del x
+    gc.collect()
+    assert key not in k._live and stale() is None
+    fresh = Const("stale")
+    entry = k._live[key]
+    # the callback of the first node's reference, run again late
+    k._drop(stale)
+    assert k._live[key] is entry and entry() is fresh
+    assert Const("stale") is fresh
+    k._drop(entry)
+    assert key not in k._live
+
+
 def test_no_two_live_nodes_share_a_structure():
     keep = []
     for path in sorted(CORPUS.rglob("*.dtt")):
@@ -519,7 +539,7 @@ def test_no_two_live_nodes_share_a_structure():
         x = rand_term(rng, n, rng.randrange(7))
         keep.append((x, k.reduce(x, n), k.shift(x, 1, 2)))
     v0 = Var(0)
-    nodes = list(k._live.values())
+    nodes = [ref() for ref in k._live.values()]
     assert len(nodes) > 1000
     assert oracles.interning_breaches(nodes) == []
     # a node made behind the constructor's back is caught

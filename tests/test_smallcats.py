@@ -1,5 +1,7 @@
 """Small-scope semantics: checks over every category in smallcats."""
 
+from pathlib import Path
+
 import pytest
 
 import cats
@@ -11,6 +13,7 @@ from homtt import interp as ip
 from homtt import kernel as k
 from homtt import wfs
 
+REPO = Path(__file__).resolve().parent.parent
 SMALL = smallcats.all_small()
 B = k.BaseT("B")
 
@@ -87,3 +90,25 @@ def test_small_opfibration_lifts(name):
         assert fc.functor_compose(w.diagonal, w.problem.i) == w.problem.top
         assert fc.functor_compose(w.problem.p, w.diagonal) \
             == w.problem.bottom
+
+
+def test_fiber_assignment_laws_agree_with_the_referee(monkeypatch):
+    # every fiber assignment validated while the corpus scenarios are
+    # verified and the hom context of every small category is built
+    seen = []
+    validate = fc.FiberAssignment.validate
+
+    def recording(fa):
+        seen.append(fa)
+        return validate(fa)
+    monkeypatch.setattr(fc.FiberAssignment, "validate", recording)
+    scenarios = sorted((REPO / "corpus" / "scenarios").glob("*.scn"))
+    assert scenarios
+    for path in scenarios:
+        ip.verify_soundness(ip.load_scenario(path))
+    for c in SMALL.values():
+        interpreter(c).context(HOM_CTX)
+    monkeypatch.undo()
+    assert len(seen) > 150
+    for fa in seen:
+        assert fa.validate() == oracles.fiber_assignment_problems(fa)
