@@ -95,7 +95,8 @@ def _verdict(r):
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each handles one file and returns (human lines, records)
+# subcommands; each handles one file and returns (human lines, records);
+# pv builds its human lines only for --format human
 
 
 def _cmd_check(cfg, path):
@@ -192,6 +193,18 @@ def _cmd_pv(cfg, path):
     space = ds.from_pv(ds.parse_pv(text, str(path)))
     report = ds.analyze(space)
     dead = ds.deadlocks(report)
+    reached = space.final in report.reachable
+    recs = [
+        ch.Record(path, "final-reachable", reached,
+                  "" if reached else "the final corner cannot be reached"),
+        ch.Record(path, "deadlock-free", not dead,
+                  _cells(dead) if dead else ""),
+    ]
+    if cfg.oracle:
+        recs.append(ch.verdict(path, "closure-oracle", report.validate()))
+    if cfg.format != "human":
+        # the safe table, the region lists and the map are for people
+        return [], recs
     out = [f"axis {chr(65 + i)}: {' '.join(ticks)}"
            for i, ticks in enumerate(space.ticks)]
     out.append("")
@@ -206,15 +219,6 @@ def _cmd_pv(cfg, path):
         f"deadlocks: {_cells(dead)}",
         "",
     ]
-    reached = space.final in report.reachable
-    recs = [
-        ch.Record(path, "final-reachable", reached,
-                  "" if reached else "the final corner cannot be reached"),
-        ch.Record(path, "deadlock-free", not dead,
-                  _cells(dead) if dead else ""),
-    ]
-    if cfg.oracle:
-        recs.append(ch.verdict(path, "closure-oracle", report.validate()))
     return out + [_verdict(r) for r in recs], recs
 
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
 
+from .kernel import InternalError
+
 
 class PvError(Exception):
     """A malformed program, event string, or grid description."""
@@ -204,9 +206,11 @@ def from_pv(prog):
                     lo[j], hi[j] = p2, v2
                     rects.append(Rect(tuple(lo), tuple(hi)))
     space = DirectedGridSpace(tuple(ticks), tuple(rects))
+    # hold ranges start at tick 1 or later and end before the last tick,
+    # so no rectangle covers a corner: a problem here is a defect in this code
     bad = space.validate()
     if bad:
-        raise PvError(bad[0])
+        raise InternalError(f"from_pv: {bad[0]}")
     return space
 
 
@@ -292,11 +296,18 @@ def deadlocks(report):
 
 @dataclass(frozen=True)
 class RegionReport:
-    """Reachability analysis of one space, as two link tables."""
+    """Reachability analysis of one space, as two link tables.
+
+    The forward table is built with the report; the backward one, safe,
+    on first read, since verdicts and deadlocks need only the forward one.
+    """
 
     space: DirectedGridSpace
     reachable: dict
-    safe: dict
+
+    @cached_property
+    def safe(self):
+        return safe(self.space)
 
     @property
     def unreachable(self):
@@ -349,7 +360,8 @@ class RegionReport:
 
 
 def analyze(space):
-    return RegionReport(space, reachable(space), safe(space))
+    """The report of space: its forward closure now, safe when read."""
+    return RegionReport(space, reachable(space))
 
 
 def render(report):

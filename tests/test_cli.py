@@ -1,6 +1,8 @@
 """End-to-end runs of the command line front-end over the corpus."""
 
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ import homtt.kernel as k
 import homtt.parser as ps
 import homtt.wfs as wfs
 import oracles
+from test_dspace import random_program
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -861,6 +864,61 @@ def test_pv_closure_oracle_at_realistic_size(capsys, tmp_path):
                      str(prog))
     assert rc == 1  # it deadlocks
     assert "closure-oracle\t" + str(prog) + "\tok\t\n" in out
+
+
+@pytest.mark.parametrize("flags, backward", [
+    (("--format", "records"), 0),
+    (("--format", "human"), 1),
+    (("--format", "records", "--oracle"), 1),
+    (("--format", "human", "--oracle"), 1),
+], ids=["records", "human", "oracle", "human-oracle"])
+def test_pv_runs_the_backward_closure_only_when_read(capsys, monkeypatch,
+                                                      flags, backward):
+    files = sorted(str(p) for p in CORPUS.glob("*.pv"))
+    assert len(files) == 4
+    closure, calls = ds._closure, []
+
+    def counted(space, start, d):
+        calls.append(d)
+        return closure(space, start, d)
+    monkeypatch.setattr(ds, "_closure", counted)
+    run(capsys, "pv", *flags, *files)
+    assert (calls.count(1), calls.count(-1)) == (4, 4 * backward)
+
+
+def _pv_text(prog):
+    return "\n".join(" ".join(f"{op}({s})" for op, s in evs)
+                     for evs in prog.processes) + "\n"
+
+
+def test_pv_modes_agree_on_generated_programs(capsys, tmp_path):
+    # records are the oracle run's first two lines, and the human counts
+    # are the sizes of the path-walk closures
+    for i in range(60):
+        prog = random_program(random.Random(f"pv-modes/{i}"))
+        path = tmp_path / f"p{i}.pv"
+        path.write_text(_pv_text(prog), encoding="utf-8")
+        _, records, _ = run(capsys, "pv", "--format", "records", str(path))
+        _, oracle, _ = run(capsys, "pv", "--format", "records", "--oracle",
+                           str(path))
+        assert oracle.splitlines()[2] == f"closure-oracle\t{path}\tok\t"
+        assert records.splitlines() == oracle.splitlines()[:2]
+        _, human, _ = run(capsys, "pv", str(path))
+        space = ds.from_pv(prog)
+        total = math.prod(space.shape)
+        for name, forward in (("reachable", True), ("safe", False)):
+            count = len(oracles.closure_cells(space, forward))
+            assert f"\n{name}: {count} of {total} cells\n" in human
+
+
+def test_pv_invalid_built_grid_is_an_internal_error(capsys, monkeypatch):
+    # hold ranges never reach a corner, so only a defect in from_pv can
+    # make the grid it built fail validation
+    rect = ds.Rect
+    monkeypatch.setattr(ds, "Rect", lambda lo, hi: rect((0,) * len(lo), hi))
+    rc, out, err = run(capsys, "pv", str(CORPUS / "mutex.pv"))
+    assert (rc, out) == (3, "")
+    assert err == "internal error: from_pv: the initial corner is forbidden\n"
 
 
 def test_pv_invalid_program_exits_two(capsys, tmp_path):

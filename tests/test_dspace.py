@@ -1,7 +1,6 @@
 """Grid reachability checked against a walk of monotone paths, and
 deadlocks against a scan of every reachable cell."""
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -159,6 +158,20 @@ def test_swiss_rendering():
     )
 
 
+def test_rendering_marks_a_walled_in_cell_as_neither():
+    # the centre cell and two side corners are neither reachable nor safe
+    ticks = (("0", "a", "b", "1"),) * 2
+    walls = ((0, 1), (1, 0), (2, 1), (1, 2))
+    space = ds.DirectedGridSpace(ticks, tuple(
+        ds.Rect((x, y), (x + 1, y + 1)) for x, y in walls))
+    assert space.validate() == []
+    assert ds.render(ds.analyze(space)) == (
+        ".#S\n"
+        "#.#\n"
+        "R#.\n"
+    )
+
+
 def test_render_requires_two_axes():
     report = ds.analyze(ds.from_pv(ds.parse_pv("P(m) V(m)")))
     with pytest.raises(ValueError, match="two axes"):
@@ -199,6 +212,22 @@ def test_space_validation_flags_bad_rectangles_and_corners():
     assert trap.validate() == ["the initial corner is forbidden"]
     thin = ds.DirectedGridSpace((("0",), ("0", "b", "1")))
     assert any("two boundary ticks" in p for p in thin.validate())
+
+
+def test_space_validation_flags_a_forbidden_final_corner():
+    ticks = (("0", "a", "1"), ("0", "b", "1"))
+    space = ds.DirectedGridSpace(ticks, (ds.Rect((1, 1), (2, 2)),))
+    assert space.validate() == ["the final corner is forbidden"]
+
+
+def test_closure_from_a_forbidden_corner_is_empty():
+    ticks = (("0", "a", "1"), ("0", "b", "1"))
+    trap = ds.DirectedGridSpace(ticks, (ds.Rect((0, 0), (1, 1)),))
+    end = ds.DirectedGridSpace(ticks, (ds.Rect((1, 1), (2, 2)),))
+    assert ds.reachable(trap) == {} and ds.safe(end) == {}
+    assert len(ds.safe(trap)) == len(ds.reachable(end)) == 3
+    # the certificate accepts an empty table at a forbidden anchor
+    assert ds.analyze(trap).validate() == ds.analyze(end).validate() == []
 
 
 def test_space_validation_reports_a_rectangle_missing_an_axis():
@@ -268,8 +297,10 @@ TAMPERS = [
                          ids=[t[0] for t in TAMPERS])
 def test_certificate_names_each_planted_fault(name, table, tamper, problem):
     report = ds.analyze(swiss_space())
-    bad = dataclasses.replace(
-        report, **{table: tamper(getattr(report, table))})
+    # safe is computed on first read, so it is planted in a fresh report
+    # before anything reads it; reachable is a field, set the same way
+    bad = ds.RegionReport(report.space, report.reachable)
+    object.__setattr__(bad, table, tamper(getattr(report, table)))
     assert problem in bad.validate()
 
 

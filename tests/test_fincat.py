@@ -396,6 +396,49 @@ def test_size_cap():
         fc.mkdiscrete(range(fc.MAX_OBJECTS + 1))
 
 
+def test_morphism_size_cap():
+    loops = [fc.Mor(n, "x", "x") for n in range(fc.MAX_MORPHISMS + 1)]
+    with pytest.raises(fc.SizeCapError,
+                       match=f"^{fc.MAX_MORPHISMS + 1} morphisms exceeds "
+                             f"{fc.MAX_MORPHISMS}$"):
+        fc.FinCat(("x",), loops, {}, {})
+
+
+def test_comp_of_a_non_composable_pair_is_undefined():
+    c = two()
+    a = next(m for m in c.morphisms if m.name == "a")
+    assert c.comp(c.identity["1"], a) == a
+    with pytest.raises(ValueError, match=r"^composite undefined: "
+                       r"Mor\(name='a', .*\) after Mor\(name='a', "):
+        c.comp(a, a)
+
+
+def _broken_two(fault):
+    """The walking arrow with one identity or composite planted wrong."""
+    c = two()
+    a = next(m for m in c.morphisms if m.name == "a")
+    identity, compose = dict(c.identity), dict(c.compose)
+    if fault == "no-identity":
+        del identity["1"]
+    elif fault == "bad-identity":
+        identity["1"] = a
+    elif fault == "non-composable":
+        compose[(a, a)] = a
+    else:
+        compose[(c.identity["1"], a)] = c.identity["1"]
+    return fc.FinCat(c.objects, c.morphisms, identity, compose)
+
+
+@pytest.mark.parametrize("fault, problem", [
+    ("no-identity", "no identity for object 1"),
+    ("bad-identity", "bad identity for object 1"),
+    ("non-composable", "composition defined for non-composable pair (a, a)"),
+    ("wrong-endpoints", "composite ((id 1), a) has wrong endpoints"),
+])
+def test_validate_names_identity_and_composite_faults(fault, problem):
+    assert _broken_two(fault).validate() == [problem]
+
+
 # -- duality and core ------------------------------------------------------
 
 def test_op_involution_exact():
