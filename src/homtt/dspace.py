@@ -8,23 +8,31 @@ which forbids the closed tick-rectangle spanned by the matching P..V
 ranges; a cell is forbidden when it lies wholly inside such a rectangle.
 Execution only moves forward: one axis at a time, one cell up.  Reachable
 cells are the forward closure of the all-zeros corner, safe cells the
-backward closure of the all-ones corner.  Each closure is a link table:
-every cell maps to its neighbour one step back toward the corner, which
-maps to None, so following links from any cell retraces a witness path.
+backward closure of the all-ones corner.
 
-Deadlocks come from rectangle corners (Fajstrup, Goubault and Raussen,
-Detecting deadlocks in concurrent systems, CONCUR 1998): a step along
-axis a out of an allowed cell c enters a rectangle R only if R.lo[a] is
-c[a] + 1, so a deadlock has on each axis the last index or an R.lo[a] - 1.
+Regions of cells are row masks: a row is a cell's coordinates on every
+axis but the last, and one int per row has bit x set for the cell at x on
+the last axis.  The forbidden region is built straight from the
+rectangles, and each closure is one sweep over the rows with whole-row
+int operations.  Read as a link table, a closure maps every cell to its
+neighbour one step back toward the corner, which maps to None, so
+following links from any cell retraces a witness path.
+
+Deadlocks are a row scan too (Fajstrup, Goubault and Raussen, Detecting
+deadlocks in concurrent systems, CONCUR 1998): a reachable cell is stuck
+when on every axis it is at the last index or its next cell is
+forbidden, which for a whole row is a few masks ANDed together.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 from .kernel import InternalError
 
@@ -62,7 +70,27 @@ class DirectedGridSpace:
 
     @cached_property
     def blocked(self):
-        return forbidden_cells(self)
+        """The forbidden cells as row masks.
+
+        A row is a cell's coordinates on every axis but the last; rows
+        are numbered in lexicographic order, and bit x of a row's mask is
+        the cell at x on the last axis.
+        """
+        *head, width = self.shape
+        strides = _strides(head)
+        rows = [0] * math.prod(head)
+        for r in self.forbidden:
+            bits = (1 << r.hi[-1]) - (1 << r.lo[-1])
+            covered = [0]
+            for a, s in enumerate(strides):
+                covered = [i + v * s for i in covered
+                           for v in range(r.lo[a], r.hi[a])]
+            for i in covered:
+                rows[i] |= bits
+        return tuple(rows)
+
+    def is_blocked(self, c):
+        return _holds(self.shape, self.blocked, c)
 
     @property
     def initial(self):
@@ -73,37 +101,51 @@ class DirectedGridSpace:
         return tuple(n - 1 for n in self.shape)
 
     def validate(self):
-        out = []
+        out = [] if self.ticks else ["the grid has no axes"]
         for a, t in enumerate(self.ticks):
             if len(t) < 2:
                 out.append(f"axis {a} needs at least two boundary ticks")
+        shape = self.shape
         for r in self.forbidden:
-            if len(r.lo) != self.dims or len(r.hi) != self.dims:
+            if len(r.lo) != len(shape) or len(r.hi) != len(shape):
                 out.append(f"rectangle {r} does not span every axis")
                 continue
-            for a in range(self.dims):
-                if not 0 <= r.lo[a] <= r.hi[a] <= len(self.ticks[a]) - 1:
+            for a, n in enumerate(shape):
+                if not 0 <= r.lo[a] <= r.hi[a] <= n:
                     out.append(f"rectangle {r} leaves the grid on axis {a}")
                     break
         if not out:
-            blocked = self.blocked
-            if self.initial in blocked:
+            if self.is_blocked(self.initial):
                 out.append("the initial corner is forbidden")
-            if self.final in blocked:
+            if self.is_blocked(self.final):
                 out.append("the final corner is forbidden")
         return out
 
 
-def forbidden_cells(space):
-    """The cells lying wholly inside some closed tick rectangle."""
-    axes = range(space.dims)
-    return frozenset(chain.from_iterable(
-        product(*(range(r.lo[a], r.hi[a]) for a in axes))
-        for r in space.forbidden))
+def _strides(head):
+    """How far apart rows are along each axis of the prefix."""
+    return [math.prod(head[a + 1:]) for a in range(len(head))]
 
 
-def states(space):
-    return product(*(range(n) for n in space.shape))
+def _holds(shape, rows, c):
+    """Whether the region given by its row masks holds cell c."""
+    if len(c) != len(shape):
+        return False
+    i = 0
+    for v, n in zip(c, shape):
+        if not 0 <= v < n:
+            return False
+        i = i * n + v
+    r, x = divmod(i, shape[-1])
+    return bool(rows[r] >> x & 1)
+
+
+def _cells(shape, rows):
+    """The cells of the region given by its row masks, in order."""
+    *head, width = shape
+    return [prefix + (x,)
+            for prefix, m in zip(product(*map(range, head)), rows) if m
+            for x in range(width) if m >> x & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +159,7 @@ class PVProgram:
     processes: tuple
 
     def validate(self):
-        out = []
+        out = [] if self.processes else ["no processes"]
         for i, evs in enumerate(self.processes):
             held = Counter()
             for j, (op, s) in enumerate(evs):
@@ -225,102 +267,181 @@ def _step(space, c, a, d):
     return c[:a] + (v,) + c[a + 1:]
 
 
-def _closure(space, start, d):
-    """Closure of start by unit steps of sign d, as a link table.
+def _sweep(shape, blocked):
+    """Forward closure of the all-zeros corner, as row masks.
 
-    Every step raises (d = 1) or lowers (d = -1) one coordinate, so one
-    sweep in lexicographic order (reversed for d = -1) meets each cell
-    after all of its predecessors.  A cell is in the closure iff it is
-    allowed and some predecessor already is; it links to the first such
-    predecessor, and start links to None.  Numbered in sweep order, a cell
-    off start's face on axis a has its predecessor there a stride back.
+    Rows are met in lexicographic order, so a row's predecessors on the
+    other axes come before it.  Its seeds S are the closure's bits in
+    those rows (and the corner, in row 0) that its allowed mask A keeps.
+    Adding S to A carries each seed up its run of allowed bits to the
+    first forbidden one, so A & ((A + S) ^ A) | S is every cell the seeds
+    reach along the row; a forbidden corner leaves the closure empty.
     """
-    blocked = space.blocked
+    *head, width = shape
+    full = (1 << width) - 1
+    axes = tuple(enumerate(_strides(head)))
+    out = [0] * len(blocked)
+    for r, prefix in enumerate(product(*map(range, head))):
+        seeds = 0 if r else 1
+        for a, s in axes:
+            if prefix[a]:
+                seeds |= out[r - s]
+        allowed = full & ~blocked[r]
+        seeds &= allowed
+        if seeds:
+            out[r] = allowed & ((allowed + seeds) ^ allowed) | seeds
+    return tuple(out)
+
+
+def _mirror(rows, width):
+    """The same region with every axis reversed."""
+    bits = f"0{width}b"
+    return tuple(int(format(m, bits)[::-1], 2) for m in reversed(rows))
+
+
+def _closure(space, d):
+    """Row masks of the closure of a corner by unit steps of sign d.
+
+    Forward (d = 1) from the initial corner; backward (d = -1) from the
+    final one, which is the forward closure of the mirrored grid.
+    """
+    if d > 0:
+        return _sweep(space.shape, space.blocked)
+    width = space.shape[-1]
+    return _mirror(_sweep(space.shape, _mirror(space.blocked, width)), width)
+
+
+def _build_links(space, rows, d):
+    """The link table of a closure of sign d given as row masks.
+
+    Cells come in sweep order: lexicographic, reversed for d = -1.  A
+    cell links to its neighbour one step back on the first axis whose
+    neighbour is in the closure; the anchor links to None.
+    """
+    *head, width = space.shape
+    edges = [0 if d > 0 else n - 1 for n in head]
+    strides = _strides(head)
+    prefixes = list(product(*map(range, head)))
+    xs = range(width)[::d]
+    # each row's cells by x, so a link is the very tuple of its key
+    made = [None] * len(rows)
     links = {}
-    if start in blocked:
-        return links
-    links[start] = None
-    shape = space.shape
-    cells = list(product(*(range(n)[::d] for n in shape)))
-    axes, stride = [], 1
-    for a in reversed(range(len(shape))):
-        axes.insert(0, (a, stride, start[a]))
-        stride *= shape[a]
-    inside = bytearray(len(cells))
-    inside[0] = 1
-    for i, c in enumerate(cells):
-        if c in blocked:
+    for r in range(len(rows))[::d]:
+        m = rows[r]
+        if not m:
             continue
-        for a, stride, edge in axes:
-            if c[a] != edge and inside[i - stride]:
-                links[c] = cells[i - stride]
-                inside[i] = 1
-                break
+        prefix = prefixes[r]
+        row = made[r] = [None] * width
+        back = [(rows[r - d * s], made[r - d * s])
+                for a, s in enumerate(strides) if prefix[a] != edges[a]]
+        # bit x is set when the cell one step back along the row is in
+        inrow = m << 1 if d > 0 else m >> 1
+        for x in xs:
+            if m >> x & 1:
+                cell = row[x] = prefix + (x,)
+                for b, cells in back:
+                    if b >> x & 1:
+                        links[cell] = cells[x]
+                        break
+                else:
+                    links[cell] = row[x - d] if inrow >> x & 1 else None
     return links
 
 
-def reachable(space):
-    """Forward closure of the initial corner; cell to the cell before it."""
-    return _closure(space, space.initial, +1)
+class LinkTable(Mapping):
+    """A closure read as a link table.
 
+    Every cell maps to its neighbour one step back toward the anchor,
+    which maps to None, so following links from any cell retraces a
+    witness path.  Size and membership read the row masks; the links are
+    built on the first read of one.
+    """
 
-def safe(space):
-    """Backward closure of the final corner; cell to the cell after it."""
-    return _closure(space, space.final, -1)
+    def __init__(self, space, rows, d):
+        self.space, self.rows, self.d = space, rows, d
+
+    @cached_property
+    def links(self):
+        return _build_links(self.space, self.rows, self.d)
+
+    def __len__(self):
+        return sum(m.bit_count() for m in self.rows)
+
+    def __contains__(self, c):
+        return _holds(self.space.shape, self.rows, c)
+
+    def __getitem__(self, c):
+        return self.links[c]
+
+    def __iter__(self):
+        return iter(self.links)
+
+    def keys(self):
+        return self.links.keys()
+
+    def items(self):
+        return self.links.items()
 
 
 def deadlocks(report):
     """Reachable non-final cells with no legal forward step, in order.
 
-    Fajstrup, Goubault and Raussen (CONCUR 1998): a step along axis a out
-    of an allowed cell c is blocked only by a rectangle R with R.lo[a] =
-    c[a] + 1, so only cells made of R.lo[a] - 1 and last indices qualify.
+    A row scan (Fajstrup, Goubault and Raussen, CONCUR 1998): a reachable
+    cell at x is stuck on the last axis when it is the last index or x + 1
+    is forbidden, and on each other axis when it is at the last index or
+    the next row along that axis forbids x.
     """
     space = report.space
+    *head, width = space.shape
     blocked = space.blocked
-    final = space.final
-    ends = tuple(enumerate(final))
-    axes = [sorted({r.lo[a] - 1 for r in space.forbidden if r.lo[a] > 0}
-                   | {last}) for a, last in ends]
-    dead = []
-    for c in product(*axes):
-        if c in report.reachable and c != final:
-            for a, last in ends:
-                if c[a] != last and \
-                        c[:a] + (c[a] + 1,) + c[a + 1:] not in blocked:
-                    break
-            else:
-                dead.append(c)
-    return tuple(dead)
+    top = 1 << (width - 1)
+    nexts = [(a, n - 1, s)
+             for a, (n, s) in enumerate(zip(head, _strides(head)))]
+    inside = list(report.forward)
+    inside[-1] &= ~top  # the final cell
+    stuck = []
+    for r, prefix in enumerate(product(*map(range, head))):
+        m = inside[r] & (blocked[r] >> 1 | top)
+        for a, last, s in nexts:
+            if m and prefix[a] != last:
+                m &= blocked[r + s]
+        stuck.append(m)
+    return tuple(_cells(space.shape, stuck))
 
 
 @dataclass(frozen=True)
 class RegionReport:
-    """Reachability analysis of one space, as two link tables.
+    """Reachability analysis of one space.
 
-    The forward table is built with the report; the backward one, safe,
-    on first read, since verdicts and deadlocks need only the forward one.
+    The forward closure is swept with the report and kept as row masks;
+    the backward one, safe, is swept on first read, since verdicts and
+    deadlocks need only the forward one.  Both read as link tables.
     """
 
     space: DirectedGridSpace
-    reachable: dict
+    forward: tuple
+
+    @cached_property
+    def reachable(self):
+        return LinkTable(self.space, self.forward, +1)
 
     @cached_property
     def safe(self):
-        return safe(self.space)
+        return LinkTable(self.space, _closure(self.space, -1), -1)
 
     @property
     def unreachable(self):
-        return self._complement(self.reachable)
+        return self._complement(self.reachable.rows)
 
     @property
     def unsafe(self):
-        return self._complement(self.safe)
+        return self._complement(self.safe.rows)
 
-    def _complement(self, got):
-        blocked = self.space.blocked
-        return tuple(c for c in states(self.space)
-                     if c not in blocked and c not in got)
+    def _complement(self, rows):
+        space = self.space
+        full = (1 << space.shape[-1]) - 1
+        return tuple(_cells(space.shape, [full & ~(b | m) for b, m
+                                          in zip(space.blocked, rows)]))
 
     def validate(self):
         """Local certificate that each table is exactly its closure.
@@ -332,18 +453,20 @@ class RegionReport:
         """
         out = []
         space = self.space
-        blocked = space.blocked
+        # sets, since the certificate tests membership per cell and step
+        blocked = frozenset(_cells(space.shape, space.blocked))
         axes = range(space.dims)
         ends = (("reachable", self.reachable, space.initial, +1),
                 ("safe", self.safe, space.final, -1))
         for name, table, anchor, d in ends:
-            if anchor not in blocked and anchor not in table:
+            keys = table.keys()
+            if anchor not in blocked and anchor not in keys:
                 out.append(f"{name}: the anchor {anchor} is missing")
             for c, p in table.items():
                 if c in blocked:
                     out.append(f"{name}: {c} is forbidden")
                     continue
-                if c != anchor and p not in table:
+                if c != anchor and p not in keys:
                     out.append(f"{name}: {c} links to {p}, "
                                "which is not in the table")
                 elif c != anchor and all(_step(space, p, a, d) != c
@@ -352,8 +475,7 @@ class RegionReport:
                                "not one unit step back")
                 for a in axes:
                     n = _step(space, c, a, d)
-                    if n is not None and n not in blocked \
-                            and n not in table:
+                    if n is not None and n not in keys and n not in blocked:
                         out.append(f"{name}: the step from {c} "
                                    f"to {n} leaves the table")
         return out
@@ -361,7 +483,7 @@ class RegionReport:
 
 def analyze(space):
     """The report of space: its forward closure now, safe when read."""
-    return RegionReport(space, reachable(space))
+    return RegionReport(space, _closure(space, +1))
 
 
 def render(report):
@@ -373,13 +495,12 @@ def render(report):
     space = report.space
     if space.dims != 2:
         raise ValueError("rendering needs exactly two axes")
-    blocked = space.blocked
     lines = []
     for y in reversed(range(space.shape[1])):
         row = []
         for x in range(space.shape[0]):
             c = (x, y)
-            if c in blocked:
+            if space.is_blocked(c):
                 row.append("#")
             elif c in report.reachable:
                 row.append("B" if c in report.safe else "R")

@@ -33,7 +33,6 @@ import re
 from dataclasses import dataclass
 
 from homtt import checker as ch
-from homtt import dspace as ds
 from homtt import fincat as fc
 from homtt import kernel as k
 from homtt.parser import ParseError
@@ -648,10 +647,25 @@ def mirror_left_elim(itp, ctx, e):
 # directed grids
 
 
+# These read only a space's fields, ticks and forbidden, so they share no
+# code with homtt.dspace.
+
+
 def rect_cells(space, r):
     """The cells lying wholly inside a closed tick rectangle."""
     return frozenset(itertools.product(*(range(r.lo[a], r.hi[a])
-                                         for a in range(space.dims))))
+                                         for a in range(len(space.ticks)))))
+
+
+def forbidden_cells(space):
+    """The cells lying wholly inside some closed tick rectangle."""
+    return frozenset().union(*(rect_cells(space, r) for r in space.forbidden))
+
+
+def _steps(shape, cell, delta):
+    for axis, n in enumerate(shape):
+        if 0 <= cell[axis] + delta < n:
+            yield cell[:axis] + (cell[axis] + delta,) + cell[axis + 1:]
 
 
 def closure_cells(space, forward=True):
@@ -662,8 +676,9 @@ def closure_cells(space, forward=True):
     with no link table.  A cell already seen is not walked again, so the
     walk is linear in the cells and suits every grid from_pv accepts.
     """
-    blocked = ds.forbidden_cells(space)
-    start = space.initial if forward else space.final
+    blocked = forbidden_cells(space)
+    shape = [len(t) - 1 for t in space.ticks]
+    start = tuple(0 if forward else n - 1 for n in shape)
     delta = 1 if forward else -1
     seen = set()
     stack = [] if start in blocked else [start]
@@ -672,28 +687,43 @@ def closure_cells(space, forward=True):
         if cell in seen:
             continue
         seen.add(cell)
-        for axis in range(space.dims):
-            value = cell[axis] + delta
-            if 0 <= value < space.shape[axis]:
-                step = cell[:axis] + (value,) + cell[axis + 1:]
-                if step not in blocked:
-                    stack.append(step)
+        stack += (step for step in _steps(shape, cell, delta)
+                  if step not in blocked)
     return seen
 
 
-def deadlocks_by_scan(report):
-    """Reachable non-final cells with no legal forward step."""
-    space = report.space
-    blocked = space.blocked
-    final = space.final
-    dead = []
-    for c in sorted(report.reachable):
-        if c == final:
-            continue
-        moves = (ds._step(space, c, a, +1) for a in range(space.dims))
-        if all(n is None or n in blocked for n in moves):
-            dead.append(c)
-    return tuple(dead)
+def link_table(space, forward=True):
+    """A closure's link table, built cell by cell in sweep order.
+
+    Cells come in lexicographic order, reversed when walking backward;
+    each allowed cell links to its neighbour one step back on the first
+    axis whose neighbour is already in the table, and the start corner
+    links to None.
+    """
+    blocked = forbidden_cells(space)
+    shape = [len(t) - 1 for t in space.ticks]
+    delta = 1 if forward else -1
+    start = tuple(0 if forward else n - 1 for n in shape)
+    links = {}
+    if start in blocked:
+        return links
+    for cell in itertools.product(*(range(n)[::delta] for n in shape)):
+        if cell == start:
+            links[cell] = None
+        elif cell not in blocked:
+            back = [c for c in _steps(shape, cell, -delta) if c in links]
+            if back:
+                links[cell] = back[0]
+    return links
+
+
+def deadlocks_by_scan(space):
+    """Reachable non-final cells with no legal forward step, in order."""
+    blocked = forbidden_cells(space)
+    shape = [len(t) - 1 for t in space.ticks]
+    final = tuple(n - 1 for n in shape)
+    return tuple(c for c in sorted(closure_cells(space)) if c != final
+                 and all(n in blocked for n in _steps(shape, c, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -292,8 +292,9 @@ def test_criterion_08_swiss_flag():
                   load_space("threeway.pv"), stress]
         for s in spaces:
             assert s.validate() == []
-            assert set(ds.reachable(s)) == oracles.closure_cells(s, True)
-            assert set(ds.safe(s)) == oracles.closure_cells(s, False)
+            closures = ds.analyze(s)
+            assert set(closures.reachable) == oracles.closure_cells(s, True)
+            assert set(closures.safe) == oracles.closure_cells(s, False)
 
 
 # ---------------------------------------------------------------------------

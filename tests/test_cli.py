@@ -805,15 +805,17 @@ def test_pv_swissflag_report(capsys):
 
 
 def test_pv_planted_closure_defect_fails_closure_oracle(capsys, monkeypatch):
-    # the forward closure loses a cell that no other cell links to
+    # the forward sweep loses a cell that no other cell links to
     closure = ds._closure
 
-    def dropped(space, start, d):
-        links = closure(space, start, d)
+    def dropped(space, d):
+        rows = closure(space, d)
         if d == 1:
-            del links[next(c for c in reversed(links) if c != space.final
-                           and c not in links.values())]
-        return links
+            links = ds._build_links(space, rows, d)
+            x, y = next(c for c in reversed(links) if c != space.final
+                        and c not in links.values())
+            rows = rows[:x] + (rows[x] & ~(1 << y),) + rows[x + 1:]
+        return rows
     path = str(CORPUS / "swissflag.pv")
     rc, out, _ = run(capsys, "pv", "--oracle", "--format", "records", path)
     assert (rc, out.splitlines()[-1]) == (1, f"closure-oracle\t{path}\tok\t")
@@ -858,32 +860,41 @@ def test_pv_closure_oracle_at_realistic_size(capsys, tmp_path):
     prog.write_text(REALISTIC, encoding="utf-8")
     space = ds.from_pv(ds.parse_pv(REALISTIC))
     assert space.shape == (15, 15, 15)
-    assert set(ds.reachable(space)) == oracles.closure_cells(space, True)
-    assert set(ds.safe(space)) == oracles.closure_cells(space, False)
+    report = ds.analyze(space)
+    assert set(report.reachable) == oracles.closure_cells(space, True)
+    assert set(report.safe) == oracles.closure_cells(space, False)
     rc, out, _ = run(capsys, "pv", "--oracle", "--format", "records",
                      str(prog))
     assert rc == 1  # it deadlocks
     assert "closure-oracle\t" + str(prog) + "\tok\t\n" in out
 
 
-@pytest.mark.parametrize("flags, backward", [
-    (("--format", "records"), 0),
-    (("--format", "human"), 1),
-    (("--format", "records", "--oracle"), 1),
-    (("--format", "human", "--oracle"), 1),
+@pytest.mark.parametrize("flags, backward, links", [
+    (("--format", "records"), 0, 0),
+    (("--format", "human"), 1, 0),
+    (("--format", "records", "--oracle"), 1, 1),
+    (("--format", "human", "--oracle"), 1, 1),
 ], ids=["records", "human", "oracle", "human-oracle"])
 def test_pv_runs_the_backward_closure_only_when_read(capsys, monkeypatch,
-                                                      flags, backward):
+                                                      flags, backward, links):
+    # sweeps and link-table builds per file, by direction: human output
+    # reads only the masks, and only the certificate reads links
     files = sorted(str(p) for p in CORPUS.glob("*.pv"))
     assert len(files) == 4
-    closure, calls = ds._closure, []
+    closure, build, sweeps, built = ds._closure, ds._build_links, [], []
 
-    def counted(space, start, d):
-        calls.append(d)
-        return closure(space, start, d)
+    def counted(space, d):
+        sweeps.append(d)
+        return closure(space, d)
+
+    def counted_links(space, rows, d):
+        built.append(d)
+        return build(space, rows, d)
     monkeypatch.setattr(ds, "_closure", counted)
+    monkeypatch.setattr(ds, "_build_links", counted_links)
     run(capsys, "pv", *flags, *files)
-    assert (calls.count(1), calls.count(-1)) == (4, 4 * backward)
+    assert (sweeps.count(1), sweeps.count(-1)) == (4, 4 * backward)
+    assert (built.count(1), built.count(-1)) == (4 * links, 4 * links)
 
 
 def _pv_text(prog):

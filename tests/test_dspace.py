@@ -1,6 +1,7 @@
 """Grid reachability checked against a walk of monotone paths, and
 deadlocks against a scan of every reachable cell."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -20,6 +21,15 @@ P(n) P(m) V(m) V(n)
 
 def swiss_space():
     return ds.from_pv(ds.parse_pv(SWISS))
+
+
+def all_cells(space):
+    return itertools.product(*(range(n) for n in space.shape))
+
+
+def blocked_cells(space):
+    """The cells the space's membership predicate forbids."""
+    return {c for c in all_cells(space) if space.is_blocked(c)}
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +89,7 @@ def test_swiss_ticks_and_rectangles():
         ds.Rect((1, 2), (4, 3)),
         ds.Rect((2, 1), (3, 4)),
     )
-    assert ds.forbidden_cells(space) == {
+    assert blocked_cells(space) == oracles.forbidden_cells(space) == {
         (1, 2), (2, 2), (3, 2), (2, 1), (2, 3)}
     assert space.shape == (5, 5)
     assert space.validate() == []
@@ -97,7 +107,7 @@ def test_single_process_is_a_directed_interval():
 def test_minimal_mutex_forbids_one_cell():
     space = ds.from_pv(ds.parse_pv("P(m) V(m)\nP(m) V(m)"))
     assert space.forbidden == (ds.Rect((1, 1), (2, 2)),)
-    assert ds.forbidden_cells(space) == {(1, 1)}
+    assert blocked_cells(space) == oracles.forbidden_cells(space) == {(1, 1)}
     report = ds.analyze(space)
     assert report.unreachable == ()
     assert report.unsafe == ()
@@ -199,8 +209,8 @@ def test_full_width_wall_strands_the_bottom_rows():
 def test_empty_forbidden_set_has_no_deadlocks():
     space = ds.DirectedGridSpace((("0", "a", "1"), ("0", "b", "1")))
     report = ds.analyze(space)
-    assert set(report.reachable) == set(ds.states(space))
-    assert set(report.safe) == set(ds.states(space))
+    assert set(report.reachable) == set(all_cells(space))
+    assert set(report.safe) == set(all_cells(space))
     assert ds.deadlocks(report) == ()
 
 
@@ -224,8 +234,9 @@ def test_closure_from_a_forbidden_corner_is_empty():
     ticks = (("0", "a", "1"), ("0", "b", "1"))
     trap = ds.DirectedGridSpace(ticks, (ds.Rect((0, 0), (1, 1)),))
     end = ds.DirectedGridSpace(ticks, (ds.Rect((1, 1), (2, 2)),))
-    assert ds.reachable(trap) == {} and ds.safe(end) == {}
-    assert len(ds.safe(trap)) == len(ds.reachable(end)) == 3
+    trapped, ended = ds.analyze(trap), ds.analyze(end)
+    assert trapped.reachable == {} and ended.safe == {}
+    assert len(trapped.safe) == len(ended.reachable) == 3
     # the certificate accepts an empty table at a forbidden anchor
     assert ds.analyze(trap).validate() == ds.analyze(end).validate() == []
 
@@ -235,6 +246,14 @@ def test_space_validation_reports_a_rectangle_missing_an_axis():
     short = ds.DirectedGridSpace(ticks, (ds.Rect((0,), (1,)),))
     assert short.validate() == [
         "rectangle Rect(lo=(0,), hi=(1,)) does not span every axis"]
+
+
+def test_a_grid_needs_an_axis_and_a_program_a_process():
+    # row masks run over the last axis, so a grid without one is refused
+    assert ds.DirectedGridSpace(()).validate() == ["the grid has no axes"]
+    assert ds.PVProgram(()).validate() == ["no processes"]
+    with pytest.raises(ds.PvError, match="no processes"):
+        ds.from_pv(ds.PVProgram(()))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +276,9 @@ ORACLE_SPACES = [
                                                            ORACLE_SPACES])
 def test_closures_match_path_enumeration(name, build):
     space = build()
-    assert set(ds.reachable(space)) == oracles.closure_cells(space, True)
-    assert set(ds.safe(space)) == oracles.closure_cells(space, False)
+    report = ds.analyze(space)
+    assert set(report.reachable) == oracles.closure_cells(space, True)
+    assert set(report.safe) == oracles.closure_cells(space, False)
 
 
 @pytest.mark.parametrize("name,build", ORACLE_SPACES, ids=[n for n, _ in
@@ -297,9 +317,9 @@ TAMPERS = [
                          ids=[t[0] for t in TAMPERS])
 def test_certificate_names_each_planted_fault(name, table, tamper, problem):
     report = ds.analyze(swiss_space())
-    # safe is computed on first read, so it is planted in a fresh report
-    # before anything reads it; reachable is a field, set the same way
-    bad = ds.RegionReport(report.space, report.reachable)
+    # both tables are read from the masks on first read, so the tampered
+    # one is planted in a fresh report before anything reads it
+    bad = ds.analyze(report.space)
     object.__setattr__(bad, table, tamper(getattr(report, table)))
     assert problem in bad.validate()
 
@@ -355,7 +375,7 @@ def test_deadlocks_match_the_scan():
     for space in referee_spaces():
         report = ds.analyze(space)
         got = ds.deadlocks(report)
-        assert got == oracles.deadlocks_by_scan(report), space
+        assert got == oracles.deadlocks_by_scan(space), space
         dead[space] = got
     # not vacuous: many programs deadlock, and in some three-axis ones a
     # process has finished while the other two are stuck
@@ -420,8 +440,8 @@ def test_safe_is_reachable_of_the_reversed_space(name, build):
     space = build()
     rev = op_space(space)
     assert rev.validate() == []
-    mirrored = {mirror_cell(space, c) for c in ds.reachable(rev)}
-    assert set(ds.safe(space)) == mirrored
+    mirrored = {mirror_cell(space, c) for c in ds.analyze(rev).reachable}
+    assert set(ds.analyze(space).safe) == mirrored
     assert op_space(rev) == space
 
 
@@ -433,8 +453,8 @@ def test_swapping_processes_transposes_the_space():
         l.replace("^B", "^A") for l in space.ticks[1])
     assert swapped.ticks[1] == tuple(
         l.replace("^A", "^B") for l in space.ticks[0])
-    flip = {(y, x) for x, y in ds.forbidden_cells(space)}
-    assert ds.forbidden_cells(swapped) == flip
+    flip = {(y, x) for x, y in blocked_cells(space)}
+    assert blocked_cells(swapped) == flip
     assert {(y, x) for x, y in ds.analyze(space).unreachable} == set(
         ds.analyze(swapped).unreachable)
 
@@ -446,3 +466,105 @@ def test_renaming_semaphores_keeps_the_geometry():
     assert renamed.ticks[0] == tuple(
         l.replace("_m", "_u") for l in space.ticks[0])
     assert ds.analyze(renamed).unreachable == ds.analyze(space).unreachable
+
+
+# ---------------------------------------------------------------------------
+# the row sweep on edge shapes, against the referees
+
+
+def grid(*widths):
+    """Ticks for a grid with the given number of cells per axis."""
+    return tuple(("0",) + tuple(f"t{i}" for i in range(1, n)) + ("1",)
+                 for n in widths)
+
+
+EDGE_SPACES = [
+    # no prefix axes: every cell sits in the one row
+    ("one-axis", ds.DirectedGridSpace(grid(5), (ds.Rect((2,), (3,)),))),
+    # a rectangle covering the whole of row x = 1 walls off the right
+    ("whole-row", ds.DirectedGridSpace(grid(4, 4), (
+        ds.Rect((1, 0), (2, 4)),))),
+    ("whole-row-3d", ds.DirectedGridSpace(grid(3, 3, 4), (
+        ds.Rect((1, 1, 0), (2, 2, 4)), ds.Rect((0, 2, 1), (3, 3, 2))))),
+    # lo == hi on a prefix axis and on the last axis cover no cell
+    ("empty-rects", ds.DirectedGridSpace(grid(4, 4), (
+        ds.Rect((1, 1), (1, 3)), ds.Rect((1, 2), (3, 2)),
+        ds.Rect((2, 0), (3, 2))))),
+    # 17-cell rows, the widest from_pv builds, with runs across bit 16
+    ("17-cell-rows", ds.DirectedGridSpace(grid(4, 17), (
+        ds.Rect((1, 5), (2, 16)), ds.Rect((2, 0), (3, 16))))),
+    ("17-cubed", ds.DirectedGridSpace(grid(17, 17, 17), (
+        ds.Rect((3, 4, 0), (9, 12, 17)), ds.Rect((0, 10, 6), (17, 11, 16)),
+        ds.Rect((12, 0, 15), (17, 16, 16))))),
+    # a forbidden anchor leaves that direction's closure empty
+    ("forbidden-initial", ds.DirectedGridSpace(grid(3, 3), (
+        ds.Rect((0, 0), (1, 1)),))),
+    ("forbidden-final", ds.DirectedGridSpace(grid(3, 3), (
+        ds.Rect((2, 2), (3, 3)),))),
+]
+
+
+def assert_matches_referees(space):
+    report = ds.analyze(space)
+    assert blocked_cells(space) == oracles.forbidden_cells(space)
+    for table, forward in ((report.reachable, True), (report.safe, False)):
+        # same keys, links and order as the cell-by-cell sweep
+        expected = oracles.link_table(space, forward)
+        assert list(table.items()) == list(expected.items())
+        assert set(expected) == oracles.closure_cells(space, forward)
+        assert len(table) == len(expected)
+        assert all(c in table for c in expected)
+        assert not any(c in table for c in all_cells(space)
+                       if c not in expected)
+    assert ds.deadlocks(report) == oracles.deadlocks_by_scan(space)
+    assert report.validate() == []
+
+
+@pytest.mark.parametrize("name,space", EDGE_SPACES,
+                         ids=[n for n, _ in EDGE_SPACES])
+def test_row_sweep_matches_the_referees_on_edge_shapes(name, space):
+    assert_matches_referees(space)
+    rev = op_space(space)
+    assert_matches_referees(rev)
+    assert {mirror_cell(space, c) for c in ds.analyze(rev).reachable} == \
+        set(ds.analyze(space).safe)
+
+
+def test_edge_shapes_are_not_vacuous():
+    spaces = dict(EDGE_SPACES)
+    one = ds.analyze(spaces["one-axis"])
+    assert list(one.reachable) == [(0,), (1,)]
+    assert list(one.safe) == [(4,), (3,)]
+    assert ds.deadlocks(one) == ((1,),)
+    assert blocked_cells(spaces["empty-rects"]) == {(2, 0), (2, 1)}
+    wall = ds.analyze(spaces["whole-row"])
+    assert set(wall.reachable) == {(0, y) for y in range(4)}
+    assert ds.deadlocks(wall) == ((0, 3),)
+    wide = ds.analyze(spaces["17-cell-rows"])
+    assert (1, 4) in wide.reachable and (1, 5) not in wide.reachable
+    assert (3, 16) in wide.reachable and (0, 16) in wide.safe
+    assert ds.deadlocks(wide) == ((1, 4),)
+    assert len(ds.analyze(spaces["forbidden-initial"]).reachable) == 0
+    assert len(ds.analyze(spaces["forbidden-final"]).safe) == 0
+    assert spaces["forbidden-initial"].validate() == [
+        "the initial corner is forbidden"]
+
+
+def test_membership_is_false_off_the_grid():
+    space = swiss_space()
+    report = ds.analyze(space)
+    for cell in ((5, 0), (0, -1), (0, 0, 0), (0,)):
+        assert not space.is_blocked(cell)
+        assert cell not in report.reachable and cell not in report.safe
+
+
+def test_link_tables_and_deadlocks_of_generated_programs():
+    # the 60 programs the cli modes test runs, against the referees
+    for i in range(60):
+        space = ds.from_pv(random_program(random.Random(f"pv-modes/{i}")))
+        report = ds.analyze(space)
+        for table, forward in ((report.reachable, True),
+                               (report.safe, False)):
+            assert list(table.items()) == list(
+                oracles.link_table(space, forward).items())
+        assert ds.deadlocks(report) == oracles.deadlocks_by_scan(space)
