@@ -272,33 +272,6 @@ def core_inclusion(c):
                    {identity_mor(x): c.identity[x] for x in c.objects})
 
 
-@dataclass(frozen=True)
-class NatTrans:
-    source: Functor
-    target: Functor
-    components: dict
-
-    def validate(self):
-        F, G = self.source, self.target
-        out = []
-        if F.source != G.source or F.target != G.target:
-            return ["functors do not share source and target"]
-        for x in F.source.objects:
-            cx = self.components.get(x)
-            if cx is None:
-                out.append(f"no component at {_fmt(x)}")
-            elif cx.dom != F.ob[x] or cx.cod != G.ob[x]:
-                out.append(f"component at {_fmt(x)} has wrong endpoints")
-        if out:
-            return out
-        for m in F.source.morphisms:
-            lhs = F.target.comp(self.components[m.cod], F.mor[m])
-            rhs = F.target.comp(G.mor[m], self.components[m.dom])
-            if lhs != rhs:
-                out.append(f"naturality fails at {_fmt(m.name)}")
-        return out
-
-
 # ---------------------------------------------------------------------------
 # fiber assignments (functors into Cat) and their sections
 
@@ -675,9 +648,8 @@ def _valid(name, x):
 
 
 def build_catfile(cf):
-    """Build and validate every block of a CatFile: categories, functors,
-    nats, then squares, each kind in file order; a nat or square is only
-    validated, not kept.  The first problem is a BlockError."""
+    """Build and validate every block of a CatFile: categories, then
+    functors, each kind in file order.  The first problem is a BlockError."""
     ws = Workspace(fibers=cf.fibers, sections=cf.sections)
     tokens = {}  # category name -> its morphisms by text
     for name, block in cf.categories.items():
@@ -707,37 +679,5 @@ def build_catfile(cf):
             if x in ob:
                 mor.setdefault(src.identity[x], tgt.identity[ob[x]])
         ws.functors[name] = _valid(name, Functor(src, tgt, ob, mor))
-    for name, block in cf.nats.items():
-        for fn in (block.source, block.target):
-            if fn not in ws.functors:
-                raise BlockError(name, f"unknown functor {fn!r}")
-        F, G = ws.functors[block.source], ws.functors[block.target]
-        tgt_n = tokens[cf.functors[block.source].target]
-        comps = {}
-        for x, mn in block.components:
-            if x not in F.source.objects or mn not in tgt_n:
-                raise BlockError(name, f"bad component 'at {x} : {mn}'")
-            comps[x] = tgt_n[mn]
-        _valid(name, NatTrans(F, G, comps))
-    for name, block in cf.squares.items():
-        problem = _square_problem(block, ws.functors)
-        if problem:
-            raise BlockError(name, problem)
     return ws
 
-
-def _square_problem(block, functors):
-    """Why a square block is not a commuting square of known functors:
-    top then right must equal left then bottom."""
-    sides = ("left", "right", "top", "bottom")
-    legs = {side: functors.get(getattr(block, side)) for side in sides}
-    for side in sides:
-        if legs[side] is None:
-            return f"unknown functor {getattr(block, side)!r}"
-    if legs["top"].target != legs["right"].source:
-        return "top and right do not compose"
-    if legs["left"].target != legs["bottom"].source:
-        return "left and bottom do not compose"
-    diff = differences(functor_compose(legs["right"], legs["top"]),
-                       functor_compose(legs["bottom"], legs["left"]))
-    return f"square does not commute: {diff[0]}" if diff else None

@@ -17,7 +17,7 @@ interning constructors, so equal subterms are one object.  Keywords:
 `#` starts a line comment.  Identifiers may contain primes (t').
 
 .fincat files are line oriented and hold named blocks: `category`, `functor`,
-`nat`, `fiber`, `section`, and `square`; see the README for the full format.
+`fiber` and `section`; see the README for the full format.
 Category laws are not checked here (fincat.validate does that); this module
 checks shape and referential integrity inside each block.
 """
@@ -472,15 +472,6 @@ class FunctorBlock:
 
 
 @dataclass
-class NatBlock:
-    name: str
-    source: str
-    target: str
-    components: list = field(default_factory=list)
-    line: int = 0
-
-
-@dataclass
 class FiberBlock:
     name: str
     constant: str | None = None
@@ -497,28 +488,16 @@ class SectionBlock:
 
 
 @dataclass
-class SquareBlock:
-    name: str
-    left: str | None = None
-    right: str | None = None
-    top: str | None = None
-    bottom: str | None = None
-    line: int = 0
-
-
-@dataclass
 class CatFile:
     categories: dict = field(default_factory=dict)
     functors: dict = field(default_factory=dict)
-    nats: dict = field(default_factory=dict)
     fibers: dict = field(default_factory=dict)
     sections: dict = field(default_factory=dict)
-    squares: dict = field(default_factory=dict)
 
 
-_FC_TOKEN = re.compile(r"[A-Za-z0-9_']+|->|=>|[\[\]():=*]|\S")
+_FC_TOKEN = re.compile(r"[A-Za-z0-9_']+|->|[\[\]():=*]|\S")
 _FC_WORD = re.compile(r"[A-Za-z0-9_']+\Z")
-_FC_PUNCT = frozenset({"->", "=>", "[", "]", "(", ")", ":", "=", "*"})
+_FC_PUNCT = frozenset({"->", "[", "]", "(", ")", ":", "=", "*"})
 
 
 def _fc_lex(line, path, ln):
@@ -562,14 +541,10 @@ class _FincatParser:
                     self._category(toks, body, ln)
                 case "functor":
                     self._functor(toks, body, ln)
-                case "nat":
-                    self._nat(toks, body, ln)
                 case "fiber":
                     self._fiber(toks, body, ln)
                 case "section":
                     self._section(toks, body, ln)
-                case "square":
-                    self._square(toks, body, ln)
                 case _:
                     self.err(f"expected a block header, found {head!r}", ln)
 
@@ -641,20 +616,6 @@ class _FincatParser:
                 case _:
                     self.err(f"bad functor line: {' '.join(toks)}", bln)
 
-    def _nat(self, header, body, ln):
-        match header:
-            case ["nat", name, ":", src, "=>", tgt]:
-                block = NatBlock(name, src, tgt, line=ln)
-            case _:
-                self.err("usage: nat NAME : F => G", ln)
-        self.register(self.out.nats, block)
-        for toks, bln in body:
-            match toks:
-                case ["at", x, ":", m]:
-                    block.components.append((x, m))
-                case _:
-                    self.err(f"bad nat line: {' '.join(toks)}", bln)
-
     def _addr_line(self, toks, bln, kind):
         """The (address, name) of a `KEYWORD ADDRESS : NAME` line.  An
         address is NAME, [a b c], or [a b] (f g) for a morphism."""
@@ -709,23 +670,6 @@ class _FincatParser:
             if toks[0] != "at":
                 self.err(f"bad section line: {' '.join(toks)}", bln)
             block.components.append(self._addr_line(toks, bln, "section"))
-
-    def _square(self, header, body, ln):
-        if len(header) != 2:
-            self.err("usage: square NAME", ln)
-        block = SquareBlock(header[1], line=ln)
-        self.register(self.out.squares, block)
-        for toks, bln in body:
-            match toks:
-                case [("left" | "right" | "top" | "bottom") as side, name]:
-                    if getattr(block, side) is not None:
-                        self.err(f"repeated {side}", bln)
-                    setattr(block, side, name)
-                case _:
-                    self.err(f"bad square line: {' '.join(toks)}", bln)
-        for side in ("left", "right", "top", "bottom"):
-            if getattr(block, side) is None:
-                self.err(f"square {block.name!r} is missing {side}", ln)
 
 
 def parse_fincat(text, path="<input>", cf=None):

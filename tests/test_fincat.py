@@ -496,20 +496,6 @@ def test_functor_compose_and_identity():
     assert fc.functor_compose(F, F) == F
 
 
-def test_nat_trans_naturality_failure():
-    c = para()
-    p = next(m for m in c.morphisms if m.name == "p")
-    q = next(m for m in c.morphisms if m.name == "q")
-    ids = {m: m for m in c.morphisms}
-    F = fc.Functor(c, c, {"0": "0", "1": "1"}, {**ids, q: p})
-    G = fc.Functor(c, c, {"0": "0", "1": "1"}, {**ids, p: p})
-    assert F.validate() == [] and G.validate() == []
-    eta = fc.NatTrans(F, G, {"0": c.identity["0"], "1": c.identity["1"]})
-    assert any("naturality fails at q" in msg for msg in eta.validate())
-    ok = fc.NatTrans(G, G, {"0": c.identity["0"], "1": c.identity["1"]})
-    assert ok.validate() == []
-
-
 # -- grothendieck construction ---------------------------------------------
 
 def inclusion_fibers():
@@ -1024,10 +1010,6 @@ def test_build_catfile_round_trip():
         "  ob 0 -> 0\n"
         "  ob 1 -> 1\n"
         "  arr a -> a\n"
-        "end\n"
-        "nat same : keep => keep\n"
-        "  at 0 : id_0\n"
-        "  at 1 : id_1\n"
         "end\n")
     ws = fc.build_catfile(cf)
     assert ws.categories["two"] == two()
@@ -1041,40 +1023,6 @@ def test_build_catfile_reports_unknowns():
     with pytest.raises(fc.BlockError) as err:
         fc.build_catfile(cf)
     assert err.value.args == ("F", "unknown category 'd'")
-
-
-SQUARE_WORLD = (
-    "category star\n  objects *\nend\n"
-    "category two\n  objects 0 1\n  arrow a : 0 -> 1\nend\n"
-    "functor at0 : star -> two\n  ob * -> 0\nend\n"
-    "functor at1 : star -> two\n  ob * -> 1\nend\n"
-    "functor keep : two -> two\n  ob 0 -> 0\n  ob 1 -> 1\n  arr a -> a\nend\n")
-
-
-def _square(left, right, top, bottom):
-    return (f"square sq\n  left {left}\n  right {right}\n  top {top}\n"
-            f"  bottom {bottom}\nend\n")
-
-
-@pytest.mark.parametrize("block, problem", [
-    ("nat eta : keep => keep\n  at 0 : a\n  at 1 : id_1\nend\n",
-     ("eta", "component at 0 has wrong endpoints")),
-    (_square("at0", "keep", "at0", "nope"), ("sq", "unknown functor 'nope'")),
-    (_square("at0", "at0", "keep", "keep"),
-     ("sq", "top and right do not compose")),
-    (_square("at0", "keep", "at1", "keep"),
-     ("sq", "square does not commute: functors differ at object *")),
-], ids=["nat-endpoints", "square-unknown", "square-legs", "square-commutes"])
-def test_build_catfile_validates_nats_and_squares(block, problem):
-    with pytest.raises(fc.BlockError) as err:
-        fc.build_catfile(ps.parse_fincat(SQUARE_WORLD + block))
-    assert err.value.args == problem
-
-
-def test_build_catfile_accepts_a_commuting_square():
-    ws = fc.build_catfile(ps.parse_fincat(
-        SQUARE_WORLD + _square("at1", "keep", "at1", "keep")))
-    assert set(ws.functors) == {"at0", "at1", "keep"}
 
 
 def test_relabel_renames_and_maps():

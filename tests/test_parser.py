@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -213,11 +214,6 @@ functor swap : two -> two
   ob b -> a
   arr f -> f
 end
-
-nat eta : swap => swap
-  at a : id_b
-  at b : id_a
-end
 """
 
 
@@ -230,7 +226,6 @@ def test_fincat_category_block():
     fun = cf.functors["swap"]
     assert (fun.source, fun.target) == ("two", "two")
     assert ("a", "b") in fun.ob and ("f", "f") in fun.arr
-    assert cf.nats["eta"].components == [("a", "id_b"), ("b", "id_a")]
 
 
 def test_fincat_compose_and_identity_names():
@@ -265,20 +260,23 @@ def test_fincat_fiber_section_square():
         "  at a : pa\n"
         "  at [a b] : pab\n"
         "end\n"
-        "square sq\n"
-        "  left L\n"
-        "  right R\n"
-        "  top T\n"
-        "  bottom B\n"
-        "end\n"
     )
     fib = cf.fibers["S"]
     assert fib.fibers == [("a", "Fa"), (("a", "b"), "Fab")]
     assert fib.transitions == [("f", "Tf"), ((("a", "b"), ("f", "g")), "Tfg")]
     assert cf.fibers["K"].constant == "two"
     assert cf.sections["s"].components == [("a", "pa"), (("a", "b"), "pab")]
-    sq = cf.squares["sq"]
-    assert (sq.left, sq.right, sq.top, sq.bottom) == ("L", "R", "T", "B")
+
+
+def test_readme_fincat_example_parses():
+    # the README's first .fincat example uses only block headers the
+    # parser accepts
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("### Category files", 1)[1]
+    example = section.split("```\n", 2)[1]
+    cf = p.parse_fincat(example, "README.md")
+    assert cf.categories and cf.functors and cf.fibers
 
 
 @pytest.mark.parametrize("text,frag", [
@@ -288,7 +286,6 @@ def test_fincat_fiber_section_square():
     ("category c\n  objects a a\nend\n", "duplicate object"),
     ("category c\n  objects a\n  compose f f = f\nend\n", "unknown arrow 'f'"),
     ("category c\n  objects a\n", "missing 'end'"),
-    ("square s\n  left L\nend\n", "missing right"),
     ("blob b\nend\n", "expected a block header"),
 ])
 def test_fincat_rejects(text, frag):
