@@ -72,6 +72,11 @@ def test_unknown_base_type():
     assert "unknown base type 'Z'" in str(err.value)
 
 
+def test_check_type_refuses_a_term():
+    with pytest.raises(ch.CheckError, match="not a type: Var"):
+        ch.check_type(sig_b(), (), k.Var(0))
+
+
 # -- term inference --------------------------------------------------------
 
 def test_infer_one():
@@ -87,6 +92,22 @@ def test_one_rejects_raw_element():
     with pytest.raises(ch.CheckError) as err:
         ch.infer_term(sig, (), k.One(k.Const("a")))
     assert "one expects a core element" in str(err.value)
+
+
+def test_infer_term_refuses_a_type():
+    with pytest.raises(ch.CheckError, match="not a term: BaseT"):
+        ch.infer_term(sig_b(), (), k.BaseT("B"))
+
+
+def test_base_type_name_is_not_a_term():
+    with pytest.raises(ch.CheckError) as err:
+        ch.infer_term(sig_b(), (), k.Const("B", ()))
+    assert err.value.args == ("'B' is a type, not a term",)
+
+
+def test_check_source_refuses_an_unknown_declaration():
+    with pytest.raises(k.InternalError, match="unknown declaration"):
+        ch.check_source(ps.SourceFile((k.BaseT("B"),)))
 
 
 def test_infer_var_weakens_entry():

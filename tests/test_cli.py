@@ -733,6 +733,26 @@ def test_wfs_invalid_workspace_block_exits_two(capsys, tmp_path, source,
     assert err.startswith("error: ") and problem in err
 
 
+@pytest.mark.parametrize("block, problem", [
+    ("nat eta : idtwo\n  at 0 : a\n  at 1 : id_1\nend\n",
+     "expected a block header, found 'nat'"),
+    ("square sq\n  left sa\n  right idtwo\n  top sa\n  bottom nope\nend\n",
+     "expected a block header, found 'square'"),
+], ids=["nat", "square"])
+def test_wfs_bad_nat_or_square_exits_two(capsys, tmp_path, block, problem):
+    # nat and square blocks are no longer part of the format: after a
+    # valid workspace, one stops the parse at its header line
+    text = (CORPUS / "scenarios" / "world.fincat").read_text(encoding="utf-8")
+    broken = tmp_path / "broken.fincat"
+    broken.write_text(text + "\n" + block, encoding="utf-8")
+    header = len((text + "\n").splitlines()) + 1
+    rc, out, err = run(capsys, "wfs", str(broken))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and f":{header}:1: {problem}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("text, error", [
     ("category\n  objects a\nend\n", "1:1: usage: category NAME"),
     ("category c\n  objects a\n  objects b\nend\n",

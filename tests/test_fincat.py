@@ -277,6 +277,24 @@ def test_planted_fiber_assignment_defects_match_the_referee():
             for name, fa in planted.items()} == want
 
 
+def test_fiber_assignment_names_missing_fibers():
+    # objects that are neither strings, Mors nor tuples print by repr
+    base = fc.mkdiscrete((0, 1))
+    fa = fc.FiberAssignment(base, {}, {})
+    assert fa.validate() == ["no fiber at 0", "no fiber at 1",
+                             "no transition along (id 0)",
+                             "no transition along (id 1)"]
+
+
+def test_fiber_assignment_names_missing_transitions():
+    base = two()
+    fa = fc.constant_fibers(base, star())
+    a = next(m for m in base.morphisms if m.name == "a")
+    short = fc.FiberAssignment(
+        base, fa.fibers, {m: t for m, t in fa.transitions.items() if m != a})
+    assert short.validate() == ["no transition along a"]
+
+
 def test_fiber_assignment_over_an_invalid_base_fails_like_the_referee():
     # a base composite at a pair that does not compose, between fibers
     # that differ: both refuse to compose the transitions
@@ -490,6 +508,19 @@ def test_functor_collapse_is_valid():
     assert collapse_z2().validate() == []
 
 
+def test_fincat_repr_counts_objects_and_morphisms():
+    assert repr(two()) == "FinCat(2 objects, 3 morphisms)"
+    assert repr(fc.mkdiscrete(())) == "FinCat(0 objects, 0 morphisms)"
+
+
+def test_token_of_a_constructed_name_is_none():
+    a = next(m for m in two().morphisms if m.name == "a")
+    assert [fc.token(v) for v in ("x", a, fc.identity_mor("0"))] == \
+        ["x", "a", "id_0"]
+    assert fc.token(("id", ("0", "1"))) is None
+    assert fc.token(fc.Mor(("a", "b"), "0", "1")) is None
+
+
 def test_functor_compose_and_identity():
     F = collapse_z2()
     assert fc.functor_compose(F, fc.identity_functor(z2())) == F
@@ -645,6 +676,27 @@ def test_hom_functor_rejects_broken_section():
     assert "a" in str(err.value)
 
 
+def test_section_identity_part_must_be_the_identity():
+    fa = fc.constant_fibers(star(), z2())
+    s = next(m for m in z2().morphisms if m.name == "s")
+    bad = fc.Section(fa, {"*": "e"}, {star().identity["*"]: s})
+    # s after s is the identity, so the law at the identity pair fails too
+    assert bad.validate() == [
+        "morphism part at identity of * is not the identity",
+        "section law fails at ((id *), (id *))"]
+
+
+def test_section_law_failure_names_the_pair():
+    base, fib = chain3(), z2()
+    fa = fc.constant_fibers(base, fib)
+    s = next(m for m in fib.morphisms if m.name == "s")
+    mor = {m: fib.identity["e"] if m.dom == m.cod else s
+           for m in base.morphisms}
+    bad = fc.Section(fa, {x: "e" for x in base.objects}, mor)
+    # c02 is carried to s, but c12 after c01 is carried to s after s
+    assert bad.validate() == ["section law fails at (c12, c01)"]
+
+
 def test_identity_section_point():
     fa = fc.constant_fibers(star(), chain3())
     t = fc.strict_section(fc.core_fibers(fa), {"*": "1"})
@@ -727,6 +779,12 @@ def test_pullback_over_point_is_product():
     assert pb.validate() == []
     assert len(pb.objects) == 4
     assert len(pb.morphisms) == 9
+
+
+def test_pullback_refuses_legs_with_different_targets():
+    with pytest.raises(ValueError, match="different targets"):
+        fc.pullback_cat(fc.identity_functor(two()),
+                        fc.identity_functor(star()))
 
 
 def test_pullback_pairs_and_composites_match_the_full_scan():

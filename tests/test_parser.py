@@ -268,6 +268,15 @@ def test_fincat_fiber_section_square():
     assert cf.sections["s"].components == [("a", "pa"), (("a", "b"), "pab")]
 
 
+@pytest.mark.parametrize("printer, node", [
+    (p.print_term, k.BaseT("B")),
+    (p.print_type, k.Var(0)),
+], ids=["type-as-term", "term-as-type"])
+def test_printers_refuse_the_other_sort(printer, node):
+    with pytest.raises(k.InternalError, match=printer.__name__):
+        printer(node)
+
+
 def test_readme_fincat_example_parses():
     # the README's first .fincat example uses only block headers the
     # parser accepts

@@ -282,6 +282,15 @@ def test_square_must_commute():
                            into1, fc.identity_functor(twoc))
 
 
+def test_square_legs_must_share_endpoints():
+    stc, twoc = cats.star(), cats.two()
+    into0 = fc.Functor(stc, twoc, {"*": "0"},
+                       {stc.identity["*"]: twoc.identity["0"]})
+    ident = fc.identity_functor(twoc)
+    with pytest.raises(ValueError, match="do not share endpoints"):
+        wfs.LiftingProblem(into0, ident, ident, ident)
+
+
 def test_witness_triangles_are_checked():
     c = cats.two()
     ident = fc.identity_functor(c)
