@@ -40,8 +40,10 @@ class Signature:
     is well-formed when every declaration passed.  A definition is stored
     as (telescope, type, body, expanded body).
 
-    `memo` keeps what nf, infer_term and check_type returned (never a
-    failure); entering a name that is already known clears it.
+    `memo` keeps what nf, infer_term and check_type returned, and which
+    eliminator headers passed premises 2-4 in which context and at which
+    carrier (never a failure); entering a name that is already known
+    clears it.
     """
 
     def __init__(self):
@@ -274,19 +276,25 @@ def _infer_elim(sig, ctx, e):
     right, carrier, s_val, t_val = elim_hom(sig, ctx, e)
     kw = "elimR" if right else "elimL"
 
-    ctx_base, ctx_d = k.elim_contexts(ctx, carrier, th, right)
-    _premise(2, f"{kw} first motive",
-             lambda: check_type(sig, ctx_base[:-1], th))
-    _premise(3, f"{kw} second motive", lambda: check_type(sig, ctx_d, dm))
+    # premises 2-4 read only the context, the side, the carrier and the
+    # header, so they are checked once for each; a failure is never kept
+    key = ("elim", ctx, right, carrier, th, dm, base)
+    if key not in sig.memo:
+        ctx_base, ctx_d = k.elim_contexts(ctx, carrier, th, right)
+        _premise(2, f"{kw} first motive",
+                 lambda: check_type(sig, ctx_base[:-1], th))
+        _premise(3, f"{kw} second motive", lambda: check_type(sig, ctx_d, dm))
 
-    # expected type of the base case: the four-binder motive at the unit of
-    # the core point p = s, (p, i p, one p, th) on the right and
-    # (iop p, p, one p, th) on the left
-    p = k.Var(n)
-    ends = (p, k.IncCore(p)) if right else (k.IncOp(p), p)
-    expected = k.instantiate(dm, n, (*ends, k.One(p), k.Var(n + 1)), n + 2)
-    _premise(4, f"{kw} base case",
-             lambda: check_term(sig, ctx_base, base, expected))
+        # expected type of the base case: the four-binder motive at the unit
+        # of the core point p = s, (p, i p, one p, th) on the right and
+        # (iop p, p, one p, th) on the left
+        p = k.Var(n)
+        ends = (p, k.IncCore(p)) if right else (k.IncOp(p), p)
+        expected = k.instantiate(dm, n, (*ends, k.One(p), k.Var(n + 1)),
+                                 n + 2)
+        _premise(4, f"{kw} base case",
+                 lambda: check_term(sig, ctx_base, base, expected))
+        sig.memo[key] = None
 
     anchor = s_val if right else t_val
     th_arg_ty = k.instantiate(th, n, (anchor,))

@@ -2,7 +2,9 @@
 
 The .dtt language uses named variables; parsing resolves them to de Bruijn
 levels (position in the telescope).  Nodes are built by the kernel's
-interning constructors, so equal subterms are one object.  Keywords:
+interning constructors, so equal subterms are one object.  An eliminator
+header `[...]` whose tokens come again in the same scope is parsed once per
+file; its later copies reuse the nodes of the first.  Keywords:
 
     assume NAME (x : T, ...) : Type          -- base type
     assume NAME (x : T, ...) : T             -- term constant
@@ -149,6 +151,16 @@ class _DttParser:
         self.path = path
         # name -> ("base" | "term", telescope length)
         self.declared = {}
+        # index of each "[" -> index of its matching "]" (none if unmatched)
+        self.close = {}
+        opened = []
+        for i, tok in enumerate(self.toks):
+            if tok == "[":
+                opened.append(i)
+            elif tok == "]" and opened:
+                self.close[opened.pop()] = i
+        # (eliminator header tokens, scope) -> its parsed motives
+        self.headers = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -179,8 +191,6 @@ class _DttParser:
     def fail(self, msg, at=None):
         """Raise at token `at`: by default the next one, or the last at the end."""
         at = min(self.pos if at is None else at, len(self.toks) - 1)
-        if at < 0:
-            raise ParseError(msg, self.path, 1, 1)
         ln = self.line(at)
         first = self.ends[ln - 2] if ln > 1 else 0
         raw = self.text.splitlines()[ln - 1]
@@ -333,13 +343,26 @@ class _DttParser:
 
     def _elim(self, scope):
         cls = k.ElimR if self.next() == "elimR" else k.ElimL
-        self.expect("[")
-        th = self._motive(scope, 1, self._type)
-        self.expect(";")
-        dm = self._motive(scope, 4, self._type)
-        self.expect(";")
-        body = self._motive(scope, 2, self._term)
-        self.expect("]")
+        # A header's parse reads no token past its "]", and a name it found
+        # declared keeps its kind for the rest of the file; so a header that
+        # parsed once parses the same wherever its tokens come again in the
+        # same scope.  Only a parse that succeeded is kept.
+        end = self.close.get(self.pos)
+        key = None if end is None else (tuple(self.toks[self.pos:end]),
+                                         tuple(scope))
+        if key in self.headers:
+            th, dm, body = self.headers[key]
+            self.pos = end + 1
+        else:
+            self.expect("[")
+            th = self._motive(scope, 1, self._type)
+            self.expect(";")
+            dm = self._motive(scope, 4, self._type)
+            self.expect(";")
+            body = self._motive(scope, 2, self._term)
+            self.expect("]")
+            # the brackets of a header that parsed balance: its "[" has a key
+            self.headers[key] = th, dm, body
         self.expect("(")
         f = self._term(scope)
         self.expect(",")

@@ -530,6 +530,65 @@ def test_repeated_eliminator_is_inferred_a_fixed_number_of_times(
     assert calls == 1
 
 
+HEADER_SIG = (
+    "assume T : Type\nassume U : Type\nassume B : Type\n"
+    "assume S (z : T) : Type\nassume sv (z : T) : S(z)\n"
+    "assume b : B\nassume b2 : B\nassume c : core T\nassume cu : core U\n"
+    "assume g : hom T (iop c) (i c)\nassume g2 : hom T (iop c) (i c)\n"
+    "assume gu : hom U (iop cu) (i cu)\n"
+)
+MOTIVES = "x. B; x y h w. S(y)"
+
+
+def test_a_failed_base_case_fails_at_every_occurrence():
+    text = HEADER_SIG + "".join(
+        f"define d{n} : S(i c) := elimR[{MOTIVES}; x w. b]({f}, {th})\n"
+        for n, (f, th) in enumerate([("g", "b"), ("g2", "b"), ("g", "b2")]))
+    _, records = ch.check_source(ps.parse_dtt(text))
+    fails = records[-3:]
+    assert [r.ok for r in fails] == [False] * 3
+    assert {r.detail for r in fails} == {
+        "premise 4: elimR base case: expected S(i s), inferred B"}
+
+
+def test_a_header_that_passed_is_checked_again_elsewhere():
+    # one header passes at carrier T, then fails premise 3 at carrier U;
+    # another passes in (v : T), then fails premise 3 in (v : U)
+    at_t = f"elimR[{MOTIVES}; x w. sv(i x)]"
+    at_v = "elimR[x. B; x y h w. S(v); x w. sv(v)]"
+    text = HEADER_SIG + (
+        f"define d1 : S(i c) := {at_t}(g, b)\n"
+        f"define d2 : B := {at_t}(gu, b)\n"
+        f"define e1 (v : T) : S(v) := {at_v}(g, b)\n"
+        f"define e2 (v : U) : B := {at_v}(g, b)\n"
+    )
+    _, records = ch.check_source(ps.parse_dtt(text))
+    d1, d2, e1, e2 = records[-4:]
+    assert (d1.ok, e1.ok, d2.ok, e2.ok) == (True, True, False, False)
+    assert d2.detail == e2.detail == (
+        "premise 3: elimR second motive: expected T, inferred U")
+
+
+def test_each_header_and_context_gets_its_contexts_built_once(monkeypatch):
+    header = f"elimR[{MOTIVES}; x w. sv(i x)]"
+    args = [("g", "b"), ("g", "b2"), ("g2", "b"), ("g2", "b2")]
+    text = HEADER_SIG + "".join(
+        f"define d{n} : S(i c) := {header}({f}, {th})\n"
+        for n, (f, th) in enumerate(args)) + "".join(
+        f"define e{n} (v : T) : S(i c) := {header}({f}, {th})\n"
+        for n, (f, th) in enumerate(args))
+    calls = []
+    elim_contexts = k.elim_contexts
+
+    def counted(ctx, *args):
+        calls.append(ctx)
+        return elim_contexts(ctx, *args)
+    monkeypatch.setattr(k, "elim_contexts", counted)
+    _, records = ch.check_source(ps.parse_dtt(text))
+    assert all(r.ok for r in records)
+    assert calls == [(), (("v", k.BaseT("T")),)]
+
+
 def test_signature_rejects_duplicates():
     sig = sig_ts()
     with pytest.raises(ch.CheckError) as err:

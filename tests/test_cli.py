@@ -124,6 +124,15 @@ def test_missing_file_exits_two(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text", ["", "# nothing but a comment\n"],
+                         ids=["empty", "comment-only"])
+def test_check_file_without_declarations_passes(capsys, tmp_path, text):
+    path = tmp_path / "none.dtt"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, "check", str(path))
+    assert (rc, out, err) == (0, f"== {path}\n0/0 checks passed\n", "")
+
+
 def _chain(depth):
     return ("assume A : Type\nassume a : A\nassume f (x : A) : A\n"
             f"define d : A := {'f(' * depth}a{')' * depth}\n")

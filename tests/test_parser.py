@@ -122,6 +122,59 @@ def test_forward_reference_rejected():
     assert "unbound name 'B'" in str(err.value)
 
 
+# -- repeated eliminator headers --------------------------------------------
+
+HEADER = "elimR[c. B; c b g y. B; c y. y]"
+
+
+def test_repeated_header_resolves_names_in_its_own_scope():
+    # one header, v at level 0 then at level 1 of a scope of the same length
+    src = parse(
+        "define d1 (v : B, u : B) : B := elimR[c. B; c b g y. B; c y. v](x, w)\n"
+        "define d2 (u : B, v : B) : B := elimR[c. B; c b g y. B; c y. v](x, w)\n"
+    )
+    d1, d2 = src.decls[-2:]
+    assert d1.body.base == k.Var(0)
+    assert d2.body.base == k.Var(1)
+
+
+def test_repeated_header_parses_its_motives_once(monkeypatch):
+    calls = []
+    motive = p._DttParser._motive
+
+    def counted(self, scope, arity, sub):
+        calls.append(arity)
+        return motive(self, scope, arity, sub)
+
+    monkeypatch.setattr(p._DttParser, "_motive", counted)
+    src = parse("".join(f"define d{n} : B := {HEADER}(a, w)\n"
+                        for n in range(5)))
+    assert calls == [1, 4, 2]
+    first = src.decls[-5].body
+    for d in src.decls[-4:]:
+        assert d.body.motive_d is first.motive_d
+        assert d.body.base is first.base
+
+
+@pytest.mark.parametrize("second, msg", [
+    (f"{HEADER} a", "8:50: expected '(', found 'a'"),
+    (f"{HEADER}(a w)", "8:52: expected ',', found 'w'"),
+    ("elimR[c. B; c b g y. B; c y. y(a, w)", "8:48: expected ']', found '('"),
+    ("elimR[c. B; c b g y. B; c y. y(a, w)\n]",
+     "8:48: expected ']', found '('"),
+    (f"{HEADER}](a, w)", "8:49: expected '(', found ']'"),
+    ("elimR[c. B]; c b g y. B; c y. y](a, w)", "8:28: expected ';', found ']'"),
+    (f"{HEADER}(a, w)\n]", "9:1: expected a declaration, found ']'"),
+], ids=["after-header", "in-arguments", "missing-bracket",
+        "bracket-on-next-line", "stray-after-header", "stray-in-header",
+        "stray-alone"])
+def test_error_after_a_repeated_header_keeps_its_position(second, msg):
+    with pytest.raises(p.ParseError) as err:
+        parse(f"define d1 : B := {HEADER}(a, w)\n"
+              f"define d2 : B := {second}\n", "f.dtt")
+    assert str(err.value) == f"f.dtt:{msg}"
+
+
 # -- printing round trips --------------------------------------------------
 
 def test_print_parse_round_trip_fixed():
