@@ -16,9 +16,9 @@ explicitly.
 Binder arities are fixed: ``Th`` binds 1 variable, ``D`` binds 4 (s, t, f, th),
 ``d`` binds 2 (s, th).  There are no other binding constructs.  The table of
 child binder counts per node class is the only place arity is read: every
-traversal either folds over ``children`` or rebuilds through
-``map_children``, overriding it only at the nodes it cares about (``Var``
-for the renumbering, the redex for ``reduce``).
+traversal rebuilds through ``map_children``, overriding it only at the
+nodes it cares about (``Var`` for the renumbering, the redex for
+``reduce``).
 
 Every node is interned: building one looks its class and fields up in one
 dict of weak references, ``_live``, and returns the live node there, so
@@ -31,11 +31,12 @@ which ``fincat``'s table of morphisms uses too.
 before the lookup, and every rebuild goes through the constructor, so a
 core of an op is never represented.
 
-Every node keeps three summaries of its subtree, computed once on first
-use: ``levels`` (one more than its highest variable level, 0 if none),
-``elims`` (its eliminator count) and ``names`` (its constants and base
-types).  Traversals return a subtree they cannot change as it is, and
-``map_children`` returns the node itself when no child changed.
+Every node keeps three summaries of its subtree, computed when the node
+is built from those of its children: ``levels`` (one more than its
+highest variable level, 0 if none), ``elims`` (its eliminator count) and
+``names`` (its constants and base types).  A child that is not a node is
+refused there.  Traversals return a subtree they cannot change as it is,
+and ``map_children`` returns the node itself when no child changed.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ class InternalError(Exception):
 
 class Expr:
     """A node; __new__ returns the live node with the same class and fields
-    if there is one.  __getattr__ runs only for a missing attribute, so it
-    computes a summary (see above) once and leaves it in __dict__."""
+    if there is one, and gives a new node its summaries (see above)."""
 
     __slots__ = ()
 
@@ -63,7 +63,9 @@ class Expr:
         x = ref and ref()
         if x is None:
             x = object.__new__(cls)
-            x.__dict__.update(zip(cls.__match_args__, fields, strict=True))
+            d = x.__dict__
+            d.update(zip(cls.__match_args__, fields, strict=True))
+            _summarize(cls, fields, d)
             _live[key] = weakref.KeyedRef(x, _drop, key)
         return x
 
@@ -71,23 +73,29 @@ class Expr:
         """Copies and pickles are rebuilt from the fields: the live node."""
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
-    def __getattr__(self, name):
-        d = self.__dict__
-        if name in ("levels", "elims"):
-            kids = [c for c, _ in children(self)]
-            d["levels"] = (self.level + 1 if isinstance(self, Var) else
-                           max([c.levels for c in kids], default=0))
-            d["elims"] = sum([c.elims for c in kids],
-                             int(isinstance(self, (ElimR, ElimL))))
-        elif name == "names":
-            sets = {c.names for c, _ in children(self)} - {frozenset()}
-            if isinstance(self, (Const, BaseT)):
-                sets.add(frozenset((self.name,)))
-            d[name] = (sets.pop() if len(sets) == 1
-                       else frozenset().union(*sets))
-        else:
-            raise AttributeError(name)
-        return d[name]
+
+def _summarize(cls, fields, d):
+    """Store the summaries of a new node of class cls with these fields in
+    its __dict__ d, read from its children's; a child that is no node
+    (and so has none) is refused."""
+    if cls is Var:
+        d["levels"], d["elims"], d["names"] = fields[0] + 1, 0, frozenset()
+        return
+    named = _CHILD_BINDERS[cls] is None
+    kids = fields[1] if named else fields
+    levels, elims = 0, int(cls is ElimR or cls is ElimL)
+    names = frozenset((fields[0],) if named else ())
+    try:
+        for c in kids:
+            if c.levels > levels:
+                levels = c.levels
+            elims += c.elims
+            if not c.names <= names:
+                names = names | c.names if names else c.names
+    except AttributeError:
+        bad = next(c for c in kids if type(c) not in _CHILD_BINDERS)
+        raise InternalError(f"unknown node {bad!r}") from None
+    d["levels"], d["elims"], d["names"] = levels, elims, names
 
 
 def dropper(table):
@@ -234,31 +242,13 @@ _CHILD_BINDERS = {
 }
 
 
-def _child_binders(x):
-    try:
-        return _CHILD_BINDERS[type(x)]
-    except KeyError:
-        raise InternalError(f"unknown node {x!r}") from None
-
-
-def children(x):
-    """The (child, binders) pairs of x in field order, each child a node;
-    `binders` is the number of variables x binds around that child."""
-    binders = _child_binders(x)
-    pairs = ([(a, 0) for a in x.args] if binders is None else
-             [(getattr(x, f), b) for f, b in zip(x.__match_args__, binders)])
-    for c, _ in pairs:
-        _child_binders(c)   # raises InternalError on a foreign child
-    return pairs
-
-
 def map_children(x, fn, depth):
     """Rebuild x with every child c replaced by fn(c, depth + binders).
 
     `depth` is the context length x sits in, so fn sees the length each
     child sits in.  When no child changes, x itself comes back (shared).
     """
-    binders = _child_binders(x)
+    binders = _CHILD_BINDERS[type(x)]
     if binders is None:
         old = x.args
         new = tuple(map(fn, old, repeat(depth)))

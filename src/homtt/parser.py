@@ -143,6 +143,15 @@ def _lex_dtt(text, path):
     return toks, ends
 
 
+# The deepest nesting of open "(" and "[" a .dtt file may have.  Parsing,
+# checking, reducing and printing recurse on it, so deeper input is
+# refused before any of them starts, with the RecursionError they would
+# meet.  At this depth an f(...) chain still fits under 100 more caller
+# frames than the shell's; a stage that recurses more per level (nested
+# eliminators) can still run out of stack below it.
+MAX_NESTING = 246
+
+
 class _DttParser:
     def __init__(self, text, path):
         self.text = text
@@ -153,12 +162,18 @@ class _DttParser:
         self.declared = {}
         # index of each "[" -> index of its matching "]" (none if unmatched)
         self.close = {}
-        opened = []
+        opened, depth = [], 0
         for i, tok in enumerate(self.toks):
-            if tok == "[":
-                opened.append(i)
-            elif tok == "]" and opened:
-                self.close[opened.pop()] = i
+            if tok in {"(", "["}:
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise RecursionError("input nests too deeply")
+                if tok == "[":
+                    opened.append(i)
+            elif tok in {")", "]"}:
+                depth -= depth > 0
+                if tok == "]" and opened:
+                    self.close[opened.pop()] = i
         # (eliminator header tokens, scope) -> its parsed motives
         self.headers = {}
 
@@ -416,59 +431,100 @@ def _fresh(base, taken):
     return name
 
 
-def print_term(tm, env=(), taken=None):
-    if taken is None:
-        taken = set(tm.names) | set(env)
-    if type(tm) in _KEYWORD and isinstance(tm, k.TermExpr):
-        return f"{_KEYWORD[type(tm)]} {_term_atom(tm.arg, env, taken)}"
-    match tm:
-        case k.Var(i):
-            return env[i] if i < len(env) else f"?{i}"
-        case k.Const(name, args):
-            return name + _print_args(args, env, taken)
-        case k.ElimR(th, dm, b, f, a) | k.ElimL(th, dm, b, f, a):
-            kw = "elimR" if isinstance(tm, k.ElimR) else "elimL"
-            v1 = [_fresh("x", taken)]
-            v4 = [_fresh(c, taken) for c in ("x", "y", "h", "w")]
-            v2 = [_fresh(c, taken) for c in ("x", "w")]
-            env_l = list(env)
-            parts = [
-                " ".join(v1) + ". " + print_type(th, env_l + v1, taken),
-                " ".join(v4) + ". " + print_type(dm, env_l + v4, taken),
-                " ".join(v2) + ". " + print_term(b, env_l + v2, taken),
-            ]
-            return (f"{kw}[{'; '.join(parts)}]"
-                    f"({print_term(f, env, taken)}, {print_term(a, env, taken)})")
-    raise k.InternalError(f"print_term: {tm!r}")
+def print_term(tm, env=()):
+    """The surface text of term tm; env names the levels of its context."""
+    return _print(_term_out, tm, env)
 
 
-def _print_args(args, env, taken):
-    inner = ", ".join(print_term(a, env, taken) for a in args)
-    return f"({inner})" if args else ""
+def print_type(ty, env=()):
+    """The surface text of type ty; env names the levels of its context."""
+    return _print(_type_out, ty, env)
 
 
-def _term_atom(tm, env, taken):
-    out = print_term(tm, env, taken)
-    return out if isinstance(tm, (k.Var, k.Const)) else f"({out})"
+def _print(walk, node, env):
+    # every eliminator draws its binder names from one set for the whole
+    # text, in the order the text is written
+    out = []
+    walk(node, list(env), set(node.names) | set(env), out)
+    return "".join(out)
 
 
-def print_type(ty, env=(), taken=None):
-    if taken is None:
-        taken = set(ty.names) | set(env)
-    if type(ty) in _KEYWORD and isinstance(ty, k.TypeExpr):
-        return f"{_KEYWORD[type(ty)]} {_type_atom(ty.inner, env, taken)}"
-    match ty:
-        case k.BaseT(name, args):
-            return name + _print_args(args, env, taken)
-        case k.Hom(c, s, t):
-            return (f"hom {_type_atom(c, env, taken)} "
-                    f"{_term_atom(s, env, taken)} {_term_atom(t, env, taken)}")
-    raise k.InternalError(f"print_type: {ty!r}")
+def _term_out(tm, env, taken, out):
+    """Append the pieces of term tm to out; env is the list of names in
+    scope, extended in place under each binder and restored after it."""
+    cls = type(tm)
+    if cls is k.Var:
+        i = tm.level
+        out.append(env[i] if i < len(env) else f"?{i}")
+    elif cls is k.Const:
+        out.append(tm.name)
+        _args_out(tm.args, env, taken, out)
+    elif cls is k.ElimR or cls is k.ElimL:
+        v1 = [_fresh("x", taken)]
+        v4 = [_fresh(c, taken) for c in ("x", "y", "h", "w")]
+        v2 = [_fresh(c, taken) for c in ("x", "w")]
+        n = len(env)
+        out.append("elimR[" if cls is k.ElimR else "elimL[")
+        for names, walk, body, end in (
+                (v1, _type_out, tm.motive_theta, "; "),
+                (v4, _type_out, tm.motive_d, "; "),
+                (v2, _term_out, tm.base, "](")):
+            out.append(" ".join(names) + ". ")
+            env += names
+            walk(body, env, taken, out)
+            del env[n:]
+            out.append(end)
+        _term_out(tm.f, env, taken, out)
+        out.append(", ")
+        _term_out(tm.theta, env, taken, out)
+        out.append(")")
+    elif cls in _KEYWORD and issubclass(cls, k.TermExpr):
+        out.append(_KEYWORD[cls] + " ")
+        _atom_out(_term_out, tm.arg, env, taken, out)
+    else:
+        raise k.InternalError(f"print_term: {tm!r}")
 
 
-def _type_atom(ty, env, taken):
-    out = print_type(ty, env, taken)
-    return out if isinstance(ty, k.BaseT) else f"({out})"
+def _type_out(ty, env, taken, out):
+    cls = type(ty)
+    if cls is k.BaseT:
+        out.append(ty.name)
+        _args_out(ty.args, env, taken, out)
+    elif cls is k.Hom:
+        out.append("hom ")
+        _atom_out(_type_out, ty.carrier, env, taken, out)
+        out.append(" ")
+        _atom_out(_term_out, ty.source, env, taken, out)
+        out.append(" ")
+        _atom_out(_term_out, ty.target, env, taken, out)
+    elif cls in _KEYWORD and issubclass(cls, k.TypeExpr):
+        out.append(_KEYWORD[cls] + " ")
+        _atom_out(_type_out, ty.inner, env, taken, out)
+    else:
+        raise k.InternalError(f"print_type: {ty!r}")
+
+
+def _args_out(args, env, taken, out):
+    sep = "("
+    for a in args:
+        out.append(sep)
+        _term_out(a, env, taken, out)
+        sep = ", "
+    if args:
+        out.append(")")
+
+
+# the nodes printed without parentheses where an atom is expected
+_ATOMS = {k.Var, k.Const, k.BaseT}
+
+
+def _atom_out(walk, node, env, taken, out):
+    if type(node) in _ATOMS:
+        walk(node, env, taken, out)
+    else:
+        out.append("(")
+        walk(node, env, taken, out)
+        out.append(")")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ its line and column per token, stray characters reported as they are
 met.  The left eliminator is computed through the mirror of its transport
 extension, relabelled into right-handed shape, with a private copy of the
 right-handed transport formula.  Interning is refereed by structural keys
-that never compare or hash a node.
+that never compare or hash a node.  The kernel's subtree summaries are
+recomputed from the fields of the whole subtree, and the printers are
+checked against the recursive printer that returns a string per call.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from homtt import checker as ch
 from homtt import fincat as fc
 from homtt import kernel as k
-from homtt.parser import ParseError
+from homtt.parser import KEYWORDS, ParseError
 
 # ---------------------------------------------------------------------------
 # named representation
@@ -234,6 +236,113 @@ def substitute(x, depth: int, replacement, scope: int):
             return k.Var(y.level - 1)
         return k.map_children(y, go, binders)
     return go(x, 0)
+
+
+# ---------------------------------------------------------------------------
+# children and subtree summaries, recomputed
+
+
+def children(x):
+    """The (child, binders) pairs of x in field order, each child a node;
+    `binders` is the number of variables x binds around that child (what
+    `map_children` hands its function)."""
+    pairs = []
+    k.map_children(x, lambda c, b: pairs.append((c, b)) or c, 0)
+    return pairs
+
+
+def summaries(x, memo=None):
+    """(levels, elims, names) of x from its whole subtree: one more than
+    its highest variable level (0 if none), its eliminator count, and the
+    set of its constants and base types.  Every node is read through its
+    fields, never through the summaries the kernel stored."""
+    memo = {} if memo is None else memo
+    if x in memo:
+        return memo[x]
+    if isinstance(x, k.Var):
+        out = (x.level + 1, 0, frozenset())
+    else:
+        named = isinstance(x, (k.Const, k.BaseT))
+        kids = x.args if named else [getattr(x, f) for f in x.__match_args__]
+        subs = [summaries(c, memo) for c in kids]
+        out = (max([s[0] for s in subs], default=0),
+               sum(s[1] for s in subs) + isinstance(x, (k.ElimR, k.ElimL)),
+               frozenset({x.name} if named else ()).union(
+                   *(s[2] for s in subs)))
+    memo[x] = out
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the recursive printer: each call returns its own string, and an
+# eliminator draws its binder names before it prints its parts
+
+
+_KEYWORD = {k.Core: "core", k.Op: "op", k.IncCore: "i", k.IncOp: "iop",
+            k.One: "one"}
+
+
+def _fresh(base, taken):
+    name, n = base, 0
+    while name in taken or name in KEYWORDS:
+        name, n = f"{base}{n}", n + 1
+    taken.add(name)
+    return name
+
+
+def print_term(tm, env=(), taken=None):
+    if taken is None:
+        taken = set(tm.names) | set(env)
+    if type(tm) in _KEYWORD and isinstance(tm, k.TermExpr):
+        return f"{_KEYWORD[type(tm)]} {_term_atom(tm.arg, env, taken)}"
+    match tm:
+        case k.Var(i):
+            return env[i] if i < len(env) else f"?{i}"
+        case k.Const(name, args):
+            return name + _print_args(args, env, taken)
+        case k.ElimR(th, dm, b, f, a) | k.ElimL(th, dm, b, f, a):
+            kw = "elimR" if isinstance(tm, k.ElimR) else "elimL"
+            v1 = [_fresh("x", taken)]
+            v4 = [_fresh(c, taken) for c in ("x", "y", "h", "w")]
+            v2 = [_fresh(c, taken) for c in ("x", "w")]
+            env_l = list(env)
+            parts = [
+                " ".join(v1) + ". " + print_type(th, env_l + v1, taken),
+                " ".join(v4) + ". " + print_type(dm, env_l + v4, taken),
+                " ".join(v2) + ". " + print_term(b, env_l + v2, taken),
+            ]
+            return (f"{kw}[{'; '.join(parts)}]"
+                    f"({print_term(f, env, taken)}, {print_term(a, env, taken)})")
+    raise k.InternalError(f"print_term: {tm!r}")
+
+
+def _print_args(args, env, taken):
+    inner = ", ".join(print_term(a, env, taken) for a in args)
+    return f"({inner})" if args else ""
+
+
+def _term_atom(tm, env, taken):
+    out = print_term(tm, env, taken)
+    return out if isinstance(tm, (k.Var, k.Const)) else f"({out})"
+
+
+def print_type(ty, env=(), taken=None):
+    if taken is None:
+        taken = set(ty.names) | set(env)
+    if type(ty) in _KEYWORD and isinstance(ty, k.TypeExpr):
+        return f"{_KEYWORD[type(ty)]} {_type_atom(ty.inner, env, taken)}"
+    match ty:
+        case k.BaseT(name, args):
+            return name + _print_args(args, env, taken)
+        case k.Hom(c, s, t):
+            return (f"hom {_type_atom(c, env, taken)} "
+                    f"{_term_atom(s, env, taken)} {_term_atom(t, env, taken)}")
+    raise k.InternalError(f"print_type: {ty!r}")
+
+
+def _type_atom(ty, env, taken):
+    out = print_type(ty, env, taken)
+    return out if isinstance(ty, k.BaseT) else f"({out})"
 
 
 # ---------------------------------------------------------------------------

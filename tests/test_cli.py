@@ -151,6 +151,25 @@ def test_too_deep_input_exits_two(capsys, tmp_path, text):
     assert err == "error: input nests too deeply\n"
 
 
+def _padded(frames, fn):
+    """fn() called under `frames` more stack frames than the caller's."""
+    return _padded(frames - 1, fn) if frames else fn()
+
+
+@pytest.mark.parametrize("depth, code, err", [
+    (246, 0, ""),
+    (247, 2, "error: input nests too deeply\n"),
+])
+def test_nesting_constant_gives_the_shell_verdicts_in_process(
+        capsys, tmp_path, depth, code, err):
+    # the shell's verdicts on each side of the parser's nesting constant,
+    # from cli.run under pytest's frames and 100 more
+    deep = tmp_path / "deep.dtt"
+    deep.write_text(_chain(depth), encoding="utf-8")
+    rc, _, got = _padded(100, lambda: run(capsys, "check", str(deep)))
+    assert (rc, got) == (code, err)
+
+
 def test_deep_chain_within_the_limit_checks(tmp_path):
     # a fresh interpreter, as from the shell: pytest's own frames would
     # otherwise eat into the recursion limit

@@ -664,6 +664,23 @@ def test_scenario_files_round_trip(tmp_path):
     assert records and all(r.ok for r in records)
 
 
+def test_assert_type_judgement_gets_type_and_pullback_records(tmp_path):
+    (tmp_path / "trans.dtt").write_text(
+        surface.print_source(transport_source())
+        + "assert type (x : B, y : S(x)) hom B (iop c) x\n", encoding="utf-8")
+    (tmp_path / "world.fincat").write_text(FINCAT_TEXT, encoding="utf-8")
+    scn_path = tmp_path / "trans.scn"
+    scn_path.write_text(SCENARIO_TEXT, encoding="utf-8")
+    records, _ = ip.verify_soundness(ip.load_scenario(scn_path))
+    last = records[-1].subject
+    mine = [r for r in records if r.subject == last]
+    assert last.startswith("assert") and all(r.ok for r in mine)
+    checks = [r.check for r in mine]
+    assert checks[:2] == ["typecheck", "type-functorial"]
+    assert any(c.startswith("chi-pullback") for c in checks)
+    assert "section-natural" not in checks
+
+
 def test_scenario_with_bad_binding_name(tmp_path):
     (tmp_path / "trans.dtt").write_text(
         surface.print_source(transport_source()), encoding="utf-8")

@@ -37,7 +37,7 @@ def well_scoped(x, n):
     against the extended lengths)."""
     if isinstance(x, Var):
         return 0 <= x.level < n
-    return all(well_scoped(c, n + b) for c, b in k.children(x))
+    return all(well_scoped(c, n + b) for c, b in oracles.children(x))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +252,19 @@ def test_summaries_bound_levels_and_count_eliminators():
     assert hash(tm) == hash(ElimR(th, dm, d, One(Var(2)), Const("w")))
 
 
+def test_summaries_match_a_recomputation_from_the_fields():
+    memo, seen = {}, set()
+    todo = [x for x, _ in sample_nodes()]
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            seen.add(x)
+            assert (x.levels, x.elims, x.names) == oracles.summaries(x, memo)
+            todo += [c for c, _ in oracles.children(x)]
+    assert len(seen) > 800
+    assert any(x.names and x.levels and x.elims > 1 for x in seen)
+
+
 def test_traversals_return_their_input_when_nothing_changes():
     rng = random.Random(31)
     for _ in range(200):
@@ -388,7 +401,7 @@ def unit_substitutes(dm, n, right):
 def var_levels(x):
     if isinstance(x, Var):
         return {x.level}
-    return set().union(*(var_levels(c) for c, _ in k.children(x)))
+    return set().union(*(var_levels(c) for c, _ in oracles.children(x)))
 
 
 def eliminators(x, n):
@@ -396,30 +409,35 @@ def eliminators(x, n):
     the length of the context it sits in."""
     if isinstance(x, (ElimR, ElimL)):
         yield x, n
-    for c, b in k.children(x):
+    for c, b in oracles.children(x):
         yield from eliminators(c, n + b)
 
 
-def sample_eliminators():
+def sample_nodes():
+    """(node, length of the context it sits in) pairs: wtgen terms and
+    their types, every part of every corpus declaration, and random
+    well-scoped terms."""
     out = []
     for tm, ty in wtgen.generate(random.Random(37), 60):
-        out += eliminators(tm, 0)
-        out += eliminators(ty, 0)
+        out += [(tm, 0), (ty, 0)]
     for path in sorted(CORPUS.rglob("*.dtt")):
         src = ps.parse_dtt(path.read_text(encoding="utf-8"), str(path))
         for decl in src.decls:
             tele = decl.telescope
-            for j, (_, ty) in enumerate(tele):
-                out += eliminators(ty, j)
+            out += [(ty, j) for j, (_, ty) in enumerate(tele)]
             for field in ("ty", "body", "lhs", "rhs"):
                 x = getattr(decl, field, None)
                 if x is not None:
-                    out += eliminators(x, len(tele))
+                    out.append((x, len(tele)))
     rng = random.Random(41)
     for _ in range(200):
         n = rng.randrange(0, 4)
-        out += eliminators(rand_term(rng, n, rng.randrange(2, 7)), n)
+        out.append((rand_term(rng, n, rng.randrange(2, 7)), n))
     return out
+
+
+def sample_eliminators():
+    return [e for x, n in sample_nodes() for e in eliminators(x, n)]
 
 
 def test_unit_instance_matches_the_substitute_chain():
@@ -456,6 +474,13 @@ class Foreign:
 def test_traversals_reject_a_foreign_node(op):
     with pytest.raises(k.InternalError, match="unknown node"):
         op(Hom(B, Var(0), One(Foreign())))
+
+
+def test_a_foreign_child_is_refused_at_construction():
+    for build in (lambda: One(Foreign()), lambda: Const("c", (B, Foreign())),
+                  lambda: ElimR(B, B, Var(0), Const("f"), Foreign())):
+        with pytest.raises(k.InternalError, match="unknown node"):
+            build()
 
 
 # ---------------------------------------------------------------------------

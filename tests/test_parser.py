@@ -4,9 +4,13 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import surface
+import wtgen
 from homtt import kernel as k
 from homtt import parser as p
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 PRELUDE = """\
 assume B : Type
@@ -251,6 +255,61 @@ def test_printer_binders_avoid_constant_names():
                 k.Const("a"), k.Const("w"))
     text = PRELUDE + f"define d : B := {p.print_term(e)}\n"
     assert p.parse_dtt(text).decls[-1].body == e
+
+
+# -- the printer against the recursive referee ------------------------------
+
+def _nested(n, depth):
+    """An eliminator, in a context of length n, with another in each of its
+    three motive slots and its th argument, down to `depth`; its parts
+    mention the constants x, x0, w and one named like a keyword, and the
+    innermost variable in scope."""
+    if depth == 0:
+        return k.Const("p", (k.Const("x0"),
+                             k.Var(n - 1) if n else k.Const("one")))
+    cls = k.ElimR if depth % 2 else k.ElimL
+    return cls(k.Hom(k.BaseT("B"), k.IncOp(_nested(n + 1, depth - 1)),
+                     k.Var(n)),
+               k.BaseT("S", (_nested(n + 4, depth - 1),)),
+               k.Const("p", (k.Const("x"), _nested(n + 2, depth - 1))),
+               k.Const("w"), _nested(n, depth - 1))
+
+
+def _printed():
+    """(node, names of its context): every wtgen term and type, every part
+    of every corpus declaration and its normal form, and nested
+    eliminators whose binder names collide with constants and with the
+    names in scope."""
+    for tm, ty in wtgen.generate(random.Random(5), 300):
+        yield tm, []
+        yield ty, []
+    for path in sorted(CORPUS.rglob("*.dtt")):
+        for decl in p.parse_dtt(path.read_text(encoding="utf-8"),
+                                str(path)).decls:
+            env = []
+            for name, ty in decl.telescope:
+                yield ty, list(env)
+                env.append(name)
+            for field in ("ty", "body", "lhs", "rhs"):
+                x = getattr(decl, field, None)
+                if x is not None:
+                    yield x, env
+                    yield k.reduce(x, len(env)), env
+    for env in ([], ["x", "x0", "w"], ["y", "h0", "i", "one"]):
+        yield _nested(len(env), 3), env
+        yield k.Hom(k.BaseT("B"), _nested(len(env), 2),
+                    k.IncCore(_nested(len(env), 2))), env
+
+
+def test_printer_matches_the_recursive_referee():
+    seen = 0
+    for node, env in _printed():
+        if isinstance(node, k.TermExpr):
+            assert p.print_term(node, env) == oracles.print_term(node, env)
+        else:
+            assert p.print_type(node, env) == oracles.print_type(node, env)
+        seen += 1
+    assert seen > 900
 
 
 # -- .fincat ---------------------------------------------------------------
