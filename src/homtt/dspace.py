@@ -10,31 +10,31 @@ Execution only moves forward: one axis at a time, one cell up.  Reachable
 cells are the forward closure of the all-zeros corner, safe cells the
 backward closure of the all-ones corner.
 
-Regions of cells are row masks: a row is a cell's coordinates on every
-axis but the last, and one int per row has bit x set for the cell at x on
-the last axis.  The forbidden region is built straight from the
-rectangles, and each closure is one sweep over the rows with whole-row
-int operations.  Read as a link table, a closure maps every cell to its
-neighbour one step back toward the corner, which maps to None, so
-following links from any cell retraces a witness path.
-
-Deadlocks are a row scan too (Fajstrup, Goubault and Raussen, Detecting
-deadlocks in concurrent systems, CONCUR 1998): a reachable cell is stuck
-when on every axis it is at the last index or its next cell is
-forbidden, which for a whole row is a few masks ANDed together.
+A region of cells is one int for the whole grid.  A row is a cell's
+coordinates on every axis but the last; row r owns the slot of bits from
+r * slot up, bit x of it the cell at x on the last axis.  The slot is a
+whole number of bytes wider than a row, and the row masks come out of
+the int in one unpack.  The forbidden region repeats each rectangle's
+row along the other axes; each closure is one sweep over the row masks
+with whole-row int operations.  Deadlocks (Fajstrup, Goubault and
+Raussen, Detecting deadlocks in concurrent systems, CONCUR 1998) and the
+--oracle certificate are a few whole-grid shifts, ANDs and ORs.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import struct
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from .kernel import InternalError
+
+# struct codes for the slot sizes, in bytes, that are one machine word
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class PvError(Exception):
@@ -69,28 +69,43 @@ class DirectedGridSpace:
         return tuple(len(t) - 1 for t in self.ticks)
 
     @cached_property
-    def blocked(self):
-        """The forbidden cells as row masks.
+    def slot(self):
+        """Bits per row: the least power of two from 8 up wider than a row."""
+        return max(8, 1 << self.shape[-1].bit_length())
 
-        A row is a cell's coordinates on every axis but the last; rows
-        are numbered in lexicographic order, and bit x of a row's mask is
-        the cell at x on the last axis.
-        """
-        *head, width = self.shape
-        strides = _strides(head)
-        rows = [0] * math.prod(head)
-        for r in self.forbidden:
-            bits = (1 << r.hi[-1]) - (1 << r.lo[-1])
-            covered = [0]
-            for a, s in enumerate(strides):
-                covered = [i + v * s for i in covered
-                           for v in range(r.lo[a], r.hi[a])]
-            for i in covered:
-                rows[i] |= bits
-        return tuple(rows)
+    @cached_property
+    def steps(self):
+        """How many bits apart the neighbours along each axis are."""
+        *head, _ = self.shape
+        return tuple(self.slot * math.prod(head[a + 1:])
+                     for a in range(len(head))) + (1,)
+
+    @cached_property
+    def nbytes(self):
+        return self.slot // 8 * math.prod(self.shape[:-1])
+
+    @cached_property
+    def blocked(self):
+        """The forbidden cells as a whole-grid int."""
+        return _boxes(self, [(r.lo, r.hi) for r in self.forbidden])
+
+    @cached_property
+    def whole(self):
+        """Every cell of the grid as a whole-grid int."""
+        return _boxes(self, [((0,) * self.dims, self.shape)])
+
+    @cached_property
+    def ends(self):
+        """Per axis, the cells at its first index and at its last."""
+        shape = self.shape
+        firsts = [_boxes(self, [((0,) * self.dims,
+                                 shape[:a] + (1,) + shape[a + 1:])])
+                  for a in range(self.dims)]
+        return tuple((f, f << (n - 1) * t)
+                     for f, n, t in zip(firsts, shape, self.steps))
 
     def is_blocked(self, c):
-        return _holds(self.shape, self.blocked, c)
+        return bool(self.blocked & _bit(self, c))
 
     @property
     def initial(self):
@@ -115,37 +130,84 @@ class DirectedGridSpace:
                     out.append(f"rectangle {r} leaves the grid on axis {a}")
                     break
         if not out:
-            if self.is_blocked(self.initial):
+            if self.blocked & 1:
                 out.append("the initial corner is forbidden")
-            if self.is_blocked(self.final):
+            if self.blocked & _bit(self, self.final):
                 out.append("the final corner is forbidden")
         return out
 
 
-def _strides(head):
-    """How far apart rows are along each axis of the prefix."""
-    return [math.prod(head[a + 1:]) for a in range(len(head))]
+def _boxes(space, boxes):
+    """The cells of the boxes (lo, hi), hi exclusive, as a whole-grid int.
+
+    A box's row is repeated along each other axis, innermost first, as
+    bytes.  Boxes alike on the first axis share that last repeat.
+    """
+    steps, dims = space.steps, space.dims
+
+    def repeat(m, a, lo, hi):
+        t = steps[a]
+        return int.from_bytes(m.to_bytes(t // 8, "little") * (hi - lo),
+                              "little") << lo * t
+
+    blocks = {}
+    for lo, hi in boxes:
+        m = (1 << hi[-1]) - (1 << lo[-1])
+        for a in range(dims - 2, 0, -1):
+            m = repeat(m, a, lo[a], hi[a])
+        key = (lo[0], hi[0]) if dims > 1 else None
+        blocks[key] = blocks.get(key, 0) | m
+    out = 0
+    for key, m in blocks.items():
+        out |= repeat(m, 0, *key) if key else m
+    return out
 
 
-def _holds(shape, rows, c):
-    """Whether the region given by its row masks holds cell c."""
-    if len(c) != len(shape):
-        return False
+def _bit(space, c):
+    """The whole-grid int of cell c alone, or 0 off the grid."""
+    if len(c) != space.dims:
+        return 0
     i = 0
-    for v, n in zip(c, shape):
+    for v, n, t in zip(c, space.shape, space.steps):
         if not 0 <= v < n:
-            return False
-        i = i * n + v
-    r, x = divmod(i, shape[-1])
-    return bool(rows[r] >> x & 1)
+            return 0
+        i += v * t
+    return 1 << i
 
 
-def _cells(shape, rows):
-    """The cells of the region given by its row masks, in order."""
-    *head, width = shape
-    return [prefix + (x,)
-            for prefix, m in zip(product(*map(range, head)), rows) if m
-            for x in range(width) if m >> x & 1]
+def _rows(space, grid):
+    """The row masks of a whole-grid int, in row order."""
+    size = space.slot // 8
+    data = grid.to_bytes(space.nbytes, "little")
+    if size in _WORDS:
+        return struct.unpack(f"<{len(data) // size}{_WORDS[size]}", data)
+    return [int.from_bytes(data[i:i + size], "little")
+            for i in range(0, len(data), size)]
+
+
+def _grid(space, rows):
+    """The whole-grid int of a region given by its row masks."""
+    size = space.slot // 8
+    data = (struct.pack(f"<{len(rows)}{_WORDS[size]}", *rows)
+            if size in _WORDS else
+            b"".join(m.to_bytes(size, "little") for m in rows))
+    return int.from_bytes(data, "little")
+
+
+def _cells(space, grid):
+    """The cells of the region given by its whole-grid int, in order."""
+    if not grid:
+        return []
+    *head, width = space.shape
+    rows = _rows(space, grid)
+    out = []
+    for r in compress(range(len(rows)), rows):
+        m, prefix = rows[r], ()
+        for n in reversed(head):
+            r, v = divmod(r, n)
+            prefix = (v,) + prefix
+        out += [prefix + (x,) for x in range(width) if m >> x & 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +281,11 @@ def from_pv(prog):
         if len(evs) > 16:
             raise PvError(f"process {i + 1}: {len(evs)} events, "
                           "at most 16 supported")
-    names = "ABC"
-    ticks = []
-    holds = []
+    ticks, holds = [], []
     for i, evs in enumerate(prog.processes):
-        labels = ["0"]
-        open_at = {}
-        ranges = {}
-        for j, (op, s) in enumerate(evs):
-            tick = j + 1
-            labels.append(f"{'L' if op == 'P' else 'U'}_{s}^{names[i]}")
+        labels, open_at, ranges = ["0"], {}, {}
+        for tick, (op, s) in enumerate(evs, start=1):
+            labels.append(f"{'L' if op == 'P' else 'U'}_{s}^{'ABC'[i]}")
             if op == "P":
                 open_at[s] = tick
             else:
@@ -260,13 +317,6 @@ def from_pv(prog):
 # reachability
 
 
-def _step(space, c, a, d):
-    v = c[a] + d
-    if not 0 <= v < space.shape[a]:
-        return None
-    return c[:a] + (v,) + c[a + 1:]
-
-
 def _sweep(shape, blocked):
     """Forward closure of the all-zeros corner, as row masks.
 
@@ -279,7 +329,7 @@ def _sweep(shape, blocked):
     """
     *head, width = shape
     full = (1 << width) - 1
-    axes = tuple(enumerate(_strides(head)))
+    axes = tuple(enumerate(math.prod(head[a + 1:]) for a in range(len(head))))
     out = [0] * len(blocked)
     for r, prefix in enumerate(product(*map(range, head))):
         seeds = 0 if r else 1
@@ -290,192 +340,139 @@ def _sweep(shape, blocked):
         seeds &= allowed
         if seeds:
             out[r] = allowed & ((allowed + seeds) ^ allowed) | seeds
-    return tuple(out)
+    return out
 
 
-def _mirror(rows, width):
+def _mirror(space, grid):
     """The same region with every axis reversed."""
-    bits = f"0{width}b"
-    return tuple(int(format(m, bits)[::-1], 2) for m in reversed(rows))
+    bits = format(grid, f"0{space.nbytes * 8}b")[::-1]
+    return int(bits, 2) >> space.slot - space.shape[-1]
 
 
 def _closure(space, d):
-    """Row masks of the closure of a corner by unit steps of sign d.
+    """The closure of a corner by unit steps of sign d, as a whole-grid int.
 
     Forward (d = 1) from the initial corner; backward (d = -1) from the
     final one, which is the forward closure of the mirrored grid.
     """
     if d > 0:
-        return _sweep(space.shape, space.blocked)
-    width = space.shape[-1]
-    return _mirror(_sweep(space.shape, _mirror(space.blocked, width)), width)
+        return _grid(space, _sweep(space.shape, _rows(space, space.blocked)))
+    mirrored = _rows(space, _mirror(space, space.blocked))
+    return _mirror(space, _grid(space, _sweep(space.shape, mirrored)))
 
 
-def _build_links(space, rows, d):
-    """The link table of a closure of sign d given as row masks.
+class Region:
+    """A set of cells held as a whole-grid int: size is a bit count,
+    membership a bit test, and iteration in sweep order (lexicographic
+    for d = 1, reversed for d = -1)."""
 
-    Cells come in sweep order: lexicographic, reversed for d = -1.  A
-    cell links to its neighbour one step back on the first axis whose
-    neighbour is in the closure; the anchor links to None.
-    """
-    *head, width = space.shape
-    edges = [0 if d > 0 else n - 1 for n in head]
-    strides = _strides(head)
-    prefixes = list(product(*map(range, head)))
-    xs = range(width)[::d]
-    # each row's cells by x, so a link is the very tuple of its key
-    made = [None] * len(rows)
-    links = {}
-    for r in range(len(rows))[::d]:
-        m = rows[r]
-        if not m:
-            continue
-        prefix = prefixes[r]
-        row = made[r] = [None] * width
-        back = [(rows[r - d * s], made[r - d * s])
-                for a, s in enumerate(strides) if prefix[a] != edges[a]]
-        # bit x is set when the cell one step back along the row is in
-        inrow = m << 1 if d > 0 else m >> 1
-        for x in xs:
-            if m >> x & 1:
-                cell = row[x] = prefix + (x,)
-                for b, cells in back:
-                    if b >> x & 1:
-                        links[cell] = cells[x]
-                        break
-                else:
-                    links[cell] = row[x - d] if inrow >> x & 1 else None
-    return links
+    __slots__ = ("space", "bits", "d")
 
-
-class LinkTable(Mapping):
-    """A closure read as a link table.
-
-    Every cell maps to its neighbour one step back toward the anchor,
-    which maps to None, so following links from any cell retraces a
-    witness path.  Size and membership read the row masks; the links are
-    built on the first read of one.
-    """
-
-    def __init__(self, space, rows, d):
-        self.space, self.rows, self.d = space, rows, d
-
-    @cached_property
-    def links(self):
-        return _build_links(self.space, self.rows, self.d)
+    def __init__(self, space, bits, d):
+        self.space, self.bits, self.d = space, bits, d
 
     def __len__(self):
-        return sum(m.bit_count() for m in self.rows)
+        return self.bits.bit_count()
 
     def __contains__(self, c):
-        return _holds(self.space.shape, self.rows, c)
-
-    def __getitem__(self, c):
-        return self.links[c]
+        return bool(self.bits & _bit(self.space, c))
 
     def __iter__(self):
-        return iter(self.links)
-
-    def keys(self):
-        return self.links.keys()
-
-    def items(self):
-        return self.links.items()
+        cells = _cells(self.space, self.bits)
+        return iter(cells if self.d > 0 else reversed(cells))
 
 
 def deadlocks(report):
     """Reachable non-final cells with no legal forward step, in order.
 
-    A row scan (Fajstrup, Goubault and Raussen, CONCUR 1998): a reachable
-    cell at x is stuck on the last axis when it is the last index or x + 1
-    is forbidden, and on each other axis when it is at the last index or
-    the next row along that axis forbids x.
+    A reachable cell is stuck on an axis when it is at the last index or
+    the forbidden region, shifted one step back along it, holds it.
     """
-    space = report.space
-    *head, width = space.shape
-    blocked = space.blocked
-    top = 1 << (width - 1)
-    nexts = [(a, n - 1, s)
-             for a, (n, s) in enumerate(zip(head, _strides(head)))]
-    inside = list(report.forward)
-    inside[-1] &= ~top  # the final cell
-    stuck = []
-    for r, prefix in enumerate(product(*map(range, head))):
-        m = inside[r] & (blocked[r] >> 1 | top)
-        for a, last, s in nexts:
-            if m and prefix[a] != last:
-                m &= blocked[r + s]
-        stuck.append(m)
-    return tuple(_cells(space.shape, stuck))
+    space, blocked = report.space, report.space.blocked
+    stuck = report.forward & ~_bit(space, space.final)
+    for t, (_, last) in zip(space.steps, space.ends):
+        stuck &= blocked >> t | last
+    return tuple(_cells(space, stuck))
 
 
 @dataclass(frozen=True)
 class RegionReport:
     """Reachability analysis of one space.
 
-    The forward closure is swept with the report and kept as row masks;
-    the backward one, safe, is swept on first read, since verdicts and
-    deadlocks need only the forward one.  Both read as link tables.
-    """
+    The forward closure is swept with the report, the backward one, safe,
+    on first read, since verdicts and deadlocks need only the forward one.
+    Both are whole-grid ints and read as Regions."""
 
     space: DirectedGridSpace
-    forward: tuple
+    forward: int
 
     @cached_property
     def reachable(self):
-        return LinkTable(self.space, self.forward, +1)
+        return Region(self.space, self.forward, +1)
 
     @cached_property
     def safe(self):
-        return LinkTable(self.space, _closure(self.space, -1), -1)
+        return Region(self.space, _closure(self.space, -1), -1)
 
     @property
     def unreachable(self):
-        return self._complement(self.reachable.rows)
+        return self._complement(self.reachable.bits)
 
     @property
     def unsafe(self):
-        return self._complement(self.safe.rows)
+        return self._complement(self.safe.bits)
 
-    def _complement(self, rows):
+    def _complement(self, bits):
         space = self.space
-        full = (1 << space.shape[-1]) - 1
-        return tuple(_cells(space.shape, [full & ~(b | m) for b, m
-                                          in zip(space.blocked, rows)]))
+        return tuple(_cells(space, space.whole & ~(space.blocked | bits)))
 
     def validate(self):
-        """Local certificate that each table is exactly its closure.
+        """Local certificate that each mask is exactly its closure.
 
-        The anchor is present unless forbidden, no entry is forbidden,
-        every other entry links to an entry one unit step back, and every
-        allowed step out of an entry stays in the table.  Induction on the
-        coordinate sum then gives table = closure, in O(cells * dims).
+        On each mask, with whole-grid shifts: the anchor is in unless it is
+        forbidden, every bit is an allowed cell, every other cell has a
+        neighbour one unit step back in the mask, and every allowed step
+        out of a cell stays in it.  Induction on the coordinate sum then
+        gives mask = closure.  Problems name cells in sweep order.
         """
-        out = []
-        space = self.space
-        # sets, since the certificate tests membership per cell and step
-        blocked = frozenset(_cells(space.shape, space.blocked))
-        axes = range(space.dims)
-        ends = (("reachable", self.reachable, space.initial, +1),
-                ("safe", self.safe, space.final, -1))
-        for name, table, anchor, d in ends:
-            keys = table.keys()
-            if anchor not in blocked and anchor not in keys:
+        out, space = [], self.space
+        whole, blocked = space.whole, space.blocked
+        allowed = whole & ~blocked
+        closures = (("reachable", self.reachable.bits, space.initial, +1),
+                    ("safe", self.safe.bits, space.final, -1))
+        for name, m, anchor, d in closures:
+            home = _bit(space, anchor)
+            if not (m | blocked) & home:
                 out.append(f"{name}: the anchor {anchor} is missing")
-            for c, p in table.items():
-                if c in blocked:
+            if m & ~whole:
+                out.append(f"{name}: {(m & ~whole).bit_count()} bits lie "
+                           "off the grid")
+            m &= whole
+            outside, back, leaves = allowed & ~m, home, []
+            # a cell on the far edge of an axis has no step along it
+            for t, edges in zip(space.steps, space.ends):
+                inner = m & ~edges[d > 0]
+                if d > 0:
+                    back, ahead = back | inner << t, outside >> t
+                else:
+                    back, ahead = back | inner >> t, outside << t
+                leaves.append(inner & ahead)
+            forbidden, orphans = m & blocked, m & ~back
+            bad = forbidden | orphans
+            for leave in leaves:
+                bad |= leave
+            cells = _cells(space, bad)
+            for c in cells if d > 0 else reversed(cells):
+                i = _bit(space, c)
+                if forbidden & i:
                     out.append(f"{name}: {c} is forbidden")
                     continue
-                if c != anchor and p not in keys:
-                    out.append(f"{name}: {c} links to {p}, "
-                               "which is not in the table")
-                elif c != anchor and all(_step(space, p, a, d) != c
-                                         for a in axes):
-                    out.append(f"{name}: {c} links to {p}, "
-                               "not one unit step back")
-                for a in axes:
-                    n = _step(space, c, a, d)
-                    if n is not None and n not in keys and n not in blocked:
+                if orphans & i:
+                    out.append(f"{name}: {c} has no neighbour one step "
+                               "back in the table")
+                for a, leave in enumerate(leaves):
+                    if leave & i:
+                        n = c[:a] + (c[a] + d,) + c[a + 1:]
                         out.append(f"{name}: the step from {c} "
                                    f"to {n} leaves the table")
         return out
@@ -495,18 +492,9 @@ def render(report):
     space = report.space
     if space.dims != 2:
         raise ValueError("rendering needs exactly two axes")
-    lines = []
-    for y in reversed(range(space.shape[1])):
-        row = []
-        for x in range(space.shape[0]):
-            c = (x, y)
-            if space.is_blocked(c):
-                row.append("#")
-            elif c in report.reachable:
-                row.append("B" if c in report.safe else "R")
-            elif c in report.safe:
-                row.append("S")
-            else:
-                row.append(".")
-        lines.append("".join(row))
-    return "\n".join(lines) + "\n"
+    reach, safe = report.reachable, report.safe
+    return "".join(
+        "".join("#" if space.is_blocked((x, y)) else
+                ".SRB"[2 * ((x, y) in reach) + ((x, y) in safe)]
+                for x in range(space.shape[0])) + "\n"
+        for y in reversed(range(space.shape[1])))

@@ -143,12 +143,12 @@ def _lex_dtt(text, path):
     return toks, ends
 
 
-# The deepest nesting of open "(" and "[" a .dtt file may have.  Parsing,
-# checking, reducing and printing recurse on it, so deeper input is
-# refused before any of them starts, with the RecursionError they would
-# meet.  At this depth an f(...) chain still fits under 100 more caller
-# frames than the shell's; a stage that recurses more per level (nested
-# eliminators) can still run out of stack below it.
+# The deepest nesting a .dtt file may have, counting each open "(" or "["
+# and each "core" or "op" (they nest without brackets).  Parsing, checking,
+# reducing and printing recurse on it, so deeper input is refused before
+# any of them starts, with the RecursionError they would meet.  At this
+# depth an f(...) or core chain still fits under 100 more caller frames
+# than the shell's; nested eliminators can still run out of stack below it.
 MAX_NESTING = 246
 
 
@@ -162,18 +162,24 @@ class _DttParser:
         self.declared = {}
         # index of each "[" -> index of its matching "]" (none if unmatched)
         self.close = {}
-        opened, depth = [], 0
+        # a bracket holds its own level and those of the core/op before it
+        opened, held, depth, run = [], [], 0, 0
         for i, tok in enumerate(self.toks):
-            if tok in {"(", "["}:
-                depth += 1
-                if depth > MAX_NESTING:
+            if tok in {"(", "[", "core", "op"}:
+                run += 1
+                if depth + run > MAX_NESTING:
                     raise RecursionError("input nests too deeply")
+                if tok in {"core", "op"}:
+                    continue
+                held.append(run)
+                depth += run
                 if tok == "[":
                     opened.append(i)
             elif tok in {")", "]"}:
-                depth -= depth > 0
+                depth -= held.pop() if held else 0
                 if tok == "]" and opened:
                     self.close[opened.pop()] = i
+            run = 0
         # (eliminator header tokens, scope) -> its parsed motives
         self.headers = {}
 
@@ -424,11 +430,16 @@ def parse_dtt(text, path="<input>"):
 
 
 def _fresh(base, taken):
-    name, n = base, 0
-    while name in taken or name in KEYWORDS:
-        name, n = f"{base}{n}", n + 1
-    taken.add(name)
-    return name
+    # the first of base, base0, base1, ... neither taken nor a keyword; a
+    # base drawn from maps to where its search resumes (taken only grows)
+    if base not in taken and base not in KEYWORDS:
+        taken[base] = 0
+        return base
+    n = taken.get(base) or 0
+    while f"{base}{n}" in taken or f"{base}{n}" in KEYWORDS:
+        n += 1
+    taken[f"{base}{n}"], taken[base] = None, n + 1
+    return f"{base}{n}"
 
 
 def print_term(tm, env=()):
@@ -442,10 +453,10 @@ def print_type(ty, env=()):
 
 
 def _print(walk, node, env):
-    # every eliminator draws its binder names from one set for the whole
-    # text, in the order the text is written
+    # every eliminator draws its binder names from one table for the
+    # whole text, in the order the text is written
     out = []
-    walk(node, list(env), set(node.names) | set(env), out)
+    walk(node, list(env), dict.fromkeys([*node.names, *env]), out)
     return "".join(out)
 
 

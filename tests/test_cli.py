@@ -170,6 +170,29 @@ def test_nesting_constant_gives_the_shell_verdicts_in_process(
     assert (rc, got) == (code, err)
 
 
+def _core_chain(depth, kw="core"):
+    return f"assume B : Type\nassert type {(kw + ' ') * depth}B\n"
+
+
+@pytest.mark.parametrize("text, code, err", [
+    (_core_chain(246), 0, ""),
+    (_core_chain(247), 2, "error: input nests too deeply\n"),
+    (_core_chain(247, "op"), 2, "error: input nests too deeply\n"),
+    # a bracket right after a run holds the run's levels until it closes
+    (f"assume B : Type\nassert type {'core (' * 123}B{')' * 123}\n", 0, ""),
+    (f"assume B : Type\nassert type {'op (' * 124}B{')' * 124}\n", 2,
+     "error: input nests too deeply\n"),
+], ids=["246-cores", "247-cores", "247-ops", "123-bracketed", "124-bracketed"])
+def test_core_and_op_count_toward_the_nesting_constant(capsys, tmp_path,
+                                                       text, code, err):
+    # core and op nest without brackets, and the printer recurses twice
+    # per keyword; each counts one level, from cli.run under 100 more frames
+    deep = tmp_path / "deep.dtt"
+    deep.write_text(text, encoding="utf-8")
+    rc, _, got = _padded(100, lambda: run(capsys, "check", str(deep)))
+    assert (rc, got) == (code, err)
+
+
 def test_deep_chain_within_the_limit_checks(tmp_path):
     # a fresh interpreter, as from the shell: pytest's own frames would
     # otherwise eat into the recursion limit
@@ -660,6 +683,49 @@ def test_wfs_refused_arrow_factorization_refuses_the_lift(capsys,
     assert "lift-oracle\tidtwo" not in out
 
 
+# chain_3 -> chain_2 sending b and c to y: an opfibration with a lift
+COLLAPSE = """\
+category src
+  objects a b c
+  arrow f : a -> b
+  arrow g : b -> c
+  arrow h : a -> c
+  compose g f = h
+end
+category tgt
+  objects x y
+  arrow k : x -> y
+end
+functor collapse : src -> tgt
+  ob a -> x
+  ob b -> y
+  ob c -> y
+  arr f -> k
+  arr g -> id_y
+  arr h -> k
+end
+"""
+
+
+def test_lift_oracles_refuse_a_search_over_the_cap(capsys, tmp_path):
+    # the brute-force search is refused, not cut short, and each refusal
+    # is a failing lift-oracle record
+    rc, out, _ = run(capsys, "interp", "--oracle", "--size-cap", "1",
+                     "--format", "records",
+                     str(CORPUS / "scenarios" / "transport.scn"))
+    assert rc == 1
+    assert ("lift-oracle[right]\telim#1\tFAIL\t16 object assignments "
+            "exceed the search cap 1\n") in out
+    ws = tmp_path / "collapse.fincat"
+    ws.write_text(COLLAPSE, encoding="utf-8")
+    rc, out, _ = run(capsys, "wfs", "--oracle", "--size-cap", "1",
+                     "--format", "records", str(ws))
+    assert rc == 1
+    assert "opfib-lift\tcollapse\tok\t\n" in out
+    assert out.endswith("lift-oracle\tcollapse\tFAIL\t2 object assignments "
+                        "exceed the search cap 1\n")
+
+
 @pytest.mark.parametrize("name", ["star", "two", "z2", "chain3", "grid22"])
 def test_wfs_runs_on_single_category_files(capsys, name):
     rc, out, _ = run(capsys, "wfs", str(CORPUS / "cats" / f"{name}.fincat"))
@@ -835,17 +901,18 @@ def test_pv_swissflag_report(capsys):
 
 
 def test_pv_planted_closure_defect_fails_closure_oracle(capsys, monkeypatch):
-    # the forward sweep loses a cell that no other cell links to
+    # the forward sweep loses a cell that no other cell links to in the
+    # referee's link table
     closure = ds._closure
 
     def dropped(space, d):
-        rows = closure(space, d)
+        bits = closure(space, d)
         if d == 1:
-            links = ds._build_links(space, rows, d)
-            x, y = next(c for c in reversed(links) if c != space.final
+            links = oracles.link_table(space)
+            cell = next(c for c in reversed(links) if c != space.final
                         and c not in links.values())
-            rows = rows[:x] + (rows[x] & ~(1 << y),) + rows[x + 1:]
-        return rows
+            bits &= ~ds._bit(space, cell)
+        return bits
     path = str(CORPUS / "swissflag.pv")
     rc, out, _ = run(capsys, "pv", "--oracle", "--format", "records", path)
     assert (rc, out.splitlines()[-1]) == (1, f"closure-oracle\t{path}\tok\t")
@@ -899,32 +966,26 @@ def test_pv_closure_oracle_at_realistic_size(capsys, tmp_path):
     assert "closure-oracle\t" + str(prog) + "\tok\t\n" in out
 
 
-@pytest.mark.parametrize("flags, backward, links", [
-    (("--format", "records"), 0, 0),
-    (("--format", "human"), 1, 0),
-    (("--format", "records", "--oracle"), 1, 1),
-    (("--format", "human", "--oracle"), 1, 1),
+@pytest.mark.parametrize("flags, backward", [
+    (("--format", "records"), 0),
+    (("--format", "human"), 1),
+    (("--format", "records", "--oracle"), 1),
+    (("--format", "human", "--oracle"), 1),
 ], ids=["records", "human", "oracle", "human-oracle"])
 def test_pv_runs_the_backward_closure_only_when_read(capsys, monkeypatch,
-                                                      flags, backward, links):
-    # sweeps and link-table builds per file, by direction: human output
-    # reads only the masks, and only the certificate reads links
+                                                      flags, backward):
+    # sweeps per file, by direction: a records run without the
+    # certificate reads only the forward mask
     files = sorted(str(p) for p in CORPUS.glob("*.pv"))
     assert len(files) == 4
-    closure, build, sweeps, built = ds._closure, ds._build_links, [], []
+    closure, sweeps = ds._closure, []
 
     def counted(space, d):
         sweeps.append(d)
         return closure(space, d)
-
-    def counted_links(space, rows, d):
-        built.append(d)
-        return build(space, rows, d)
     monkeypatch.setattr(ds, "_closure", counted)
-    monkeypatch.setattr(ds, "_build_links", counted_links)
     run(capsys, "pv", *flags, *files)
     assert (sweeps.count(1), sweeps.count(-1)) == (4, 4 * backward)
-    assert (built.count(1), built.count(-1)) == (4 * links, 4 * links)
 
 
 def _pv_text(prog):

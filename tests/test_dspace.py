@@ -235,9 +235,9 @@ def test_closure_from_a_forbidden_corner_is_empty():
     trap = ds.DirectedGridSpace(ticks, (ds.Rect((0, 0), (1, 1)),))
     end = ds.DirectedGridSpace(ticks, (ds.Rect((1, 1), (2, 2)),))
     trapped, ended = ds.analyze(trap), ds.analyze(end)
-    assert trapped.reachable == {} and ended.safe == {}
+    assert list(trapped.reachable) == list(ended.safe) == []
     assert len(trapped.safe) == len(ended.reachable) == 3
-    # the certificate accepts an empty table at a forbidden anchor
+    # the certificate accepts an empty mask at a forbidden anchor
     assert ds.analyze(trap).validate() == ds.analyze(end).validate() == []
 
 
@@ -288,27 +288,28 @@ def test_witness_paths_are_monotone_and_clear(name, build):
     assert report.validate() == []
 
 
-# Each fault is planted in the swiss flag's tables; (3, 3) is unreachable,
-# (1, 1) unsafe, (2, 2) forbidden, and nothing links to the final corner
-# in the reachable table, so only the step check sees it go missing.
+def flip(space, *cells):
+    """The whole-grid int with the bits of the given cells set."""
+    return sum(ds._bit(space, c) for c in cells)
+
+
+# Each fault is planted as bits of the swiss flag's masks; (3, 3) is
+# unreachable, (1, 1) unsafe and (2, 2) forbidden.  Every cell next to a
+# dropped corner stays in, so only the step check sees it go missing.
 TAMPERS = [
-    ("reachable-dropped", "reachable",
-     lambda t: {c: p for c, p in t.items() if c != (4, 4)},
+    ("reachable-dropped", "reachable", lambda s: flip(s, (4, 4)),
      "reachable: the step from (4, 3) to (4, 4) leaves the table"),
-    ("unreachable-added", "reachable",
-     lambda t: {**t, (3, 3): (2, 3)},
-     "reachable: (3, 3) links to (2, 3), which is not in the table"),
-    ("long-link", "reachable",
-     lambda t: {**t, (4, 4): (4, 2)},
-     "reachable: (4, 4) links to (4, 2), not one unit step back"),
-    ("backward-link", "safe",
-     lambda t: {**t, (0, 1): (0, 0)},
-     "safe: (0, 1) links to (0, 0), not one unit step back"),
-    ("forbidden", "safe",
-     lambda t: {**t, (2, 2): (3, 2)},
+    ("unreachable-added", "reachable", lambda s: flip(s, (3, 3)),
+     "reachable: (3, 3) has no neighbour one step back in the table"),
+    ("off-grid", "reachable", lambda s: 1 << s.slot - 1,
+     "reachable: 1 bits lie off the grid"),
+    ("unsafe-added", "safe", lambda s: flip(s, (1, 1)),
+     "safe: (1, 1) has no neighbour one step back in the table"),
+    ("safe-dropped", "safe", lambda s: flip(s, (0, 0)),
+     "safe: the step from (1, 0) to (0, 0) leaves the table"),
+    ("forbidden", "safe", lambda s: flip(s, (2, 2)),
      "safe: (2, 2) is forbidden"),
-    ("anchor-removed", "safe",
-     lambda t: {c: p for c, p in t.items() if c != (4, 4)},
+    ("anchor-removed", "safe", lambda s: flip(s, (4, 4)),
      "safe: the anchor (4, 4) is missing"),
 ]
 
@@ -317,10 +318,12 @@ TAMPERS = [
                          ids=[t[0] for t in TAMPERS])
 def test_certificate_names_each_planted_fault(name, table, tamper, problem):
     report = ds.analyze(swiss_space())
-    # both tables are read from the masks on first read, so the tampered
-    # one is planted in a fresh report before anything reads it
+    good = getattr(report, table)
+    # the safe mask is swept on first read, so the tampered one is
+    # planted in a fresh report before anything reads it
     bad = ds.analyze(report.space)
-    object.__setattr__(bad, table, tamper(getattr(report, table)))
+    bits = good.bits ^ tamper(report.space)
+    object.__setattr__(bad, table, ds.Region(report.space, bits, good.d))
     assert problem in bad.validate()
 
 
@@ -403,9 +406,14 @@ def test_final_corner_of_a_valid_program_is_reachable(rng):
 
 
 def test_link_tables_retrace_witness_paths():
-    report = ds.analyze(swiss_space())
-    for table, anchor in ((report.reachable, (0, 0)),
-                          (report.safe, (4, 4))):
+    # the referee's link tables hold the masks' cells in the same order,
+    # and following links from any cell walks a shortest path home
+    space = swiss_space()
+    report = ds.analyze(space)
+    for region, forward, anchor in ((report.reachable, True, (0, 0)),
+                                    (report.safe, False, (4, 4))):
+        table = oracles.link_table(space, forward)
+        assert list(region) == list(table)
         for cell in table:
             path = [cell]
             while table[path[-1]] is not None:
@@ -496,6 +504,17 @@ EDGE_SPACES = [
     ("17-cubed", ds.DirectedGridSpace(grid(17, 17, 17), (
         ds.Rect((3, 4, 0), (9, 12, 17)), ds.Rect((0, 10, 6), (17, 11, 16)),
         ds.Rect((12, 0, 15), (17, 16, 16))))),
+    # rows at the slot boundaries: 8 cells need a 16-bit slot, 32 and 40
+    # cells a 64-bit one, and 64 cells a slot wider than a machine word
+    *[(f"{w}-cell-rows", ds.DirectedGridSpace(grid(4, w), (
+        ds.Rect((1, 5), (2, w - 1)), ds.Rect((2, 0), (3, w - 1)))))
+      for w in (8, 32, 40, 64)],
+    # the swiss flag on the outer axes, spread over the two middle ones,
+    # and a small box spanning part of all four
+    ("4-axis", ds.DirectedGridSpace(grid(5, 2, 3, 5), (
+        ds.Rect((1, 0, 0, 2), (4, 2, 3, 3)),
+        ds.Rect((2, 0, 0, 1), (3, 2, 3, 4)),
+        ds.Rect((0, 1, 1, 0), (2, 2, 2, 2))))),
     # a forbidden anchor leaves that direction's closure empty
     ("forbidden-initial", ds.DirectedGridSpace(grid(3, 3), (
         ds.Rect((0, 0), (1, 1)),))),
@@ -507,14 +526,14 @@ EDGE_SPACES = [
 def assert_matches_referees(space):
     report = ds.analyze(space)
     assert blocked_cells(space) == oracles.forbidden_cells(space)
-    for table, forward in ((report.reachable, True), (report.safe, False)):
-        # same keys, links and order as the cell-by-cell sweep
+    for region, forward in ((report.reachable, True), (report.safe, False)):
+        # the same cells in the same order as the cell-by-cell sweep
         expected = oracles.link_table(space, forward)
-        assert list(table.items()) == list(expected.items())
+        assert list(region) == list(expected)
         assert set(expected) == oracles.closure_cells(space, forward)
-        assert len(table) == len(expected)
-        assert all(c in table for c in expected)
-        assert not any(c in table for c in all_cells(space)
+        assert len(region) == len(expected)
+        assert all(c in region for c in expected)
+        assert not any(c in region for c in all_cells(space)
                        if c not in expected)
     assert ds.deadlocks(report) == oracles.deadlocks_by_scan(space)
     assert report.validate() == []
@@ -544,6 +563,15 @@ def test_edge_shapes_are_not_vacuous():
     assert (1, 4) in wide.reachable and (1, 5) not in wide.reachable
     assert (3, 16) in wide.reachable and (0, 16) in wide.safe
     assert ds.deadlocks(wide) == ((1, 4),)
+    for w, slot in ((8, 16), (32, 64), (40, 64), (64, 128)):
+        space = spaces[f"{w}-cell-rows"]
+        assert space.slot == slot
+        # (1, 4) is walled in, and the top cell of each row is reached
+        assert ds.deadlocks(ds.analyze(space)) == ((1, 4),)
+        assert (3, w - 1) in ds.analyze(space).reachable
+    four = ds.analyze(spaces["4-axis"])
+    assert ds.deadlocks(four) == ((1, 1, 0, 1), (1, 1, 2, 1))
+    assert len(four.unreachable) == 6
     assert len(ds.analyze(spaces["forbidden-initial"]).reachable) == 0
     assert len(ds.analyze(spaces["forbidden-final"]).safe) == 0
     assert spaces["forbidden-initial"].validate() == [
@@ -563,8 +591,7 @@ def test_link_tables_and_deadlocks_of_generated_programs():
     for i in range(60):
         space = ds.from_pv(random_program(random.Random(f"pv-modes/{i}")))
         report = ds.analyze(space)
-        for table, forward in ((report.reachable, True),
-                               (report.safe, False)):
-            assert list(table.items()) == list(
-                oracles.link_table(space, forward).items())
+        for region, forward in ((report.reachable, True),
+                                (report.safe, False)):
+            assert list(region) == list(oracles.link_table(space, forward))
         assert ds.deadlocks(report) == oracles.deadlocks_by_scan(space)
