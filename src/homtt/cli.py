@@ -49,21 +49,28 @@ def _arg_parser():
         prog="homtt",
         description="Check directed type theory sources and their "
                     "finite-category and grid models.")
+    # each subcommand takes only the flags it reads; these defaults stand
+    # in for the others
+    ap.set_defaults(oracle=False, size_cap=None)
     sub = ap.add_subparsers(dest="command", required=True)
     specs = [
-        ("check", "typecheck .dtt source files"),
-        ("interp", "verify scenario files against their workspaces"),
-        ("wfs", "certify factorizations and lifts in .fincat workspaces"),
-        ("pv", "analyze .pv lock programs on their grids"),
+        ("check", "typecheck .dtt source files", ()),
+        ("interp", "verify scenario files against their workspaces",
+         ("oracle", "size_cap")),
+        ("wfs", "certify factorizations and lifts in .fincat workspaces",
+         ("oracle", "size_cap")),
+        ("pv", "analyze .pv lock programs on their grids", ("oracle",)),
     ]
-    for name, help_text in specs:
+    for name, help_text, flags in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("paths", nargs="+", metavar="FILE")
-        p.add_argument("--oracle", action="store_true",
-                       help="also run the oracle cross-checks")
-        p.add_argument("--size-cap", type=int, default=None, metavar="N",
-                       help="lower the lift-search cap of --oracle "
-                            "(never raises the built-in limit)")
+        if "oracle" in flags:
+            p.add_argument("--oracle", action="store_true",
+                           help="also run the oracle cross-checks")
+        if "size_cap" in flags:
+            p.add_argument("--size-cap", type=int, metavar="N",
+                           help="lower the lift-search cap of --oracle "
+                                "(never raises the built-in limit)")
         p.add_argument("--format", choices=("human", "records"),
                        default="human", help="report style")
     return ap

@@ -6,7 +6,9 @@ morphism names are arbitrary hashable values.  A category keeps its cells
 in the order it is built, so reports and chosen representatives are
 deterministic by construction; equality ignores that order.  Equal
 morphisms are one object, kept in a dict of weak references, so compare
-by identity.
+by identity; a ``Mor`` has the value contract of a kernel node
+(``kernel.Interned``: frozen fields, the dataclass repr, and copies and
+pickles that are the live morphism).
 
 A fiber assignment's laws are read off its transitions' own maps, cell by
 cell, with no identity or composite functor built; the functoriality law
@@ -32,7 +34,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 
-from .kernel import dropper
+from .kernel import Interned, dropper
 
 MAX_OBJECTS = 64
 MAX_MORPHISMS = 4096
@@ -52,12 +54,13 @@ def _fmt(x):
     return repr(x)
 
 
-class Mor:
+class Mor(Interned):
     """An immutable morphism.  Equal live morphisms are one object, through
     a dict of weak references that building one looks up.  Its repr is
     for errors."""
 
     __slots__ = ("name", "dom", "cod", "__weakref__")
+    __match_args__ = ("name", "dom", "cod")
 
     def __new__(cls, name, dom, cod):
         key = (name, dom, cod)
@@ -70,16 +73,6 @@ class Mor:
             object.__setattr__(m, "cod", cod)
             _live[key] = weakref.KeyedRef(m, _drop, key)
         return m
-
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"cannot assign to field {attr!r} of a Mor")
-
-    def __reduce__(self):
-        """Copies and pickles are rebuilt from the fields: the live Mor."""
-        return Mor, (self.name, self.dom, self.cod)
-
-    def __repr__(self):
-        return f"Mor(name={self.name!r}, dom={self.dom!r}, cod={self.cod!r})"
 
 
 _live = {}  # (name, dom, cod) -> a weak reference to its one Mor

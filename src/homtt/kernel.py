@@ -23,10 +23,12 @@ nodes it cares about (``Var`` for the renumbering, the redex for
 Every node is interned: building one looks its class and fields up in one
 dict of weak references, ``_live``, and returns the live node there, so
 two live nodes with equal fields are one object and ``==`` and ``hash``
-are identity; a copy or pickle of a node is rebuilt through the
-constructor, so it is the live node too.  An entry goes with its last
-node, so nothing outlives the terms in use; its removal is ``dropper``,
-which ``fincat``'s table of morphisms uses too.
+are identity.  An entry goes with its last node, so nothing outlives the
+terms in use; its removal is ``dropper``.  ``Interned`` is the value
+contract that nodes share with ``fincat.Mor``: the fields named by
+``__match_args__`` are set once, the repr is the dataclass one, and a
+copy or pickle is rebuilt through the constructor, so it is the live
+value too; ``Mor`` keeps its own ``__new__`` and intern table.
 ``core (op T)`` is ``core T``: the ``Core`` constructor drops ``Op`` layers
 before the lookup, and every rebuild goes through the constructor, so a
 core of an op is never represented.
@@ -42,7 +44,7 @@ and ``map_children`` returns the node itself when no child changed.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from itertools import repeat
 from operator import add, is_
 
@@ -51,7 +53,30 @@ class InternalError(Exception):
     """An invariant of the engine itself was violated (not a user error)."""
 
 
-class Expr:
+class Interned:
+    """A value whose fields, named in order by its class's __match_args__,
+    are set once when it is built: assigning or deleting one raises
+    FrozenInstanceError, the repr is the dataclass one, and a copy or
+    pickle is rebuilt through the constructor, so it is the live value."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+class Expr(Interned):
     """A node; __new__ returns the live node with the same class and fields
     if there is one, and gives a new node its summaries (see above)."""
 
@@ -68,10 +93,6 @@ class Expr:
             _summarize(cls, fields, d)
             _live[key] = weakref.KeyedRef(x, _drop, key)
         return x
-
-    def __reduce__(self):
-        """Copies and pickles are rebuilt from the fields: the live node."""
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
 def _summarize(cls, fields, d):
@@ -120,22 +141,19 @@ class TermExpr(Expr):
     __slots__ = ()
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class BaseT(TypeExpr):
     """An assumed base type, instantiated at the arguments of its telescope."""
 
-    name: str
-    args: tuple = ()
+    __match_args__ = ("name", "args")
 
     def __new__(cls, name, args=()):
         return super().__new__(cls, name, args)
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class Core(TypeExpr):
     """core T; built without the op layers of T, since core (op T) is core T."""
 
-    inner: TypeExpr
+    __match_args__ = ("inner",)
 
     def __new__(cls, inner):
         while isinstance(inner, Op):
@@ -143,80 +161,60 @@ class Core(TypeExpr):
         return super().__new__(cls, inner)
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class Op(TypeExpr):
-    inner: TypeExpr
+    __match_args__ = ("inner",)
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class Hom(TypeExpr):
     """hom T s t: directed maps of T from s (an op point) to t."""
 
-    carrier: TypeExpr
-    source: TermExpr
-    target: TermExpr
+    __match_args__ = ("carrier", "source", "target")
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class Var(TermExpr):
-    level: int
+    __match_args__ = ("level",)
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class Const(TermExpr):
     """An assumed or defined constant, instantiated at its telescope."""
 
-    name: str
-    args: tuple = ()
+    __match_args__ = ("name", "args")
 
     def __new__(cls, name, args=()):
         return super().__new__(cls, name, args)
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class IncCore(TermExpr):
     """i t: inclusion of a core point into the carrier."""
 
-    arg: TermExpr
+    __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class IncOp(TermExpr):
     """iop t: inclusion of a core point into the opposite."""
 
-    arg: TermExpr
+    __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class One(TermExpr):
     """one t: the unit directed map at a core point."""
 
-    arg: TermExpr
+    __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class ElimR(TermExpr):
     """Right eliminator, fully annotated.
 
     motive_theta binds (s);  motive_d binds (s, t, f, th);  base binds (s, th).
     """
 
-    motive_theta: TypeExpr
-    motive_d: TypeExpr
-    base: TermExpr
-    f: TermExpr
-    theta: TermExpr
+    __match_args__ = ("motive_theta", "motive_d", "base", "f", "theta")
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class ElimL(TermExpr):
     """Left eliminator; same shape as ElimR with the left-variant typing."""
 
-    motive_theta: TypeExpr
-    motive_d: TypeExpr
-    base: TermExpr
-    f: TermExpr
-    theta: TermExpr
+    __match_args__ = ("motive_theta", "motive_d", "base", "f", "theta")
 
 
 THETA_BINDS = 1

@@ -226,8 +226,9 @@ def brute_force_lifts(prob, cap=BRUTE_CAP):
     """Every diagonal of the square, by exhaustive search.
 
     Object images forced by the top leg are fixed first, the rest range
-    over the fiber of the bottom leg; morphism images likewise, then each
-    candidate is kept only if it is a functor and both triangles commute.
+    over the fiber of the bottom leg; morphism images likewise, so both
+    triangles commute by construction (LiftWitness checks them again),
+    and each candidate is kept only if it is a functor.
     The result tuple is in a fixed order.  If the assignment space grows
     past cap the search refuses with WfsError rather than truncating.
     """
@@ -284,11 +285,6 @@ def brute_force_lifts(prob, cap=BRUTE_CAP):
                 f"morphism assignments exceed the search cap {cap}")
         for mcombo in itertools.product(*mor_cands):
             cand = fc.Functor(B, E, ob, dict(zip(B.morphisms, mcombo)))
-            if cand.validate():
-                continue
-            if fc.functor_compose(cand, prob.i) != prob.top:
-                continue
-            if fc.functor_compose(prob.p, cand) != prob.bottom:
-                continue
-            found.append(LiftWitness(prob, cand))
+            if not cand.validate():
+                found.append(LiftWitness(prob, cand))
     return tuple(found)

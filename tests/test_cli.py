@@ -37,10 +37,26 @@ def run(capsys, *argv):
 def test_parse_args_defaults_and_flags():
     cfg = cli.parse_args(["check", "a.dtt", "b.dtt"])
     assert cfg == cli.RunConfig("check", ("a.dtt", "b.dtt"))
-    cfg = cli.parse_args(["pv", "x.pv", "--oracle", "--size-cap", "9",
-                          "--format", "records"])
-    assert cfg.command == "pv" and cfg.oracle
-    assert cfg.size_cap == 9 and cfg.format == "records"
+    cfg = cli.parse_args(["pv", "x.pv", "--oracle", "--format", "records"])
+    assert cfg == cli.RunConfig("pv", ("x.pv",), True, None, "records")
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["pv", "x.pv", "--oracle", "--size-cap", "9",
+                        "--format", "records"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ("--oracle",), ("--size-cap", "3"), ("--oracle", "--size-cap", "3")],
+    ids=["oracle", "size-cap", "both"])
+def test_check_refuses_the_flags_it_does_not_read(capsys, flags):
+    # check reads neither flag, so it takes neither
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", *flags, str(CORPUS / "comp.dtt")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: homtt")
+    assert f"unrecognized arguments: {flags[0]}" in captured.err
 
 
 def test_parse_args_calls_are_independent(capsys):
@@ -65,10 +81,10 @@ def test_missing_subcommand_is_a_usage_error():
 
 
 def test_size_cap_never_exceeds_the_hard_cap():
-    assert cli._cap(cli.RunConfig("pv", (), size_cap=10**9),
+    assert cli._cap(cli.RunConfig("wfs", (), size_cap=10**9),
                     wfs.BRUTE_CAP) == wfs.BRUTE_CAP
-    assert cli._cap(cli.RunConfig("pv", (), size_cap=-5), 64) == 1
-    assert cli._cap(cli.RunConfig("pv", ()), 64) == 64
+    assert cli._cap(cli.RunConfig("wfs", (), size_cap=-5), 64) == 1
+    assert cli._cap(cli.RunConfig("wfs", ()), 64) == 64
 
 
 def test_corpus_root_env_var(capsys, monkeypatch):
@@ -934,10 +950,17 @@ def test_pv_clean_programs_pass_with_oracle(capsys):
     assert all(line.split("\t")[2] == "ok" for line in lines)
 
 
-def test_pv_closure_oracle_ignores_the_size_cap(capsys):
-    rc, out, _ = run(capsys, "pv", "--oracle", "--size-cap", "10",
-                     "--format", "records", str(CORPUS / "interval.pv"),
-                     str(CORPUS / "swissflag.pv"))
+def test_pv_refuses_the_size_cap(capsys):
+    # the closure certificate needs no cap, so pv takes none
+    files = (str(CORPUS / "interval.pv"), str(CORPUS / "swissflag.pv"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pv", "--oracle", "--size-cap", "10", "--format",
+                  "records", *files])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --size-cap" in captured.err
+    rc, out, _ = run(capsys, "pv", "--oracle", "--format", "records", *files)
     assert rc == 1
     for name in ("interval.pv", "swissflag.pv"):
         assert "closure-oracle\t" + str(CORPUS / name) + "\tok" in out

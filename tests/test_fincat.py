@@ -978,6 +978,18 @@ def test_mor_repr_is_the_dataclass_repr():
     assert repr((top, 3)) == f"({top!r}, 3)"
 
 
+@pytest.mark.parametrize("change", [
+    lambda m: setattr(m, "name", "b"),
+    lambda m: setattr(m, "extra", 1),
+    lambda m: delattr(m, "dom")], ids=["assign", "add", "delete"])
+def test_mors_refuse_assignment_and_deletion(change):
+    a = fc.Mor("a", "0", "1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        change(a)
+    assert (a.name, a.dom, a.cod) == ("a", "0", "1")
+    assert fc.Mor("a", "0", "1") is a
+
+
 def test_equal_mors_are_one_object():
     a, sq, top = _nested_mors()
     a2, sq2, top2 = _nested_mors()

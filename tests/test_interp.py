@@ -748,6 +748,28 @@ def test_env_value_outside_fiber_is_reported():
         for r in later if not r.ok)
 
 
+def test_env_section_over_another_base_fails_its_env_type_check():
+    # load_scenario builds every section over its interpreted telescope;
+    # a hand-built one can lie over another category
+    source = transport_source()
+    sig, checks = ch.check_source(source)
+    env = transport_env(sig)
+    stc = cats.star()
+    env.terms["c"] = fc.strict_section(
+        fc.constant_fibers(stc, fc.core(cats.two())), {"*": "0"})
+    records, _ = ip.verify_soundness(ip.Scenario(source, sig, checks, env))
+    assert ch.Record("const:c", "env-section", True) in records
+    rec = next(r for r in records if r.check == "env-type")
+    assert (rec.subject, rec.ok, rec.detail) == (
+        "c", False, "section base differs from the interpreted telescope")
+    later = records[records.index(rec) + 1:]
+    assert {r.subject for r in later if not r.ok} == {
+        "ff", "u0", "moved", "stay", "assert#1"}
+    assert all((r.check, r.detail) == (
+        "interpretation", "the declaration of 'c' fails its env-type check")
+        for r in later if not r.ok)
+
+
 def test_env_base_mismatch_makes_the_base_unusable():
     source = transport_source()
     sig, checks = ch.check_source(source)

@@ -502,6 +502,26 @@ def test_nodes_are_interned_and_compare_by_identity():
     assert Var(0).level == 0
 
 
+def test_node_repr_is_the_dataclass_repr():
+    assert repr(Hom(BaseT("B"), IncOp(Var(0)), Var(1))) == (
+        "Hom(carrier=BaseT(name='B', args=()), "
+        "source=IncOp(arg=Var(level=0)), target=Var(level=1))")
+    assert repr(Const("c", (One(Var(2)),))) == (
+        "Const(name='c', args=(One(arg=Var(level=2)),))")
+
+
+@pytest.mark.parametrize("change", [
+    lambda x: setattr(x, "carrier", BaseT("C")),
+    lambda x: setattr(x, "extra", 1),
+    lambda x: delattr(x, "source")], ids=["assign", "add", "delete"])
+def test_nodes_refuse_assignment_and_deletion(change):
+    x = Hom(BaseT("B"), IncOp(Var(0)), Var(1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        change(x)
+    assert x.carrier is BaseT("B") and x.source is IncOp(Var(0))
+    assert not hasattr(x, "extra")
+
+
 @pytest.mark.parametrize("clone", [
     copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
     ids=["copy", "deepcopy", "pickle"])

@@ -4,8 +4,9 @@ Every public top-level name of a package module must be referenced by
 some other top-level statement of the package, or be on the allowlist
 of entry points and documented API below.  Every public method or
 property of a public class must be read by attribute name somewhere in
-the package outside its own body, and every field of a public dataclass
-by attribute name or through a class pattern.
+the package outside its own body, and every field of a public dataclass,
+or of a public class that names its fields in __match_args__, by
+attribute name or through a class pattern.
 """
 
 import ast
@@ -87,14 +88,24 @@ def _is_dataclass(cls):
     return False
 
 
-def test_every_dataclass_field_is_read_inside_the_package():
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))]
-    fields = {cls.name: [s.target.id for s in cls.body
-                         if isinstance(s, ast.AnnAssign)]
-              for tree in trees for cls in tree.body
+def _fields(cls):
+    """The names in a class's __match_args__ tuple, else a dataclass's
+    annotated fields, else None."""
+    for s in cls.body:
+        match s:
+            case ast.Assign(targets=[ast.Name(id="__match_args__")],
+                            value=ast.Tuple(elts=elts)):
+                return [e.value for e in elts]
+    if _is_dataclass(cls):
+        return [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
+    return None
+
+
+def _unread_fields(trees):
+    fields = {cls.name: names for tree in trees for cls in tree.body
               if isinstance(cls, ast.ClassDef)
-              and not cls.name.startswith("_") and _is_dataclass(cls)}
+              and not cls.name.startswith("_")
+              and (names := _fields(cls)) is not None}
     read = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -107,10 +118,24 @@ def test_every_dataclass_field_is_read_inside_the_package():
                     # which for a dataclass is its field order
                     read.update(fields.get(cls, ())[:len(pos)])
                     read.update(kwd)
-    unread = [f"{cls}.{name}" for cls, names in fields.items()
-              for name in names if name not in read]
+    return [f"{cls}.{name}" for cls, names in fields.items()
+            for name in names if name not in read]
+
+
+def test_every_dataclass_field_is_read_inside_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))]
+    unread = _unread_fields(trees)
     assert not unread, f"dataclass fields never read inside the package: " \
         f"{unread}"
+
+
+def test_an_unread_match_args_field_is_reported():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))]
+    planted = ast.parse("class Planted(Interned):\n"
+                        "    __match_args__ = ('name', 'never_read')\n")
+    assert _unread_fields(trees + [planted]) == ["Planted.never_read"]
 
 
 # defaulted parameters that no call inside the package passes, and why

@@ -385,6 +385,81 @@ def test_search_refuses_above_the_cap():
     assert len(wfs.brute_force_lifts(prob)) == 6
 
 
+def _functor(src, tgt, ob, mor=None):
+    """src -> tgt by the object map ob; each morphism goes to mor[m] when
+    given, else to the identity at the image of its domain."""
+    mor = mor or {}
+    return fc.Functor(src, tgt, ob, {m: mor.get(m, tgt.identity[ob[m.dom]])
+                                     for m in src.morphisms})
+
+
+def _squash():
+    """para -> two, both parallel arrows onto a."""
+    c, t = cats.para(), cats.two()
+    a = cats.arrow(t, "a")
+    return _functor(c, t, {"0": "0", "1": "1"},
+                    {cats.arrow(c, "p"): a, cats.arrow(c, "q"): a})
+
+
+def _split_objects():
+    # i identifies the two objects that the top leg keeps apart
+    d2, stc = cats.disc2(), cats.star()
+    to_star = _functor(d2, stc, {"0": "*", "1": "*"})
+    return wfs.LiftingProblem(to_star, to_star, fc.identity_functor(d2),
+                              fc.identity_functor(stc))
+
+
+def _empty_fiber():
+    # the bottom leg hits an object that p misses
+    empty, stc, twoc = fc.mkdiscrete(()), cats.star(), cats.two()
+    return wfs.LiftingProblem(
+        _functor(empty, stc, {}), _functor(stc, twoc, {"*": "0"}),
+        _functor(empty, stc, {}), _functor(stc, twoc, {"*": "1"}))
+
+
+def _split_morphisms():
+    # i identifies the two arrows that the top leg keeps apart
+    squash = _squash()
+    return wfs.LiftingProblem(squash, squash,
+                              fc.identity_functor(squash.source),
+                              fc.identity_functor(squash.target))
+
+
+@pytest.mark.parametrize("square", [
+    _split_objects, _empty_fiber, _split_morphisms],
+    ids=["split-objects", "empty-fiber", "split-morphisms"])
+def test_search_finds_no_lift_where_the_square_has_none(square):
+    assert wfs.brute_force_lifts(square()) == ()
+
+
+def test_search_refuses_morphism_assignments_above_the_cap():
+    # one object assignment, then a choice of p or q over a
+    squash, d2 = _squash(), cats.disc2()
+    ob = {"0": "0", "1": "1"}
+    prob = wfs.LiftingProblem(_functor(d2, squash.target, ob), squash,
+                              _functor(d2, squash.source, ob),
+                              fc.identity_functor(squash.target))
+    with pytest.raises(wfs.WfsError,
+                       match="^morphism assignments exceed the search cap 1$"):
+        wfs.brute_force_lifts(prob, cap=1)
+    lifts = wfs.brute_force_lifts(prob, cap=2)
+    a = cats.arrow(squash.target, "a")
+    assert [lw.diagonal.mor[a].name for lw in lifts] == ["p", "q"]
+
+
+def test_search_drops_candidates_that_are_not_functors():
+    # over the point, the unit may go to the identity or to the idempotent;
+    # only the identity gives a functor
+    empty, stc, e = fc.mkdiscrete(()), cats.star(), cats.idem()
+    prob = wfs.LiftingProblem(
+        _functor(empty, stc, {}), _functor(e, stc, {"x": "*"}),
+        _functor(empty, e, {}), fc.identity_functor(stc))
+    assert e.hom("x", "x") == [e.identity["x"], cats.arrow(e, "e")]
+    lifts = wfs.brute_force_lifts(prob)
+    assert [lw.diagonal.mor for lw in lifts] == [
+        {stc.identity["*"]: e.identity["x"]}]
+
+
 def test_elimination_square_lifts_and_contains_the_interp_diagonal():
     c = cats.two()
     _, _, itp = comp_setup(c, cats.arrow(c, "a"), c.identity["1"])
