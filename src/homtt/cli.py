@@ -131,8 +131,8 @@ def _lift_oracle(witnesses, cap):
     for n, w in enumerate(witnesses, start=1):
         subject, check = f"elim#{n}", f"lift-oracle[{w.side}]"
         try:
-            _, witness = wfs.elimination_square(w)
-            recs.append(_diagonal_record(subject, check, witness, cap))
+            recs.append(_diagonal_record(subject, check,
+                                         wfs.elimination_square(w), cap))
         except (wfs.WfsError, fc.SizeCapError, ValueError) as err:
             recs.append(ch.Record(subject, check, False, str(err)))
     return recs

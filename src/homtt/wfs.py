@@ -209,17 +209,15 @@ def elimination_square(w):
     """The lifting square behind one eliminator witness.
 
     The unit goes against the projection of the motive's extension; the
-    seed sits on top as its graph.  Returns the problem together with the
-    witness for the interpreter's own diagonal, the graph of the
-    transported section.
+    seed sits on top as its graph.  Returns the witness for the
+    interpreter's own diagonal, the graph of the transported section.
     """
-    ext = ip.extend(w.e_cat, w.d_fa)
+    e_cat = w.unit.target
+    ext = ip.extend(e_cat, w.e_full.fa)
     top = ip.pairing_functor(w.unit, [w.d_sec], ext.cat)
-    prob = LiftingProblem(w.unit, ext.proj, top,
-                          fc.identity_functor(w.e_cat))
-    ell = ip.pairing_functor(fc.identity_functor(w.e_cat), [w.e_full],
-                             ext.cat)
-    return prob, LiftWitness(prob, ell)
+    prob = LiftingProblem(w.unit, ext.proj, top, fc.identity_functor(e_cat))
+    ell = ip.pairing_functor(fc.identity_functor(e_cat), [w.e_full], ext.cat)
+    return LiftWitness(prob, ell)
 
 
 def brute_force_lifts(prob, cap=BRUTE_CAP):

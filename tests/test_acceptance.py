@@ -259,7 +259,7 @@ def test_criterion_07_lift_oracle_agreement():
                         itp.term(tele, rhs)
             assert itp.witnesses, name
             for w in itp.witnesses:
-                _, witness = wfs.elimination_square(w)
+                witness = wfs.elimination_square(w)
                 lifts = wfs.brute_force_lifts(witness.problem)
                 assert lifts, f"{name}: no diagonal for a {w.side} eliminator"
                 assert any(witness.diagonal == lw.diagonal for lw in lifts)

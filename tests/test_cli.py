@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,19 @@ def test_size_cap_never_exceeds_the_hard_cap():
                     wfs.BRUTE_CAP) == wfs.BRUTE_CAP
     assert cli._cap(cli.RunConfig("wfs", (), size_cap=-5), 64) == 1
     assert cli._cap(cli.RunConfig("wfs", ()), 64) == 64
+
+
+def test_module_entry_point_exits_with_the_run_code(capsys, monkeypatch):
+    # `python -m homtt.cli` runs main on sys.argv and exits with its code;
+    # the module is run afresh, so drop the imported copy for the duration
+    monkeypatch.delitem(sys.modules, "homtt.cli")
+    monkeypatch.setattr(sys, "argv", [
+        "homtt", "check", "--format", "records",
+        str(CORPUS / "bad-intro.dtt")])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("homtt.cli", run_name="__main__")
+    assert exit_.value.code == 1
+    assert "\tFAIL\t" in capsys.readouterr().out
 
 
 def test_corpus_root_env_var(capsys, monkeypatch):
@@ -396,11 +410,11 @@ def test_planted_lift_search_defect_fails_lift_oracle(capsys, monkeypatch,
                for r in fails)
 
 
-def test_planted_hom_functor_defect_stops_before_type_functorial(
-        capsys, monkeypatch):
-    # type-functorial validates the assignment a hom type is read as, but
-    # extend validates it first and refuses it as an internal error; so a
-    # broken hom functor never reaches the record
+def test_planted_hom_functor_defect_is_an_internal_error(capsys,
+                                                        monkeypatch):
+    # extend validates every assignment it builds a context from, so a
+    # broken hom functor is refused as an internal error (exit 3) before
+    # any record is printed
     hom_functor = fc.hom_functor
 
     def dropped(*args):

@@ -222,6 +222,31 @@ def test_opfib_lift_refuses_non_opfibration():
     assert ("*", cats.arrow(twoc, "a")) not in lifts
 
 
+def test_opfib_lift_refuses_a_lift_that_is_not_cocartesian():
+    """C is the monoid {1, m1, m2} with m1 absorbing and m2 idempotent, D
+    the monoid {1, z} with z idempotent, and F sends m1 to z and m2 to 1.
+    The only lift of z is m1, which is not cocartesian: over the identity
+    of D it factors through itself as 1 m1 and as m2 m1.  Handed m1 as the
+    chosen lift anyway, opfib_lift finds those two factorizations and
+    refuses, although the square has 3 diagonals."""
+    mul = {(a, 0): a for a in range(3)} | {(0, b): b for b in range(3)}
+    mul |= {(1, b): 1 for b in range(3)} | {(a, 1): 1 for a in range(3)}
+    mul[(2, 2)] = 2
+    c, d = smallcats.monoid_cat(mul), cats.idem()
+    one, m1, m2 = c.morphisms
+    z, dx = cats.arrow(d, "e"), d.identity["x"]
+    f = fc.Functor(c, d, {"*": "x"}, {one: dx, m1: z, m2: dx})
+    assert not fc.has_cocartesian_lifts(f)[0]
+    fact = wfs.factor(f, "arrow")
+    with pytest.raises(wfs.WfsError,
+                       match=r"^2 factorizations through the chosen lift at "
+                             r"\(\* <e>\) over \(id x\)$"):
+        wfs.opfib_lift(fact, {("*", dx): one, ("*", z): m1})
+    square = wfs.LiftingProblem(fact.left, f, fc.identity_functor(c),
+                                fact.right)
+    assert len(wfs.brute_force_lifts(square)) == 3
+
+
 # -- the alpha isomorphism --------------------------------------------------
 
 def test_alpha_on_the_point():
@@ -465,8 +490,8 @@ def test_elimination_square_lifts_and_contains_the_interp_diagonal():
     _, _, itp = comp_setup(c, cats.arrow(c, "a"), c.identity["1"])
     itp.term((), k.Const("comp_R", CLOSED_ARGS))
     w = itp.witnesses[-1]
-    prob, witness = wfs.elimination_square(w)
-    lifts = wfs.brute_force_lifts(prob)
+    witness = wfs.elimination_square(w)
+    lifts = wfs.brute_force_lifts(witness.problem)
     assert lifts
     assert any(witness.diagonal == lw.diagonal for lw in lifts)
 
@@ -478,8 +503,8 @@ def test_elimination_square_left_side_too():
     itp.term((), k.Const("comp_L", CLOSED_ARGS))
     w = itp.witnesses[-1]
     assert w.side == "left"
-    prob, witness = wfs.elimination_square(w)
-    lifts = wfs.brute_force_lifts(prob)
+    witness = wfs.elimination_square(w)
+    lifts = wfs.brute_force_lifts(witness.problem)
     assert any(witness.diagonal == lw.diagonal for lw in lifts)
 
 
@@ -487,7 +512,7 @@ def test_brute_force_search_is_deterministic():
     c = cats.two()
     _, _, itp = comp_setup(c, cats.arrow(c, "a"), c.identity["1"])
     itp.term((), k.Const("comp_R", CLOSED_ARGS))
-    prob, _ = wfs.elimination_square(itp.witnesses[-1])
+    prob = wfs.elimination_square(itp.witnesses[-1]).problem
     first = wfs.brute_force_lifts(prob)
     second = wfs.brute_force_lifts(prob)
     assert [lw.diagonal for lw in first] == [lw.diagonal for lw in second]
