@@ -5,8 +5,7 @@ scenario bindings semantically, `wfs` certifies factorizations and lifts
 over .fincat workspaces, and `pv` analyzes lock programs.  Reports are
 deterministic; `--format records` emits one tab-separated line per check
 (check-id, subject, verdict, detail) and `--format human` a readable
-transcript of the same records.  Relative input paths resolve against
-$HOMTT_CORPUS when that variable is set.
+transcript of the same records.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 unusable input
 (missing or non-UTF-8 file, parse error, invalid program or workspace,
@@ -18,10 +17,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from . import checker as ch
 from . import dspace as ds
@@ -31,15 +28,12 @@ from . import kernel as k
 from . import parser as ps
 from . import wfs
 
-CORPUS_VAR = "HOMTT_CORPUS"
-
 
 @dataclass(frozen=True)
 class RunConfig:
     command: str
     paths: tuple
     oracle: bool = False
-    size_cap: int = None
     format: str = "human"
 
 
@@ -49,28 +43,23 @@ def _arg_parser():
         prog="homtt",
         description="Check directed type theory sources and their "
                     "finite-category and grid models.")
-    # each subcommand takes only the flags it reads; these defaults stand
-    # in for the others
-    ap.set_defaults(oracle=False, size_cap=None)
+    # each subcommand takes only the flags it reads; this default stands
+    # in for check, which takes no --oracle
+    ap.set_defaults(oracle=False)
     sub = ap.add_subparsers(dest="command", required=True)
     specs = [
-        ("check", "typecheck .dtt source files", ()),
-        ("interp", "verify scenario files against their workspaces",
-         ("oracle", "size_cap")),
+        ("check", "typecheck .dtt source files", False),
+        ("interp", "verify scenario files against their workspaces", True),
         ("wfs", "certify factorizations and lifts in .fincat workspaces",
-         ("oracle", "size_cap")),
-        ("pv", "analyze .pv lock programs on their grids", ("oracle",)),
+         True),
+        ("pv", "analyze .pv lock programs on their grids", True),
     ]
-    for name, help_text, flags in specs:
+    for name, help_text, takes_oracle in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("paths", nargs="+", metavar="FILE")
-        if "oracle" in flags:
+        if takes_oracle:
             p.add_argument("--oracle", action="store_true",
                            help="also run the oracle cross-checks")
-        if "size_cap" in flags:
-            p.add_argument("--size-cap", type=int, metavar="N",
-                           help="lower the lift-search cap of --oracle "
-                                "(never raises the built-in limit)")
         p.add_argument("--format", choices=("human", "records"),
                        default="human", help="report style")
     return ap
@@ -78,22 +67,7 @@ def _arg_parser():
 
 def parse_args(argv=None):
     ns = _arg_parser().parse_args(argv)
-    return RunConfig(ns.command, tuple(ns.paths), ns.oracle,
-                     ns.size_cap, ns.format)
-
-
-def _resolve(path):
-    p = Path(path)
-    root = os.environ.get(CORPUS_VAR)
-    if root and not p.is_absolute():
-        return Path(root) / p
-    return p
-
-
-def _cap(cfg, hard):
-    if cfg.size_cap is None:
-        return hard
-    return max(1, min(cfg.size_cap, hard))
+    return RunConfig(ns.command, tuple(ns.paths), ns.oracle, ns.format)
 
 
 def _verdict(r):
@@ -107,7 +81,7 @@ def _verdict(r):
 
 
 def _cmd_check(cfg, path):
-    text = ps.read_source(_resolve(path))
+    text = ps.read_source(path)
     _, records = ch.check_source(ps.parse_dtt(text, str(path)))
     out = []
     for r in records:
@@ -119,29 +93,29 @@ def _cmd_check(cfg, path):
 
 
 def _cmd_interp(cfg, path):
-    recs, witnesses = ip.verify_soundness(ip.load_scenario(_resolve(path)))
+    recs, witnesses = ip.verify_soundness(ip.load_scenario(path))
     if cfg.oracle:
-        recs += _lift_oracle(witnesses, _cap(cfg, wfs.BRUTE_CAP))
+        recs += _lift_oracle(witnesses)
     return [_verdict(r) for r in recs], recs
 
 
-def _lift_oracle(witnesses, cap):
+def _lift_oracle(witnesses):
     """Brute-force the lifting square of each soundness-pass eliminator."""
     recs = []
     for n, w in enumerate(witnesses, start=1):
         subject, check = f"elim#{n}", f"lift-oracle[{w.side}]"
         try:
             recs.append(_diagonal_record(subject, check,
-                                         wfs.elimination_square(w), cap))
+                                         wfs.elimination_square(w)))
         except (wfs.WfsError, fc.SizeCapError, ValueError) as err:
             recs.append(ch.Record(subject, check, False, str(err)))
     return recs
 
 
-def _diagonal_record(subject, check, witness, cap):
+def _diagonal_record(subject, check, witness):
     """Brute-force a certified lifting square; pass when some diagonal
     exists and the certified one is among them."""
-    lifts = wfs.brute_force_lifts(witness.problem, cap)
+    lifts = wfs.brute_force_lifts(witness.problem)
     found = any(witness.diagonal == lw.diagonal for lw in lifts)
     return ch.Record(subject, check, bool(lifts) and found,
                      f"{len(lifts)} diagonal(s) found" if lifts
@@ -149,7 +123,7 @@ def _diagonal_record(subject, check, witness, cap):
 
 
 def _cmd_wfs(cfg, path):
-    recs = _wfs_records(ip.load_workspace([_resolve(path)], path), cfg)
+    recs = _wfs_records(ip.load_workspace([path], path), cfg)
     return [_verdict(r) for r in recs], recs
 
 
@@ -184,8 +158,7 @@ def _wfs_records(ws, cfg):
             continue
         if cfg.oracle:
             try:
-                recs.append(_diagonal_record(name, "lift-oracle", witness,
-                                             _cap(cfg, wfs.BRUTE_CAP)))
+                recs.append(_diagonal_record(name, "lift-oracle", witness))
             except wfs.WfsError as err:
                 recs.append(ch.Record(name, "lift-oracle", False, str(err)))
     return recs
@@ -196,7 +169,7 @@ def _cells(cells):
 
 
 def _cmd_pv(cfg, path):
-    text = ps.read_source(_resolve(path))
+    text = ps.read_source(path)
     space = ds.from_pv(ds.parse_pv(text, str(path)))
     report = ds.analyze(space)
     dead = ds.deadlocks(report)

@@ -422,7 +422,9 @@ def _decl_records(itp, subject, decl):
         case ps.AssumeType(name, tele):
             fa = itp.env.bases.get(name)
             if fa is not None:
+                before = len(itp.witnesses)
                 ok = fa.base == itp.context(tuple(tele))
+                out.extend(_witness_records(itp, subject, before))
                 out.append(ch.Record(
                     subject, "env-base", ok,
                     "" if ok else "assignment base differs from the "
@@ -431,7 +433,9 @@ def _decl_records(itp, subject, decl):
             sec = itp.env.terms.get(name)
             if sec is not None:
                 ctx = tuple(tele)
+                before = len(itp.witnesses)
                 fa = itp.type(ctx, ty)
+                out.extend(_witness_records(itp, subject, before))
                 ok, detail = True, ""
                 if sec.fa.base != itp.context(ctx):
                     ok = False
@@ -452,18 +456,18 @@ def _decl_records(itp, subject, decl):
         case ps.AssertEqual(tele, lhs, rhs, ty):
             ctx = tuple(tele)
             out.extend(_judgement_records(itp, subject, ctx, ty, (lhs, rhs)))
-            ok, detail = _sections_agree(itp.term(ctx, lhs),
-                                         itp.term(ctx, rhs))
+            ok, detail = _data_agree(itp.term(ctx, lhs), itp.term(ctx, rhs))
             out.append(ch.Record(subject, "equal-interpretation", ok,
                                  detail))
     return out
 
 
 def _judgement_records(itp, subject, ctx, ty, terms):
-    out = []
     # the type before the terms: this order numbers the eliminators
     # (elim#N) and decides which declaration reports each one's witness
+    before = len(itp.witnesses)
     fa = itp.type(ctx, ty)
+    out = _witness_records(itp, subject, before)
     for tm in terms:
         before = len(itp.witnesses)
         sec = itp.term(ctx, tm)
@@ -474,23 +478,25 @@ def _judgement_records(itp, subject, ctx, ty, terms):
             subject, "section-in-type", stray is None,
             "" if stray is None
             else f"value at {_show(stray)} is outside the declared fiber"))
-        for w in itp.witnesses[before:]:
-            out.append(ch.verdict(subject, f"unit-functorial[{w.side}]",
-                                  w.unit.validate()))
-            out.append(ch.verdict(subject, f"eliminator-natural[{w.side}]",
-                                  w.e_full.validate()))
-            ok, detail = _data_agree(fc.reindex_section(w.e_full, w.unit),
-                                     w.d_sec)
-            out.append(ch.Record(subject, f"computation-rule[{w.side}]", ok,
-                                 detail))
+        out.extend(_witness_records(itp, subject, before))
     out.extend(_pullback_records(itp, subject, ctx + (("x", ty),)))
     return out
 
 
-def _sections_agree(a, b):
-    if a.fa.base != b.fa.base:
-        return False, "sections live over different base categories"
-    return _data_agree(a, b)
+def _witness_records(itp, subject, before):
+    """The unit, naturality and computation-rule records of each
+    eliminator interpreted since the witness count was `before`."""
+    out = []
+    for w in itp.witnesses[before:]:
+        out.append(ch.verdict(subject, f"unit-functorial[{w.side}]",
+                              w.unit.validate()))
+        out.append(ch.verdict(subject, f"eliminator-natural[{w.side}]",
+                              w.e_full.validate()))
+        ok, detail = _data_agree(fc.reindex_section(w.e_full, w.unit),
+                                 w.d_sec)
+        out.append(ch.Record(subject, f"computation-rule[{w.side}]", ok,
+                             detail))
+    return out
 
 
 def _data_agree(a, b):
@@ -528,13 +534,12 @@ def _pullback_records(itp, subject, ctx):
 def _pullback_square(cat, pi, ext):
     lifted = extend(cat, fc.reindex(ext.fa, pi))
     pb = fc.pullback_cat(pi, ext.proj)
-    cat_idx = {(m.name, m.dom): m for m in cat.morphisms}
     up_idx = {(m.name, m.dom): m for m in ext.cat.morphisms}
     ob = {x: (x[:-1], pi.ob[x[:-1]] + (x[-1],))
           for x in lifted.cat.objects}
     mor = {}
     for m in lifted.cat.morphisms:
-        m0 = cat_idx[(m.name[:-1], m.dom[:-1])]
+        m0 = lifted.proj.mor[m]
         up = up_idx[(pi.mor[m0].name + (m.name[-1],),
                      pi.ob[m.dom[:-1]] + (m.dom[-1],))]
         mor[m] = fc.Mor((m0, up), ob[m.dom], ob[m.cod])

@@ -220,7 +220,7 @@ def elimination_square(w):
     return LiftWitness(prob, ell)
 
 
-def brute_force_lifts(prob, cap=BRUTE_CAP):
+def brute_force_lifts(prob):
     """Every diagonal of the square, by exhaustive search.
 
     Object images forced by the top leg are fixed first, the rest range
@@ -228,7 +228,7 @@ def brute_force_lifts(prob, cap=BRUTE_CAP):
     triangles commute by construction (LiftWitness checks them again),
     and each candidate is kept only if it is a functor.
     The result tuple is in a fixed order.  If the assignment space grows
-    past cap the search refuses with WfsError rather than truncating.
+    past BRUTE_CAP the search refuses with WfsError rather than truncating.
     """
     B = prob.i.target
     E = prob.p.source
@@ -249,9 +249,9 @@ def brute_force_lifts(prob, cap=BRUTE_CAP):
             return ()
         ob_cands.append(cands)
         total *= len(cands)
-    if total > cap:
+    if total > BRUTE_CAP:
         raise WfsError(
-            f"{total} object assignments exceed the search cap {cap}")
+            f"{total} object assignments exceed the search cap {BRUTE_CAP}")
     forced_mor = {}
     for u in prob.i.source.morphisms:
         want = prob.top.mor[u]
@@ -278,9 +278,9 @@ def brute_force_lifts(prob, cap=BRUTE_CAP):
         for cands in mor_cands:
             count *= len(cands)
         explored += count
-        if explored > cap:
+        if explored > BRUTE_CAP:
             raise WfsError(
-                f"morphism assignments exceed the search cap {cap}")
+                f"morphism assignments exceed the search cap {BRUTE_CAP}")
         for mcombo in itertools.product(*mor_cands):
             cand = fc.Functor(B, E, ob, dict(zip(B.morphisms, mcombo)))
             if not cand.validate():

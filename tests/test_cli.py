@@ -39,18 +39,14 @@ def test_parse_args_defaults_and_flags():
     cfg = cli.parse_args(["check", "a.dtt", "b.dtt"])
     assert cfg == cli.RunConfig("check", ("a.dtt", "b.dtt"))
     cfg = cli.parse_args(["pv", "x.pv", "--oracle", "--format", "records"])
-    assert cfg == cli.RunConfig("pv", ("x.pv",), True, None, "records")
-    with pytest.raises(SystemExit) as exc:
-        cli.parse_args(["pv", "x.pv", "--oracle", "--size-cap", "9",
-                        "--format", "records"])
-    assert exc.value.code == 2
+    assert cfg == cli.RunConfig("pv", ("x.pv",), True, "records")
 
 
 @pytest.mark.parametrize("flags", [
     ("--oracle",), ("--size-cap", "3"), ("--oracle", "--size-cap", "3")],
     ids=["oracle", "size-cap", "both"])
 def test_check_refuses_the_flags_it_does_not_read(capsys, flags):
-    # check reads neither flag, so it takes neither
+    # check does not read --oracle, and no command takes --size-cap
     with pytest.raises(SystemExit) as exc:
         cli.main(["check", *flags, str(CORPUS / "comp.dtt")])
     assert exc.value.code == 2
@@ -61,10 +57,10 @@ def test_check_refuses_the_flags_it_does_not_read(capsys, flags):
 
 
 def test_parse_args_calls_are_independent(capsys):
-    first = cli.parse_args(["wfs", "w.fincat", "--oracle", "--size-cap", "3",
-                            "--format", "records"])
+    first = cli.parse_args(["wfs", "w.fincat", "--oracle", "--format",
+                            "records"])
     second = cli.parse_args(["check", "a.dtt"])
-    assert first == cli.RunConfig("wfs", ("w.fincat",), True, 3, "records")
+    assert first == cli.RunConfig("wfs", ("w.fincat",), True, "records")
     assert second == cli.RunConfig("check", ("a.dtt",))
     with pytest.raises(SystemExit) as exc:
         cli.parse_args(["check", "a.dtt", "--format", "bogus"])
@@ -81,13 +77,6 @@ def test_missing_subcommand_is_a_usage_error():
     assert exc.value.code == 2
 
 
-def test_size_cap_never_exceeds_the_hard_cap():
-    assert cli._cap(cli.RunConfig("wfs", (), size_cap=10**9),
-                    wfs.BRUTE_CAP) == wfs.BRUTE_CAP
-    assert cli._cap(cli.RunConfig("wfs", (), size_cap=-5), 64) == 1
-    assert cli._cap(cli.RunConfig("wfs", ()), 64) == 64
-
-
 def test_module_entry_point_exits_with_the_run_code(capsys, monkeypatch):
     # `python -m homtt.cli` runs main on sys.argv and exits with its code;
     # the module is run afresh, so drop the imported copy for the duration
@@ -101,8 +90,11 @@ def test_module_entry_point_exits_with_the_run_code(capsys, monkeypatch):
     assert "\tFAIL\t" in capsys.readouterr().out
 
 
-def test_corpus_root_env_var(capsys, monkeypatch):
-    monkeypatch.setenv(cli.CORPUS_VAR, str(REPO))
+def test_relative_paths_resolve_against_the_working_directory(
+        capsys, monkeypatch, tmp_path):
+    # no environment variable moves the root a relative path is read from
+    monkeypatch.chdir(REPO)
+    monkeypatch.setenv("HOMTT_CORPUS", str(tmp_path / "missing"))
     rc, out, _ = run(capsys, "check", "corpus/transport.dtt")
     assert rc == 0
     assert "transport_R : S(t') OK" in out
@@ -313,6 +305,22 @@ def _gained_object(pb):
                      {**pb.identity, z: idz}, {**pb.compose, (idz, idz): idz})
 
 
+def _gained_morphism(pb):
+    # a twin of the last morphism: it composes as that morphism does,
+    # except with identities, so the category laws still hold
+    m = pb.morphisms[-1]
+    twin = fc.Mor(("planted",), m.dom, m.cod)
+    ids = set(pb.identity.values())
+    morphisms = (*pb.morphisms, twin)
+    compose = dict(pb.compose)
+    for g, f in fc.composable(morphisms):
+        if twin in (g, f):
+            compose[(g, f)] = (f if g in ids else g if f in ids
+                               else pb.comp(m if g == twin else g,
+                                            m if f == twin else f))
+    return fc.FinCat(pb.objects, morphisms, pb.identity, compose)
+
+
 def _lost_morphism(pb):
     gone = pb.morphisms[-1]
     return fc.FinCat(pb.objects, pb.morphisms[:-1], pb.identity,
@@ -322,6 +330,7 @@ def _lost_morphism(pb):
 
 @pytest.mark.parametrize("plant, detail", [
     (_gained_object, "object (planted) has 0 preimages"),
+    (_gained_morphism, "morphism (planted) has 0 preimages"),
     (_lost_morphism, "mediating functor: morphism map undefined at ("),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_interp_planted_pullback_defect_fails_chi_pullback(
@@ -390,6 +399,31 @@ def test_interp_planted_unit_defect_fails_unit_functorial(capsys,
     assert [r[1] for r in fails] == ["transport_R", "moved", "stay"]
     assert all(r[2] == "FAIL" and r[3].startswith(
         "endpoints not preserved at (") for r in fails)
+
+
+def test_eliminator_inside_a_type_gets_its_witness_records(capsys,
+                                                          tmp_path):
+    # the assertion's type holds the only transport_R(c, c', ff, u0) in a
+    # context with a variable, so its witness is built by itp.type
+    scenarios = CORPUS / "scenarios"
+    for name in ("transport.scn", "world.fincat"):
+        (tmp_path / name).write_bytes((scenarios / name).read_bytes())
+    (tmp_path / "transport.dtt").write_text(
+        (scenarios / "transport.dtt").read_text(encoding="utf-8")
+        + "assert type (y : op S(c')) "
+          "hom S(c') y transport_R(c, c', ff, u0)\n",
+        encoding="utf-8")
+    rc, out, err = run(capsys, "interp", "--oracle", "--format", "records",
+                       str(tmp_path / "transport.scn"))
+    assert (rc, err) == (0, "")
+    records = [line.split("\t") for line in out.splitlines()]
+    assert [r[0] for r in records if r[1] == "assert#2"] == [
+        "typecheck", "unit-functorial[right]", "eliminator-natural[right]",
+        "computation-rule[right]", "chi-pullback[1]", "chi-pullback[0]"]
+    # every eliminator interpreted gets its three witness records once
+    oracles_run = [r for r in records if r[0].startswith("lift-oracle")]
+    units = [r for r in records if r[0].startswith("unit-functorial")]
+    assert len(oracles_run) == len(units) == 4
 
 
 @pytest.mark.parametrize("argv, subjects", [
@@ -737,19 +771,20 @@ end
 """
 
 
-def test_lift_oracles_refuse_a_search_over_the_cap(capsys, tmp_path):
+def test_lift_oracles_refuse_a_search_over_the_cap(capsys, monkeypatch,
+                                                  tmp_path):
     # the brute-force search is refused, not cut short, and each refusal
     # is a failing lift-oracle record
-    rc, out, _ = run(capsys, "interp", "--oracle", "--size-cap", "1",
-                     "--format", "records",
+    monkeypatch.setattr(wfs, "BRUTE_CAP", 1)
+    rc, out, _ = run(capsys, "interp", "--oracle", "--format", "records",
                      str(CORPUS / "scenarios" / "transport.scn"))
     assert rc == 1
     assert ("lift-oracle[right]\telim#1\tFAIL\t16 object assignments "
             "exceed the search cap 1\n") in out
     ws = tmp_path / "collapse.fincat"
     ws.write_text(COLLAPSE, encoding="utf-8")
-    rc, out, _ = run(capsys, "wfs", "--oracle", "--size-cap", "1",
-                     "--format", "records", str(ws))
+    rc, out, _ = run(capsys, "wfs", "--oracle", "--format", "records",
+                     str(ws))
     assert rc == 1
     assert "opfib-lift\tcollapse\tok\t\n" in out
     assert out.endswith("lift-oracle\tcollapse\tFAIL\t2 object assignments "
@@ -964,21 +999,38 @@ def test_pv_clean_programs_pass_with_oracle(capsys):
     assert all(line.split("\t")[2] == "ok" for line in lines)
 
 
-def test_pv_refuses_the_size_cap(capsys):
-    # the closure certificate needs no cap, so pv takes none
-    files = (str(CORPUS / "interval.pv"), str(CORPUS / "swissflag.pv"))
+def _corpus_records(*pairs):
+    return ["\t".join((check, str(CORPUS / name), verdict))
+            for check, name, verdict in pairs]
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["check", "comp.dtt"], 0, ["define\tcomp_R\tok\t"]),
+    (["interp", "--oracle", "scenarios/comp.scn"], 0,
+     ["lift-oracle[right]\telim#1\tok\t1 diagonal(s) found"]),
+    (["wfs", "--oracle", "cats/two.fincat"], 0,
+     ["alpha-functorial\ttwo\tok\t"]),
+    (["pv", "--oracle", "interval.pv", "swissflag.pv"], 1, _corpus_records(
+        ("closure-oracle", "interval.pv", "ok"),
+        ("closure-oracle", "swissflag.pv", "ok"),
+        ("deadlock-free", "swissflag.pv", "FAIL")))],
+    ids=["check", "interp", "wfs", "pv"])
+def test_every_command_refuses_a_size_cap(capsys, argv, code, expected):
+    # the lift search has one fixed cap, wfs.BRUTE_CAP, so no command
+    # takes a flag to set it
+    argv = [a if a.startswith("-") or a == argv[0] else str(CORPUS / a)
+            for a in argv] + ["--format", "records"]
     with pytest.raises(SystemExit) as exc:
-        cli.main(["pv", "--oracle", "--size-cap", "10", "--format",
-                  "records", *files])
+        cli.main([*argv, "--size-cap", "10"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: --size-cap" in captured.err
-    rc, out, _ = run(capsys, "pv", "--oracle", "--format", "records", *files)
-    assert rc == 1
-    for name in ("interval.pv", "swissflag.pv"):
-        assert "closure-oracle\t" + str(CORPUS / name) + "\tok" in out
-    assert "deadlock-free\t" + str(CORPUS / "swissflag.pv") + "\tFAIL" in out
+    assert captured.err.startswith("usage: homtt")
+    assert "unrecognized arguments: --size-cap 10" in captured.err
+    rc, out, _ = run(capsys, *argv)
+    assert rc == code
+    for line in expected:
+        assert line in out
 
 
 # three processes of 14 events over three semaphores: a 15^3 grid

@@ -53,11 +53,11 @@ def _invocations():
 def _stream(fmt, invocations):
     """One block per invocation: the command line, its report, its exit code.
 
-    Paths are given relative to the repository root (resolved through
-    $HOMTT_CORPUS), so the stream does not depend on where the tree lives.
+    Paths are given relative to the repository root, the working directory
+    for the duration, so the stream does not depend on where the tree lives.
     """
-    saved = os.environ.get(cli.CORPUS_VAR)
-    os.environ[cli.CORPUS_VAR] = str(REPO)
+    saved = os.getcwd()
+    os.chdir(REPO)
     try:
         out = []
         for argv in invocations:
@@ -66,10 +66,7 @@ def _stream(fmt, invocations):
             out.append(f"== {' '.join(argv)}\n{buf.getvalue()}exit {rc}\n")
         return "".join(out)
     finally:
-        if saved is None:
-            del os.environ[cli.CORPUS_VAR]
-        else:
-            os.environ[cli.CORPUS_VAR] = saved
+        os.chdir(saved)
 
 
 def records_stream():

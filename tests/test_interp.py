@@ -777,6 +777,20 @@ def test_env_section_over_another_base_fails_its_env_type_check():
         for r in later if not r.ok)
 
 
+def test_sections_over_another_base_do_not_agree():
+    # both sides of an asserted equality lie over one cached context, so
+    # the comparison needs no base check: other objects already differ
+    fib = cats.star()
+    over_two = fc.strict_section(fc.constant_fibers(cats.two(), fib),
+                                 {"0": "*", "1": "*"})
+    over_star = fc.strict_section(fc.constant_fibers(cats.star(), fib),
+                                  {"*": "*"})
+    assert ip._data_agree(over_two, over_star) == (
+        False, "values differ at 0: * vs None")
+    assert ip._data_agree(over_star, over_two) == (
+        False, "values differ at *: * vs None")
+
+
 def test_env_base_mismatch_makes_the_base_unusable():
     source = transport_source()
     sig, checks = ch.check_source(source)

@@ -190,3 +190,16 @@ def test_every_defaulted_parameter_is_passed_inside_the_package():
                            for c in calls.get(fn.name, [])):
                     unpassed.append(f"{fn.name}({name})")
     assert not unpassed, f"defaulted but never passed: {unpassed}"
+
+
+def test_the_package_reads_no_environment_variable():
+    # the command line is the only input besides the files it names
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            match node:
+                case ast.Attribute(attr=name) | ast.alias(name=name) \
+                        if name in reads:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"environment read in the package: {found}"

@@ -393,7 +393,7 @@ def test_unsolvable_square_yields_no_lifts():
     assert wfs.brute_force_lifts(prob) == ()
 
 
-def test_search_refuses_above_the_cap():
+def test_search_refuses_above_the_cap(monkeypatch):
     stc, d2 = cats.star(), cats.disc2()
     big = fc.mkdiscrete([str(n) for n in range(6)])
     i = fc.Functor(stc, d2, {"*": "0"},
@@ -405,8 +405,10 @@ def test_search_refuses_above_the_cap():
     bottom = fc.Functor(d2, stc, {x: "*" for x in d2.objects},
                         {m: stc.identity["*"] for m in d2.morphisms})
     prob = wfs.LiftingProblem(i, p, top, bottom)
+    monkeypatch.setattr(wfs, "BRUTE_CAP", 3)
     with pytest.raises(wfs.WfsError, match="cap"):
-        wfs.brute_force_lifts(prob, cap=3)
+        wfs.brute_force_lifts(prob)
+    monkeypatch.undo()
     assert len(wfs.brute_force_lifts(prob)) == 6
 
 
@@ -457,17 +459,19 @@ def test_search_finds_no_lift_where_the_square_has_none(square):
     assert wfs.brute_force_lifts(square()) == ()
 
 
-def test_search_refuses_morphism_assignments_above_the_cap():
+def test_search_refuses_morphism_assignments_above_the_cap(monkeypatch):
     # one object assignment, then a choice of p or q over a
     squash, d2 = _squash(), cats.disc2()
     ob = {"0": "0", "1": "1"}
     prob = wfs.LiftingProblem(_functor(d2, squash.target, ob), squash,
                               _functor(d2, squash.source, ob),
                               fc.identity_functor(squash.target))
+    monkeypatch.setattr(wfs, "BRUTE_CAP", 1)
     with pytest.raises(wfs.WfsError,
                        match="^morphism assignments exceed the search cap 1$"):
-        wfs.brute_force_lifts(prob, cap=1)
-    lifts = wfs.brute_force_lifts(prob, cap=2)
+        wfs.brute_force_lifts(prob)
+    monkeypatch.setattr(wfs, "BRUTE_CAP", 2)
+    lifts = wfs.brute_force_lifts(prob)
     a = cats.arrow(squash.target, "a")
     assert [lw.diagonal.mor[a].name for lw in lifts] == ["p", "q"]
 
