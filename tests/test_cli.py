@@ -1112,23 +1112,43 @@ def test_pv_invalid_built_grid_is_an_internal_error(capsys, monkeypatch):
     assert err == "internal error: from_pv: the initial corner is forbidden\n"
 
 
-def test_pv_invalid_program_exits_two(capsys, tmp_path):
-    prog = tmp_path / "stuck.pv"
-    prog.write_text("P(m) V(m) P(n)\n", encoding="utf-8")
-    rc, _, err = run(capsys, "pv", str(prog))
-    assert rc == 2
-    assert "never released" in err
+# Every refusal of a malformed program, as `error:` lines.  An unreadable
+# token anywhere wins over a program problem anywhere; the first program
+# problem is in process order, then event order, with a process's
+# never-released semaphores last and sorted; the size caps come after all
+# of them.  {path} is the file's path.
+PV_REFUSALS = [
+    ("token-after-program-problem",
+     "P(m) P(m) V(m) V(m)\nP(n) V(n)\nP(x open\n",
+     "{path}:3: cannot read event 'P(x'"),
+    ("double-p", "P(m) P(m) V(m) V(m)\n",
+     "process 1, event 2: P(m) while already held"),
+    ("v-without-p", "P(m) V(m)\nV(n)\n",
+     "process 2, event 1: V(n) without a matching P"),
+    ("process-order", "P(z)\nV(y)\n", "process 1: P(z) is never released"),
+    ("never-released-sorted", "P(n) P(m)\n",
+     "process 1: P(m) is never released"),
+    ("never-released-before-process-cap",
+     "P(a) V(a)\nP(a) V(a)\nP(a) V(a)\nP(b)\n",
+     "process 4: P(b) is never released"),
+    ("four-processes", "P(a) V(a)\n" * 4, "4 processes, at most 3 supported"),
+    # 17 events cannot all be matched, so validation speaks first
+    ("17-events", "P(a) V(a) " * 8 + "P(b)\n",
+     "process 1: P(b) is never released"),
+    ("18-events", "P(a) V(a) " * 9 + "\n",
+     "process 1: 18 events, at most 16 supported"),
+    ("empty", "", "{path}: no processes"),
+    ("comment-only", "# nothing here\n\n", "{path}: no processes"),
+]
 
 
-@pytest.mark.parametrize("text", ["", "# nothing here\n\n"],
-                         ids=["empty", "comment-only"])
-def test_pv_program_without_processes_exits_two(capsys, tmp_path, text):
-    prog = tmp_path / "empty.pv"
+@pytest.mark.parametrize("text, error", [c[1:] for c in PV_REFUSALS],
+                         ids=[c[0] for c in PV_REFUSALS])
+def test_pv_refusal_texts(capsys, tmp_path, text, error):
+    prog = tmp_path / "bad.pv"
     prog.write_text(text, encoding="utf-8")
     rc, out, err = run(capsys, "pv", str(prog))
-    assert rc == 2
-    assert out == ""
-    assert "no processes" in err
+    assert (rc, out, err) == (2, "", f"error: {error.format(path=prog)}\n")
 
 
 # ---------------------------------------------------------------------------
