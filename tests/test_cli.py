@@ -1077,25 +1077,20 @@ def test_pv_runs_the_backward_closure_only_when_read(capsys, monkeypatch,
     assert (sweeps.count(1), sweeps.count(-1)) == (4, 4 * backward)
 
 
-def _pv_text(prog):
-    return "\n".join(" ".join(f"{op}({s})" for op, s in evs)
-                     for evs in prog.processes) + "\n"
-
-
 def test_pv_modes_agree_on_generated_programs(capsys, tmp_path):
     # records are the oracle run's first two lines, and the human counts
     # are the sizes of the path-walk closures
     for i in range(60):
         prog = random_program(random.Random(f"pv-modes/{i}"))
         path = tmp_path / f"p{i}.pv"
-        path.write_text(_pv_text(prog), encoding="utf-8")
+        path.write_text(prog, encoding="utf-8")
         _, records, _ = run(capsys, "pv", "--format", "records", str(path))
         _, oracle, _ = run(capsys, "pv", "--format", "records", "--oracle",
                            str(path))
         assert oracle.splitlines()[2] == f"closure-oracle\t{path}\tok\t"
         assert records.splitlines() == oracle.splitlines()[:2]
         _, human, _ = run(capsys, "pv", str(path))
-        space = ds.from_pv(prog)
+        space = ds.from_pv(ds.parse_pv(prog))
         total = math.prod(space.shape)
         for name, forward in (("reachable", True), ("safe", False)):
             count = len(oracles.closure_cells(space, forward))

@@ -342,8 +342,8 @@ def stress_space():
 
 
 def random_program(rng):
-    """A valid program inside from_pv's caps: 2-3 processes, 2-4
-    semaphores, at most 8 P/V pairs (16 events) per process."""
+    """The text of a valid program inside from_pv's caps: 2-3 processes,
+    2-4 semaphores, at most 8 P/V pairs (16 events) per process."""
     sems = "mnpq"[:rng.randint(2, 4)]
     procs = []
     for _ in range(rng.randint(2, 3)):
@@ -357,12 +357,15 @@ def random_program(rng):
                 evs.append(("P", s))
             else:
                 evs.append(("V", held.pop(rng.randrange(len(held)))))
-        procs.append(tuple(evs))
-    return ds.PVProgram(tuple(procs))
+        procs.append(" ".join(f"{op}({s})" for op, s in evs))
+    return "\n".join(procs) + "\n"
 
 
-GENERATED = [ds.from_pv(random_program(random.Random(f"pv/{i}")))
-             for i in range(300)]
+def generated_space(seed):
+    return ds.from_pv(ds.parse_pv(random_program(random.Random(seed))))
+
+
+GENERATED = [generated_space(f"pv/{i}") for i in range(300)]
 
 
 def referee_spaces():
@@ -401,7 +404,7 @@ def test_final_corner_of_a_valid_program_is_reachable(rng):
     # running the processes one after another crosses no forbidden cell:
     # while one runs, every other sits at its start or its end and holds
     # nothing, so final-reachable cannot fail on a program from_pv accepts
-    space = ds.from_pv(random_program(rng))
+    space = ds.from_pv(ds.parse_pv(random_program(rng)))
     assert space.final in ds.analyze(space).reachable
 
 
@@ -589,7 +592,7 @@ def test_membership_is_false_off_the_grid():
 def test_link_tables_and_deadlocks_of_generated_programs():
     # the 60 programs the cli modes test runs, against the referees
     for i in range(60):
-        space = ds.from_pv(random_program(random.Random(f"pv-modes/{i}")))
+        space = generated_space(f"pv-modes/{i}")
         report = ds.analyze(space)
         for region, forward in ((report.reachable, True),
                                 (report.safe, False)):
