@@ -4,9 +4,9 @@ Each process contributes one axis; its lock (P) and unlock (V) events
 become interior boundary ticks, so an axis with k events has k+2 ticks
 and k+1 unit cells between them.  A program state is a cell, one interval
 per axis.  Two processes holding the same semaphore at once is impossible,
-which forbids the closed tick-rectangle spanned by the matching P..V
-ranges; a cell is forbidden when it lies wholly inside such a rectangle.
-Execution only moves forward: one axis at a time, one cell up.  Reachable
+so each pair of their P..V hold ranges forbids a box: the cells inside
+both ranges on those two axes, anywhere on the others.  A space folds
+its boxes into one blocked region when it is built.  Execution only moves forward: one axis at a time, one cell up.  Reachable
 cells are the forward closure of the all-zeros corner, safe cells the
 backward closure of the all-ones corner.
 
@@ -14,8 +14,8 @@ A region of cells is one int for the whole grid.  A row is a cell's
 coordinates on every axis but the last; row r owns the slot of bits from
 r * slot up, bit x of it the cell at x on the last axis.  The slot is a
 whole number of bytes wider than a row, and the row masks come out of
-the int in one unpack.  The forbidden region repeats each rectangle's
-row along the other axes; each closure is one sweep over the row masks
+the int in one unpack.  The blocked region repeats each box's row
+along the other axes; each closure is one sweep over the row masks
 with whole-row int operations.  Deadlocks (Fajstrup, Goubault and
 Raussen, Detecting deadlocks in concurrent systems, CONCUR 1998) and the
 --oracle certificate are a few whole-grid shifts, ANDs and ORs.
@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 import re
 import struct
-from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, product
 
@@ -41,24 +39,18 @@ class PvError(Exception):
     """A malformed program, event string, or grid description."""
 
 
-@dataclass(frozen=True)
-class Rect:
-    """A closed axis-aligned block in tick coordinates."""
-
-    lo: tuple
-    hi: tuple
-
-
-@dataclass(frozen=True)
 class DirectedGridSpace:
-    """A grid of cells with forbidden rectangles.
+    """A grid of cells, some of them blocked.
 
     ticks holds the ordered boundary labels per axis; there is one cell
     between each adjacent pair, addressed by the index of its lower tick.
+    The boxes (lo, hi) of cells, hi exclusive, are folded into blocked,
+    the forbidden cells as a whole-grid int.
     """
 
-    ticks: tuple
-    forbidden: tuple = ()
+    def __init__(self, ticks, boxes=()):
+        self.ticks = ticks
+        self.blocked = _boxes(self, boxes) if boxes else 0
 
     @property
     def dims(self):
@@ -83,11 +75,6 @@ class DirectedGridSpace:
     @cached_property
     def nbytes(self):
         return self.slot // 8 * math.prod(self.shape[:-1])
-
-    @cached_property
-    def blocked(self):
-        """The forbidden cells as a whole-grid int."""
-        return _boxes(self, [(r.lo, r.hi) for r in self.forbidden])
 
     @cached_property
     def whole(self):
@@ -120,16 +107,10 @@ class DirectedGridSpace:
         for a, t in enumerate(self.ticks):
             if len(t) < 2:
                 out.append(f"axis {a} needs at least two boundary ticks")
-        shape = self.shape
-        for r in self.forbidden:
-            if len(r.lo) != len(shape) or len(r.hi) != len(shape):
-                out.append(f"rectangle {r} does not span every axis")
-                continue
-            for a, n in enumerate(shape):
-                if not 0 <= r.lo[a] <= r.hi[a] <= n:
-                    out.append(f"rectangle {r} leaves the grid on axis {a}")
-                    break
         if not out:
+            off = self.blocked & ~self.whole
+            if off:
+                out.append(f"{off.bit_count()} blocked bits lie off the grid")
             if self.blocked & 1:
                 out.append("the initial corner is forbidden")
             if self.blocked & _bit(self, self.final):
@@ -214,75 +195,60 @@ def _cells(space, grid):
 # programs
 
 
-@dataclass(frozen=True)
-class PVProgram:
-    """One event sequence per process; events are ("P"|"V", semaphore)."""
-
-    processes: tuple
-
-    def validate(self):
-        out = [] if self.processes else ["no processes"]
-        for i, evs in enumerate(self.processes):
-            held = Counter()
-            for j, (op, s) in enumerate(evs):
-                if op == "P":
-                    if held[s]:
-                        out.append(f"process {i + 1}, event {j + 1}: "
-                                   f"P({s}) while already held")
-                    held[s] += 1
-                else:
-                    if not held[s]:
-                        out.append(f"process {i + 1}, event {j + 1}: "
-                                   f"V({s}) without a matching P")
-                    else:
-                        held[s] -= 1
-            for s in sorted(s for s, n in held.items() if n):
-                out.append(f"process {i + 1}: P({s}) is never released")
-        return out
-
-
 _EVENT = re.compile(r"([PV])\((\w+)\)\Z")
 
 
 def parse_pv(text, path="<input>"):
-    """One line per process; events whitespace-separated, P(s) or V(s)."""
-    procs = []
+    """One line per process; events whitespace-separated, P(s) or V(s).
+
+    Returns one tuple of ("P"|"V", semaphore) events per process.  An
+    unreadable event is refused at once; the first program problem, in
+    process then event order with a process's unreleased semaphores
+    last, only once every line has been read.
+    """
+    procs, bad = [], []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        events = []
-        for tok in line.split():
+        where, events, held = f"process {len(procs) + 1}", [], set()
+        for j, tok in enumerate(line.split(), start=1):
             m = _EVENT.match(tok)
             if m is None:
                 raise PvError(f"{path}:{ln}: cannot read event {tok!r}")
-            events.append((m.group(1), m.group(2)))
+            op, s = m.groups()
+            if op == "P" and s in held:
+                bad.append(f"{where}, event {j}: P({s}) while already held")
+            elif op == "V" and s not in held:
+                bad.append(f"{where}, event {j}: V({s}) without a matching P")
+            (held.add if op == "P" else held.discard)(s)
+            events.append((op, s))
+        bad += [f"{where}: P({s}) is never released" for s in sorted(held)]
         procs.append(tuple(events))
     if not procs:
         raise PvError(f"{path}: no processes")
-    return PVProgram(tuple(procs))
+    if bad:
+        raise PvError(bad[0])
+    return tuple(procs)
 
 
-def from_pv(prog):
-    """Build the grid space of a program.
+def from_pv(procs):
+    """Build the grid space of a parsed program.
 
     Ticks: 0, then one labeled tick per event (L for P, U for V, tagged
     with the semaphore and the process letter), then 1.  For every
     semaphore and every pair of processes locking it, each pair of hold
-    ranges contributes one forbidden rectangle spanning those ranges on
-    the two axes and everything on any remaining axis.
+    ranges contributes one box spanning those ranges on the two axes and
+    everything on any remaining axis.
     """
-    bad = prog.validate()
-    if bad:
-        raise PvError(bad[0])
-    if len(prog.processes) > 3:
-        raise PvError(f"{len(prog.processes)} processes, at most 3 supported")
-    for i, evs in enumerate(prog.processes):
+    if len(procs) > 3:
+        raise PvError(f"{len(procs)} processes, at most 3 supported")
+    for i, evs in enumerate(procs):
         if len(evs) > 16:
             raise PvError(f"process {i + 1}: {len(evs)} events, "
                           "at most 16 supported")
     ticks, holds = [], []
-    for i, evs in enumerate(prog.processes):
+    for i, evs in enumerate(procs):
         labels, open_at, ranges = ["0"], {}, {}
         for tick, (op, s) in enumerate(evs, start=1):
             labels.append(f"{'L' if op == 'P' else 'U'}_{s}^{'ABC'[i]}")
@@ -295,18 +261,17 @@ def from_pv(prog):
         holds.append(ranges)
     dims = len(ticks)
     top = [len(t) - 1 for t in ticks]
-    rects = []
-    for s in sorted({s for r in holds for s in r}):
-        for i, j in combinations(range(dims), 2):
-            for p1, v1 in holds[i].get(s, ()):
+    boxes = []
+    for i, j in combinations(range(dims), 2):
+        for s, ranges in holds[i].items():
+            for p1, v1 in ranges:
                 for p2, v2 in holds[j].get(s, ()):
                     lo, hi = [0] * dims, list(top)
-                    lo[i], hi[i] = p1, v1
-                    lo[j], hi[j] = p2, v2
-                    rects.append(Rect(tuple(lo), tuple(hi)))
-    space = DirectedGridSpace(tuple(ticks), tuple(rects))
+                    lo[i], hi[i], lo[j], hi[j] = p1, v1, p2, v2
+                    boxes.append((lo, hi))
+    space = DirectedGridSpace(tuple(ticks), boxes)
     # hold ranges start at tick 1 or later and end before the last tick,
-    # so no rectangle covers a corner: a problem here is a defect in this code
+    # so no box covers a corner: a problem here is a defect in this code
     bad = space.validate()
     if bad:
         raise InternalError(f"from_pv: {bad[0]}")
@@ -395,7 +360,6 @@ def deadlocks(report):
     return tuple(_cells(space, stuck))
 
 
-@dataclass(frozen=True)
 class RegionReport:
     """Reachability analysis of one space.
 
@@ -403,8 +367,8 @@ class RegionReport:
     on first read, since verdicts and deadlocks need only the forward one.
     Both are whole-grid ints and read as Regions."""
 
-    space: DirectedGridSpace
-    forward: int
+    def __init__(self, space, forward):
+        self.space, self.forward = space, forward
 
     @cached_property
     def reachable(self):

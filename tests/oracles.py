@@ -16,9 +16,9 @@ The category isomorphism search enumerates functors outright, cocartesian
 morphisms are decided by building the opposite functor afresh, the
 factorization's middle is the strict pullback of the functor against
 domain evaluation on the whole square category of its target, and grid
-closures are found by walking monotone paths, forbidden cells rectangle
-by rectangle, deadlocks by trying every forward step out of every
-reachable cell.  The .dtt lexer is the token-object one: one `Tok` with
+closures are found by walking monotone paths, forbidden cells box by
+box, from boxes a test wrote or read off a program's hold ranges,
+deadlocks by trying every forward step out of every reachable cell.  The .dtt lexer is the token-object one: one `Tok` with
 its line and column per token, stray characters reported as they are
 met.  The left eliminator is computed through the mirror of its transport
 extension, relabelled into right-handed shape, with a private copy of the
@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from homtt import checker as ch
 from homtt import fincat as fc
@@ -756,19 +757,73 @@ def mirror_left_elim(itp, ctx, e):
 # directed grids
 
 
-# These read only a space's fields, ticks and forbidden, so they share no
-# code with homtt.dspace.
+# A referee grid is its cells per axis and the boxes (lo, hi) of its
+# forbidden cells, hi exclusive: the boxes a test wrote, or those pv_boxes
+# reads from a program's text.  Nothing here reads a homtt.dspace space,
+# so these share no code with homtt.dspace.
 
 
-def rect_cells(space, r):
-    """The cells lying wholly inside a closed tick rectangle."""
-    return frozenset(itertools.product(*(range(r.lo[a], r.hi[a])
-                                         for a in range(len(space.ticks)))))
+class Grid(NamedTuple):
+    shape: tuple
+    boxes: tuple
 
 
-def forbidden_cells(space):
-    """The cells lying wholly inside some closed tick rectangle."""
-    return frozenset().union(*(rect_cells(space, r) for r in space.forbidden))
+def _pv_events(text):
+    """Per process, its (op, semaphore) events; comments and blank lines
+    carry none."""
+    procs = [re.findall(r"([PV])\((\w+)\)", line.split("#", 1)[0])
+             for line in text.splitlines()]
+    return [evs for evs in procs if evs]
+
+
+def pv_boxes(text):
+    """The forbidden boxes of a valid program, from its text alone.
+
+    Cell c of an axis lies after the process's first c events, so the
+    cells where it holds s after a P(s) form one maximal run, its hold
+    range.  Two processes holding one semaphore forbid the cells inside
+    both of their ranges, anywhere on a third axis.
+    """
+    procs = _pv_events(text)
+    shape = [len(evs) + 1 for evs in procs]
+    holds = []
+    for evs in procs:
+        held = [frozenset()]
+        for op, s in evs:
+            held.append(held[-1] | {s} if op == "P" else held[-1] - {s})
+        runs = []
+        for s in sorted(frozenset().union(*held)):
+            cells = [c for c, h in enumerate(held) if s in h]
+            for _, run in itertools.groupby(enumerate(cells),
+                                            lambda ic: ic[1] - ic[0]):
+                run = [c for _, c in run]
+                runs.append((s, run[0], run[-1] + 1))
+        holds.append(runs)
+    boxes = []
+    for i, j in itertools.combinations(range(len(procs)), 2):
+        for (s, lo_i, hi_i), (t, lo_j, hi_j) in itertools.product(holds[i],
+                                                                 holds[j]):
+            if s == t:
+                lo, hi = [0] * len(shape), list(shape)
+                lo[i], hi[i], lo[j], hi[j] = lo_i, hi_i, lo_j, hi_j
+                boxes.append((tuple(lo), tuple(hi)))
+    return tuple(boxes)
+
+
+def pv_grid(text):
+    """The referee grid of a valid program, from its text alone."""
+    return Grid(tuple(len(evs) + 1 for evs in _pv_events(text)),
+                pv_boxes(text))
+
+
+def box_cells(box):
+    """The cells of a box (lo, hi), hi exclusive."""
+    return frozenset(itertools.product(*map(range, *box)))
+
+
+def forbidden_cells(grid):
+    """The cells of some forbidden box."""
+    return frozenset().union(*map(box_cells, grid.boxes))
 
 
 def _steps(shape, cell, delta):
@@ -777,7 +832,7 @@ def _steps(shape, cell, delta):
             yield cell[:axis] + (cell[axis] + delta,) + cell[axis + 1:]
 
 
-def closure_cells(space, forward=True):
+def closure_cells(grid, forward=True):
     """Cells that some monotone path from the start corner reaches.
 
     Walks paths depth first by unit steps, forward from the initial
@@ -785,8 +840,7 @@ def closure_cells(space, forward=True):
     with no link table.  A cell already seen is not walked again, so the
     walk is linear in the cells and suits every grid from_pv accepts.
     """
-    blocked = forbidden_cells(space)
-    shape = [len(t) - 1 for t in space.ticks]
+    blocked, shape = forbidden_cells(grid), grid.shape
     start = tuple(0 if forward else n - 1 for n in shape)
     delta = 1 if forward else -1
     seen = set()
@@ -801,7 +855,7 @@ def closure_cells(space, forward=True):
     return seen
 
 
-def link_table(space, forward=True):
+def link_table(grid, forward=True):
     """A closure's link table, built cell by cell in sweep order.
 
     Cells come in lexicographic order, reversed when walking backward;
@@ -809,8 +863,7 @@ def link_table(space, forward=True):
     axis whose neighbour is already in the table, and the start corner
     links to None.
     """
-    blocked = forbidden_cells(space)
-    shape = [len(t) - 1 for t in space.ticks]
+    blocked, shape = forbidden_cells(grid), grid.shape
     delta = 1 if forward else -1
     start = tuple(0 if forward else n - 1 for n in shape)
     links = {}
@@ -826,12 +879,11 @@ def link_table(space, forward=True):
     return links
 
 
-def deadlocks_by_scan(space):
+def deadlocks_by_scan(grid):
     """Reachable non-final cells with no legal forward step, in order."""
-    blocked = forbidden_cells(space)
-    shape = [len(t) - 1 for t in space.ticks]
+    blocked, shape = forbidden_cells(grid), grid.shape
     final = tuple(n - 1 for n in shape)
-    return tuple(c for c in sorted(closure_cells(space)) if c != final
+    return tuple(c for c in sorted(closure_cells(grid)) if c != final
                  and all(n in blocked for n in _steps(shape, c, 1)))
 
 

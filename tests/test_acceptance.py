@@ -67,8 +67,9 @@ def scenario_records(name):
 
 
 def load_space(name):
+    """A corpus program's space and its referee grid."""
     text = (CORPUS / name).read_text(encoding="utf-8")
-    return ds.from_pv(ds.parse_pv(text, name))
+    return ds.from_pv(ds.parse_pv(text, name)), oracles.pv_grid(text)
 
 
 # ---------------------------------------------------------------------------
@@ -273,28 +274,29 @@ def test_criterion_07_lift_oracle_agreement():
 
 def test_criterion_08_swiss_flag():
     with criterion(8, "swiss flag geometry", 5.0):
-        space = load_space("swissflag.pv")
+        swiss = load_space("swissflag.pv")
+        space = swiss[0]
         assert space.shape == (5, 5)
         report = ds.analyze(space)
         ta, tb = space.ticks
-        unreach = ds.Rect((ta.index("U_n^A"), tb.index("U_m^B")),
-                          (ta.index("U_m^A"), tb.index("U_n^B")))
-        unsafe = ds.Rect((ta.index("L_m^A"), tb.index("L_n^B")),
-                         (ta.index("L_n^A"), tb.index("L_m^B")))
-        assert set(report.unreachable) == oracles.rect_cells(space, unreach)
-        assert set(report.unsafe) == oracles.rect_cells(space, unsafe)
+        unreach = ((ta.index("U_n^A"), tb.index("U_m^B")),
+                   (ta.index("U_m^A"), tb.index("U_n^B")))
+        unsafe = ((ta.index("L_m^A"), tb.index("L_n^B")),
+                  (ta.index("L_n^A"), tb.index("L_m^B")))
+        assert set(report.unreachable) == oracles.box_cells(unreach)
+        assert set(report.unsafe) == oracles.box_cells(unsafe)
 
         ticks = ("0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "1")
-        stress = ds.DirectedGridSpace(
-            (ticks, ticks),
-            (ds.Rect((2, 2), (6, 5)), ds.Rect((4, 6), (7, 8))))
-        spaces = [space, load_space("interval.pv"), load_space("mutex.pv"),
-                  load_space("threeway.pv"), stress]
-        for s in spaces:
+        boxes = (((2, 2), (6, 5)), ((4, 6), (7, 8)))
+        stress = (ds.DirectedGridSpace((ticks, ticks), boxes),
+                  oracles.Grid((8, 8), boxes))
+        pairs = [swiss, load_space("interval.pv"), load_space("mutex.pv"),
+                 load_space("threeway.pv"), stress]
+        for s, ref in pairs:
             assert s.validate() == []
             closures = ds.analyze(s)
-            assert set(closures.reachable) == oracles.closure_cells(s, True)
-            assert set(closures.safe) == oracles.closure_cells(s, False)
+            assert set(closures.reachable) == oracles.closure_cells(ref, True)
+            assert set(closures.safe) == oracles.closure_cells(ref, False)
 
 
 # ---------------------------------------------------------------------------

@@ -969,16 +969,16 @@ def test_pv_planted_closure_defect_fails_closure_oracle(capsys, monkeypatch):
     # the forward sweep loses a cell that no other cell links to in the
     # referee's link table
     closure = ds._closure
+    path = str(CORPUS / "swissflag.pv")
+    links = oracles.link_table(oracles.pv_grid(ps.read_source(path)))
 
     def dropped(space, d):
         bits = closure(space, d)
         if d == 1:
-            links = oracles.link_table(space)
             cell = next(c for c in reversed(links) if c != space.final
                         and c not in links.values())
             bits &= ~ds._bit(space, cell)
         return bits
-    path = str(CORPUS / "swissflag.pv")
     rc, out, _ = run(capsys, "pv", "--oracle", "--format", "records", path)
     assert (rc, out.splitlines()[-1]) == (1, f"closure-oracle\t{path}\tok\t")
     monkeypatch.setattr(ds, "_closure", dropped)
@@ -1044,11 +1044,11 @@ P(c) V(c) P(a) V(a) P(b) P(c) V(c) V(b) P(a) P(c) V(c) V(a) P(b) V(b)
 def test_pv_closure_oracle_at_realistic_size(capsys, tmp_path):
     prog = tmp_path / "three.pv"
     prog.write_text(REALISTIC, encoding="utf-8")
-    space = ds.from_pv(ds.parse_pv(REALISTIC))
-    assert space.shape == (15, 15, 15)
+    space, ref = ds.from_pv(ds.parse_pv(REALISTIC)), oracles.pv_grid(REALISTIC)
+    assert space.shape == ref.shape == (15, 15, 15)
     report = ds.analyze(space)
-    assert set(report.reachable) == oracles.closure_cells(space, True)
-    assert set(report.safe) == oracles.closure_cells(space, False)
+    assert set(report.reachable) == oracles.closure_cells(ref, True)
+    assert set(report.safe) == oracles.closure_cells(ref, False)
     rc, out, _ = run(capsys, "pv", "--oracle", "--format", "records",
                      str(prog))
     assert rc == 1  # it deadlocks
@@ -1090,18 +1090,20 @@ def test_pv_modes_agree_on_generated_programs(capsys, tmp_path):
         assert oracle.splitlines()[2] == f"closure-oracle\t{path}\tok\t"
         assert records.splitlines() == oracle.splitlines()[:2]
         _, human, _ = run(capsys, "pv", str(path))
-        space = ds.from_pv(ds.parse_pv(prog))
-        total = math.prod(space.shape)
+        ref = oracles.pv_grid(prog)
+        total = math.prod(ref.shape)
         for name, forward in (("reachable", True), ("safe", False)):
-            count = len(oracles.closure_cells(space, forward))
+            count = len(oracles.closure_cells(ref, forward))
             assert f"\n{name}: {count} of {total} cells\n" in human
 
 
 def test_pv_invalid_built_grid_is_an_internal_error(capsys, monkeypatch):
     # hold ranges never reach a corner, so only a defect in from_pv can
-    # make the grid it built fail validation
-    rect = ds.Rect
-    monkeypatch.setattr(ds, "Rect", lambda lo, hi: rect((0,) * len(lo), hi))
+    # make the grid it built fail validation: here every box is widened
+    # down to the initial corner
+    boxes = ds._boxes
+    monkeypatch.setattr(ds, "_boxes", lambda space, found: boxes(
+        space, [((0,) * len(lo), hi) for lo, hi in found]))
     rc, out, err = run(capsys, "pv", str(CORPUS / "mutex.pv"))
     assert (rc, out) == (3, "")
     assert err == "internal error: from_pv: the initial corner is forbidden\n"

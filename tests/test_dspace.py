@@ -1,5 +1,9 @@
 """Grid reachability checked against a walk of monotone paths, and
-deadlocks against a scan of every reachable cell."""
+deadlocks against a scan of every reachable cell.
+
+Each space is built with its referee grid (oracles.Grid): a hand-built
+space from the boxes the test wrote, a program's space from the boxes
+oracles.pv_boxes reads off the program's text on its own."""
 
 import itertools
 import random
@@ -17,6 +21,23 @@ SWISS = """\
 P(m) P(n) V(n) V(m)
 P(n) P(m) V(m) V(n)
 """
+
+
+def grid(*widths):
+    """Ticks for a grid with the given number of cells per axis."""
+    return tuple(("0",) + tuple(f"t{i}" for i in range(1, n)) + ("1",)
+                 for n in widths)
+
+
+def built(widths, *boxes):
+    """A hand-built space and the referee grid of the same boxes."""
+    return (ds.DirectedGridSpace(grid(*widths), boxes),
+            oracles.Grid(widths, boxes))
+
+
+def program(text):
+    """A program's space and its referee grid, read from the text."""
+    return ds.from_pv(ds.parse_pv(text)), oracles.pv_grid(text)
 
 
 def swiss_space():
@@ -37,13 +58,10 @@ def blocked_cells(space):
 
 
 def test_parse_pv_reads_events_and_skips_comments():
-    prog = ds.parse_pv(SWISS)
-    assert prog.processes == (
+    assert ds.parse_pv(SWISS) == (
         (("P", "m"), ("P", "n"), ("V", "n"), ("V", "m")),
         (("P", "n"), ("P", "m"), ("V", "m"), ("V", "n")),
     )
-    assert sorted({s for evs in prog.processes for _, s in evs}) == ["m", "n"]
-    assert prog.validate() == []
 
 
 def test_parse_pv_rejects_malformed_events():
@@ -53,24 +71,25 @@ def test_parse_pv_rejects_malformed_events():
         ds.parse_pv("Q(m)")
 
 
+def refusal(text):
+    with pytest.raises(ds.PvError) as exc:
+        ds.parse_pv(text)
+    return str(exc.value)
+
+
 def test_program_validation_names_process_and_position():
-    double = ds.parse_pv("P(m) P(m) V(m) V(m)")
-    assert double.validate() == [
-        "process 1, event 2: P(m) while already held"]
-    orphan = ds.parse_pv("P(m) V(m)\nV(n)")
-    assert orphan.validate() == [
-        "process 2, event 1: V(n) without a matching P"]
-    stuck = ds.parse_pv("P(m) V(m) P(n)")
-    assert stuck.validate() == ["process 1: P(n) is never released"]
-    with pytest.raises(ds.PvError, match="never released"):
-        ds.from_pv(stuck)
+    assert refusal("P(m) P(m) V(m) V(m)") == (
+        "process 1, event 2: P(m) while already held")
+    assert refusal("P(m) V(m)\nV(n)") == (
+        "process 2, event 1: V(n) without a matching P")
+    assert refusal("P(m) V(m) P(n)") == "process 1: P(n) is never released"
 
 
 def test_from_pv_enforces_size_caps():
-    four = ds.PVProgram(((("P", "a"), ("V", "a")),) * 4)
+    four = ((("P", "a"), ("V", "a")),) * 4
     with pytest.raises(ds.PvError, match="4 processes"):
         ds.from_pv(four)
-    long = ds.PVProgram(((("P", "a"), ("V", "a")) * 9,))
+    long = ((("P", "a"), ("V", "a")) * 9,)
     with pytest.raises(ds.PvError, match="18 events"):
         ds.from_pv(long)
 
@@ -79,56 +98,51 @@ def test_from_pv_enforces_size_caps():
 # building spaces from programs
 
 
-def test_swiss_ticks_and_rectangles():
-    space = swiss_space()
+def test_swiss_ticks_and_boxes():
+    space, ref = program(SWISS)
     assert space.ticks == (
         ("0", "L_m^A", "L_n^A", "U_n^A", "U_m^A", "1"),
         ("0", "L_n^B", "L_m^B", "U_m^B", "U_n^B", "1"),
     )
-    assert space.forbidden == (
-        ds.Rect((1, 2), (4, 3)),
-        ds.Rect((2, 1), (3, 4)),
-    )
-    assert blocked_cells(space) == oracles.forbidden_cells(space) == {
+    assert ref.boxes == (((1, 2), (4, 3)), ((2, 1), (3, 4)))
+    assert blocked_cells(space) == oracles.forbidden_cells(ref) == {
         (1, 2), (2, 2), (3, 2), (2, 1), (2, 3)}
     assert space.shape == (5, 5)
     assert space.validate() == []
 
 
 def test_single_process_is_a_directed_interval():
-    space = ds.from_pv(ds.parse_pv("P(m) V(m)"))
-    assert space.shape == (3,)
-    assert space.forbidden == ()
+    space, ref = program("P(m) V(m)")
+    assert space.shape == ref.shape == (3,)
+    assert (space.blocked, ref.boxes) == (0, ())
     report = ds.analyze(space)
     assert set(report.reachable) == set(report.safe) == {(0,), (1,), (2,)}
     assert ds.deadlocks(report) == ()
 
 
 def test_minimal_mutex_forbids_one_cell():
-    space = ds.from_pv(ds.parse_pv("P(m) V(m)\nP(m) V(m)"))
-    assert space.forbidden == (ds.Rect((1, 1), (2, 2)),)
-    assert blocked_cells(space) == oracles.forbidden_cells(space) == {(1, 1)}
+    space, ref = program("P(m) V(m)\nP(m) V(m)")
+    assert ref.boxes == (((1, 1), (2, 2)),)
+    assert blocked_cells(space) == oracles.forbidden_cells(ref) == {(1, 1)}
     report = ds.analyze(space)
     assert report.unreachable == ()
     assert report.unsafe == ()
     assert ds.deadlocks(report) == ()
 
 
-def test_repeated_locking_gives_one_rectangle_per_hold_pair():
-    space = ds.from_pv(ds.parse_pv("P(m) V(m) P(m) V(m)\nP(m) V(m)"))
-    assert space.forbidden == (
-        ds.Rect((1, 1), (2, 2)),
-        ds.Rect((3, 1), (4, 2)),
-    )
+def test_repeated_locking_gives_one_box_per_hold_pair():
+    space, ref = program("P(m) V(m) P(m) V(m)\nP(m) V(m)")
+    assert ref.boxes == (((1, 1), (2, 2)), ((3, 1), (4, 2)))
+    assert blocked_cells(space) == {(1, 1), (3, 1)}
     assert ds.deadlocks(ds.analyze(space)) == ()
 
 
 def test_three_processes_block_the_full_third_axis():
     text = "P(q) V(q)\nP(q) V(q)\nP(z) V(z)"
-    space = ds.from_pv(ds.parse_pv(text))
+    space, ref = program(text)
     assert space.dims == 3
-    assert space.forbidden == (ds.Rect((1, 1, 0), (2, 2, 3)),)
-    assert oracles.rect_cells(space, space.forbidden[0]) == {
+    assert ref.boxes == (((1, 1, 0), (2, 2, 3)),)
+    assert blocked_cells(space) == oracles.box_cells(ref.boxes[0]) == {
         (1, 1, z) for z in range(3)}
     report = ds.analyze(space)
     assert report.unreachable == ()
@@ -143,13 +157,12 @@ def test_swiss_complements_match_the_named_squares():
     space = swiss_space()
     report = ds.analyze(space)
     ta, tb = space.ticks
-    unreach = ds.Rect((ta.index("U_n^A"), tb.index("U_m^B")),
-                      (ta.index("U_m^A"), tb.index("U_n^B")))
-    unsafe = ds.Rect((ta.index("L_m^A"), tb.index("L_n^B")),
-                     (ta.index("L_n^A"), tb.index("L_m^B")))
-    assert set(report.unreachable) == oracles.rect_cells(space, unreach) \
-        == {(3, 3)}
-    assert set(report.unsafe) == oracles.rect_cells(space, unsafe) == {(1, 1)}
+    unreach = ((ta.index("U_n^A"), tb.index("U_m^B")),
+               (ta.index("U_m^A"), tb.index("U_n^B")))
+    unsafe = ((ta.index("L_m^A"), tb.index("L_n^B")),
+              (ta.index("L_n^A"), tb.index("L_m^B")))
+    assert set(report.unreachable) == oracles.box_cells(unreach) == {(3, 3)}
+    assert set(report.unsafe) == oracles.box_cells(unsafe) == {(1, 1)}
     assert report.validate() == []
 
 
@@ -170,10 +183,8 @@ def test_swiss_rendering():
 
 def test_rendering_marks_a_walled_in_cell_as_neither():
     # the centre cell and two side corners are neither reachable nor safe
-    ticks = (("0", "a", "b", "1"),) * 2
     walls = ((0, 1), (1, 0), (2, 1), (1, 2))
-    space = ds.DirectedGridSpace(ticks, tuple(
-        ds.Rect((x, y), (x + 1, y + 1)) for x, y in walls))
+    space, _ = built((3, 3), *(((x, y), (x + 1, y + 1)) for x, y in walls))
     assert space.validate() == []
     assert ds.render(ds.analyze(space)) == (
         ".#S\n"
@@ -193,12 +204,11 @@ def test_render_requires_two_axes():
 
 
 def wall_space():
-    ticks = (("0", "a", "b", "c", "1"),) * 2
-    return ds.DirectedGridSpace(ticks, (ds.Rect((0, 1), (4, 2)),))
+    return built((4, 4), ((0, 1), (4, 2)))
 
 
 def test_full_width_wall_strands_the_bottom_rows():
-    space = wall_space()
+    space, _ = wall_space()
     assert space.validate() == []
     report = ds.analyze(space)
     assert set(report.reachable) == {(x, 0) for x in range(4)}
@@ -207,33 +217,31 @@ def test_full_width_wall_strands_the_bottom_rows():
 
 
 def test_empty_forbidden_set_has_no_deadlocks():
-    space = ds.DirectedGridSpace((("0", "a", "1"), ("0", "b", "1")))
+    space, _ = built((2, 2))
     report = ds.analyze(space)
     assert set(report.reachable) == set(all_cells(space))
     assert set(report.safe) == set(all_cells(space))
     assert ds.deadlocks(report) == ()
 
 
-def test_space_validation_flags_bad_rectangles_and_corners():
-    ticks = (("0", "a", "1"), ("0", "b", "1"))
-    leaky = ds.DirectedGridSpace(ticks, (ds.Rect((0, 0), (9, 1)),))
-    assert any("leaves the grid" in p for p in leaky.validate())
-    trap = ds.DirectedGridSpace(ticks, (ds.Rect((0, 0), (1, 1)),))
+def test_space_validation_flags_off_grid_bits_and_corners():
+    # rows 2 to 8 lie past the first axis, bit 2 of row 0 past the last
+    leaky, _ = built((2, 2), ((1, 0), (9, 1)), ((0, 1), (1, 3)))
+    assert leaky.validate() == ["8 blocked bits lie off the grid"]
+    trap, _ = built((2, 2), ((0, 0), (1, 1)))
     assert trap.validate() == ["the initial corner is forbidden"]
     thin = ds.DirectedGridSpace((("0",), ("0", "b", "1")))
-    assert any("two boundary ticks" in p for p in thin.validate())
+    assert thin.validate() == ["axis 0 needs at least two boundary ticks"]
 
 
 def test_space_validation_flags_a_forbidden_final_corner():
-    ticks = (("0", "a", "1"), ("0", "b", "1"))
-    space = ds.DirectedGridSpace(ticks, (ds.Rect((1, 1), (2, 2)),))
+    space, _ = built((2, 2), ((1, 1), (2, 2)))
     assert space.validate() == ["the final corner is forbidden"]
 
 
 def test_closure_from_a_forbidden_corner_is_empty():
-    ticks = (("0", "a", "1"), ("0", "b", "1"))
-    trap = ds.DirectedGridSpace(ticks, (ds.Rect((0, 0), (1, 1)),))
-    end = ds.DirectedGridSpace(ticks, (ds.Rect((1, 1), (2, 2)),))
+    trap, _ = built((2, 2), ((0, 0), (1, 1)))
+    end, _ = built((2, 2), ((1, 1), (2, 2)))
     trapped, ended = ds.analyze(trap), ds.analyze(end)
     assert list(trapped.reachable) == list(ended.safe) == []
     assert len(trapped.safe) == len(ended.reachable) == 3
@@ -241,19 +249,10 @@ def test_closure_from_a_forbidden_corner_is_empty():
     assert ds.analyze(trap).validate() == ds.analyze(end).validate() == []
 
 
-def test_space_validation_reports_a_rectangle_missing_an_axis():
-    ticks = (("0", "a", "1"), ("0", "b", "1"))
-    short = ds.DirectedGridSpace(ticks, (ds.Rect((0,), (1,)),))
-    assert short.validate() == [
-        "rectangle Rect(lo=(0,), hi=(1,)) does not span every axis"]
-
-
 def test_a_grid_needs_an_axis_and_a_program_a_process():
     # row masks run over the last axis, so a grid without one is refused
     assert ds.DirectedGridSpace(()).validate() == ["the grid has no axes"]
-    assert ds.PVProgram(()).validate() == ["no processes"]
-    with pytest.raises(ds.PvError, match="no processes"):
-        ds.from_pv(ds.PVProgram(()))
+    assert refusal("# no process\n") == "<input>: no processes"
 
 
 # ---------------------------------------------------------------------------
@@ -261,30 +260,28 @@ def test_a_grid_needs_an_axis_and_a_program_a_process():
 
 
 ORACLE_SPACES = [
-    ("swiss", swiss_space),
-    ("mutex", lambda: ds.from_pv(ds.parse_pv("P(m) V(m)\nP(m) V(m)"))),
-    ("relock", lambda: ds.from_pv(
-        ds.parse_pv("P(m) V(m) P(m) V(m)\nP(m) V(m)"))),
-    ("wall", wall_space),
-    ("interval", lambda: ds.from_pv(ds.parse_pv("P(m) V(m)"))),
-    ("threeway", lambda: ds.from_pv(
-        ds.parse_pv("P(q) V(q)\nP(q) V(q)\nP(z) V(z)"))),
+    ("swiss", program(SWISS)),
+    ("mutex", program("P(m) V(m)\nP(m) V(m)")),
+    ("relock", program("P(m) V(m) P(m) V(m)\nP(m) V(m)")),
+    ("wall", wall_space()),
+    ("interval", program("P(m) V(m)")),
+    ("threeway", program("P(q) V(q)\nP(q) V(q)\nP(z) V(z)")),
 ]
 
 
-@pytest.mark.parametrize("name,build", ORACLE_SPACES, ids=[n for n, _ in
-                                                           ORACLE_SPACES])
-def test_closures_match_path_enumeration(name, build):
-    space = build()
+@pytest.mark.parametrize("name,pair", ORACLE_SPACES, ids=[n for n, _ in
+                                                          ORACLE_SPACES])
+def test_closures_match_path_enumeration(name, pair):
+    space, ref = pair
     report = ds.analyze(space)
-    assert set(report.reachable) == oracles.closure_cells(space, True)
-    assert set(report.safe) == oracles.closure_cells(space, False)
+    assert set(report.reachable) == oracles.closure_cells(ref, True)
+    assert set(report.safe) == oracles.closure_cells(ref, False)
 
 
-@pytest.mark.parametrize("name,build", ORACLE_SPACES, ids=[n for n, _ in
-                                                           ORACLE_SPACES])
-def test_witness_paths_are_monotone_and_clear(name, build):
-    report = ds.analyze(build())
+@pytest.mark.parametrize("name,pair", ORACLE_SPACES, ids=[n for n, _ in
+                                                          ORACLE_SPACES])
+def test_witness_paths_are_monotone_and_clear(name, pair):
+    report = ds.analyze(pair[0])
     assert report.validate() == []
 
 
@@ -323,7 +320,7 @@ def test_certificate_names_each_planted_fault(name, table, tamper, problem):
     # planted in a fresh report before anything reads it
     bad = ds.analyze(report.space)
     bits = good.bits ^ tamper(report.space)
-    object.__setattr__(bad, table, ds.Region(report.space, bits, good.d))
+    setattr(bad, table, ds.Region(report.space, bits, good.d))
     assert problem in bad.validate()
 
 
@@ -335,10 +332,8 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def stress_space():
-    """Criterion 8's grid: two rectangles inside an 8 by 8 square."""
-    ticks = ("0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "1")
-    return ds.DirectedGridSpace(
-        (ticks, ticks), (ds.Rect((2, 2), (6, 5)), ds.Rect((4, 6), (7, 8))))
+    """Criterion 8's grid: two boxes inside an 8 by 8 square."""
+    return built((8, 8), ((2, 2), (6, 5)), ((4, 6), (7, 8)))
 
 
 def random_program(rng):
@@ -361,40 +356,53 @@ def random_program(rng):
     return "\n".join(procs) + "\n"
 
 
-def generated_space(seed):
-    return ds.from_pv(ds.parse_pv(random_program(random.Random(seed))))
+def generated(seed):
+    return program(random_program(random.Random(seed)))
 
 
-GENERATED = [generated_space(f"pv/{i}") for i in range(300)]
+GENERATED = [generated(f"pv/{i}") for i in range(300)]
+
+
+def corpus_programs():
+    pairs = [program(p.read_text(encoding="utf-8"))
+             for p in sorted(CORPUS.glob("*.pv"))]
+    assert len(pairs) == 4
+    return pairs
 
 
 def referee_spaces():
-    corpus = [ds.from_pv(ds.parse_pv(p.read_text(encoding="utf-8"), str(p)))
-              for p in sorted(CORPUS.glob("*.pv"))]
-    assert len(corpus) == 4
-    return corpus + [build() for _, build in ORACLE_SPACES] \
+    return corpus_programs() + [pair for _, pair in ORACLE_SPACES] \
         + [stress_space()] + GENERATED
+
+
+def test_blocked_cells_are_the_cells_of_the_hold_range_boxes():
+    for space, ref in corpus_programs() + GENERATED:
+        assert space.shape == ref.shape
+        assert blocked_cells(space) == oracles.forbidden_cells(ref)
+    # not vacuous: most programs have boxes, some on all three axes
+    assert sum(bool(ref.boxes) for _, ref in GENERATED) >= 250
+    assert any(len(ref.shape) == 3 and ref.boxes for _, ref in GENERATED)
 
 
 def test_deadlocks_match_the_scan():
     dead = {}
-    for space in referee_spaces():
+    for space, ref in referee_spaces():
         report = ds.analyze(space)
         got = ds.deadlocks(report)
-        assert got == oracles.deadlocks_by_scan(space), space
+        assert got == oracles.deadlocks_by_scan(ref), ref
         dead[space] = got
     # not vacuous: many programs deadlock, and in some three-axis ones a
     # process has finished while the other two are stuck
-    assert sum(bool(dead[s]) for s in GENERATED) >= 50
-    assert any(v == f for s in GENERATED if s.dims == 3
+    assert sum(bool(dead[s]) for s, _ in GENERATED) >= 50
+    assert any(v == f for s, _ in GENERATED if s.dims == 3
                for c in dead[s] for v, f in zip(c, s.final))
 
 
 def test_closures_of_generated_programs():
-    for space in GENERATED:
+    for space, ref in GENERATED:
         report = ds.analyze(space)
-        assert set(report.reachable) == oracles.closure_cells(space, True)
-        assert set(report.safe) == oracles.closure_cells(space, False)
+        assert set(report.reachable) == oracles.closure_cells(ref, True)
+        assert set(report.safe) == oracles.closure_cells(ref, False)
         assert report.validate() == []
 
 
@@ -411,11 +419,11 @@ def test_final_corner_of_a_valid_program_is_reachable(rng):
 def test_link_tables_retrace_witness_paths():
     # the referee's link tables hold the masks' cells in the same order,
     # and following links from any cell walks a shortest path home
-    space = swiss_space()
+    space, ref = program(SWISS)
     report = ds.analyze(space)
     for region, forward, anchor in ((report.reachable, True, (0, 0)),
                                     (report.safe, False, (4, 4))):
-        table = oracles.link_table(space, forward)
+        table = oracles.link_table(ref, forward)
         assert list(region) == list(table)
         for cell in table:
             path = [cell]
@@ -430,14 +438,14 @@ def test_link_tables_retrace_witness_paths():
 # duality and relabeling invariance
 
 
-def op_space(space):
-    """The same grid run backwards: ticks reversed, rectangles mirrored."""
-    top = [len(t) - 1 for t in space.ticks]
-    rects = tuple(ds.Rect(tuple(top[a] - r.hi[a] for a in range(space.dims)),
-                          tuple(top[a] - r.lo[a] for a in range(space.dims)))
-                  for r in space.forbidden)
-    return ds.DirectedGridSpace(
-        tuple(tuple(reversed(t)) for t in space.ticks), rects)
+def op_space(space, ref):
+    """The same grid run backwards, and its referee: ticks reversed,
+    boxes mirrored."""
+    boxes = tuple((tuple(n - v for n, v in zip(ref.shape, hi)),
+                   tuple(n - v for n, v in zip(ref.shape, lo)))
+                  for lo, hi in ref.boxes)
+    return (ds.DirectedGridSpace(tuple(t[::-1] for t in space.ticks), boxes),
+            oracles.Grid(ref.shape, boxes))
 
 
 def mirror_cell(space, c):
@@ -445,15 +453,16 @@ def mirror_cell(space, c):
     return tuple(n - 1 - v for n, v in zip(space.shape, c))
 
 
-@pytest.mark.parametrize("name,build", ORACLE_SPACES, ids=[n for n, _ in
-                                                           ORACLE_SPACES])
-def test_safe_is_reachable_of_the_reversed_space(name, build):
-    space = build()
-    rev = op_space(space)
-    assert rev.validate() == []
-    mirrored = {mirror_cell(space, c) for c in ds.analyze(rev).reachable}
+@pytest.mark.parametrize("name,pair", ORACLE_SPACES, ids=[n for n, _ in
+                                                          ORACLE_SPACES])
+def test_safe_is_reachable_of_the_reversed_space(name, pair):
+    space = pair[0]
+    rev = op_space(*pair)
+    assert rev[0].validate() == []
+    mirrored = {mirror_cell(space, c) for c in ds.analyze(rev[0]).reachable}
     assert set(ds.analyze(space).safe) == mirrored
-    assert op_space(rev) == space
+    twice = op_space(*rev)[0]
+    assert (twice.ticks, twice.blocked) == (space.ticks, space.blocked)
 
 
 def test_swapping_processes_transposes_the_space():
@@ -473,7 +482,7 @@ def test_swapping_processes_transposes_the_space():
 def test_renaming_semaphores_keeps_the_geometry():
     renamed = ds.from_pv(ds.parse_pv(SWISS.replace("m", "u")))
     space = swiss_space()
-    assert set(renamed.forbidden) == set(space.forbidden)
+    assert renamed.blocked == space.blocked
     assert renamed.ticks[0] == tuple(
         l.replace("_m", "_u") for l in space.ticks[0])
     assert ds.analyze(renamed).unreachable == ds.analyze(space).unreachable
@@ -483,82 +492,71 @@ def test_renaming_semaphores_keeps_the_geometry():
 # the row sweep on edge shapes, against the referees
 
 
-def grid(*widths):
-    """Ticks for a grid with the given number of cells per axis."""
-    return tuple(("0",) + tuple(f"t{i}" for i in range(1, n)) + ("1",)
-                 for n in widths)
-
-
 EDGE_SPACES = [
     # no prefix axes: every cell sits in the one row
-    ("one-axis", ds.DirectedGridSpace(grid(5), (ds.Rect((2,), (3,)),))),
-    # a rectangle covering the whole of row x = 1 walls off the right
-    ("whole-row", ds.DirectedGridSpace(grid(4, 4), (
-        ds.Rect((1, 0), (2, 4)),))),
-    ("whole-row-3d", ds.DirectedGridSpace(grid(3, 3, 4), (
-        ds.Rect((1, 1, 0), (2, 2, 4)), ds.Rect((0, 2, 1), (3, 3, 2))))),
+    ("one-axis", built((5,), ((2,), (3,)))),
+    # a box covering the whole of row x = 1 walls off the right
+    ("whole-row", built((4, 4), ((1, 0), (2, 4)))),
+    ("whole-row-3d", built((3, 3, 4), ((1, 1, 0), (2, 2, 4)),
+                           ((0, 2, 1), (3, 3, 2)))),
     # lo == hi on a prefix axis and on the last axis cover no cell
-    ("empty-rects", ds.DirectedGridSpace(grid(4, 4), (
-        ds.Rect((1, 1), (1, 3)), ds.Rect((1, 2), (3, 2)),
-        ds.Rect((2, 0), (3, 2))))),
+    ("empty-boxes", built((4, 4), ((1, 1), (1, 3)), ((1, 2), (3, 2)),
+                          ((2, 0), (3, 2)))),
     # 17-cell rows, the widest from_pv builds, with runs across bit 16
-    ("17-cell-rows", ds.DirectedGridSpace(grid(4, 17), (
-        ds.Rect((1, 5), (2, 16)), ds.Rect((2, 0), (3, 16))))),
-    ("17-cubed", ds.DirectedGridSpace(grid(17, 17, 17), (
-        ds.Rect((3, 4, 0), (9, 12, 17)), ds.Rect((0, 10, 6), (17, 11, 16)),
-        ds.Rect((12, 0, 15), (17, 16, 16))))),
+    ("17-cell-rows", built((4, 17), ((1, 5), (2, 16)), ((2, 0), (3, 16)))),
+    ("17-cubed", built((17, 17, 17), ((3, 4, 0), (9, 12, 17)),
+                       ((0, 10, 6), (17, 11, 16)),
+                       ((12, 0, 15), (17, 16, 16)))),
     # rows at the slot boundaries: 8 cells need a 16-bit slot, 32 and 40
     # cells a 64-bit one, and 64 cells a slot wider than a machine word
-    *[(f"{w}-cell-rows", ds.DirectedGridSpace(grid(4, w), (
-        ds.Rect((1, 5), (2, w - 1)), ds.Rect((2, 0), (3, w - 1)))))
+    *[(f"{w}-cell-rows", built((4, w), ((1, 5), (2, w - 1)),
+                               ((2, 0), (3, w - 1))))
       for w in (8, 32, 40, 64)],
     # the swiss flag on the outer axes, spread over the two middle ones,
     # and a small box spanning part of all four
-    ("4-axis", ds.DirectedGridSpace(grid(5, 2, 3, 5), (
-        ds.Rect((1, 0, 0, 2), (4, 2, 3, 3)),
-        ds.Rect((2, 0, 0, 1), (3, 2, 3, 4)),
-        ds.Rect((0, 1, 1, 0), (2, 2, 2, 2))))),
+    ("4-axis", built((5, 2, 3, 5), ((1, 0, 0, 2), (4, 2, 3, 3)),
+                     ((2, 0, 0, 1), (3, 2, 3, 4)),
+                     ((0, 1, 1, 0), (2, 2, 2, 2)))),
     # a forbidden anchor leaves that direction's closure empty
-    ("forbidden-initial", ds.DirectedGridSpace(grid(3, 3), (
-        ds.Rect((0, 0), (1, 1)),))),
-    ("forbidden-final", ds.DirectedGridSpace(grid(3, 3), (
-        ds.Rect((2, 2), (3, 3)),))),
+    ("forbidden-initial", built((3, 3), ((0, 0), (1, 1)))),
+    ("forbidden-final", built((3, 3), ((2, 2), (3, 3)))),
 ]
 
 
-def assert_matches_referees(space):
+def assert_matches_referees(space, ref):
     report = ds.analyze(space)
-    assert blocked_cells(space) == oracles.forbidden_cells(space)
+    assert blocked_cells(space) == oracles.forbidden_cells(ref)
     for region, forward in ((report.reachable, True), (report.safe, False)):
         # the same cells in the same order as the cell-by-cell sweep
-        expected = oracles.link_table(space, forward)
+        expected = oracles.link_table(ref, forward)
         assert list(region) == list(expected)
-        assert set(expected) == oracles.closure_cells(space, forward)
+        assert set(expected) == oracles.closure_cells(ref, forward)
         assert len(region) == len(expected)
         assert all(c in region for c in expected)
         assert not any(c in region for c in all_cells(space)
                        if c not in expected)
-    assert ds.deadlocks(report) == oracles.deadlocks_by_scan(space)
+    assert ds.deadlocks(report) == oracles.deadlocks_by_scan(ref)
     assert report.validate() == []
 
 
-@pytest.mark.parametrize("name,space", EDGE_SPACES,
+@pytest.mark.parametrize("name,pair", EDGE_SPACES,
                          ids=[n for n, _ in EDGE_SPACES])
-def test_row_sweep_matches_the_referees_on_edge_shapes(name, space):
-    assert_matches_referees(space)
-    rev = op_space(space)
-    assert_matches_referees(rev)
-    assert {mirror_cell(space, c) for c in ds.analyze(rev).reachable} == \
+def test_row_sweep_matches_the_referees_on_edge_shapes(name, pair):
+    space = pair[0]
+    assert_matches_referees(*pair)
+    rev = op_space(*pair)
+    assert_matches_referees(*rev)
+    assert {mirror_cell(space, c) for c in ds.analyze(rev[0]).reachable} == \
         set(ds.analyze(space).safe)
 
 
 def test_edge_shapes_are_not_vacuous():
-    spaces = dict(EDGE_SPACES)
+    spaces = {name: space for name, (space, _) in EDGE_SPACES}
     one = ds.analyze(spaces["one-axis"])
     assert list(one.reachable) == [(0,), (1,)]
     assert list(one.safe) == [(4,), (3,)]
     assert ds.deadlocks(one) == ((1,),)
-    assert blocked_cells(spaces["empty-rects"]) == {(2, 0), (2, 1)}
+    assert blocked_cells(spaces["empty-boxes"]) == {(2, 0), (2, 1)}
     wall = ds.analyze(spaces["whole-row"])
     assert set(wall.reachable) == {(0, y) for y in range(4)}
     assert ds.deadlocks(wall) == ((0, 3),)
@@ -592,9 +590,9 @@ def test_membership_is_false_off_the_grid():
 def test_link_tables_and_deadlocks_of_generated_programs():
     # the 60 programs the cli modes test runs, against the referees
     for i in range(60):
-        space = generated_space(f"pv-modes/{i}")
+        space, ref = generated(f"pv-modes/{i}")
         report = ds.analyze(space)
         for region, forward in ((report.reachable, True),
                                 (report.safe, False)):
-            assert list(region) == list(oracles.link_table(space, forward))
-        assert ds.deadlocks(report) == oracles.deadlocks_by_scan(space)
+            assert list(region) == list(oracles.link_table(ref, forward))
+        assert ds.deadlocks(report) == oracles.deadlocks_by_scan(ref)
