@@ -6,9 +6,10 @@ and k+1 unit cells between them.  A program state is a cell, one interval
 per axis.  Two processes holding the same semaphore at once is impossible,
 so each pair of their P..V hold ranges forbids a box: the cells inside
 both ranges on those two axes, anywhere on the others.  A space folds
-its boxes into one blocked region when it is built.  Execution only moves forward: one axis at a time, one cell up.  Reachable
-cells are the forward closure of the all-zeros corner, safe cells the
-backward closure of the all-ones corner.
+its boxes into one blocked region when it is built.  Execution only
+moves forward: one axis at a time, one cell up.  Reachable cells are the
+forward closure of the all-zeros corner, safe cells the backward closure
+of the all-ones corner.
 
 A region of cells is one int for the whole grid.  A row is a cell's
 coordinates on every axis but the last; row r owns the slot of bits from
@@ -217,11 +218,15 @@ def parse_pv(text, path="<input>"):
             if m is None:
                 raise PvError(f"{path}:{ln}: cannot read event {tok!r}")
             op, s = m.groups()
-            if op == "P" and s in held:
-                bad.append(f"{where}, event {j}: P({s}) while already held")
-            elif op == "V" and s not in held:
+            if op == "P":
+                if s in held:
+                    bad.append(f"{where}, event {j}: "
+                               f"P({s}) while already held")
+                held.add(s)
+            elif s in held:
+                held.remove(s)
+            else:
                 bad.append(f"{where}, event {j}: V({s}) without a matching P")
-            (held.add if op == "P" else held.discard)(s)
             events.append((op, s))
         bad += [f"{where}: P({s}) is never released" for s in sorted(held)]
         procs.append(tuple(events))

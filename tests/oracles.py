@@ -18,9 +18,9 @@ factorization's middle is the strict pullback of the functor against
 domain evaluation on the whole square category of its target, and grid
 closures are found by walking monotone paths, forbidden cells box by
 box, from boxes a test wrote or read off a program's hold ranges,
-deadlocks by trying every forward step out of every reachable cell.  The .dtt lexer is the token-object one: one `Tok` with
-its line and column per token, stray characters reported as they are
-met.  The left eliminator is computed through the mirror of its transport
+deadlocks by trying every forward step out of every reachable cell.
+The .dtt lexer is the token-object one: one `Tok` with its line and
+column per token, stray characters reported as they are met.  The left eliminator is computed through the mirror of its transport
 extension, relabelled into right-handed shape, with a private copy of the
 right-handed transport formula.  Interning is refereed by structural keys
 that never compare or hash a node.  The kernel's subtree summaries are
