@@ -17,8 +17,6 @@ followed by reduction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernel as k
 from . import parser as ps
 
@@ -26,8 +24,6 @@ from . import parser as ps
 class CheckError(Exception):
     def __init__(self, msg, premise=None):
         super().__init__(f"premise {premise}: {msg}" if premise else msg)
-        self.msg = msg
-        self.premise = premise
 
 
 class Signature:
@@ -305,37 +301,6 @@ def _infer_elim(sig, ctx, e):
 
 
 # ---------------------------------------------------------------------------
-# verdicts, the one report record of every tool
-
-
-@dataclass(frozen=True)
-class Record:
-    """One verdict of one check on one subject, from any tool; `line` is
-    the source line of a checked declaration (0 when there is none)."""
-
-    subject: str
-    check: str
-    ok: bool
-    detail: str = ""
-    line: int = 0
-
-
-def verdict(subject, check, problems):
-    """The record of a check that passes when `problems` is empty and
-    otherwise reports the first one."""
-    return Record(subject, check, not problems,
-                  problems[0] if problems else "")
-
-
-def format_records(records):
-    """One tab-separated line per record: check, subject, verdict, detail."""
-    lines = ["\t".join([r.check, r.subject, "ok" if r.ok else "FAIL",
-                        r.detail])
-             for r in records]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ---------------------------------------------------------------------------
 # whole files
 
 
@@ -367,7 +332,7 @@ def check_source(source):
             ok, detail = _check_decl(sig, decl)
         except CheckError as err:
             ok, detail = False, str(err)
-        records.append(Record(subject, check, ok, detail, decl.line))
+        records.append(k.Record(subject, check, ok, detail))
     return sig, records
 
 

@@ -8,8 +8,9 @@ deterministic; `--format records` emits one tab-separated line per check
 transcript of the same records.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 unusable input
-(missing or non-UTF-8 file, parse error, invalid program or workspace,
-input nested too deeply), 3 internal invariant breach.
+(an unreadable file, a kernel.InputError, or input nested too deeply),
+3 internal invariant breach.  Each subcommand imports its modules when
+it runs; only the kernel is imported here.
 """
 
 from __future__ import annotations
@@ -18,15 +19,9 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from . import checker as ch
-from . import dspace as ds
-from . import fincat as fc
-from . import interp as ip
 from . import kernel as k
-from . import parser as ps
-from . import wfs
 
 
 @dataclass(frozen=True)
@@ -75,13 +70,22 @@ def _verdict(r):
     return f"{r.subject} : {r.check} {'OK' if r.ok else 'FAIL'}{tail}"
 
 
+def format_records(records):
+    """One tab-separated line per record: check, subject, verdict, detail."""
+    lines = ["\t".join([r.check, r.subject, "ok" if r.ok else "FAIL",
+                        r.detail])
+             for r in records]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 # ---------------------------------------------------------------------------
 # subcommands; each handles one file and returns (human lines, records);
 # pv builds its human lines only for --format human
 
 
 def _cmd_check(cfg, path):
-    text = ps.read_source(path)
+    from . import checker as ch, parser as ps
+    text = k.read_source(path)
     _, records = ch.check_source(ps.parse_dtt(text, str(path)))
     out = []
     for r in records:
@@ -93,75 +97,18 @@ def _cmd_check(cfg, path):
 
 
 def _cmd_interp(cfg, path):
+    from . import interp as ip
     recs, witnesses = ip.verify_soundness(ip.load_scenario(path))
     if cfg.oracle:
-        recs += _lift_oracle(witnesses)
+        from . import wfs
+        recs += wfs.lift_oracle(witnesses)
     return [_verdict(r) for r in recs], recs
-
-
-def _lift_oracle(witnesses):
-    """Brute-force the lifting square of each soundness-pass eliminator."""
-    recs = []
-    for n, w in enumerate(witnesses, start=1):
-        subject, check = f"elim#{n}", f"lift-oracle[{w.side}]"
-        try:
-            recs.append(_diagonal_record(subject, check,
-                                         wfs.elimination_square(w)))
-        except (wfs.WfsError, fc.SizeCapError, ValueError) as err:
-            recs.append(ch.Record(subject, check, False, str(err)))
-    return recs
-
-
-def _diagonal_record(subject, check, witness):
-    """Brute-force a certified lifting square; pass when some diagonal
-    exists and the certified one is among them."""
-    lifts = wfs.brute_force_lifts(witness.problem)
-    found = any(witness.diagonal == lw.diagonal for lw in lifts)
-    return ch.Record(subject, check, bool(lifts) and found,
-                     f"{len(lifts)} diagonal(s) found" if lifts
-                     else "no diagonal found")
 
 
 def _cmd_wfs(cfg, path):
-    recs = _wfs_records(ip.load_workspace([path], path), cfg)
+    from . import interp as ip, wfs
+    recs = wfs.workspace_records(ip.load_workspace([path], path), cfg.oracle)
     return [_verdict(r) for r in recs], recs
-
-
-def _wfs_records(ws, cfg):
-    recs = []
-    for name, cat in ws.categories.items():
-        try:
-            _, _, alpha_recs = wfs.alpha_iso(cat)
-            recs.extend(replace(r, subject=name) for r in alpha_recs)
-        except fc.SizeCapError as err:
-            recs.append(ch.Record(name, "alpha-iso", False, str(err)))
-    for name, F in ws.functors.items():
-        facts = {}
-        for flavor in wfs.FLAVORS:
-            try:
-                facts[flavor] = wfs.factor(F, flavor)
-                bad = facts[flavor].validate()
-            except fc.SizeCapError as err:
-                facts[flavor], bad = err, [str(err)]
-            recs.append(ch.verdict(name, f"factor[{flavor}]", bad))
-        ok, lifts = fc.has_cocartesian_lifts(F)
-        if not ok:
-            continue
-        try:
-            # a refused arrow factorization refuses the lift as well
-            if isinstance(facts["arrow"], fc.SizeCapError):
-                raise facts["arrow"]
-            witness = wfs.opfib_lift(facts["arrow"], lifts)
-            recs.append(ch.Record(name, "opfib-lift", True))
-        except (wfs.WfsError, fc.SizeCapError) as err:
-            recs.append(ch.Record(name, "opfib-lift", False, str(err)))
-            continue
-        if cfg.oracle:
-            try:
-                recs.append(_diagonal_record(name, "lift-oracle", witness))
-            except wfs.WfsError as err:
-                recs.append(ch.Record(name, "lift-oracle", False, str(err)))
-    return recs
 
 
 def _cells(cells):
@@ -169,19 +116,20 @@ def _cells(cells):
 
 
 def _cmd_pv(cfg, path):
-    text = ps.read_source(path)
+    from . import dspace as ds
+    text = k.read_source(path)
     space = ds.from_pv(ds.parse_pv(text, str(path)))
     report = ds.analyze(space)
     dead = ds.deadlocks(report)
     reached = space.final in report.reachable
     recs = [
-        ch.Record(path, "final-reachable", reached,
-                  "" if reached else "the final corner cannot be reached"),
-        ch.Record(path, "deadlock-free", not dead,
-                  _cells(dead) if dead else ""),
+        k.Record(path, "final-reachable", reached,
+                 "" if reached else "the final corner cannot be reached"),
+        k.Record(path, "deadlock-free", not dead,
+                 _cells(dead) if dead else ""),
     ]
     if cfg.oracle:
-        recs.append(ch.verdict(path, "closure-oracle", report.validate()))
+        recs.append(k.verdict(path, "closure-oracle", report.validate()))
     if cfg.format != "human":
         # the safe table, the region lists and the map are for people
         return [], recs
@@ -219,8 +167,7 @@ def run(cfg, stream=None):
             lines, recs = _COMMANDS[cfg.command](cfg, path)
             out += [f"== {path}", *lines]
             records += recs
-    except (OSError, ps.ParseError, ds.PvError, ip.InterpError,
-            fc.SizeCapError) as err:
+    except (OSError, k.InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
@@ -233,7 +180,7 @@ def run(cfg, stream=None):
         return 3
     ok = all(r.ok for r in records)
     if cfg.format == "records":
-        stream.write(ch.format_records(records))
+        stream.write(format_records(records))
     else:
         passed = sum(1 for r in records if r.ok)
         out.append(f"{passed}/{len(records)} checks passed")

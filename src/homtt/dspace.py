@@ -30,13 +30,13 @@ import struct
 from functools import cached_property
 from itertools import combinations, compress, product
 
-from .kernel import InternalError
+from .kernel import InputError, InternalError
 
 # struct codes for the slot sizes, in bytes, that are one machine word
 _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-class PvError(Exception):
+class PvError(InputError):
     """A malformed program, event string, or grid description."""
 
 
@@ -46,7 +46,8 @@ class DirectedGridSpace:
     ticks holds the ordered boundary labels per axis; there is one cell
     between each adjacent pair, addressed by the index of its lower tick.
     The boxes (lo, hi) of cells, hi exclusive, are folded into blocked,
-    the forbidden cells as a whole-grid int.
+    the forbidden cells as a whole-grid int.  A box must lie in the grid
+    (0 <= lo <= hi <= cells on each axis); the constructor does not check it.
     """
 
     def __init__(self, ticks, boxes=()):

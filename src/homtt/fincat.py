@@ -34,13 +34,13 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 
-from .kernel import Interned, dropper
+from .kernel import InputError, Interned, dropper
 
 MAX_OBJECTS = 64
 MAX_MORPHISMS = 4096
 
 
-class SizeCapError(Exception):
+class SizeCapError(InputError):
     pass
 
 

@@ -30,7 +30,7 @@ from . import parser as ps
 _show = fc._fmt
 
 
-class InterpError(Exception):
+class InterpError(k.InputError):
     """A semantic environment entry is missing or cannot be resolved."""
 
 
@@ -390,14 +390,14 @@ def verify_soundness(sc):
         return records, []
     itp = Interpreter(sc.sig, sc.env, sc.checks)
     for decl, rec in zip(sc.source.decls, sc.checks):
-        records.append(ch.Record(rec.subject, "typecheck", rec.ok,
-                                 "" if rec.ok else rec.detail))
+        records.append(k.Record(rec.subject, "typecheck", rec.ok,
+                                "" if rec.ok else rec.detail))
         if not rec.ok:
             continue
         try:
             recs = _decl_records(itp, rec.subject, decl)
         except (InterpError, ch.CheckError, fc.SizeCapError) as err:
-            recs = [ch.Record(rec.subject, "interpretation", False, str(err))]
+            recs = [k.Record(rec.subject, "interpretation", False, str(err))]
         for r in recs:
             if not r.ok and r.check in ("env-base", "env-type"):
                 itp.failed[rec.subject] = f"fails its {r.check} check"
@@ -408,11 +408,11 @@ def verify_soundness(sc):
 def _env_records(env):
     out = []
     for name in sorted(env.bases):
-        out.append(ch.verdict(f"base:{name}", "env-assignment",
-                              env.bases[name].validate()))
+        out.append(k.verdict(f"base:{name}", "env-assignment",
+                             env.bases[name].validate()))
     for name in sorted(env.terms):
-        out.append(ch.verdict(f"const:{name}", "env-section",
-                              env.terms[name].validate()))
+        out.append(k.verdict(f"const:{name}", "env-section",
+                             env.terms[name].validate()))
     return out
 
 
@@ -425,7 +425,7 @@ def _decl_records(itp, subject, decl):
                 before = len(itp.witnesses)
                 ok = fa.base == itp.context(tuple(tele))
                 out.extend(_witness_records(itp, subject, before))
-                out.append(ch.Record(
+                out.append(k.Record(
                     subject, "env-base", ok,
                     "" if ok else "assignment base differs from the "
                     "interpreted telescope"))
@@ -447,7 +447,7 @@ def _decl_records(itp, subject, decl):
                             ok = False
                             detail = f"value at {_show(x)} is outside the fiber"
                             break
-                out.append(ch.Record(subject, "env-type", ok, detail))
+                out.append(k.Record(subject, "env-type", ok, detail))
         case ps.Define(_, tele, ty, body):
             out.extend(_judgement_records(itp, subject, tuple(tele), ty,
                                           (body,)))
@@ -457,8 +457,8 @@ def _decl_records(itp, subject, decl):
             ctx = tuple(tele)
             out.extend(_judgement_records(itp, subject, ctx, ty, (lhs, rhs)))
             ok, detail = _data_agree(itp.term(ctx, lhs), itp.term(ctx, rhs))
-            out.append(ch.Record(subject, "equal-interpretation", ok,
-                                 detail))
+            out.append(k.Record(subject, "equal-interpretation", ok,
+                                detail))
     return out
 
 
@@ -471,10 +471,10 @@ def _judgement_records(itp, subject, ctx, ty, terms):
     for tm in terms:
         before = len(itp.witnesses)
         sec = itp.term(ctx, tm)
-        out.append(ch.verdict(subject, "section-natural", sec.validate()))
+        out.append(k.verdict(subject, "section-natural", sec.validate()))
         stray = next((x for x in fa.base.objects
                       if sec.obj[x] not in fa.fibers[x].objects), None)
-        out.append(ch.Record(
+        out.append(k.Record(
             subject, "section-in-type", stray is None,
             "" if stray is None
             else f"value at {_show(stray)} is outside the declared fiber"))
@@ -488,14 +488,14 @@ def _witness_records(itp, subject, before):
     eliminator interpreted since the witness count was `before`."""
     out = []
     for w in itp.witnesses[before:]:
-        out.append(ch.verdict(subject, f"unit-functorial[{w.side}]",
-                              w.unit.validate()))
-        out.append(ch.verdict(subject, f"eliminator-natural[{w.side}]",
-                              w.e_full.validate()))
+        out.append(k.verdict(subject, f"unit-functorial[{w.side}]",
+                             w.unit.validate()))
+        out.append(k.verdict(subject, f"eliminator-natural[{w.side}]",
+                             w.e_full.validate()))
         ok, detail = _data_agree(fc.reindex_section(w.e_full, w.unit),
                                  w.d_sec)
-        out.append(ch.Record(subject, f"computation-rule[{w.side}]", ok,
-                             detail))
+        out.append(k.Record(subject, f"computation-rule[{w.side}]", ok,
+                            detail))
     return out
 
 
@@ -527,7 +527,7 @@ def _pullback_records(itp, subject, ctx):
     for j in reversed(range(len(exts))):
         acc = fc.functor_compose(exts[j].proj, acc)
         ok, detail = _pullback_square(cat, acc, exts[j])
-        out.append(ch.Record(subject, f"chi-pullback[{j}]", ok, detail))
+        out.append(k.Record(subject, f"chi-pullback[{j}]", ok, detail))
     return out
 
 
@@ -583,7 +583,7 @@ def load_scenario(path):
     src_path = None
     cat_paths = []
     binds = {}
-    for ln, raw in enumerate(ps.read_source(path).splitlines(), start=1):
+    for ln, raw in enumerate(k.read_source(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -603,7 +603,7 @@ def load_scenario(path):
                 raise InterpError(f"{path}:{ln}: cannot read {line!r}")
     if src_path is None:
         raise InterpError(f"{path}: no 'source' line")
-    source = ps.parse_dtt(ps.read_source(src_path), str(src_path))
+    source = ps.parse_dtt(k.read_source(src_path), str(src_path))
     ws = load_workspace(cat_paths, path)
     sig, checks = ch.check_source(source)
     env = build_env(sig, checks, ws, binds)
@@ -616,7 +616,7 @@ def load_workspace(paths, owner):
     asked for it."""
     cf = ps.CatFile()
     for p in paths:
-        ps.parse_fincat(ps.read_source(p), str(p), cf)
+        ps.parse_fincat(k.read_source(p), str(p), cf)
     try:
         return fc.build_catfile(cf)
     except fc.BlockError as err:

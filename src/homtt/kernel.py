@@ -39,18 +39,62 @@ highest variable level, 0 if none), ``elims`` (its eliminator count) and
 ``names`` (its constants and base types).  A child that is not a node is
 refused there.  Traversals return a subtree they cannot change as it is,
 and ``map_children`` returns the node itself when no child changed.
+
+The kernel is the bottom layer and imports no other module of the
+package.  The contracts every tool shares live here: the exit codes
+(``InputError``, exit 2, and ``InternalError``, exit 3), ``read_source``
+and ``Record``, the one report record.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
 from operator import add, is_
 
 
 class InternalError(Exception):
     """An invariant of the engine itself was violated (not a user error)."""
+
+
+class InputError(Exception):
+    """Unusable input; every tool's refusal of a file derives from it."""
+
+
+class ParseError(InputError):
+    def __init__(self, msg, path="<input>", line=0, col=0):
+        super().__init__(f"{path}:{line}:{col}: {msg}")
+
+
+def read_source(path):
+    """The text of an input file; bytes that are not UTF-8 make it unusable
+    input, a ParseError at the first bad byte's line and byte column."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as err:
+        bad = err.start
+        raise ParseError(f"not UTF-8 text ({err.reason})", path,
+                         err.object.count(b"\n", 0, bad) + 1,
+                         bad - err.object.rfind(b"\n", 0, bad)) from None
+
+
+@dataclass(frozen=True)
+class Record:
+    """One verdict of one check on one subject, from any tool."""
+
+    subject: str
+    check: str
+    ok: bool
+    detail: str = ""
+
+
+def verdict(subject, check, problems):
+    """The record of a check that passes when `problems` is empty and
+    otherwise reports the first one."""
+    return Record(subject, check, not problems,
+                  problems[0] if problems else "")
 
 
 class Interned:

@@ -29,30 +29,8 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import kernel as k
-
-
-class ParseError(Exception):
-    def __init__(self, msg, path="<input>", line=0, col=0):
-        super().__init__(f"{path}:{line}:{col}: {msg}")
-        self.msg = msg
-        self.path = path
-        self.line = line
-        self.col = col
-
-
-def read_source(path):
-    """The text of an input file; bytes that are not UTF-8 make it unusable
-    input, a ParseError at the first bad byte's line and byte column."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        bad = err.start
-        raise ParseError(f"not UTF-8 text ({err.reason})", path,
-                         err.object.count(b"\n", 0, bad) + 1,
-                         bad - err.object.rfind(b"\n", 0, bad)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +116,8 @@ def _lex_dtt(text, path):
         for ln, raw in enumerate(text.splitlines(), start=1):
             for m in _TOKEN.finditer(_code(raw)):
                 if m.lastindex is None:
-                    raise ParseError(f"stray character {m.group()!r}", path,
-                                     ln, m.start() + 1)
+                    raise k.ParseError(f"stray character {m.group()!r}",
+                                       path, ln, m.start() + 1)
     return toks, ends
 
 
@@ -216,7 +194,7 @@ class _DttParser:
         first = self.ends[ln - 2] if ln > 1 else 0
         raw = self.text.splitlines()[ln - 1]
         col = list(_TOKEN.finditer(_code(raw)))[at - first].start() + 1
-        raise ParseError(msg, self.path, ln, col)
+        raise k.ParseError(msg, self.path, ln, col)
 
     # -- declarations ------------------------------------------------------
 
@@ -595,7 +573,7 @@ def _fc_lex(line, path, ln):
     for m in _FC_TOKEN.finditer(line.split("#", 1)[0]):
         t = m.group()
         if t not in _FC_PUNCT and not _FC_WORD.match(t):
-            raise ParseError(f"stray character {t!r}", path, ln, m.start() + 1)
+            raise k.ParseError(f"stray character {t!r}", path, ln, m.start() + 1)
         toks.append(t)
     return toks
 
@@ -607,7 +585,7 @@ class _FincatParser:
         self.out = out
 
     def err(self, msg, ln):
-        raise ParseError(msg, self.path, ln, 1)
+        raise k.ParseError(msg, self.path, ln, 1)
 
     def register(self, table, block):
         """Enter a block under its name, which no block of any kind may

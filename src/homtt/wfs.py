@@ -13,7 +13,7 @@ search over diagonals provides independent evidence for specific squares.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import checker as ch
 from . import fincat as fc
@@ -193,13 +193,13 @@ def alpha_iso(c):
                          {v: m for m, v in mor.items()})
 
     records = (
-        ch.verdict("alpha", "alpha-functorial", alpha.validate()),
-        ch.verdict("alpha", "inverse-functorial", inverse.validate()),
-        ch.verdict("alpha", "left-inverse", fc.differences(
+        k.verdict("alpha", "alpha-functorial", alpha.validate()),
+        k.verdict("alpha", "inverse-functorial", inverse.validate()),
+        k.verdict("alpha", "left-inverse", fc.differences(
             fc.functor_compose(inverse, alpha), fc.identity_functor(cat))),
-        ch.verdict("alpha", "right-inverse", fc.differences(
+        k.verdict("alpha", "right-inverse", fc.differences(
             fc.functor_compose(alpha, inverse), fc.identity_functor(mid))),
-        ch.verdict("alpha", "unit-left-leg", fc.differences(
+        k.verdict("alpha", "unit-left-leg", fc.differences(
             fc.functor_compose(alpha, unit), fact.left)),
     )
     return alpha, inverse, records
@@ -286,3 +286,67 @@ def brute_force_lifts(prob):
             if not cand.validate():
                 found.append(LiftWitness(prob, cand))
     return tuple(found)
+
+
+def workspace_records(ws, oracle):
+    """The records of `homtt wfs`: alpha-iso per category; per functor
+    both factorizations, its lift if an opfibration, and under `oracle`
+    the lift brute-forced.  A refusal over the size caps is a record."""
+    recs = []
+    for name, cat in ws.categories.items():
+        try:
+            _, _, alpha_recs = alpha_iso(cat)
+            recs.extend(replace(r, subject=name) for r in alpha_recs)
+        except fc.SizeCapError as err:
+            recs.append(k.Record(name, "alpha-iso", False, str(err)))
+    for name, F in ws.functors.items():
+        facts = {}
+        for flavor in FLAVORS:
+            try:
+                facts[flavor] = factor(F, flavor)
+                bad = facts[flavor].validate()
+            except fc.SizeCapError as err:
+                facts[flavor], bad = err, [str(err)]
+            recs.append(k.verdict(name, f"factor[{flavor}]", bad))
+        ok, lifts = fc.has_cocartesian_lifts(F)
+        if not ok:
+            continue
+        try:
+            # a refused arrow factorization refuses the lift as well
+            if isinstance(facts["arrow"], fc.SizeCapError):
+                raise facts["arrow"]
+            witness = opfib_lift(facts["arrow"], lifts)
+            recs.append(k.Record(name, "opfib-lift", True))
+        except (WfsError, fc.SizeCapError) as err:
+            recs.append(k.Record(name, "opfib-lift", False, str(err)))
+            continue
+        if oracle:
+            try:
+                recs.append(_diagonal_record(name, "lift-oracle", witness))
+            except WfsError as err:
+                recs.append(k.Record(name, "lift-oracle", False, str(err)))
+    return recs
+
+
+def lift_oracle(witnesses):
+    """The records of `homtt interp --oracle`: brute-force the lifting
+    square of each soundness-pass eliminator."""
+    recs = []
+    for n, w in enumerate(witnesses, start=1):
+        subject, check = f"elim#{n}", f"lift-oracle[{w.side}]"
+        try:
+            recs.append(_diagonal_record(subject, check,
+                                         elimination_square(w)))
+        except (WfsError, fc.SizeCapError, ValueError) as err:
+            recs.append(k.Record(subject, check, False, str(err)))
+    return recs
+
+
+def _diagonal_record(subject, check, witness):
+    """Brute-force a certified lifting square; pass when some diagonal
+    exists and the certified one is among them."""
+    lifts = brute_force_lifts(witness.problem)
+    found = any(witness.diagonal == lw.diagonal for lw in lifts)
+    return k.Record(subject, check, bool(lifts) and found,
+                    f"{len(lifts)} diagonal(s) found" if lifts
+                    else "no diagonal found")

@@ -33,12 +33,11 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from homtt import checker as ch
 from homtt import fincat as fc
 from homtt import kernel as k
-from homtt.parser import KEYWORDS, ParseError
+from homtt.parser import KEYWORDS
 
 # ---------------------------------------------------------------------------
 # named representation
@@ -763,9 +762,26 @@ def mirror_left_elim(itp, ctx, e):
 # so these share no code with homtt.dspace.
 
 
-class Grid(NamedTuple):
+@dataclass(frozen=True)
+class Grid:
+    """A referee grid; each box has one coordinate per axis and lies in
+    the grid, 0 <= lo <= hi <= cells on every axis, or the grid is
+    refused with ValueError.  A test builds the boxes of a hand-built
+    space here first, so only boxes in the grid reach homtt.dspace."""
+
     shape: tuple
     boxes: tuple
+
+    def __post_init__(self):
+        for box in self.boxes:
+            lo, hi = box
+            if not len(lo) == len(hi) == len(self.shape):
+                raise ValueError(f"box {box} does not have one coordinate "
+                                 f"per axis of a {self.shape} grid")
+            if not all(0 <= a <= b <= n
+                       for a, b, n in zip(lo, hi, self.shape)):
+                raise ValueError(f"box {box} does not lie in a "
+                                 f"{self.shape} grid")
 
 
 def _pv_events(text):
@@ -907,6 +923,6 @@ def lex_dtt(text, path):
         line = raw.split("#", 1)[0]
         for m in _TOKEN.finditer(line):
             if m.lastindex is None:
-                raise ParseError(f"stray character {m.group()!r}", path, ln, m.start() + 1)
+                raise k.ParseError(f"stray character {m.group()!r}", path, ln, m.start() + 1)
             toks.append(Tok(m.group(), ln, m.start() + 1))
     return toks

@@ -1,0 +1,105 @@
+"""Record the command line's output on a fixed set of runs, and compare
+two such records.
+
+    python tests/same_output.py dump OUT.json
+    python tests/same_output.py diff A.json B.json
+
+`dump` runs `homtt.cli.run` in-process, from the root of the checkout
+this file lies in and on that checkout's `src`, over:
+
+- every corpus file, with its command (`check`, `interp`, `wfs`, `pv`);
+- the first 60 inputs of seed 1 of each benchmark workload, written by
+  `perfbench/gen.write_inputs` under `.same-output/` at the root (a
+  git-ignored directory, emptied first; nothing else is written but
+  OUT.json).
+
+Each input runs with `--format records` and `--format human`, and with
+and without `--oracle` where the command takes it.  OUT.json maps each
+command line to its exit code, stdout and stderr.  The paths in the
+command lines are relative to the root, so a copy of this file in
+another checkout (the parent commit's, say) dumps runs that compare one
+to one.  `diff` prints each command line whose run differs, or that only
+one side has, and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import shutil
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORK = Path(".same-output")
+SEED, COUNT = 1, 60
+
+
+def _inputs():
+    """(command, *paths) for each corpus file and generated input."""
+    corpus = Path("corpus")
+    for command, pattern in (("check", "**/*.dtt"), ("interp", "**/*.scn"),
+                             ("wfs", "**/*.fincat"), ("pv", "**/*.pv")):
+        for path in sorted(corpus.glob(pattern)):
+            yield command, path.as_posix()
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+    shutil.rmtree(WORK, ignore_errors=True)
+    for workload in gen.WORKLOADS:
+        # the first directory holds the warm-up input
+        for d in gen.write_inputs(workload, SEED, COUNT, WORK / workload)[1:]:
+            argv = json.loads((d / "expect.json").read_text("utf-8"))["argv"]
+            yield tuple(a for a in argv
+                        if a not in ("--format", "records", "--oracle"))
+
+
+def dump(out):
+    out = Path(out).resolve()
+    os.chdir(ROOT)
+    sys.path.insert(0, str(ROOT / "src"))
+    from homtt import cli
+    if ROOT / "src" not in Path(cli.__file__).resolve().parents:
+        raise SystemExit(f"imported homtt from {cli.__file__}, "
+                         f"not from {ROOT / 'src'}")
+    runs = {}
+    for command, *paths in _inputs():
+        for fmt in ("records", "human"):
+            for oracle in ([], ["--oracle"]) if command != "check" else [[]]:
+                argv = [command, "--format", fmt, *oracle, *paths]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    rc = cli.run(cli.parse_args(argv), stdout)
+                runs[" ".join(argv)] = {"exit": rc,
+                                        "stdout": stdout.getvalue(),
+                                        "stderr": stderr.getvalue()}
+    out.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n",
+                   encoding="utf-8")
+    print(f"{len(runs)} runs written to {out}")
+    return 0
+
+
+def diff(a, b):
+    left, right = (json.loads(Path(p).read_text("utf-8")) for p in (a, b))
+    keys = sorted(left.keys() | right.keys())
+    differ = [key for key in keys if left.get(key) != right.get(key)]
+    for key in differ:
+        if key not in left or key not in right:
+            print(f"{key}: only in {a if key in left else b}")
+        else:
+            parts = [p for p in ("exit", "stdout", "stderr")
+                     if left[key][p] != right[key][p]]
+            print(f"{key}: {', '.join(parts)} differ")
+    print(f"{len(differ)} of {len(keys)} runs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    match sys.argv[1:]:
+        case ["dump", out]:
+            sys.exit(dump(out))
+        case ["diff", a, b]:
+            sys.exit(diff(a, b))
+        case _:
+            sys.exit(__doc__.split("\n\n")[1])

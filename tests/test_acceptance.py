@@ -287,9 +287,8 @@ def test_criterion_08_swiss_flag():
         assert set(report.unsafe) == oracles.box_cells(unsafe)
 
         ticks = ("0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "1")
-        boxes = (((2, 2), (6, 5)), ((4, 6), (7, 8)))
-        stress = (ds.DirectedGridSpace((ticks, ticks), boxes),
-                  oracles.Grid((8, 8), boxes))
+        ref = oracles.Grid((8, 8), (((2, 2), (6, 5)), ((4, 6), (7, 8))))
+        stress = (ds.DirectedGridSpace((ticks, ticks), ref.boxes), ref)
         pairs = [swiss, load_space("interval.pv"), load_space("mutex.pv"),
                  load_space("threeway.pv"), stress]
         for s, ref in pairs:

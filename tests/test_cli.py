@@ -254,6 +254,52 @@ def test_unexpected_exception_exits_three(capsys, monkeypatch, exc, shown):
     assert err == f"internal error: {shown}\n"
 
 
+@pytest.mark.parametrize("exc, unusable", [
+    (k.ParseError, True),
+    (ds.PvError, True),
+    (ip.InterpError, True),
+    (fc.SizeCapError, True),
+    (ch.CheckError, False),
+    (wfs.WfsError, False),
+    (fc.BlockError, False),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_exactly_the_refusals_of_input_are_input_errors(exc, unusable):
+    # run exits 2 on an InputError; a failed check, a missing lift and a
+    # bad workspace block are reported as records, never raised to it
+    assert issubclass(exc, k.InputError) == unusable
+
+
+# each command's own modules, and the ones it must not load
+LAYERS = {
+    ("pv", "corpus/mutex.pv"): (
+        {"kernel", "cli", "dspace"},
+        {"checker", "parser", "fincat", "interp", "wfs"}),
+    ("check", "corpus/transport.dtt"): (
+        {"kernel", "cli", "checker", "parser"},
+        {"fincat", "interp", "wfs", "dspace"}),
+}
+
+
+@pytest.mark.parametrize("argv", list(LAYERS), ids=lambda a: a[0])
+def test_a_command_loads_only_its_own_modules(argv):
+    # a fresh interpreter, so that no module the tests imported counts
+    script = ("import contextlib, io, sys\n"
+              "from homtt import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    rc = cli.main({list(argv)!r})\n"
+              "print(rc, *sorted(m for m in sys.modules\n"
+              "                  if m.startswith('homtt.')))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=REPO, capture_output=True,
+        text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    rc, *loaded = proc.stdout.split()
+    own, others = LAYERS[argv]
+    assert rc == "0"
+    assert own <= {m.removeprefix("homtt.") for m in loaded}
+    assert not others & {m.removeprefix("homtt.") for m in loaded}
+
+
 def test_reducer_guard_breach_exits_three(capsys, monkeypatch, tmp_path):
     text = ("assume T : Type\nassume S (x : T) : Type\n"
             "assume c : core T\nassume u : S(i c)\n"
@@ -970,7 +1016,7 @@ def test_pv_planted_closure_defect_fails_closure_oracle(capsys, monkeypatch):
     # referee's link table
     closure = ds._closure
     path = str(CORPUS / "swissflag.pv")
-    links = oracles.link_table(oracles.pv_grid(ps.read_source(path)))
+    links = oracles.link_table(oracles.pv_grid(k.read_source(path)))
 
     def dropped(space, d):
         bits = closure(space, d)

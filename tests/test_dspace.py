@@ -30,9 +30,10 @@ def grid(*widths):
 
 
 def built(widths, *boxes):
-    """A hand-built space and the referee grid of the same boxes."""
-    return (ds.DirectedGridSpace(grid(*widths), boxes),
-            oracles.Grid(widths, boxes))
+    """A hand-built space and the referee grid of the same boxes; the
+    referee refuses a box that does not lie in the grid first."""
+    ref = oracles.Grid(widths, boxes)
+    return ds.DirectedGridSpace(grid(*widths), ref.boxes), ref
 
 
 def program(text):
@@ -225,8 +226,10 @@ def test_empty_forbidden_set_has_no_deadlocks():
 
 
 def test_space_validation_flags_off_grid_bits_and_corners():
-    # rows 2 to 8 lie past the first axis, bit 2 of row 0 past the last
-    leaky, _ = built((2, 2), ((1, 0), (9, 1)), ((0, 1), (1, 3)))
+    # rows 2 to 8 lie past the first axis, bit 2 of row 0 past the last;
+    # the referee refuses such boxes, so the space is built without it
+    leaky = ds.DirectedGridSpace(grid(2, 2), (((1, 0), (9, 1)),
+                                              ((0, 1), (1, 3))))
     assert leaky.validate() == ["8 blocked bits lie off the grid"]
     trap, _ = built((2, 2), ((0, 0), (1, 1)))
     assert trap.validate() == ["the initial corner is forbidden"]
@@ -247,6 +250,19 @@ def test_closure_from_a_forbidden_corner_is_empty():
     assert len(trapped.safe) == len(ended.reachable) == 3
     # the certificate accepts an empty mask at a forbidden anchor
     assert ds.analyze(trap).validate() == ds.analyze(end).validate() == []
+
+
+@pytest.mark.parametrize("box, problem", [
+    (((0,), (1,)), "does not have one coordinate per axis"),
+    (((0, 0), (1, 20)), "does not lie in"),
+    (((0, 2), (1, 1)), "does not lie in"),
+], ids=["missing-axis", "past-the-row-slot", "lo-past-hi"])
+def test_the_referee_grid_refuses_a_box_off_the_grid(box, problem):
+    # a space does not check its boxes (it reads the first on the axes
+    # it gives and overflows on the other two), so the referee that each
+    # hand-built space here goes through first does
+    with pytest.raises(ValueError, match=problem):
+        built((3, 3), box)
 
 
 def test_a_grid_needs_an_axis_and_a_program_a_process():
@@ -444,8 +460,9 @@ def op_space(space, ref):
     boxes = tuple((tuple(n - v for n, v in zip(ref.shape, hi)),
                    tuple(n - v for n, v in zip(ref.shape, lo)))
                   for lo, hi in ref.boxes)
-    return (ds.DirectedGridSpace(tuple(t[::-1] for t in space.ticks), boxes),
-            oracles.Grid(ref.shape, boxes))
+    mirrored = oracles.Grid(ref.shape, boxes)
+    return (ds.DirectedGridSpace(tuple(t[::-1] for t in space.ticks),
+                                 mirrored.boxes), mirrored)
 
 
 def mirror_cell(space, c):

@@ -614,8 +614,8 @@ def test_verification_report_is_deterministic():
     sig, checks = ch.check_source(source)
     env = transport_env(sig)
     sc = ip.Scenario(source, sig, checks, env)
-    first = ch.format_records(ip.verify_soundness(sc)[0])
-    second = ch.format_records(ip.verify_soundness(sc)[0])
+    first = cli.format_records(ip.verify_soundness(sc)[0])
+    second = cli.format_records(ip.verify_soundness(sc)[0])
     assert first == second
 
 
@@ -765,7 +765,7 @@ def test_env_section_over_another_base_fails_its_env_type_check():
     env.terms["c"] = fc.strict_section(
         fc.constant_fibers(stc, fc.core(cats.two())), {"*": "0"})
     records, _ = ip.verify_soundness(ip.Scenario(source, sig, checks, env))
-    assert ch.Record("const:c", "env-section", True) in records
+    assert k.Record("const:c", "env-section", True) in records
     rec = next(r for r in records if r.check == "env-type")
     assert (rec.subject, rec.ok, rec.detail) == (
         "c", False, "section base differs from the interpreted telescope")

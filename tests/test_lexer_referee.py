@@ -109,7 +109,7 @@ def _engine_tokens(text, path):
 def outcome(name, text):
     try:
         src = ps.parse_dtt(text, name)
-    except ps.ParseError as err:
+    except k.ParseError as err:
         return f"err {err}"
     return "ok " + " ".join(str(d.line) for d in src.decls)
 
@@ -139,8 +139,8 @@ def test_inputs_have_distinct_names_and_cover_both_outcomes():
 def test_lexer_and_parse_outcome_match_the_referee(name, text):
     try:
         ref = oracles.lex_dtt(text, name)
-    except ps.ParseError as err:
-        with pytest.raises(ps.ParseError) as got:
+    except k.ParseError as err:
+        with pytest.raises(k.ParseError) as got:
             _engine_tokens(text, name)
         assert str(got.value) == str(err)
         ref = None

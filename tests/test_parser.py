@@ -106,22 +106,19 @@ def test_assert_forms():
     ("define d : B\n", "unexpected end of input"),
 ])
 def test_rejects(text, frag):
-    with pytest.raises(p.ParseError) as err:
+    with pytest.raises(k.ParseError) as err:
         parse(text)
     assert frag in str(err.value)
 
 
 def test_error_carries_position():
-    with pytest.raises(p.ParseError) as err:
+    with pytest.raises(k.ParseError) as err:
         p.parse_dtt("assume B : Type\ndefine d : B := nope\n", "f.dtt")
-    assert err.value.path == "f.dtt"
-    assert err.value.line == 2
-    assert err.value.col == 17
-    assert str(err.value).startswith("f.dtt:2:17:")
+    assert str(err.value) == "f.dtt:2:17: unbound name 'nope'"
 
 
 def test_forward_reference_rejected():
-    with pytest.raises(p.ParseError) as err:
+    with pytest.raises(k.ParseError) as err:
         p.parse_dtt("define d : B := a\nassume B : Type\nassume a : B\n")
     assert "unbound name 'B'" in str(err.value)
 
@@ -173,7 +170,7 @@ def test_repeated_header_parses_its_motives_once(monkeypatch):
         "bracket-on-next-line", "stray-after-header", "stray-in-header",
         "stray-alone"])
 def test_error_after_a_repeated_header_keeps_its_position(second, msg):
-    with pytest.raises(p.ParseError) as err:
+    with pytest.raises(k.ParseError) as err:
         parse(f"define d1 : B := {HEADER}(a, w)\n"
               f"define d2 : B := {second}\n", "f.dtt")
     assert str(err.value) == f"f.dtt:{msg}"
@@ -410,7 +407,7 @@ def test_readme_fincat_example_parses():
     ("blob b\nend\n", "expected a block header"),
 ])
 def test_fincat_rejects(text, frag):
-    with pytest.raises(p.ParseError) as err:
+    with pytest.raises(k.ParseError) as err:
         p.parse_fincat(text)
     assert frag in str(err.value)
 
@@ -426,14 +423,14 @@ def test_fincat_stray_characters(line, msg):
     if msg is None:
         assert p.parse_fincat(text).categories["c"].arrows == [("f", "a", "b")]
         return
-    with pytest.raises(p.ParseError) as err:
+    with pytest.raises(k.ParseError) as err:
         p.parse_fincat(text, "c.fincat")
     assert str(err.value) == f"c.fincat:{msg}"
 
 
 def test_fincat_duplicates_across_files():
     cf = p.parse_fincat("category c\n  objects x\nend\n", "a.fincat")
-    with pytest.raises(p.ParseError) as err:
+    with pytest.raises(k.ParseError) as err:
         p.parse_fincat("category d\n  objects y\nend\n"
                        "fiber c\n  constant d\nend\n", "b.fincat", cf)
     assert str(err.value) == "b.fincat:4:1: duplicate name 'c'"

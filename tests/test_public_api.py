@@ -6,7 +6,8 @@ of entry points and documented API below.  Every public method or
 property of a public class must be read by attribute name somewhere in
 the package outside its own body, and every field of a public dataclass,
 or of a public class that names its fields in __match_args__, by
-attribute name or through a class pattern.
+attribute name or through a class pattern; so must every attribute that
+a public class's __init__ sets on self.
 """
 
 import ast
@@ -90,22 +91,30 @@ def _is_dataclass(cls):
 
 def _fields(cls):
     """The names in a class's __match_args__ tuple, else a dataclass's
-    annotated fields, else None."""
+    annotated fields, then the attributes its __init__ sets on self."""
+    fields = []
     for s in cls.body:
         match s:
             case ast.Assign(targets=[ast.Name(id="__match_args__")],
                             value=ast.Tuple(elts=elts)):
-                return [e.value for e in elts]
-    if _is_dataclass(cls):
-        return [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
-    return None
+                fields = [e.value for e in elts]
+    if not fields and _is_dataclass(cls):
+        fields = [s.target.id for s in cls.body
+                  if isinstance(s, ast.AnnAssign)]
+    for fn in cls.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+            for node in ast.walk(fn):
+                match node:
+                    case ast.Attribute(value=ast.Name(id="self"), attr=name,
+                                       ctx=ast.Store()):
+                        fields.append(name)
+    return list(dict.fromkeys(fields))
 
 
 def _unread_fields(trees):
-    fields = {cls.name: names for tree in trees for cls in tree.body
+    fields = {cls.name: _fields(cls) for tree in trees for cls in tree.body
               if isinstance(cls, ast.ClassDef)
-              and not cls.name.startswith("_")
-              and (names := _fields(cls)) is not None}
+              and not cls.name.startswith("_")}
     read = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -126,7 +135,7 @@ def test_every_dataclass_field_is_read_inside_the_package():
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))]
     unread = _unread_fields(trees)
-    assert not unread, f"dataclass fields never read inside the package: " \
+    assert not unread, f"fields never read inside the package: " \
         f"{unread}"
 
 
@@ -135,6 +144,16 @@ def test_an_unread_match_args_field_is_reported():
              for path in sorted(SRC.glob("*.py"))]
     planted = ast.parse("class Planted(Interned):\n"
                         "    __match_args__ = ('name', 'never_read')\n")
+    assert _unread_fields(trees + [planted]) == ["Planted.never_read"]
+
+
+def test_an_unread_init_attribute_is_reported():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))]
+    planted = ast.parse("class Planted(Exception):\n"
+                        "    def __init__(self, msg):\n"
+                        "        super().__init__(msg)\n"
+                        "        self.never_read = msg\n")
     assert _unread_fields(trees + [planted]) == ["Planted.never_read"]
 
 

@@ -16,7 +16,6 @@ import random
 import pytest
 
 import wtgen
-from homtt import checker as ch
 from homtt import fincat as fc
 from homtt import interp as ip
 from homtt import kernel as k
@@ -141,7 +140,7 @@ def test_terms_and_their_reducts_have_equal_sections(name):
     ws = fc.build_catfile(ps.parse_fincat(text))
     # the signature is built by hand: one passing record per declaration,
     # in its declaration order (the base types come first)
-    checks = [ch.Record(decl, "assume", True)
+    checks = [k.Record(decl, "assume", True)
               for decl in (*sig.bases, *sig.consts)]
     binds = {**{n: ("type", target) for n, target in types.items()},
              **{n: ("const", target) for n, target in consts.items()}}
