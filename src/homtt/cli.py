@@ -19,17 +19,18 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 from . import kernel as k
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    paths: tuple
-    oracle: bool = False
-    format: str = "human"
+class RunConfig(k.Value):
+    __slots__ = __match_args__ = ("command", "paths", "oracle", "format")
+
+    def __init__(self, command, paths, oracle=False, format="human"):
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "oracle", oracle)
+        object.__setattr__(self, "format", format)
 
 
 @functools.cache

@@ -32,9 +32,8 @@ interp, compares against token.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 
-from .kernel import InputError, Interned, dropper
+from .kernel import InputError, Interned, Value, dropper
 
 MAX_OBJECTS = 64
 MAX_MORPHISMS = 4096
@@ -83,15 +82,21 @@ def identity_mor(x):
     return Mor(("id", x), x, x)
 
 
+def _check_caps(objects, morphisms=()):
+    """Refuse a category over the size caps, objects first; constructions
+    call it before they list morphisms or build composites."""
+    if len(objects) > MAX_OBJECTS:
+        raise SizeCapError(f"{len(objects)} objects exceeds {MAX_OBJECTS}")
+    if len(morphisms) > MAX_MORPHISMS:
+        raise SizeCapError(
+            f"{len(morphisms)} morphisms exceeds {MAX_MORPHISMS}")
+
+
 class FinCat:
     def __init__(self, objects, morphisms, identity, compose):
         objects = tuple(objects)
         morphisms = tuple(morphisms)
-        if len(objects) > MAX_OBJECTS:
-            raise SizeCapError(f"{len(objects)} objects exceeds {MAX_OBJECTS}")
-        if len(morphisms) > MAX_MORPHISMS:
-            raise SizeCapError(
-                f"{len(morphisms)} morphisms exceeds {MAX_MORPHISMS}")
+        _check_caps(objects, morphisms)
         self.objects = objects
         self.morphisms = morphisms
         self.identity = dict(identity)
@@ -200,12 +205,14 @@ def core(c):
     return mkdiscrete(c.objects)
 
 
-@dataclass(frozen=True)
-class Functor:
-    source: FinCat
-    target: FinCat
-    ob: dict
-    mor: dict
+class Functor(Value):
+    __slots__ = __match_args__ = ("source", "target", "ob", "mor")
+
+    def __init__(self, source, target, ob, mor):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "ob", ob)
+        object.__setattr__(self, "mor", mor)
 
     def validate(self):
         out = []
@@ -269,11 +276,13 @@ def core_inclusion(c):
 # fiber assignments (functors into Cat) and their sections
 
 
-@dataclass(frozen=True)
-class FiberAssignment:
-    base: FinCat
-    fibers: dict
-    transitions: dict
+class FiberAssignment(Value):
+    __slots__ = __match_args__ = ("base", "fibers", "transitions")
+
+    def __init__(self, base, fibers, transitions):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "transitions", transitions)
 
     def validate(self):
         out = []
@@ -401,11 +410,13 @@ def reindex_section(s, F):
     return Section(reindex(s.fa, F), obj, mor)
 
 
-@dataclass(frozen=True)
-class Section:
-    fa: FiberAssignment
-    obj: dict
-    mor: dict
+class Section(Value):
+    __slots__ = __match_args__ = ("fa", "obj", "mor")
+
+    def __init__(self, fa, obj, mor):
+        object.__setattr__(self, "fa", fa)
+        object.__setattr__(self, "obj", obj)
+        object.__setattr__(self, "mor", mor)
 
     def validate(self):
         fa, out = self.fa, []
@@ -489,6 +500,7 @@ def _pair_cat(A, B, objects, morphisms, over=lambda b: b):
     """The category of the given pairs (a, b) and morphisms named (m, n),
     m in A and n in B, with identities and composites taken componentwise;
     b lies over the object over(b) of B."""
+    _check_caps(objects, morphisms)
     identity = {(a, b): Mor((A.identity[a], B.identity[over(b)]),
                             (a, b), (a, b))
                 for (a, b) in objects}
@@ -522,6 +534,7 @@ def pullback_cat(F, G):
     ob_over = _preimages(B.objects, G.ob)
     mor_over = _preimages(B.morphisms, G.mor)
     objects = [(a, b) for a in A.objects for b in ob_over.get(F.ob[a], ())]
+    _check_caps(objects)
     morphisms = [Mor((m, n), (m.dom, n.dom), (m.cod, n.cod))
                  for m in A.morphisms for n in mor_over.get(F.mor[m], ())]
     return _pair_cat(A, B, objects, morphisms)
@@ -535,6 +548,7 @@ def comma(F, arrows):
     C, D = F.source, F.target
     out = {x: [f for f in D.out_of(x) if f in arrows] for x in D.objects}
     objects = [(c, f) for c in C.objects for f in out[F.ob[c]]]
+    _check_caps(objects)
     morphisms = [Mor((u, v), (u.dom, f), (u.cod, g))
                  for u in C.morphisms
                  for f in out[F.ob[u.dom]] for g in out[F.ob[u.cod]]
@@ -607,12 +621,13 @@ class BlockError(Exception):
     name and the message."""
 
 
-@dataclass
 class Workspace:
-    categories: dict = field(default_factory=dict)
-    functors: dict = field(default_factory=dict)
-    fibers: dict = field(default_factory=dict)    # fiber and section blocks,
-    sections: dict = field(default_factory=dict)  # resolved by interp
+    __slots__ = ("categories", "functors", "fibers", "sections")
+
+    def __init__(self, fibers, sections):
+        self.categories, self.functors = {}, {}
+        # the parsed fiber and section blocks, resolved by interp
+        self.fibers, self.sections = fibers, sections
 
 
 def _build_category(block):
@@ -643,7 +658,7 @@ def _valid(name, x):
 def build_catfile(cf):
     """Build and validate every block of a CatFile: categories, then
     functors, each kind in file order.  The first problem is a BlockError."""
-    ws = Workspace(fibers=cf.fibers, sections=cf.sections)
+    ws = Workspace(cf.fibers, cf.sections)
     tokens = {}  # category name -> its morphisms by text
     for name, block in cf.categories.items():
         try:

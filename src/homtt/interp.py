@@ -19,7 +19,6 @@ through fc.token.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import checker as ch
@@ -34,7 +33,6 @@ class InterpError(k.InputError):
     """A semantic environment entry is missing or cannot be resolved."""
 
 
-@dataclass
 class SemanticEnv:
     """Meanings for the assumed part of a signature.
 
@@ -44,8 +42,11 @@ class SemanticEnv:
     entry: they are expanded before interpretation.
     """
 
-    bases: dict = field(default_factory=dict)
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("bases", "terms")
+
+    def __init__(self, bases=None):
+        self.bases = {} if bases is None else bases
+        self.terms = {}
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +63,16 @@ def terminal_ctx():
     return fc.FinCat([()], [i], {(): i}, {(i, i): i})
 
 
-@dataclass
 class Extension:
     """One comprehension step over a tuple-shaped base."""
 
-    cat: fc.FinCat             # the extended context
-    fa: fc.FiberAssignment     # what the base was extended by
-    proj: fc.Functor           # cat -> base, dropping the last slot
-    last: fc.Section           # the fresh variable, over reindex(fa, proj)
+    __slots__ = ("cat", "fa", "proj", "last")
+
+    def __init__(self, cat, fa, proj, last):
+        self.cat = cat      # the extended context
+        self.fa = fa        # what the base was extended by
+        self.proj = proj    # cat -> base, dropping the last slot
+        self.last = last    # the fresh variable, over reindex(fa, proj)
 
 
 def extend(base, fa):
@@ -138,14 +141,16 @@ def pairing_functor(g, sections, target):
 # the interpreter
 
 
-@dataclass
 class ElimWitness:
     """Everything needed to replay one eliminator's soundness checks."""
 
-    side: str                  # "right" or "left"
-    unit: fc.Functor           # (p, th) to (p, p, 1_p, th) in the extension
-    d_sec: fc.Section          # the seed section over C.core.theta
-    e_full: fc.Section         # the transported section of the outer motive
+    __slots__ = ("side", "unit", "d_sec", "e_full")
+
+    def __init__(self, side, unit, d_sec, e_full):
+        self.side = side        # "right" or "left"
+        self.unit = unit        # (p, th) to (p, p, 1_p, th) in the extension
+        self.d_sec = d_sec      # the seed section over C.core.theta
+        self.e_full = e_full    # the transported section of the outer motive
 
 
 class Interpreter:
@@ -561,14 +566,16 @@ def _pullback_square(cat, pi, ext):
 # scenario files: a source file plus bindings into a .fincat workspace
 
 
-@dataclass
 class Scenario:
     """A source file, its check_source verdicts, and its bindings."""
 
-    source: ps.SourceFile
-    sig: ch.Signature          # the signature check_source built
-    checks: list               # check_source's records, one per declaration
-    env: SemanticEnv
+    __slots__ = ("source", "sig", "checks", "env")
+
+    def __init__(self, source, sig, checks, env):
+        self.source = source
+        self.sig = sig          # the signature check_source built
+        self.checks = checks    # check_source's records, one per declaration
+        self.env = env
 
 
 def load_scenario(path):

@@ -42,14 +42,14 @@ and ``map_children`` returns the node itself when no child changed.
 
 The kernel is the bottom layer and imports no other module of the
 package.  The contracts every tool shares live here: the exit codes
-(``InputError``, exit 2, and ``InternalError``, exit 3), ``read_source``
-and ``Record``, the one report record.
+(``InputError``, exit 2, and ``InternalError``, exit 3), ``read_source``,
+``Record``, the one report record, and ``Value``, the frozen value
+base of the records of every module.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
 from operator import add, is_
 
@@ -80,23 +80,6 @@ def read_source(path):
                          bad - err.object.rfind(b"\n", 0, bad)) from None
 
 
-@dataclass(frozen=True)
-class Record:
-    """One verdict of one check on one subject, from any tool."""
-
-    subject: str
-    check: str
-    ok: bool
-    detail: str = ""
-
-
-def verdict(subject, check, problems):
-    """The record of a check that passes when `problems` is empty and
-    otherwise reports the first one."""
-    return Record(subject, check, not problems,
-                  problems[0] if problems else "")
-
-
 class Interned:
     """A value whose fields, named in order by its class's __match_args__,
     are set once when it is built: assigning or deleting one raises
@@ -106,9 +89,11 @@ class Interned:
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
@@ -118,6 +103,41 @@ class Interned:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+class Value(Interned):
+    """The contract of Interned without the interning: == and hash read
+    the fields a copy is rebuilt from, as for a frozen dataclass.  Its
+    __init__ sets each field through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+
+class Record(Value):
+    """One verdict of one check on one subject, from any tool."""
+
+    __slots__ = __match_args__ = ("subject", "check", "ok", "detail")
+
+    def __init__(self, subject, check, ok, detail=""):
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
+
+
+def verdict(subject, check, problems):
+    """The record of a check that passes when `problems` is empty and
+    otherwise reports the first one."""
+    return Record(subject, check, not problems,
+                  problems[0] if problems else "")
 
 
 class Expr(Interned):

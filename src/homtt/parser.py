@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass, field
 
 from . import kernel as k
 
@@ -37,49 +36,61 @@ from . import kernel as k
 # declarations
 
 
-@dataclass(frozen=True)
-class AssumeType:
-    name: str
-    telescope: tuple
-    line: int = 0
+class AssumeType(k.Value):
+    __slots__ = __match_args__ = ("name", "telescope", "line")
+
+    def __init__(self, name, telescope, line=0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "telescope", telescope)
+        object.__setattr__(self, "line", line)
 
 
-@dataclass(frozen=True)
-class AssumeTerm:
-    name: str
-    telescope: tuple
-    ty: k.TypeExpr
-    line: int = 0
+class AssumeTerm(k.Value):
+    __slots__ = __match_args__ = ("name", "telescope", "ty", "line")
+
+    def __init__(self, name, telescope, ty, line=0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "telescope", telescope)
+        object.__setattr__(self, "ty", ty)
+        object.__setattr__(self, "line", line)
 
 
-@dataclass(frozen=True)
-class Define:
-    name: str
-    telescope: tuple
-    ty: k.TypeExpr
-    body: k.TermExpr
-    line: int = 0
+class Define(k.Value):
+    __slots__ = __match_args__ = ("name", "telescope", "ty", "body", "line")
+
+    def __init__(self, name, telescope, ty, body, line=0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "telescope", telescope)
+        object.__setattr__(self, "ty", ty)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "line", line)
 
 
-@dataclass(frozen=True)
-class AssertType:
-    telescope: tuple
-    ty: k.TypeExpr
-    line: int = 0
+class AssertType(k.Value):
+    __slots__ = __match_args__ = ("telescope", "ty", "line")
+
+    def __init__(self, telescope, ty, line=0):
+        object.__setattr__(self, "telescope", telescope)
+        object.__setattr__(self, "ty", ty)
+        object.__setattr__(self, "line", line)
 
 
-@dataclass(frozen=True)
-class AssertEqual:
-    telescope: tuple
-    lhs: k.TermExpr
-    rhs: k.TermExpr
-    ty: k.TypeExpr
-    line: int = 0
+class AssertEqual(k.Value):
+    __slots__ = __match_args__ = ("telescope", "lhs", "rhs", "ty", "line")
+
+    def __init__(self, telescope, lhs, rhs, ty, line=0):
+        object.__setattr__(self, "telescope", telescope)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "ty", ty)
+        object.__setattr__(self, "line", line)
 
 
-@dataclass(frozen=True)
-class SourceFile:
-    decls: tuple
+class SourceFile(k.Value):
+    __slots__ = __match_args__ = ("decls",)
+
+    def __init__(self, decls):
+        object.__setattr__(self, "decls", decls)
 
 
 # the one-argument formers, each keyword with its node class: the type
@@ -520,47 +531,46 @@ def _atom_out(walk, node, env, taken, out):
 # .fincat files
 
 
-@dataclass
 class CatBlock:
-    name: str
-    objects: list = field(default_factory=list)
-    arrows: list = field(default_factory=list)       # (name, dom, cod)
-    composites: list = field(default_factory=list)   # (g, f, h) meaning g.f = h
-    line: int = 0
+    __slots__ = ("name", "objects", "arrows", "composites", "line")
+
+    def __init__(self, name, line):
+        self.name, self.objects, self.line = name, [], line
+        self.arrows = []       # (name, dom, cod)
+        self.composites = []   # (g, f, h) meaning g.f = h
 
 
-@dataclass
 class FunctorBlock:
-    name: str
-    source: str
-    target: str
-    ob: list = field(default_factory=list)
-    arr: list = field(default_factory=list)
-    line: int = 0
+    __slots__ = ("name", "source", "target", "ob", "arr", "line")
+
+    def __init__(self, name, source, target, line):
+        self.name, self.source, self.target = name, source, target
+        self.ob, self.arr, self.line = [], [], line
 
 
-@dataclass
 class FiberBlock:
-    name: str
-    constant: str | None = None
-    fibers: list = field(default_factory=list)       # (addr, category name)
-    transitions: list = field(default_factory=list)  # (addr, functor name)
-    line: int = 0
+    __slots__ = ("name", "constant", "fibers", "transitions", "line")
+
+    def __init__(self, name, line):
+        self.name, self.constant, self.line = name, None, line
+        self.fibers = []        # (addr, category name)
+        self.transitions = []   # (addr, functor name)
 
 
-@dataclass
 class SectionBlock:
-    name: str
-    components: list = field(default_factory=list)   # (addr, value name)
-    line: int = 0
+    __slots__ = ("name", "components", "line")
+
+    def __init__(self, name, line):
+        self.name, self.line = name, line
+        self.components = []   # (addr, value name)
 
 
-@dataclass
 class CatFile:
-    categories: dict = field(default_factory=dict)
-    functors: dict = field(default_factory=dict)
-    fibers: dict = field(default_factory=dict)
-    sections: dict = field(default_factory=dict)
+    __slots__ = ("categories", "functors", "fibers", "sections")
+
+    def __init__(self):
+        self.categories, self.functors = {}, {}
+        self.fibers, self.sections = {}, {}
 
 
 _FC_TOKEN = re.compile(r"[A-Za-z0-9_']+|->|[\[\]():=*]|\S")
@@ -590,7 +600,7 @@ class _FincatParser:
     def register(self, table, block):
         """Enter a block under its name, which no block of any kind may
         hold already."""
-        if any(block.name in t for t in vars(self.out).values()):
+        if any(block.name in getattr(self.out, t) for t in CatFile.__slots__):
             self.err(f"duplicate name {block.name!r}", block.line)
         table[block.name] = block
 
@@ -632,7 +642,7 @@ class _FincatParser:
     def _category(self, header, body, ln):
         if len(header) != 2:
             self.err("usage: category NAME", ln)
-        block = CatBlock(header[1], line=ln)
+        block = CatBlock(header[1], ln)
         self.register(self.out.categories, block)
         seen_objects = False
         arrow_names = set()
@@ -671,7 +681,7 @@ class _FincatParser:
     def _functor(self, header, body, ln):
         match header:
             case ["functor", name, ":", src, "->", tgt]:
-                block = FunctorBlock(name, src, tgt, line=ln)
+                block = FunctorBlock(name, src, tgt, ln)
             case _:
                 self.err("usage: functor NAME : C -> D", ln)
         self.register(self.out.functors, block)
@@ -710,7 +720,7 @@ class _FincatParser:
         # the base after `over` is not checked: the binding gives the base
         match header:
             case ["fiber", name] | ["fiber", name, "over", _]:
-                block = FiberBlock(name, line=ln)
+                block = FiberBlock(name, ln)
             case _:
                 self.err("usage: fiber NAME [over C]", ln)
         self.register(self.out.fibers, block)
@@ -730,7 +740,7 @@ class _FincatParser:
         # likewise the fiber after `in`: the bound constant's type gives it
         match header:
             case ["section", name, "in", _]:
-                block = SectionBlock(name, line=ln)
+                block = SectionBlock(name, ln)
             case _:
                 self.err("usage: section NAME in FIBER", ln)
         self.register(self.out.sections, block)

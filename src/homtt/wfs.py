@@ -13,7 +13,6 @@ search over diagonals provides independent evidence for specific squares.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 
 from . import checker as ch
 from . import fincat as fc
@@ -31,13 +30,15 @@ class WfsError(Exception):
     """A lift does not exist, is ambiguous, or the search is too large."""
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(k.Value):
     """original = right after left, through the pairs category."""
 
-    original: fc.Functor
-    left: fc.Functor
-    right: fc.Functor
+    __slots__ = __match_args__ = ("original", "left", "right")
+
+    def __init__(self, original, left, right):
+        object.__setattr__(self, "original", original)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def middle(self):
@@ -52,16 +53,16 @@ class Factorization:
         return out
 
 
-@dataclass(frozen=True)
-class LiftingProblem:
+class LiftingProblem(k.Value):
     """A commuting square: p after top equals bottom after i."""
 
-    i: fc.Functor
-    p: fc.Functor
-    top: fc.Functor
-    bottom: fc.Functor
+    __slots__ = __match_args__ = ("i", "p", "top", "bottom")
 
-    def __post_init__(self):
+    def __init__(self, i, p, top, bottom):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
         if (self.top.source != self.i.source
                 or self.bottom.source != self.i.target
                 or self.top.target != self.p.source
@@ -72,15 +73,15 @@ class LiftingProblem:
             raise ValueError(f"square does not commute: {diff[0]}")
 
 
-@dataclass(frozen=True)
-class LiftWitness:
+class LiftWitness(k.Value):
     """A diagonal making both triangles of a lifting problem commute."""
 
-    problem: LiftingProblem
-    diagonal: fc.Functor
+    __slots__ = __match_args__ = ("problem", "diagonal")
 
-    def __post_init__(self):
-        d, prob = self.diagonal, self.problem
+    def __init__(self, problem, diagonal):
+        object.__setattr__(self, "problem", problem)
+        object.__setattr__(self, "diagonal", diagonal)
+        d, prob = diagonal, problem
         if diff := fc.differences(fc.functor_compose(d, prob.i), prob.top):
             raise ValueError(
                 f"diagonal does not restrict to the top leg: {diff[0]}")
@@ -296,7 +297,8 @@ def workspace_records(ws, oracle):
     for name, cat in ws.categories.items():
         try:
             _, _, alpha_recs = alpha_iso(cat)
-            recs.extend(replace(r, subject=name) for r in alpha_recs)
+            recs.extend(k.Record(name, r.check, r.ok, r.detail)
+                        for r in alpha_recs)
         except fc.SizeCapError as err:
             recs.append(k.Record(name, "alpha-iso", False, str(err)))
     for name, F in ws.functors.items():

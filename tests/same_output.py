@@ -9,9 +9,18 @@ this file lies in and on that checkout's `src`, over:
 
 - every corpus file, with its command (`check`, `interp`, `wfs`, `pv`);
 - the first 60 inputs of seed 1 of each benchmark workload, written by
-  `perfbench/gen.write_inputs` under `.same-output/` at the root (a
-  git-ignored directory, emptied first; nothing else is written but
-  OUT.json).
+  `perfbench/gen.write_inputs`;
+- the refusal tables, which exit 2: the programs of
+  `test_cli.PV_REFUSALS` with `pv` and the files of
+  `test_cli.FINCAT_REFUSALS` with `wfs`;
+- the first 20 seeded mutants of `test_fuzz.make_mutant` per command,
+  which exit 0, 1 or 2.
+
+Generated inputs are written under `.same-output/` at the root (a
+git-ignored directory, emptied first; nothing else is written but
+OUT.json).  The refusal tables are read from the test modules beside
+this file, so a copy of it needs `test_cli.py` and `test_fuzz.py` (and
+what they import) beside it too.
 
 Each input runs with `--format records` and `--format human`, and with
 and without `--oracle` where the command takes it.  OUT.json maps each
@@ -35,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORK = Path(".same-output")
 SEED, COUNT = 1, 60
+MUTANTS = 20
 
 
 def _inputs():
@@ -53,6 +63,28 @@ def _inputs():
             argv = json.loads((d / "expect.json").read_text("utf-8"))["argv"]
             yield tuple(a for a in argv
                         if a not in ("--format", "records", "--oracle"))
+    yield from _refusals()
+
+
+def _refusals():
+    """(command, path) for each refusal table entry and seeded mutant."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    import test_cli
+    import test_fuzz
+    work = WORK / "refusals"
+    work.mkdir(parents=True)
+    for command, table, suffix in (
+            ("pv", test_cli.PV_REFUSALS, ".pv"),
+            ("wfs", test_cli.FINCAT_REFUSALS, ".fincat")):
+        for name, text, _ in table:
+            path = work / f"{name}{suffix}"
+            path.write_text(text, encoding="utf-8")
+            yield command, path.as_posix()
+    for command in test_fuzz.INPUTS:
+        for n in range(MUTANTS):
+            d = WORK / "mutants" / command / str(n)
+            d.mkdir(parents=True)
+            yield command, test_fuzz.make_mutant(command, n, d).as_posix()
 
 
 def dump(out):

@@ -269,7 +269,8 @@ def test_exactly_the_refusals_of_input_are_input_errors(exc, unusable):
     assert issubclass(exc, k.InputError) == unusable
 
 
-# each command's own modules, and the ones it must not load
+# each command's own modules, and the ones it must not load; no command
+# loads dataclasses or inspect
 LAYERS = {
     ("pv", "corpus/mutex.pv"): (
         {"kernel", "cli", "dspace"},
@@ -277,10 +278,20 @@ LAYERS = {
     ("check", "corpus/transport.dtt"): (
         {"kernel", "cli", "checker", "parser"},
         {"fincat", "interp", "wfs", "dspace"}),
+    ("interp", "corpus/scenarios/transport.scn"): (
+        {"kernel", "cli", "checker", "parser", "fincat", "interp"},
+        {"wfs", "dspace"}),
+    ("interp", "--oracle", "corpus/scenarios/comp.scn"): (
+        {"kernel", "cli", "checker", "parser", "fincat", "interp", "wfs"},
+        {"dspace"}),
+    ("wfs", "corpus/scenarios/world.fincat"): (
+        {"kernel", "cli", "checker", "parser", "fincat", "interp", "wfs"},
+        {"dspace"}),
 }
 
 
-@pytest.mark.parametrize("argv", list(LAYERS), ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", list(LAYERS),
+                         ids=lambda a: "-".join(x.strip("-") for x in a[:-1]))
 def test_a_command_loads_only_its_own_modules(argv):
     # a fresh interpreter, so that no module the tests imported counts
     script = ("import contextlib, io, sys\n"
@@ -288,7 +299,8 @@ def test_a_command_loads_only_its_own_modules(argv):
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    rc = cli.main({list(argv)!r})\n"
               "print(rc, *sorted(m for m in sys.modules\n"
-              "                  if m.startswith('homtt.')))\n")
+              "                  if m.startswith('homtt.')\n"
+              "                  or m in ('dataclasses', 'inspect')))\n")
     proc = subprocess.run(
         [sys.executable, "-c", script], cwd=REPO, capture_output=True,
         text=True, check=True,
@@ -298,6 +310,7 @@ def test_a_command_loads_only_its_own_modules(argv):
     assert rc == "0"
     assert own <= {m.removeprefix("homtt.") for m in loaded}
     assert not others & {m.removeprefix("homtt.") for m in loaded}
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def test_reducer_guard_breach_exits_three(capsys, monkeypatch, tmp_path):
@@ -958,37 +971,55 @@ def test_wfs_bad_nat_or_square_exits_two(capsys, tmp_path, block, problem):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("text, error", [
-    ("category\n  objects a\nend\n", "1:1: usage: category NAME"),
-    ("category c\n  objects a\n  objects b\nend\n",
+# Every refusal of a malformed .fincat file by `wfs`, as `error:` lines
+# after the file's path.
+FINCAT_REFUSALS = [
+    ("category-usage",
+     "category\n  objects a\nend\n", "1:1: usage: category NAME"),
+    ("repeated-objects",
+     "category c\n  objects a\n  objects b\nend\n",
      "3:1: repeated objects line"),
-    ("functor f\nend\n", "1:1: usage: functor NAME : C -> D"),
-    ("fiber p\n  at\nend\n", "2:1: missing address"),
-    ("fiber p\n  at [ 0 : star\nend\n", "2:1: unterminated '['"),
-    ("fiber p\n  along [ 0 ] ( a : sa\nend\n", "2:1: unterminated '('"),
-    ("fiber p\n  at 0 star\nend\n", "2:1: bad fiber line: at 0 star"),
-    ("fiber\nend\n", "1:1: usage: fiber NAME [over C]"),
-    ("section s\nend\n", "1:1: usage: section NAME in FIBER"),
-    ("section s in p\n  point x : y\nend\n",
+    ("functor-usage",
+     "functor f\nend\n", "1:1: usage: functor NAME : C -> D"),
+    ("missing-address",
+     "fiber p\n  at\nend\n", "2:1: missing address"),
+    ("unterminated-bracket",
+     "fiber p\n  at [ 0 : star\nend\n", "2:1: unterminated '['"),
+    ("unterminated-paren",
+     "fiber p\n  along [ 0 ] ( a : sa\nend\n", "2:1: unterminated '('"),
+    ("bad-fiber-line",
+     "fiber p\n  at 0 star\nend\n", "2:1: bad fiber line: at 0 star"),
+    ("fiber-usage",
+     "fiber\nend\n", "1:1: usage: fiber NAME [over C]"),
+    ("section-usage",
+     "section s\nend\n", "1:1: usage: section NAME in FIBER"),
+    ("bad-section-line",
+     "section s in p\n  point x : y\nend\n",
      "2:1: bad section line: point x : y"),
-    (WORLD + "functor f : two -> two\n  ob 0 -> 0\n  ob 1 -> 1\n"
+    ("unknown-arrow",
+     WORLD + "functor f : two -> two\n  ob 0 -> 0\n  ob 1 -> 1\n"
      "  arr b -> a\nend\n",
      " workspace block 'f': unknown arrow in 'arr b -> a'"),
-    ("nat n\nend\n", "1:1: expected a block header, found 'nat'"),
-    ("nat eta : F => G\nend\n", "1:14: stray character '>'"),
-    ("square sq\nend\n", "1:1: expected a block header, found 'square'"),
-    ("category big\n  objects "
+    ("nat-header",
+     "nat n\nend\n", "1:1: expected a block header, found 'nat'"),
+    ("nat-arrow",
+     "nat eta : F => G\nend\n", "1:14: stray character '>'"),
+    ("square-header",
+     "square sq\nend\n", "1:1: expected a block header, found 'square'"),
+    ("object-cap",
+     "category big\n  objects "
      + " ".join(f"o{i}" for i in range(65)) + "\nend\n",
      " workspace block 'big': 65 objects exceeds 64"),
-    ("category one\n  objects x\n  arrow e : x -> x\n  compose e e = e\n"
+    ("identity-not-preserved",
+     "category one\n  objects x\n  arrow e : x -> x\n  compose e e = e\n"
      "end\nfunctor F : one -> one\n  ob x -> x\n  arr id_x -> e\n"
      "  arr e -> e\nend\n",
      " workspace block 'F': identity not preserved at x"),
-], ids=["category-usage", "repeated-objects", "functor-usage",
-        "missing-address", "unterminated-bracket", "unterminated-paren",
-        "bad-fiber-line", "fiber-usage", "section-usage", "bad-section-line",
-        "unknown-arrow", "nat-header", "nat-arrow", "square-header",
-        "object-cap", "identity-not-preserved"])
+]
+
+
+@pytest.mark.parametrize("text, error", [c[1:] for c in FINCAT_REFUSALS],
+                         ids=[c[0] for c in FINCAT_REFUSALS])
 def test_wfs_fincat_error_texts(capsys, tmp_path, text, error):
     path = tmp_path / "bad.fincat"
     path.write_text(text, encoding="utf-8")

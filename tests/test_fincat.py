@@ -230,7 +230,7 @@ def planted_fiber_assignments():
     # morphism map, by swapping two parallel arrows
     c = two()
     ident = fc.identity_functor(c)
-    ghost = dataclasses.replace(ident, ob={**ident.ob, "ghost": "0"})
+    ghost = fc.Functor(c, c, {**ident.ob, "ghost": "0"}, ident.mor)
     c2 = para()
     p, q = (f for f in c2.morphisms if f.name in ("p", "q"))
     swap = fc.Functor(c2, c2, {x: x for x in c2.objects},
@@ -420,6 +420,24 @@ def test_morphism_size_cap():
                        match=f"^{fc.MAX_MORPHISMS + 1} morphisms exceeds "
                              f"{fc.MAX_MORPHISMS}$"):
         fc.FinCat(("x",), loops, {}, {})
+
+
+def test_pullback_over_the_morphism_cap_composes_nothing(monkeypatch):
+    # a monoid of 65 elements (g after f is g unless g is the identity)
+    # over the point: its square has one object and 65 * 65 morphisms,
+    # refused before any identity or composite of them is built
+    one = fc.identity_mor("x")
+    ms = [one, *(fc.Mor(i, "x", "x") for i in range(64))]
+    M = fc.FinCat(("x",), ms, {"x": one},
+                  {(g, f): f if g is one else g for g in ms for f in ms})
+    pt = fc.mkdiscrete(("*",))
+    F = fc.Functor(M, pt, {"x": "*"}, {m: pt.identity["*"] for m in ms})
+    composed = []
+    monkeypatch.setattr(fc, "composable", lambda m: composed.append(m) or [])
+    with pytest.raises(fc.SizeCapError,
+                       match=f"^4225 morphisms exceeds {fc.MAX_MORPHISMS}$"):
+        fc.pullback_cat(F, F)
+    assert composed == []
 
 
 def test_comp_of_a_non_composable_pair_is_undefined():

@@ -532,6 +532,39 @@ def test_copies_and_pickles_are_the_live_node(clone):
     assert clone(x) is x
 
 
+# a frozen record of the kernel, the cli and the parser, with its repr
+VALUES = [
+    (lambda: k.Record("s", "c", True),
+     "Record(subject='s', check='c', ok=True, detail='')"),
+    (lambda: cli.RunConfig("check", ("a.dtt",)),
+     "RunConfig(command='check', paths=('a.dtt',), oracle=False, "
+     "format='human')"),
+    (lambda: ps.AssumeTerm("a", (), BaseT("B"), 3),
+     "AssumeTerm(name='a', telescope=(), ty=BaseT(name='B', args=()), "
+     "line=3)"),
+]
+
+
+@pytest.mark.parametrize("make, shown", VALUES,
+                         ids=["record", "run-config", "assume-term"])
+def test_values_keep_the_frozen_dataclass_contract(make, shown):
+    # not interned, but equal and hashed by their fields, frozen, with
+    # the dataclass repr, and copied through the constructor
+    x, y = make(), make()
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert repr(x) == shown
+    assert x != tuple(getattr(x, f) for f in x.__match_args__)
+    for change in (lambda v: setattr(v, x.__match_args__[0], "other"),
+                   lambda v: setattr(v, "extra", 1),
+                   lambda v: delattr(v, x.__match_args__[-1])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            change(x)
+    assert x == y
+    for clone in (copy.copy, copy.deepcopy,
+                  lambda v: pickle.loads(pickle.dumps(v))):
+        assert clone(x) == x
+
+
 def test_shift_and_instantiate_give_the_parsed_nodes():
     src = ps.parse_dtt(
         "assume T : Type\nassume P (x : T) : Type\nassume c : core T\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from pathlib import Path
 
@@ -31,7 +30,8 @@ def last(text):
 
 
 def strip(decl):
-    return dataclasses.replace(decl, line=0)
+    # line is a declaration's last field, and 0 when not given
+    return type(decl)(*(getattr(decl, f) for f in decl.__match_args__[:-1]))
 
 
 # -- name resolution -------------------------------------------------------

@@ -5,14 +5,17 @@ some other top-level statement of the package, or be on the allowlist
 of entry points and documented API below.  Every public method or
 property of a public class must be read by attribute name somewhere in
 the package outside its own body, and every field of a public dataclass,
-or of a public class that names its fields in __match_args__, by
-attribute name or through a class pattern; so must every attribute that
-a public class's __init__ sets on self.
+or of a public class that names its fields in __match_args__ or
+__slots__, by attribute name or through a class pattern; so must every
+attribute that a public class's __init__ sets on self, by assignment or
+through object.__setattr__.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "homtt"
 
@@ -90,14 +93,18 @@ def _is_dataclass(cls):
 
 
 def _fields(cls):
-    """The names in a class's __match_args__ tuple, else a dataclass's
-    annotated fields, then the attributes its __init__ sets on self."""
+    """The names in a class's __match_args__ or __slots__ tuple, else a
+    dataclass's annotated fields, then the attributes its __init__ sets
+    on self, by assignment or through object.__setattr__."""
     fields = []
     for s in cls.body:
         match s:
-            case ast.Assign(targets=[ast.Name(id="__match_args__")],
-                            value=ast.Tuple(elts=elts)):
-                fields = [e.value for e in elts]
+            case ast.Assign(targets=targets, value=ast.Tuple(elts=elts)) \
+                    if {"__match_args__", "__slots__"} & {
+                        t.id for t in targets if isinstance(t, ast.Name)}:
+                # a slot such as __weakref__ is no field
+                fields += [e.value for e in elts
+                           if not e.value.startswith("__")]
     if not fields and _is_dataclass(cls):
         fields = [s.target.id for s in cls.body
                   if isinstance(s, ast.AnnAssign)]
@@ -107,6 +114,11 @@ def _fields(cls):
                 match node:
                     case ast.Attribute(value=ast.Name(id="self"), attr=name,
                                        ctx=ast.Store()):
+                        fields.append(name)
+                    case ast.Call(func=ast.Attribute(
+                            value=ast.Name(id="object"), attr="__setattr__"),
+                            args=[ast.Name(id="self"),
+                                  ast.Constant(value=str(name)), _]):
                         fields.append(name)
     return list(dict.fromkeys(fields))
 
@@ -144,6 +156,20 @@ def test_an_unread_match_args_field_is_reported():
              for path in sorted(SRC.glob("*.py"))]
     planted = ast.parse("class Planted(Interned):\n"
                         "    __match_args__ = ('name', 'never_read')\n")
+    assert _unread_fields(trees + [planted]) == ["Planted.never_read"]
+
+
+@pytest.mark.parametrize("body", [
+    "    __slots__ = __match_args__ = ('name', 'never_read')\n",
+    "    __slots__ = ('name', 'never_read', '__weakref__')\n",
+    "    def __init__(self, name, never_read):\n"
+    "        object.__setattr__(self, 'name', name)\n"
+    "        object.__setattr__(self, 'never_read', never_read)\n",
+], ids=["slots-and-match-args", "slots", "object-setattr"])
+def test_an_unread_field_of_a_value_class_is_reported(body):
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))]
+    planted = ast.parse("class Planted(Value):\n" + body)
     assert _unread_fields(trees + [planted]) == ["Planted.never_read"]
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -167,6 +166,19 @@ def test_factor_refuses_only_a_middle_over_the_caps(flavor):
     assert fact.middle.validate() == [] and fact.validate() == []
     with pytest.raises(fc.SizeCapError, match="81 objects exceeds 64"):
         wfs.factor(fc.core_inclusion(D), flavor)
+
+
+@pytest.mark.parametrize("flavor", ["arrow", "iso"])
+def test_factor_refuses_a_middle_from_its_object_count(flavor, monkeypatch):
+    # the middle of the identity on the codiscrete category on 9 objects
+    # has 81 objects, so comma refuses it before it builds any morphism,
+    # and so any composite, of the 6,561 that middle has
+    D = codiscrete(9)
+    built, mor = [], fc.Mor
+    monkeypatch.setattr(fc, "Mor", lambda *m: built.append(m) or mor(*m))
+    with pytest.raises(fc.SizeCapError, match="^81 objects exceeds 64$"):
+        wfs.factor(fc.identity_functor(D), flavor)
+    assert built == []
 
 
 def test_factor_rejects_unknown_flavor():
@@ -361,12 +373,12 @@ def test_planted_factorization_defects_name_the_cell():
     assert fact.validate() == []
     swap = fc.Functor(c, c, {x: x for x in c.objects},
                       {**{m: m for m in c.morphisms}, p: q, q: p})
-    assert dataclasses.replace(fact, original=swap).validate() == [
+    assert wfs.Factorization(swap, fact.left, fact.right).validate() == [
         "legs do not compose to the original functor: "
         "functors differ at morphism p"]
     squash = fc.Functor(c, c, {"0": "0", "1": "0"},
                         {m: c.identity["0"] for m in c.morphisms})
-    assert dataclasses.replace(fact, original=squash).validate() == [
+    assert wfs.Factorization(squash, fact.left, fact.right).validate() == [
         "legs do not compose to the original functor: "
         "functors differ at object 1"]
 
