@@ -26,15 +26,20 @@ right-handed transport formula.  Interning is refereed by structural keys
 that never compare or hash a node.  The kernel's subtree summaries are
 recomputed from the fields of the whole subtree, and the printers are
 checked against the recursive printer that returns a string per call.
+The command line's arguments are read by the argparse parser `homtt`
+was first built on, the reference for `cli.parse_args`.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 
 from homtt import checker as ch
+from homtt import cli
 from homtt import fincat as fc
 from homtt import kernel as k
 from homtt.parser import KEYWORDS
@@ -926,3 +931,42 @@ def lex_dtt(text, path):
                 raise k.ParseError(f"stray character {m.group()!r}", path, ln, m.start() + 1)
             toks.append(Tok(m.group(), ln, m.start() + 1))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# the command line's arguments, as argparse reads them
+
+
+@functools.cache
+def arg_parser():
+    ap = argparse.ArgumentParser(
+        prog="homtt",
+        description="Check directed type theory sources and their "
+                    "finite-category and grid models.")
+    # each subcommand takes only the flags it reads; this default stands
+    # in for check, which takes no --oracle
+    ap.set_defaults(oracle=False)
+    sub = ap.add_subparsers(dest="command", required=True)
+    specs = [
+        ("check", "typecheck .dtt source files", False),
+        ("interp", "verify scenario files against their workspaces", True),
+        ("wfs", "certify factorizations and lifts in .fincat workspaces",
+         True),
+        ("pv", "analyze .pv lock programs on their grids", True),
+    ]
+    for name, help_text, takes_oracle in specs:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("paths", nargs="+", metavar="FILE")
+        if takes_oracle:
+            p.add_argument("--oracle", action="store_true",
+                           help="also run the oracle cross-checks")
+        p.add_argument("--format", choices=("human", "records"),
+                       default="human", help="report style")
+    return ap
+
+
+def parse_args(argv):
+    """`cli.parse_args(argv)` as argparse reads it; argparse wraps its
+    usage and help texts to $COLUMNS."""
+    ns = arg_parser().parse_args(argv)
+    return cli.RunConfig(ns.command, tuple(ns.paths), ns.oracle, ns.format)

@@ -14,7 +14,10 @@ this file lies in and on that checkout's `src`, over:
   `test_cli.PV_REFUSALS` with `pv` and the files of
   `test_cli.FINCAT_REFUSALS` with `wfs`;
 - the first 20 seeded mutants of `test_fuzz.make_mutant` per command,
-  which exit 0, 1 or 2.
+  which exit 0, 1 or 2;
+- the argument lists of `test_cli.FRONT_DOOR`, run through
+  `homtt.cli.main` with `SystemExit` caught and `COLUMNS=80`: the usage
+  refusals (exit 2) and the `-h` texts (exit 0).
 
 Generated inputs are written under `.same-output/` at the root (a
 git-ignored directory, emptied first; nothing else is written but
@@ -22,7 +25,7 @@ OUT.json).  The refusal tables are read from the test modules beside
 this file, so a copy of it needs `test_cli.py` and `test_fuzz.py` (and
 what they import) beside it too.
 
-Each input runs with `--format records` and `--format human`, and with
+Each input file runs with `--format records` and `--format human`, and with
 and without `--oracle` where the command takes it.  OUT.json maps each
 command line to its exit code, stdout and stderr.  The paths in the
 command lines are relative to the root, so a copy of this file in
@@ -106,6 +109,13 @@ def dump(out):
                 runs[" ".join(argv)] = {"exit": rc,
                                         "stdout": stdout.getvalue(),
                                         "stderr": stderr.getvalue()}
+    # the texts argparse printed were wrapped to $COLUMNS
+    os.environ["COLUMNS"] = "80"
+    import test_cli
+    for _, argv, *_ in test_cli.FRONT_DOOR:
+        rc, stdout, stderr = test_cli.front_door(argv)
+        runs[" ".join(["homtt", *argv])] = {"exit": rc, "stdout": stdout,
+                                            "stderr": stderr}
     out.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n",
                    encoding="utf-8")
     print(f"{len(runs)} runs written to {out}")

@@ -1,5 +1,8 @@
 """End-to-end runs of the command line front-end over the corpus."""
 
+import contextlib
+import io
+import itertools
 import math
 import os
 import random
@@ -98,6 +101,177 @@ def test_relative_paths_resolve_against_the_working_directory(
     rc, out, _ = run(capsys, "check", "corpus/transport.dtt")
     assert rc == 0
     assert "transport_R : S(t') OK" in out
+
+
+TOP_USAGE = "usage: homtt [-h] {check,interp,wfs,pv} ...\n"
+TOP_HELP = TOP_USAGE + """
+Check directed type theory sources and their finite-category and grid models.
+
+positional arguments:
+  {check,interp,wfs,pv}
+    check               typecheck .dtt source files
+    interp              verify scenario files against their workspaces
+    wfs                 certify factorizations and lifts in .fincat workspaces
+    pv                  analyze .pv lock programs on their grids
+
+options:
+  -h, --help            show this help message and exit
+"""
+CHECK_USAGE = ("usage: homtt check [-h] [--format {human,records}] "
+               "FILE [FILE ...]\n")
+CHECK_HELP = CHECK_USAGE + """
+positional arguments:
+  FILE
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,records}
+                        report style
+"""
+# the widest usage line, 78 columns, still one line at 80
+INTERP_HELP = """\
+usage: homtt interp [-h] [--oracle] [--format {human,records}] FILE [FILE ...]
+
+positional arguments:
+  FILE
+
+options:
+  -h, --help            show this help message and exit
+  --oracle              also run the oracle cross-checks
+  --format {human,records}
+                        report style
+"""
+WFS_HELP = INTERP_HELP.replace("homtt interp", "homtt wfs")
+PV_HELP = INTERP_HELP.replace("homtt interp", "homtt pv")
+PV_USAGE = PV_HELP.split("\n", 1)[0] + "\n"
+
+
+def _top_error(message):
+    return TOP_USAGE + f"homtt: error: {message}\n"
+
+
+def _pv_error(message):
+    return PV_USAGE + f"homtt pv: error: {message}\n"
+
+
+MUTEX_RECORDS = ("final-reachable\tcorpus/mutex.pv\tok\t\n"
+                 "deadlock-free\tcorpus/mutex.pv\tok\t\n")
+
+# The front door as argparse printed it at 80 columns: argv, then the
+# exit code, stdout and stderr of cli.main, run from the root of the
+# checkout.  A flag may come before or after the one run of files, a
+# plain argument after that run is unrecognized, and `--` and `-` are
+# read as argparse read them.
+FRONT_DOOR = [
+    ("top-h", ["-h"], 0, TOP_HELP, ""),
+    ("top-help", ["--help"], 0, TOP_HELP, ""),
+    ("check-h", ["check", "-h"], 0, CHECK_HELP, ""),
+    ("check-help", ["check", "--help"], 0, CHECK_HELP, ""),
+    ("interp-h", ["interp", "-h"], 0, INTERP_HELP, ""),
+    ("interp-help", ["interp", "--help"], 0, INTERP_HELP, ""),
+    ("wfs-h", ["wfs", "-h"], 0, WFS_HELP, ""),
+    ("wfs-help", ["wfs", "--help"], 0, WFS_HELP, ""),
+    ("pv-h", ["pv", "-h"], 0, PV_HELP, ""),
+    ("pv-help", ["pv", "--help"], 0, PV_HELP, ""),
+    ("help-after-files", ["pv", "corpus/mutex.pv", "-h"], 0, PV_HELP, ""),
+    ("error-before-help", ["pv", "--format", "bogus", "-h"], 2, "",
+     _pv_error("argument --format: invalid choice: 'bogus' "
+               "(choose from 'human', 'records')")),
+    ("no-command", [], 2, "",
+     _top_error("the following arguments are required: command")),
+    ("unknown-command", ["bogus", "a.pv"], 2, "",
+     _top_error("argument command: invalid choice: 'bogus' "
+                "(choose from 'check', 'interp', 'wfs', 'pv')")),
+    ("dashes-before-command", ["--", "pv", "a.pv"], 2, "",
+     _top_error("argument command: invalid choice: '--' "
+                "(choose from 'check', 'interp', 'wfs', 'pv')")),
+    ("flag-before-command", ["-x", "pv", "corpus/mutex.pv"], 2, "",
+     _top_error("unrecognized arguments: -x")),
+    ("no-file", ["pv"], 2, "",
+     _pv_error("the following arguments are required: FILE")),
+    ("no-file-check", ["check", "--format", "records"], 2, "",
+     CHECK_USAGE + "homtt check: error: the following arguments are "
+                   "required: FILE\n"),
+    ("format-without-value", ["pv", "a.pv", "--format"], 2, "",
+     _pv_error("argument --format: expected one argument")),
+    ("format-bogus", ["check", "a.dtt", "--format", "bogus"], 2, "",
+     CHECK_USAGE + "homtt check: error: argument --format: invalid "
+                   "choice: 'bogus' (choose from 'human', 'records')\n"),
+    ("check-oracle", ["check", "a.dtt", "--oracle"], 2, "",
+     _top_error("unrecognized arguments: --oracle")),
+    ("oracle-with-value", ["pv", "corpus/mutex.pv", "--oracle=yes"], 2, "",
+     _pv_error("argument --oracle: ignored explicit argument 'yes'")),
+    ("size-cap-after-files", ["pv", "a.pv", "--size-cap", "10"], 2, "",
+     _top_error("unrecognized arguments: --size-cap 10")),
+    ("size-cap-before-files", ["pv", "--size-cap", "3", "a.pv"], 2, "",
+     _top_error("unrecognized arguments: --size-cap")),
+    ("file-after-the-files", ["pv", "a.pv", "--oracle", "b.pv"], 2, "",
+     _top_error("unrecognized arguments: b.pv")),
+    ("format-equals", ["pv", "--format=records", "corpus/mutex.pv"], 0,
+     MUTEX_RECORDS, ""),
+    ("dashes-before-files", ["wfs", "--", "--odd.fincat"], 2, "",
+     "error: [Errno 2] No such file or directory: '--odd.fincat'\n"),
+    ("dash-is-a-file", ["pv", "-"], 2, "",
+     "error: [Errno 2] No such file or directory: '-'\n"),
+]
+
+
+def front_door(argv):
+    """(exit code, stdout, stderr) of `homtt ARGV`, run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, code, out, err",
+                         [row[1:] for row in FRONT_DOOR],
+                         ids=[row[0] for row in FRONT_DOOR])
+def test_front_door_texts(monkeypatch, argv, code, out, err):
+    # argparse wrapped its texts to $COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(REPO)
+    assert front_door(argv) == (code, out, err)
+
+
+TOKENS = ("a", "b", "--oracle", "--format", "records", "bogus",
+          "--size-cap", "-h", "--", "--format=records", "-x", "-")
+
+
+def front_door_grid():
+    """Every argv of an optional command (check, pv or bogus) followed by
+    up to 4 of TOKENS: 90,484 argvs."""
+    return [(*command, *tokens)
+            for command in ((), ("check",), ("pv",), ("bogus",))
+            for n in range(5)
+            for tokens in itertools.product(TOKENS, repeat=n)]
+
+
+def parse_outcome(parse, argv):
+    """parse(argv), or the exit code, stdout and stderr it exits with."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(list(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def front_door_differences(argvs):
+    """The argvs that cli.parse_args reads otherwise than argparse."""
+    return [argv for argv in argvs
+            if parse_outcome(cli.parse_args, argv)
+            != parse_outcome(oracles.parse_args, argv)]
+
+
+def test_parse_args_reads_a_sample_of_the_grid_as_argparse(monkeypatch):
+    # the whole grid takes seconds: run this file as a script for it
+    monkeypatch.setenv("COLUMNS", "80")
+    sample = random.Random(1).sample(front_door_grid(), 3000)
+    assert front_door_differences(sample) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1254,3 +1428,14 @@ def test_non_utf8_input_exits_two_naming_the_file(capsys, tmp_path, command,
     assert (rc, out) == (2, "")
     assert err == (f"error: {tmp_path / bad}:2:3: not UTF-8 text (invalid "
                    "continuation byte)\n")
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli.py: the differential test over
+    # the whole grid, against argparse
+    os.environ["COLUMNS"] = "80"
+    grid = front_door_grid()
+    differ = front_door_differences(grid)
+    for argv in differ:
+        print(" ".join(argv))
+    print(f"{len(differ)} of {len(grid)} argvs read otherwise than argparse")
