@@ -15,9 +15,8 @@ it runs; only the kernel is imported here.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
+import re
 import sys
 
 from . import kernel as k
@@ -31,39 +30,6 @@ class RunConfig(k.Value):
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "oracle", oracle)
         object.__setattr__(self, "format", format)
-
-
-@functools.cache
-def _arg_parser():
-    ap = argparse.ArgumentParser(
-        prog="homtt",
-        description="Check directed type theory sources and their "
-                    "finite-category and grid models.")
-    # each subcommand takes only the flags it reads; this default stands
-    # in for check, which takes no --oracle
-    ap.set_defaults(oracle=False)
-    sub = ap.add_subparsers(dest="command", required=True)
-    specs = [
-        ("check", "typecheck .dtt source files", False),
-        ("interp", "verify scenario files against their workspaces", True),
-        ("wfs", "certify factorizations and lifts in .fincat workspaces",
-         True),
-        ("pv", "analyze .pv lock programs on their grids", True),
-    ]
-    for name, help_text, takes_oracle in specs:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("paths", nargs="+", metavar="FILE")
-        if takes_oracle:
-            p.add_argument("--oracle", action="store_true",
-                           help="also run the oracle cross-checks")
-        p.add_argument("--format", choices=("human", "records"),
-                       default="human", help="report style")
-    return ap
-
-
-def parse_args(argv=None):
-    ns = _arg_parser().parse_args(argv)
-    return RunConfig(ns.command, tuple(ns.paths), ns.oracle, ns.format)
 
 
 def _verdict(r):
@@ -151,12 +117,126 @@ def _cmd_pv(cfg, path):
     return out + [_verdict(r) for r in recs], recs
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "interp": _cmd_interp,
-    "wfs": _cmd_wfs,
-    "pv": _cmd_pv,
+# ---------------------------------------------------------------------------
+# the front door: parse_args reads the arguments as argparse did and writes
+# its usage, help and error texts at 80 columns, all from these two tables
+
+
+_COMMANDS = {  # name: (handler, help line, takes --oracle)
+    "check": (_cmd_check, "typecheck .dtt source files", False),
+    "interp": (_cmd_interp, "verify scenario files against their workspaces",
+               True),
+    "wfs": (_cmd_wfs, "certify factorizations and lifts in .fincat "
+                      "workspaces", True),
+    "pv": (_cmd_pv, "analyze .pv lock programs on their grids", True),
 }
+_FLAGS = {  # flag: its lines in -h
+    "-h": "  -h, --help            show this help message and exit\n",
+    "--oracle": "  --oracle              also run the oracle cross-checks\n",
+    "--format": "  --format {human,records}\n" + " " * 24 + "report style\n",
+}
+_HELP = ("-h", "--help")
+_CHOICES = "{" + ",".join(_COMMANDS) + "}"
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a plain argument, not a flag
+
+
+def _exit(command, error=None):
+    """Exit 2 after the usage line and the error on stderr, or, without an
+    error, 0 after the help text on stdout; command None is the top."""
+    if command is None:
+        prog, tail, flags = "homtt", f"{_CHOICES} ...", ["-h"]
+        body = ("\nCheck directed type theory sources and their "
+                "finite-category and grid models.\n\npositional arguments:"
+                f"\n  {_CHOICES}\n" + "".join(
+                    f"    {name:<20}{row[1]}\n"
+                    for name, row in _COMMANDS.items()))
+    else:
+        oracle = _COMMANDS[command][2]
+        prog, body = f"homtt {command}", "\npositional arguments:\n  FILE\n"
+        tail = ("[--oracle] " * oracle
+                + "[--format {human,records}] FILE [FILE ...]")
+        flags = [f for f in _FLAGS if f != "--oracle" or oracle]
+    usage = f"usage: {prog} [-h] {tail}\n"
+    if error is not None:
+        sys.stderr.write(f"{usage}{prog}: error: {error}\n")
+        raise SystemExit(2)
+    sys.stdout.write(usage + body + "\noptions:\n"
+                     + "".join(_FLAGS[f] for f in flags))
+    raise SystemExit(0)
+
+
+def _flag(token, flags):
+    """(flag, the value after its '=' or None) if argparse read token as a
+    flag, one of flags or not; None if it read a plain argument."""
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if (token[:1] != "-" or token in ("-", "--") or " " in token
+            or _NUMBER.match(token)):
+        return None
+    return token, None
+
+
+def parse_args(argv=None):
+    """Read `homtt [-h] COMMAND FILE...` and the command's flags as
+    argparse did, less its prefix abbreviations: exit 2 on a refusal and
+    0 after -h.  The files are the first run of plain arguments after the
+    command, less the first '--' after it, after which all are plain."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    command, paths, oracle, fmt, extras = None, [], False, "human", []
+    # closed: a flag has followed the files, so a plain argument is extra
+    flags, end, closed, i = _HELP, len(args), False, 0
+    while i < len(args):
+        f = _flag(args[i], flags) if i < end else None
+        if f is None and command is None:
+            if args[i:] == ["--"]:
+                break
+            command = args[i]
+            if command not in _COMMANDS:
+                _exit(None, f"argument command: invalid choice: {command!r} "
+                            f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            flags = (*_HELP, "--format",
+                     *("--oracle",) * _COMMANDS[command][2])
+            end = args.index("--", i) if "--" in args[i:] else end
+        elif f is None:
+            if closed:
+                extras.append(args[i])
+            elif i != end:
+                paths.append(args[i])
+        else:
+            closed, (name, value) = bool(paths), f
+            if name not in flags:
+                extras.append(args[i])
+            elif name != "--format" and value is not None:
+                shown = "-h/--help" if name in _HELP else name
+                _exit(command, f"argument {shown}: ignored explicit "
+                               f"argument {value!r}")
+            elif name == "--oracle":
+                oracle = True
+            elif name in _HELP:
+                _exit(command)
+            else:
+                if value is None:
+                    i += 1  # the next argument, if plain and not '--'
+                    if i in (len(args), end) or _flag(args[i], flags):
+                        _exit(command, "argument --format: expected one "
+                                       "argument")
+                    value = args[i]
+                if value not in ("human", "records"):
+                    _exit(command, f"argument --format: invalid choice: "
+                                   f"{value!r} (choose from 'human', "
+                                   "'records')")
+                fmt = value
+        i += 1
+    if command is None:
+        _exit(None, "the following arguments are required: command")
+    if not paths:
+        _exit(command, "the following arguments are required: FILE")
+    if extras:
+        _exit(None, f"unrecognized arguments: {' '.join(extras)}")
+    return RunConfig(command, tuple(paths), oracle, fmt)
 
 
 def run(cfg, stream=None):
@@ -165,7 +245,7 @@ def run(cfg, stream=None):
     out, records = [], []
     try:
         for path in cfg.paths:
-            lines, recs = _COMMANDS[cfg.command](cfg, path)
+            lines, recs = _COMMANDS[cfg.command][0](cfg, path)
             out += [f"== {path}", *lines]
             records += recs
     except (OSError, k.InputError) as err:

@@ -87,6 +87,7 @@ def extend(base, fa):
     if bad:
         raise ValueError(f"fiber assignment: {bad[0]}")
     objects = [x + (y,) for x in base.objects for y in fa.fibers[x].objects]
+    fc._check_caps(objects)
     over = {}  # morphism -> the base morphism it lies over, in build order
     for f in base.morphisms:
         tr = fa.transitions[f]
@@ -94,6 +95,7 @@ def extend(base, fa):
             for g in fa.fibers[f.cod].out_of(tr.ob[y]):
                 over[fc.Mor(f.name + (g,), f.dom + (y,),
                             f.cod + (g.cod,))] = f
+    fc._check_caps(objects, over)
     by_data = {(m.name, m.dom): m for m in over}
     identity = {x + (y,): by_data[(base.identity[x].name
                                    + (fa.fibers[x].identity[y],), x + (y,))]

@@ -444,7 +444,9 @@ def test_exactly_the_refusals_of_input_are_input_errors(exc, unusable):
 
 
 # each command's own modules, and the ones it must not load; no command
-# loads dataclasses or inspect
+# loads dataclasses, inspect, or argparse and what it imports to translate
+# its messages
+NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 LAYERS = {
     ("pv", "corpus/mutex.pv"): (
         {"kernel", "cli", "dspace"},
@@ -474,7 +476,7 @@ def test_a_command_loads_only_its_own_modules(argv):
               f"    rc = cli.main({list(argv)!r})\n"
               "print(rc, *sorted(m for m in sys.modules\n"
               "                  if m.startswith('homtt.')\n"
-              "                  or m in ('dataclasses', 'inspect')))\n")
+              f"                  or m in {sorted(NEVER_LOADED)!r}))\n")
     proc = subprocess.run(
         [sys.executable, "-c", script], cwd=REPO, capture_output=True,
         text=True, check=True,
@@ -484,7 +486,7 @@ def test_a_command_loads_only_its_own_modules(argv):
     assert rc == "0"
     assert own <= {m.removeprefix("homtt.") for m in loaded}
     assert not others & {m.removeprefix("homtt.") for m in loaded}
-    assert not {"dataclasses", "inspect"} & set(loaded)
+    assert not NEVER_LOADED & set(loaded)
 
 
 def test_reducer_guard_breach_exits_three(capsys, monkeypatch, tmp_path):

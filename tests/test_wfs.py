@@ -6,6 +6,7 @@ import cats
 import oracles
 import smallcats
 from homtt import fincat as fc
+from homtt import interp as ip
 from homtt import kernel as k
 from homtt import wfs
 from test_interp import CLOSED_ARGS, comp_setup
@@ -179,6 +180,39 @@ def test_factor_refuses_a_middle_from_its_object_count(flavor, monkeypatch):
     with pytest.raises(fc.SizeCapError, match="^81 objects exceeds 64$"):
         wfs.factor(fc.identity_functor(D), flavor)
     assert built == []
+
+
+def test_hom_context_refuses_its_second_context_from_its_object_count(
+        monkeypatch):
+    # the context (s : core B, t : B) over the codiscrete category on 9
+    # objects has 81 objects, so extend refuses it before it lists its 729
+    # morphisms; only the first context, core B, is composed
+    composed, composable = [], fc.composable
+    monkeypatch.setattr(fc, "composable", lambda ms: composed.append(
+        len(ms)) or composable(ms))
+    with pytest.raises(fc.SizeCapError, match="^81 objects exceeds 64$"):
+        wfs.hom_context(codiscrete(9))
+    assert composed == [9]
+
+
+def test_extend_over_the_morphism_cap_composes_nothing(monkeypatch):
+    # a 65-element monoid (g after f is g unless g is the identity) as the
+    # constant fiber over the context of the codiscrete category on 8
+    # objects: 8 objects but 64 * 65 morphisms, refused before any
+    # identity or composite of them is built
+    one = fc.identity_mor("x")
+    ms = [one, *(fc.Mor(i, "x", "x") for i in range(64))]
+    M = fc.FinCat(("x",), ms, {"x": one},
+                  {(g, f): f if g is one else g for g in ms for f in ms})
+    point = ip.terminal_ctx()
+    base = ip.extend(point, fc.constant_fibers(point, codiscrete(8))).cat
+    fa = fc.constant_fibers(base, M)
+    composed = []
+    monkeypatch.setattr(fc, "composable", lambda m: composed.append(m) or [])
+    with pytest.raises(fc.SizeCapError,
+                       match=f"^4160 morphisms exceeds {fc.MAX_MORPHISMS}$"):
+        ip.extend(fa.base, fa)
+    assert composed == []
 
 
 def test_factor_rejects_unknown_flavor():
