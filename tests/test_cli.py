@@ -216,15 +216,16 @@ FRONT_DOOR = [
 ]
 
 
-def front_door(argv):
-    """(exit code, stdout, stderr) of `homtt ARGV`, run in-process."""
+def front_door(argv, call=cli.main):
+    """What call(argv) returns, or the code it exits with, then its stdout
+    and stderr: by default the exit code and output of `homtt ARGV`."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            result = call(list(argv))
         except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv, code, out, err",
@@ -250,21 +251,11 @@ def front_door_grid():
             for tokens in itertools.product(TOKENS, repeat=n)]
 
 
-def parse_outcome(parse, argv):
-    """parse(argv), or the exit code, stdout and stderr it exits with."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            return parse(list(argv))
-        except SystemExit as exc:
-            return exc.code, out.getvalue(), err.getvalue()
-
-
 def front_door_differences(argvs):
     """The argvs that cli.parse_args reads otherwise than argparse."""
     return [argv for argv in argvs
-            if parse_outcome(cli.parse_args, argv)
-            != parse_outcome(oracles.parse_args, argv)]
+            if front_door(argv, cli.parse_args)
+            != front_door(argv, oracles.parse_args)]
 
 
 def test_parse_args_reads_a_sample_of_the_grid_as_argparse(monkeypatch):
