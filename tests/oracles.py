@@ -11,7 +11,9 @@ as in the textbook, to referee the interpreter's flat context extension,
 and the unit `one t` is built from its own op fibers, strict sections and
 hom functor, to referee the interpreter's reading of the checker's type.
 The laws of a fiber assignment are checked by building the identity and
-composite functors they speak of and comparing them as values.
+composite functors they speak of and comparing them as values, and, as
+a differential referee, by the cell-by-cell reading that checks every
+unit and every composite with none settled by another.
 The category isomorphism search enumerates functors outright, cocartesian
 morphisms are decided by building the opposite functor afresh, the
 factorization's middle is the strict pullback of the functor against
@@ -497,6 +499,81 @@ def fiber_assignment_problems(fa):
             out.append("transitions not functorial at "
                        f"({fc._fmt(g.name)}, {fc._fmt(f.name)})")
     return out
+
+
+def fiber_assignment_every_cell(fa):
+    """What fa.validate() reports, with no law settled by another: the
+    unit law read off the maps at every base object and the functoriality
+    law at every distinct triple of transitions, each cell by cell, as
+    FiberAssignment.validate did before a unit verdict settled the
+    composites with an identity factor."""
+    out = []
+    checked = {}   # id of a fiber or transition -> its problems
+    for x in fa.base.objects:
+        c = fa.fibers.get(x)
+        if c is None:
+            out.append(f"no fiber at {fc._fmt(x)}")
+            continue
+        bad = checked.get(id(c))
+        if bad is None:
+            bad = checked[id(c)] = c.validate()
+        if bad:
+            out.append(f"fiber at {fc._fmt(x)}: {bad[0]}")
+    for m in fa.base.morphisms:
+        t = fa.transitions.get(m)
+        if t is None:
+            out.append(f"no transition along {fc._fmt(m.name)}")
+            continue
+        if t.source != fa.fibers.get(m.dom) \
+                or t.target != fa.fibers.get(m.cod):
+            out.append(f"transition along {fc._fmt(m.name)} has wrong "
+                       "source or target")
+            continue
+        bad = checked.get(id(t))
+        if bad is None:
+            bad = checked[id(t)] = t.validate()
+        if bad:
+            out.append(f"transition along {fc._fmt(m.name)}: {bad[0]}")
+    if out:
+        return out
+    trs = fa.transitions
+    for x in fa.base.objects:
+        if not _is_identity_by_cell(trs[fa.base.identity[x]], fa.fibers[x]):
+            out.append(f"transition at identity of {fc._fmt(x)} is not "
+                       "the identity functor")
+    functorial = {}  # ids of three transitions -> whether they compose
+    for (g, f), h in fa.base.compose.items():
+        tg, tf, th = trs[g], trs[f], trs[h]
+        ok = functorial.get(key := (id(tg), id(tf), id(th)))
+        if ok is None:
+            ok = functorial[key] = _composes_to_by_cell(tg, tf, th)
+        if not ok:
+            out.append("transitions not functorial at "
+                       f"({fc._fmt(g.name)}, {fc._fmt(f.name)})")
+    return out
+
+
+def _is_identity_by_cell(t, c):
+    """t == identity_functor(c), read off t's own maps cell by cell."""
+    ob, mor = t.ob, t.mor
+    return (t.source == c and t.target == c
+            and ob.keys() == set(c.objects)
+            and all(ob[y] == y for y in c.objects)
+            and mor.keys() == c.morset
+            and all(mor[m] is m for m in c.morphisms))
+
+
+def _composes_to_by_cell(outer, inner, h):
+    """functor_compose(outer, inner) == h, read off the three functors'
+    own maps cell by cell."""
+    if inner.target != outer.source:
+        raise ValueError("functors not composable")
+    ob, mor, hob, hmor = outer.ob, outer.mor, h.ob, h.mor
+    return (inner.source == h.source and outer.target == h.target
+            and inner.ob.keys() == hob.keys()
+            and all(ob[y] == hob[x] for x, y in inner.ob.items())
+            and inner.mor.keys() == hmor.keys()
+            and all(mor[v] is hmor[m] for m, v in inner.mor.items()))
 
 
 # ---------------------------------------------------------------------------
