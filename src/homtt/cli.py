@@ -25,7 +25,7 @@ from . import kernel as k
 class RunConfig(k.Value):
     __slots__ = __match_args__ = ("command", "paths", "oracle", "format")
 
-    def __init__(self, command, paths, oracle=False, format="human"):
+    def __init__(self, command, paths, oracle, format):
         object.__setattr__(self, "command", command)
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "oracle", oracle)

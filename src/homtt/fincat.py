@@ -4,16 +4,22 @@ Everything here is exhaustive: laws are checked by enumerating composable
 triples and universal properties by enumerating candidates.  Objects and
 morphism names are arbitrary hashable values.  A category keeps its cells
 in the order it is built, so reports and chosen representatives are
-deterministic by construction; equality ignores that order.  Equal
-morphisms are one object, kept in a dict of weak references, so compare
-by identity; a ``Mor`` has the value contract of a kernel node
-(``kernel.Interned``: frozen fields, the dataclass repr, and copies and
-pickles that are the live morphism).
+deterministic by construction; equality ignores that order.  A category
+also keeps its objects and morphisms as frozensets (``obset``,
+``morset``) for membership, and its hom sets in a (dom, cod) table built
+on first use.  Equal morphisms are one object, kept in a dict of
+``kernel.KeyRef`` weak references, so compare by identity; a ``Mor`` has
+the value contract of a kernel node (``kernel.Interned``: frozen fields,
+the dataclass repr, and copies and pickles that are the live morphism).
 
 A fiber assignment's laws are read off its transitions' own maps, cell by
-cell, with no identity or composite functor built; the functoriality law
-is checked once per distinct triple of transitions, so base composites
-that share their transitions share the verdict.
+cell, with no identity or composite functor built.  The unit law is
+checked once per distinct (transition, fiber) pair and the functoriality
+law once per distinct triple of transitions, so cells that share their
+functors share the verdict.  When every unit law holds, a composite with
+an identity factor needs no check of its own: it composes whenever the
+two transitions meet at one fiber object and the other one maps exactly
+its source's objects and morphisms.
 
 Identity morphisms of parsed and discrete categories are named ("id", x).
 Constructed categories (pullbacks, comma categories) name morphisms by
@@ -31,9 +37,7 @@ interp, compares against token.
 
 from __future__ import annotations
 
-import weakref
-
-from .kernel import InputError, Interned, Value, dropper
+from .kernel import InputError, Interned, KeyRef, Value, dropper
 
 MAX_OBJECTS = 64
 MAX_MORPHISMS = 4096
@@ -67,13 +71,16 @@ class Mor(Interned):
         m = ref and ref()
         if m is None:
             m = object.__new__(cls)
-            object.__setattr__(m, "name", name)
-            object.__setattr__(m, "dom", dom)
-            object.__setattr__(m, "cod", cod)
-            _live[key] = weakref.KeyedRef(m, _drop, key)
+            _set_name(m, name)
+            _set_dom(m, dom)
+            _set_cod(m, cod)
+            ref = _live[key] = KeyRef(m, _drop)
+            ref.key = key
         return m
 
 
+_set_name, _set_dom, _set_cod = Mor.name.__set__, Mor.dom.__set__, \
+    Mor.cod.__set__
 _live = {}  # (name, dom, cod) -> a weak reference to its one Mor
 _drop = dropper(_live)
 
@@ -101,14 +108,16 @@ class FinCat:
         self.morphisms = morphisms
         self.identity = dict(identity)
         self.compose = dict(compose)
+        self.obset = frozenset(objects)
         self.morset = frozenset(morphisms)
         self._out = {}  # dom -> the morphisms out of it, in the given order
         for m in morphisms:
             self._out.setdefault(m.dom, []).append(m)
+        self._hom = None  # (dom, cod) -> the morphisms, built on first use
 
     def __eq__(self, other):
         return other is self or (isinstance(other, FinCat)
-                and set(self.objects) == set(other.objects)
+                and self.obset == other.obset
                 and self.morset == other.morset
                 and self.identity == other.identity
                 and self.compose == other.compose)
@@ -121,7 +130,11 @@ class FinCat:
         return self._out.get(x, ())
 
     def hom(self, x, y):
-        return [m for m in self.out_of(x) if m.cod == y]
+        if self._hom is None:
+            self._hom = {}
+            for m in self.morphisms:
+                self._hom.setdefault((m.dom, m.cod), []).append(m)
+        return list(self._hom.get((x, y), ()))
 
     def comp(self, g, f):
         """g after f."""
@@ -132,8 +145,7 @@ class FinCat:
 
     def validate(self):
         out = []
-        objset = set(self.objects)
-        morset = self.morset
+        objset, morset = self.obset, self.morset
         for x in self.objects:
             i = self.identity.get(x)
             if i is None:
@@ -194,11 +206,12 @@ def op_mor(m):
 
 
 def op(c):
-    morphisms = [op_mor(m) for m in c.morphisms]
-    identity = {x: op_mor(i) for x, i in c.identity.items()}
-    compose = {(op_mor(f), op_mor(g)): op_mor(h)
-               for (g, f), h in c.compose.items()}
-    return FinCat(c.objects, morphisms, identity, compose)
+    """The opposite of c, one op_mor per morphism of c (its only cells)."""
+    flip = {m: op_mor(m) for m in c.morphisms}
+    return FinCat(c.objects, [flip[m] for m in c.morphisms],
+                  {x: flip[i] for x, i in c.identity.items()},
+                  {(flip[f], flip[g]): flip[h]
+                   for (g, f), h in c.compose.items()})
 
 
 def core(c):
@@ -217,7 +230,7 @@ class Functor(Value):
     def validate(self):
         out = []
         for x in self.source.objects:
-            if self.ob.get(x) not in self.target.objects:
+            if self.ob.get(x) not in self.target.obset:
                 out.append(f"object map undefined or out of range at {_fmt(x)}")
         for m in self.source.morphisms:
             fm = self.mor.get(m)
@@ -314,14 +327,31 @@ class FiberAssignment(Value):
                 out.append(f"transition along {_fmt(m.name)}: {bad[0]}")
         if out:
             return out
-        trs = self.transitions
-        for x in self.base.objects:
-            if not _is_identity(trs[self.base.identity[x]], self.fibers[x]):
+        base, trs = self.base, self.transitions
+        units = {}  # ids of a transition and a fiber -> whether it is 1
+        for x in base.objects:
+            t, c = trs[base.identity[x]], self.fibers[x]
+            ok = units.get(key := (id(t), id(c)))
+            if ok is None:
+                ok = units[key] = _is_identity(t, c)
+            if not ok:
                 out.append(f"transition at identity of {_fmt(x)} is not "
                            "the identity functor")
+        # with every unit law kept, a composite with an identity factor
+        # composes if its transitions meet at one fiber object and the
+        # other one maps exactly its source's cells (see the docstring)
+        ids = () if out else set(base.identity.values())
+        exact = () if out else {
+            i for i, t in {id(t): t for t in trs.values()}.items()
+            if t.ob.keys() == t.source.obset
+            and t.mor.keys() == t.source.morset}
         functorial = {}  # ids of three transitions -> whether they compose
-        for (g, f), h in self.base.compose.items():
+        for (g, f), h in base.compose.items():
             tg, tf, th = trs[g], trs[f], trs[h]
+            if tf.target is tg.source and (
+                    h is g and f in ids and id(tg) in exact
+                    or h is f and g in ids and id(tf) in exact):
+                continue
             ok = functorial.get(key := (id(tg), id(tf), id(th)))
             if ok is None:
                 ok = functorial[key] = _composes_to(tg, tf, th)
@@ -335,7 +365,7 @@ def _is_identity(t, c):
     """t == identity_functor(c), read off t's own maps cell by cell."""
     ob, mor = t.ob, t.mor
     return (t.source == c and t.target == c
-            and ob.keys() == set(c.objects)
+            and ob.keys() == c.obset
             and all(ob[y] == y for y in c.objects)
             and mor.keys() == c.morset
             and all(mor[m] is m for m in c.morphisms))
@@ -421,7 +451,7 @@ class Section(Value):
     def validate(self):
         fa, out = self.fa, []
         for x in fa.base.objects:
-            if self.obj.get(x) not in fa.fibers[x].objects:
+            if self.obj.get(x) not in fa.fibers[x].obset:
                 out.append(f"no point at {_fmt(x)}")
         if out:
             return out
@@ -473,12 +503,10 @@ def hom_functor(fa, s, t):
               for x in fa.base.objects}
     transitions = {}
     for m in fa.base.morphisms:
-        fib = fa.fibers[m.cod]
-        tr = fa.transitions[m]
-        obmap = {}
-        for h in fibers[m.dom].objects:
-            carried = fib.comp(t.mor[m], fib.comp(tr.mor[h], op_mor(s.mor[m])))
-            obmap[h] = carried
+        fib, tr = fa.fibers[m.cod], fa.transitions[m]
+        after, before = t.mor[m], op_mor(s.mor[m])
+        obmap = {h: fib.comp(after, fib.comp(tr.mor[h], before))
+                 for h in fibers[m.dom].objects}
         transitions[m] = _discrete_functor(fibers[m.dom], fibers[m.cod], obmap)
     return FiberAssignment(fa.base, fibers, transitions)
 
@@ -674,7 +702,7 @@ def build_catfile(cf):
         tgt = ws.categories[block.target]
         ob = {}
         for x, y in block.ob:
-            if x not in src.objects or y not in tgt.objects:
+            if x not in src.obset or y not in tgt.obset:
                 raise BlockError(name, f"unknown object in 'ob {x} -> {y}'")
             ob[x] = y
         mor = {}

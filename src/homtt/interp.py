@@ -86,41 +86,43 @@ def extend(base, fa):
     bad = fa.validate()
     if bad:
         raise ValueError(f"fiber assignment: {bad[0]}")
-    objects = [x + (y,) for x in base.objects for y in fa.fibers[x].objects]
+    fibers, trs = fa.fibers, fa.transitions
+    objects = [x + (y,) for x in base.objects for y in fibers[x].objects]
     fc._check_caps(objects)
-    over = {}  # morphism -> the base morphism it lies over, in build order
+    over = {}  # morphism -> (f, y, g) it is built from, in build order
+    cell = {}  # (f, y, g) -> its morphism
     for f in base.morphisms:
-        tr = fa.transitions[f]
-        for y in fa.fibers[f.dom].objects:
-            for g in fa.fibers[f.cod].out_of(tr.ob[y]):
-                over[fc.Mor(f.name + (g,), f.dom + (y,),
-                            f.cod + (g.cod,))] = f
+        tr = trs[f]
+        for y in fibers[f.dom].objects:
+            for g in fibers[f.cod].out_of(tr.ob[y]):
+                m = cell[f, y, g] = fc.Mor(f.name + (g,), f.dom + (y,),
+                                           f.cod + (g.cod,))
+                over[m] = f, y, g
     fc._check_caps(objects, over)
-    by_data = {(m.name, m.dom): m for m in over}
-    identity = {x + (y,): by_data[(base.identity[x].name
-                                   + (fa.fibers[x].identity[y],), x + (y,))]
-                for x in base.objects for y in fa.fibers[x].objects}
+    identity = {x + (y,): cell[base.identity[x], y, fibers[x].identity[y]]
+                for x in base.objects for y in fibers[x].objects}
     compose = {}
     for m2, m1 in fc.composable(over):
-        f2 = over[m2]
-        f = base.comp(f2, over[m1])
-        g = fa.fibers[f2.cod].comp(m2.name[-1],
-                                   fa.transitions[f2].mor[m1.name[-1]])
-        compose[(m2, m1)] = by_data[(f.name + (g,), m1.dom)]
+        f2, _, g2 = over[m2]
+        f1, y1, g1 = over[m1]
+        g = fibers[f2.cod].compose[g2, trs[f2].mor[g1]]
+        compose[m2, m1] = cell[base.compose[f2, f1], y1, g]
     cat = fc.FinCat(objects, over, identity, compose)
-    proj = fc.Functor(cat, base, {o: o[:-1] for o in cat.objects},
-                      {m: over[m] for m in cat.morphisms})
+    proj = fc.Functor(cat, base, {o: o[:-1] for o in objects},
+                      {m: f for m, (f, _, _) in over.items()})
     last = fc.Section(fc.reindex(fa, proj),
-                      {o: o[-1] for o in cat.objects},
-                      {m: m.name[-1] for m in cat.morphisms})
+                      {o: o[-1] for o in objects},
+                      {m: g for m, (_, _, g) in over.items()})
     return Extension(cat, fa, proj, last)
+
+
+_POINT = terminal_ctx()
 
 
 def collapse_functor(c):
     """The unique functor into the empty-context category."""
-    t = terminal_ctx()
-    i = t.identity[()]
-    return fc.Functor(c, t, {x: () for x in c.objects},
+    i = _POINT.identity[()]
+    return fc.Functor(c, _POINT, {x: () for x in c.objects},
                       {m: i for m in c.morphisms})
 
 
@@ -173,7 +175,6 @@ class Interpreter:
         self.failed = {r.subject: "does not typecheck"
                        for r in checks if not r.ok}
         self.witnesses = []
-        self._terminal = terminal_ctx()
         self._exts = {}
         self._types = {}
         self._terms = {}
@@ -196,7 +197,7 @@ class Interpreter:
 
     def context(self, ctx):
         exts = self.extensions(ctx)
-        return exts[-1].cat if exts else self._terminal
+        return exts[-1].cat if exts else _POINT
 
     def type(self, ctx, ty):
         key = (self._key(ctx), ty)
@@ -450,7 +451,7 @@ def _decl_records(itp, subject, decl):
                              "telescope"
                 else:
                     for x in fa.base.objects:
-                        if sec.obj.get(x) not in fa.fibers[x].objects:
+                        if sec.obj.get(x) not in fa.fibers[x].obset:
                             ok = False
                             detail = f"value at {_show(x)} is outside the fiber"
                             break
@@ -480,7 +481,7 @@ def _judgement_records(itp, subject, ctx, ty, terms):
         sec = itp.term(ctx, tm)
         out.append(k.verdict(subject, "section-natural", sec.validate()))
         stray = next((x for x in fa.base.objects
-                      if sec.obj[x] not in fa.fibers[x].objects), None)
+                      if sec.obj[x] not in fa.fibers[x].obset), None)
         out.append(k.Record(
             subject, "section-in-type", stray is None,
             "" if stray is None

@@ -155,7 +155,8 @@ class Expr(Interned):
             d = x.__dict__
             d.update(zip(cls.__match_args__, fields, strict=True))
             _summarize(cls, fields, d)
-            _live[key] = weakref.KeyedRef(x, _drop, key)
+            ref = _live[key] = KeyRef(x, _drop)
+            ref.key = key
         return x
 
 
@@ -183,10 +184,18 @@ def _summarize(cls, fields, d):
     d["levels"], d["elims"], d["names"] = levels, elims, names
 
 
+class KeyRef(weakref.ref):
+    """A weak reference that keeps the intern-table key it sits under.
+    Unlike ``weakref.KeyedRef`` it has no Python ``__new__`` or
+    ``__init__``, so the key is set after it is built."""
+
+    __slots__ = ("key",)
+
+
 def dropper(table):
-    """The callback of the weak references in an intern table (this
-    module's and ``fincat``'s): it removes the entry of an object that
-    died, unless a new object has taken the key since."""
+    """The callback of the KeyRefs in an intern table (this module's and
+    ``fincat``'s): it removes the entry of an object that died, unless a
+    new object has taken the key since."""
     def drop(ref):
         if table.get(ref.key) is ref:
             del table[ref.key]

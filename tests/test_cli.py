@@ -40,7 +40,7 @@ def run(capsys, *argv):
 
 def test_parse_args_defaults_and_flags():
     cfg = cli.parse_args(["check", "a.dtt", "b.dtt"])
-    assert cfg == cli.RunConfig("check", ("a.dtt", "b.dtt"))
+    assert cfg == cli.RunConfig("check", ("a.dtt", "b.dtt"), False, "human")
     cfg = cli.parse_args(["pv", "x.pv", "--oracle", "--format", "records"])
     assert cfg == cli.RunConfig("pv", ("x.pv",), True, "records")
 
@@ -64,14 +64,15 @@ def test_parse_args_calls_are_independent(capsys):
                             "records"])
     second = cli.parse_args(["check", "a.dtt"])
     assert first == cli.RunConfig("wfs", ("w.fincat",), True, "records")
-    assert second == cli.RunConfig("check", ("a.dtt",))
+    assert second == cli.RunConfig("check", ("a.dtt",), False, "human")
     with pytest.raises(SystemExit) as exc:
         cli.parse_args(["check", "a.dtt", "--format", "bogus"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: homtt check")
     assert "argument --format: invalid choice: 'bogus'" in err
-    assert cli.parse_args(["pv", "x.pv"]) == cli.RunConfig("pv", ("x.pv",))
+    assert cli.parse_args(["pv", "x.pv"]) \
+        == cli.RunConfig("pv", ("x.pv",), False, "human")
 
 
 def test_missing_subcommand_is_a_usage_error():

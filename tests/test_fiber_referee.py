@@ -124,6 +124,8 @@ def planted():
     swap = fc._discrete_functor(d, d, {"0": "1", "1": "0"})
     both = ["transitions not functorial at (c01, (id 0))",
             "transitions not functorial at (c12, c01)"]
+    pairing = {("c12", ("id", "0")): "c12"}
+    shared = _chain3_assignment(c, compose=pairing)
     return {
         # maps with a key beyond the transition's source: Functor.validate
         # passes them, the composites with the identity do not
@@ -138,9 +140,13 @@ def planted():
             "transitions not functorial at ((id 1), c01)",
             "transitions not functorial at ((id 1), (id 1))",
             "transitions not functorial at (c12, (id 1))"]),
-        # a base pairing c12 with identity 0, over one fiber: it composes
-        "non-composable": (_chain3_assignment(
-            c, compose={("c12", ("id", "0")): "c12"}), []),
+        # a base pairing c12 with identity 0, over one fiber: it composes;
+        # over fibers equal but not one object it is checked, and composes
+        "non-composable": (shared, []),
+        "non-composable-copies": (fc.FiberAssignment(
+            shared.base, {x: cats.two() for x in shared.base.objects},
+            {f: fc.identity_functor(cats.two())
+             for f in shared.base.morphisms}), []),
         # a base that says c01 after identity 0 is c02, where the
         # transitions differ: not functorial at an identity pair
         "identity-pair": (_chain3_assignment(
@@ -154,24 +160,19 @@ def test_planted_malformations_agree(name):
     assert referee(fa) == want
 
 
-def test_non_composable_base_pairs_agree_on_fibers_that_differ():
-    # the base pairs c12 with identity 0: over fibers that are equal but
-    # not one object the transitions still compose, and over fibers that
-    # differ neither check can compose them
-    base = _chain3_assignment(cats.two(),
-                              compose={("c12", ("id", "0")): "c12"}).base
-    copies = fc.FiberAssignment(
-        base, {x: cats.two() for x in base.objects},
-        {f: fc.identity_functor(cats.two()) for f in base.morphisms})
-    assert referee(copies) == []
+def test_a_non_composable_identity_pair_between_fibers_that_differ():
+    # the base pairs c12 with identity 0 while the fibers at 0 and 1
+    # differ: neither check can compose the transitions
     c, pt = cats.two(), cats.star()
+    base = planted()["non-composable"][0].base
     fibers = {"0": c, "1": pt, "2": pt}
-    collapse = fc.Functor(c, pt, {x: "*" for x in c.objects},
-                          {f: pt.identity["*"] for f in c.morphisms})
-    fa = fc.FiberAssignment(
-        base, fibers,
-        {f: collapse if f.dom == "0" and f.cod != "0"
-         else fc.identity_functor(fibers[f.dom]) for f in base.morphisms})
+
+    def collapse(src):
+        return fc.Functor(src, pt, {x: "*" for x in src.objects},
+                          {g: pt.identity["*"] for g in src.morphisms})
+    fa = fc.FiberAssignment(base, fibers, {
+        f: fc.identity_functor(fibers[f.dom]) if f.dom == f.cod
+        else collapse(fibers[f.dom]) for f in base.morphisms})
     for check in (fc.FiberAssignment.validate,
                   oracles.fiber_assignment_every_cell):
         with pytest.raises(ValueError, match="functors not composable"):

@@ -204,20 +204,50 @@ def test_fiber_assignment_laws_build_no_functor(monkeypatch):
                  "_composes_to"):
         counted(name)
     base = chain3()
-    # one fiber and one transition: an identity check per base object,
-    # one composite check for the one distinct triple of transitions
+    # one fiber and one transition: one identity check for the one
+    # distinct (transition, fiber) pair, and one composite check for the
+    # one composite with no identity factor, (c12, c01)
     fa = fc.constant_fibers(base, two())
     counts.clear()
     assert fa.validate() == []
-    assert counts == {"_is_identity": len(base.objects), "_composes_to": 1}
-    # a fiber and a transition of their own at every cell: one check each
+    assert counts == {"_is_identity": 1, "_composes_to": 1}
+    # a fiber and a transition of their own at every cell: one check
+    # each, but for the unit composites (id x, id x), where a transition
+    # meets itself at one fiber object; no other two cells share one
     copies = fc.FiberAssignment(
         base, {x: two() for x in base.objects},
         {m: fc.identity_functor(two()) for m in base.morphisms})
     counts.clear()
     assert copies.validate() == []
     assert counts == {"_is_identity": len(base.objects),
-                      "_composes_to": len(base.compose)}
+                      "_composes_to": len(base.compose) - len(base.objects)}
+
+
+def test_op_and_hom_functor_flip_each_morphism_once(monkeypatch):
+    calls = 0
+    real = fc.op_mor
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return real(m)
+    monkeypatch.setattr(fc, "op_mor", counted)
+    # op flips each morphism once, not each cell of the composite table
+    for c in (chain3(), para(), z2(), cats.idem(), grid22()):
+        calls = 0
+        assert fc.op(c).validate() == []
+        assert calls == len(c.morphisms)
+    # hom_functor flips the source section's morphism part once per base
+    # morphism, whatever the size of the hom sets it carries
+    base = chain3()
+    fa = fc.constant_fibers(base, para())
+    s = fc.strict_section(fc.op_fibers(fa), {x: "0" for x in base.objects})
+    t = fc.strict_section(fa, {x: "1" for x in base.objects})
+    calls = 0
+    hf = fc.hom_functor(fa, s, t)
+    assert calls == len(base.morphisms)
+    assert hf.validate() == []
+    assert {len(f.objects) for f in hf.fibers.values()} == {2}
 
 
 def planted_fiber_assignments():
@@ -311,7 +341,8 @@ def test_fiber_assignment_over_an_invalid_base_fails_like_the_referee():
          else fc.identity_functor(c if f.dom == "0" else pt)
          for f in broken.morphisms})
     for check in (fc.FiberAssignment.validate,
-                  oracles.fiber_assignment_problems):
+                  oracles.fiber_assignment_problems,
+                  oracles.fiber_assignment_every_cell):
         with pytest.raises(ValueError, match="functors not composable"):
             check(fa)
 

@@ -173,6 +173,45 @@ def test_extend_is_the_flattened_grothendieck_total(monkeypatch):
         assert ext.last == last
 
 
+def test_extend_builds_one_mor_per_morphism(monkeypatch):
+    # the identities and composites of the extension are looked up among
+    # the morphisms it listed, not built again
+    made = 0
+    real = fc.Mor.__new__
+
+    def counted(cls, *fields):
+        nonlocal made
+        made += 1
+        return real(cls, *fields)
+    itp = ip.Interpreter(base_sig(), const_env(cats.grid22()))
+    ctx = (("s", k.Core(B)), ("t", B))
+    base, fa = itp.context(ctx), itp.type(ctx, k.Hom(B, k.IncOp(k.Var(0)),
+                                                        k.Var(1)))
+    monkeypatch.setattr(fc.Mor, "__new__", counted)
+    ext = ip.extend(base, fa)
+    monkeypatch.undo()
+    assert made == len(ext.cat.morphisms) > len(ext.cat.objects)
+    assert ext.cat.validate() == []
+
+
+def test_collapse_functor_builds_no_category(monkeypatch):
+    built = 0
+    real = fc.FinCat.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        real(self, *args)
+    c, d = cats.chain3(), cats.z2()
+    monkeypatch.setattr(fc.FinCat, "__init__", counted)
+    first, second = ip.collapse_functor(c), ip.collapse_functor(d)
+    monkeypatch.undo()
+    assert built == 0
+    assert first.target is second.target
+    assert first.target == ip.terminal_ctx()
+    assert first.validate() == second.validate() == []
+
+
 # -- type formers -----------------------------------------------------------
 
 def test_base_type_fiber_is_the_bound_category():

@@ -536,7 +536,7 @@ def test_copies_and_pickles_are_the_live_node(clone):
 VALUES = [
     (lambda: k.Record("s", "c", True),
      "Record(subject='s', check='c', ok=True, detail='')"),
-    (lambda: cli.RunConfig("check", ("a.dtt",)),
+    (lambda: cli.RunConfig("check", ("a.dtt",), False, "human"),
      "RunConfig(command='check', paths=('a.dtt',), oracle=False, "
      "format='human')"),
     (lambda: ps.AssumeTerm("a", (), BaseT("B"), 3),
