@@ -10,6 +10,9 @@ this file lies in and on that checkout's `src`, over:
 - every corpus file, with its command (`check`, `interp`, `wfs`, `pv`);
 - the first 60 inputs of seed 1 of each benchmark workload, written by
   `perfbench/gen.write_inputs`;
+- `wfs` on the collapse of `chain_n` onto `chain_m` for every
+  1 <= m <= n <= 8 (cut points spread evenly), larger categories than
+  the benchmark's n <= 5;
 - the refusal tables, which exit 2: the programs of
   `test_cli.PV_REFUSALS` with `pv` and the files of
   `test_cli.FINCAT_REFUSALS` with `wfs`;
@@ -66,7 +69,39 @@ def _inputs():
             argv = json.loads((d / "expect.json").read_text("utf-8"))["argv"]
             yield tuple(a for a in argv
                         if a not in ("--format", "records", "--oracle"))
+    yield from _chains()
     yield from _refusals()
+
+
+def _chain(name, n):
+    lines = [f"category {name}", "  objects " + " ".join(
+        f"v{i}" for i in range(n))]
+    lines += [f"  arrow m{i}_{j} : v{i} -> v{j}"
+              for i in range(n) for j in range(i + 1, n)]
+    lines += [f"  compose m{j}_{k} m{i}_{j} = m{i}_{k}" for i in range(n)
+              for j in range(i + 1, n) for k in range(j + 1, n)]
+    return lines + ["end"]
+
+
+def _chains():
+    """("wfs", path) for the collapse of chain_n onto chain_m."""
+    work = WORK / "chains"
+    work.mkdir(parents=True)
+    for n in range(1, 9):
+        for m in range(1, n + 1):
+            # object i of chain_n goes to the block i * m // n of chain_m
+            block = [i * m // n for i in range(n)]
+            lines = _chain("src", n) + _chain("tgt", m)
+            lines.append("functor collapse : src -> tgt")
+            lines += [f"  ob v{i} -> v{b}" for i, b in enumerate(block)]
+            lines += [f"  arr m{i}_{j} -> " + (
+                f"id_v{block[i]}" if block[i] == block[j]
+                else f"m{block[i]}_{block[j]}")
+                for i in range(n) for j in range(i + 1, n)]
+            path = work / f"chain{n}-{m}.fincat"
+            path.write_text("\n".join([*lines, "end"]) + "\n",
+                            encoding="utf-8")
+            yield "wfs", path.as_posix()
 
 
 def _refusals():
