@@ -1,8 +1,8 @@
 """FiberAssignment.validate against the cell-by-cell referee
 (`oracles.fiber_assignment_every_cell`): the same problems, in full and
-in order, on every assignment the interpreter extends a context by over
-the corpus and the benchmark's seed-1 inputs, on the assignments built
-from the small categories, and on planted malformed ones."""
+in order, on every assignment the interpreter validates over the corpus
+and the benchmark's seed-1 inputs, on the assignments built from the
+small categories, and on planted malformed ones."""
 
 import json
 import sys
